@@ -1,8 +1,9 @@
 """Operator command line: validate / solve / simulate / verify / example.
 
 Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
-3 malformed config or unreadable input, 4 enumeration budget exceeded,
-5 table-cache fingerprint mismatch, 6 failed verification check.
+3 malformed config, unreadable input, unwritable output path, bad seed or
+invalid count, 4 enumeration budget exceeded, 5 stale (fingerprint
+mismatch) or truncated table cache, 6 failed verification check.
 Every output artifact embeds the run manifest; re-running a manifest with
 the same seed reproduces outputs byte for byte.
 """
@@ -10,7 +11,6 @@ the same seed reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -48,10 +48,17 @@ class RunManifest:
         return asdict(self)
 
 
+class _BadArgument(Exception):
+    """Unusable command-line input; reported with exit code 3."""
+
+
 def _resolve_seed(args) -> int | None:
     env = os.environ.get("FLEXMARKET_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise _BadArgument(f"FLEXMARKET_SEED must be an integer, got {env!r}") from None
     return getattr(args, "seed", None)
 
 
@@ -78,6 +85,10 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
+    if args.backend == "mc" and seed is None:
+        raise _BadArgument("--backend mc needs --seed (or FLEXMARKET_SEED)")
+    if args.backend == "mc" and args.samples < 2:
+        raise _BadArgument(f"--samples must be at least 2, got {args.samples}")
     try:
         cfg = config_io.load_config(args.config)
     except MalformedConfig as exc:
@@ -112,8 +123,9 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    if seed is None:
-        seed = 0
+    if args.replications < 2:
+        raise _BadArgument(
+            f"--replications must be at least 2 for a standard error, got {args.replications}")
     try:
         cfg = config_io.load_config(args.config)
     except MalformedConfig as exc:
@@ -139,16 +151,16 @@ def cmd_simulate(args) -> int:
     mech = Mechanism(tables)
     # one batch of episodes feeds both the trace file and the estimates
     revenues, surpluses = [], []
-    with open(outdir / "traces.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(simulate.TRACE_COLUMNS)
+
+    def episodes():
         for rep in range(args.replications):
             rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
             trace = simulate._run_episode(mech, rng)
             revenues.append(trace.total_revenue)
             surpluses.append(trace.total_virtual_surplus)
-            writer.writerows(simulate.trace_rows(rep, trace))
+            yield trace
+
+    simulate.write_traces_csv(outdir / "traces.csv", episodes(), manifest)
     est = simulate.RevenueEstimate(revenues, surpluses, args.replications, seed)
 
     optimal = simulate.expected_virtual_surplus(tables)
@@ -179,6 +191,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args) or 0
+    if args.instances < 1:
+        raise _BadArgument(f"--instances must be at least 1, got {args.instances}")
     report = oracle.run_verification(
         instances=args.instances, master_seed=seed, matrix_budget=args.budget,
     )
@@ -200,11 +214,8 @@ def cmd_verify(args) -> int:
         subcommand="verify", config=args.config, cache=None, seed=seed,
         backend="exact", out=args.out, replications=args.instances,
     ).to_json()
-    report["manifest"] = manifest
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        simulate.write_json_report(args.out, report, manifest)
     failed = [c for c in report["checks"] if not c["passed"]]
     for c in failed:
         print(f"FAILED {c['name']} on instance seed {c['instance_seed']} "
@@ -305,7 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadArgument as exc:
+        print(f"invalid argument: {exc}")
+    except OSError as exc:  # reads are handled per command; this is an output path
+        print(f"cannot write output: {exc}")
+    return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Any
 
 import numpy as np
@@ -36,6 +35,7 @@ from .market import (
     TypeDistribution,
     ValuationGrid,
     check_structure,
+    truncated_exponential,
 )
 
 
@@ -87,29 +87,9 @@ def _parse_types(spec: dict, grid: ValuationGrid, horizon: int, varieties: int) 
         _expect_keys(spec, {"family", "alpha"}, "types")
         if spec["family"] != "truncated_exponential":
             raise MalformedConfig(f"unknown type family {spec['family']!r}")
-        alpha = [float(a) for a in spec["alpha"]]
-        if len(alpha) != varieties:
+        if not isinstance(spec["alpha"], list) or len(spec["alpha"]) != varieties:
             raise MalformedConfig("types.alpha must list one rate per variety")
-        if any(a <= 0 for a in alpha):
-            raise MalformedConfig("types.alpha entries must be positive")
-        lo, span = grid.theta_min, grid.theta_max - grid.theta_min
-
-        def pdf_fn(t, b, x):
-            a = alpha[b - 1]
-            z = (np.asarray(x) - lo) / span
-            return a * np.exp(-a * z) / (1.0 - math.exp(-a)) / span
-
-        def cdf_fn(t, b, x):
-            a = alpha[b - 1]
-            z = (np.asarray(x) - lo) / span
-            return (1.0 - np.exp(-a * z)) / (1.0 - math.exp(-a))
-
-        return TypeDistribution.from_family(
-            flex_pmf=np.full((horizon, varieties), 1.0 / varieties),
-            pdf_fn=pdf_fn, cdf_fn=cdf_fn, grid=grid,
-            horizon=horizon, levels=varieties,
-            family={"family": "truncated_exponential", "alpha": alpha},
-        )
+        return truncated_exponential(spec["alpha"], grid, horizon)
 
     _expect_keys(spec, {"flexibility", "pdf", "cdf"}, "types")
     try:

@@ -228,7 +228,7 @@ class ValueTables:
     states: dict                   # t -> sorted list of supply vectors
     values: dict                   # t -> {y: C_t(y)}
     stderrs: dict                  # t -> {y: standard error} (zero for exact)
-    _cont_memo: dict = field(default_factory=dict, repr=False)
+    _conts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def value(self, t: int, y: Sequence[int]) -> float:
         return self.values[t][tuple(y)]
@@ -236,33 +236,34 @@ class ValueTables:
     def stderr(self, t: int, y: Sequence[int]) -> float:
         return self.stderrs[t][tuple(y)]
 
-    def supply_outcomes(self, t: int) -> list[tuple[float, Vector]]:
-        """Joint supply-arrival outcomes (prob, x) for period t, zero-prob skipped."""
-        key = ("outcomes", t)
-        got = self._cont_memo.get(key)
-        if got is None:
-            per_variety = [self.config.supply.pmf(t, j) for j in range(1, self.config.varieties + 1)]
-            got = [
-                (math.prod(pmf[x] for pmf, x in zip(per_variety, xs)), xs)
-                for xs in itertools.product(*(range(len(p)) for p in per_variety))
-            ]
-            got = [(p, xs) for p, xs in got if p > 0.0]
-            self._cont_memo[key] = got
-        return got
+    def continuation_fn(self, t: int) -> Callable[[Vector], float]:
+        """Memoised m -> expected next-period value of carrying supply m out of period t.
+
+        Zero from the final period on; at t = 0 it is the expectation over
+        the first period's supply arrivals. Layer t + 1 must be filled in
+        before the first call for t.
+        """
+        cont = self._conts.get(t)
+        if cont is None:
+            if t >= self.config.horizon:
+                cont = _no_continuation
+            else:
+                nxt = self.values[t + 1]
+                outcomes = self.config.supply.outcomes(t + 1)
+                memo: dict[Vector, float] = {}
+
+                def cont(m):
+                    got = memo.get(m)
+                    if got is None:
+                        got = memo[m] = math.fsum(
+                            p * nxt[tuple(a + b for a, b in zip(m, xs))] for p, xs in outcomes)
+                    return got
+            self._conts[t] = cont
+        return cont
 
     def continuation(self, t: int, m: Sequence[int]) -> float:
         """Expected next-period value of carrying supply m out of period t."""
-        if t >= self.config.horizon:
-            return 0.0
-        m = tuple(m)
-        key = (t, m)
-        got = self._cont_memo.get(key)
-        if got is None:
-            nxt = self.values[t + 1]
-            got = math.fsum(p * nxt[tuple(a + b for a, b in zip(m, xs))]
-                            for p, xs in self.supply_outcomes(t + 1))
-            self._cont_memo[key] = got
-        return got
+        return self.continuation_fn(t)(tuple(m))
 
     def continuation_stderr(self, t: int, m: Sequence[int]) -> float:
         """Propagated standard error of continuation(t, m); entries are independent."""
@@ -271,7 +272,7 @@ class ValueTables:
         m = tuple(m)
         nxt = self.stderrs[t + 1]
         var = math.fsum((p * nxt[tuple(a + b for a, b in zip(m, xs))]) ** 2
-                        for p, xs in self.supply_outcomes(t + 1))
+                        for p, xs in self.config.supply.outcomes(t + 1))
         return math.sqrt(var)
 
     # -- persistence --------------------------------------------------------
@@ -292,37 +293,44 @@ class ValueTables:
                 states = self.states[t]
                 fh.write(struct.pack("<I", len(states)))
                 for y in states:
-                    fh.write(struct.pack(f"<{k}I", *y))
-                    fh.write(struct.pack("<dd", self.values[t][y], self.stderrs[t][y]))
+                    fh.write(struct.pack(f"<{k}Idd", *y, self.values[t][y], self.stderrs[t][y]))
 
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
         fp = config_io.fingerprint(cfg)
         with open(path, "rb") as fh:
+
+            def read(fmt: str) -> tuple:
+                size = struct.calcsize(fmt)
+                raw = fh.read(size)
+                if len(raw) != size:
+                    raise TableMismatch("table cache file is truncated")
+                return struct.unpack(fmt, raw)
+
             if fh.read(8) != _MAGIC:
                 raise TableMismatch("not a value-table cache file")
-            (version,) = struct.unpack("<I", fh.read(4))
+            (version,) = read("<I")
             if version != _VERSION:
                 raise TableMismatch(f"unsupported cache version {version}")
-            file_fp = fh.read(64).decode("ascii")
+            file_fp = read("<64s")[0].decode("ascii", errors="replace")
             if file_fp != fp:
                 raise TableMismatch(
                     f"cache fingerprint {file_fp[:12]}... does not match config {fp[:12]}..."
                 )
-            (blen,) = struct.unpack("<H", fh.read(2))
-            backend = fh.read(blen).decode("utf-8")
-            (samples,) = struct.unpack("<Q", fh.read(8))
-            has_seed, seed = struct.unpack("<BQ", fh.read(9))
-            T, k = struct.unpack("<II", fh.read(8))
+            (blen,) = read("<H")
+            backend = read(f"<{blen}s")[0].decode("utf-8", errors="replace")
+            (samples,) = read("<Q")
+            has_seed, seed = read("<BQ")
+            T, k = read("<II")
             if T != cfg.horizon or k != cfg.varieties:
                 raise TableMismatch("cache dimensions do not match config")
             states, values, stderrs = {}, {}, {}
             for t in range(1, T + 2):
-                (n,) = struct.unpack("<I", fh.read(4))
+                (n,) = read("<I")
                 layer_states, layer_vals, layer_errs = [], {}, {}
                 for _ in range(n):
-                    y = struct.unpack(f"<{k}I", fh.read(4 * k))
-                    c, se = struct.unpack("<dd", fh.read(16))
+                    *y, c, se = read(f"<{k}Idd")
+                    y = tuple(y)
                     layer_states.append(y)
                     layer_vals[y] = c
                     layer_errs[y] = se
@@ -341,30 +349,19 @@ def reachable_states(cfg: MarketConfig, t: int) -> list[Vector]:
     return [tuple(y) for y in itertools.product(*(range(b + 1) for b in bounds))]
 
 
-def _consumer_atoms(cfg: MarketConfig, t: int) -> list[tuple[int, int, float, float]]:
-    """Positive-probability (level, grid_index, prob, w) atoms in lex order."""
-    atoms = []
-    for b in range(1, cfg.varieties + 1):
-        g = float(cfg.types.flex_pmf[t - 1, b - 1])
-        if g == 0.0:
-            continue
-        pmf = cfg.types.binned_pmf[t - 1, b - 1]
-        w_row = cfg.virtual_values[t - 1, b - 1]
-        for i in range(cfg.grid.size):
-            p = g * float(pmf[i])
-            if p > 0.0:
-                atoms.append((b, i, p, float(w_row[i])))
-    return atoms
+def _no_continuation(m: Vector) -> float:
+    return 0.0
 
 
 def exact_profile_count(cfg: MarketConfig, t: int) -> int:
     """Number of consumer profiles the exact backend enumerates at period t."""
-    m = len(_consumer_atoms(cfg, t))
+    m = len(cfg.consumer_atoms(t))
     lam = cfg.arrivals.pmf(t)
     return sum(m ** n for n in range(len(lam)) if lam[n] > 0.0)
 
 
-def _expected_stage_exact(cfg, t, y, cont, stage_fn, atoms) -> float:
+def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
+    atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
     acc = KahanSum()
     k = cfg.varieties
@@ -385,24 +382,18 @@ def _expected_stage_exact(cfg, t, y, cont, stage_fn, atoms) -> float:
 
 
 def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, float]:
-    lam = np.cumsum(cfg.arrivals.pmf(t))
-    flex_cum = np.cumsum(cfg.types.flex_pmf[t - 1])
-    val_cum = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1)
+    sampler = cfg.sampler(t)
     w_rows = cfg.virtual_values[t - 1]
     k = cfg.varieties
     vals = np.empty(samples)
     for s in range(samples):
-        n = min(int(np.searchsorted(lam, rng.random(), side="right")), len(lam) - 1)
         consumers = []
-        for _ in range(n):
-            b = min(int(np.searchsorted(flex_cum, rng.random(), side="right")) + 1, k)
-            i = int(np.searchsorted(val_cum[b - 1], rng.random(), side="right"))
-            i = min(i, cfg.grid.size - 1)
+        for _ in range(sampler.arrival_count(rng)):
+            b, i = sampler.consumer(rng)
             consumers.append((b, i, float(w_rows[b - 1, i])))
         vals[s] = stage_fn(t, tuple(consumers), y, cont, k)
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, se
+    return mean, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
 
 def build_value_tables(
@@ -438,11 +429,6 @@ def build_value_tables(
     stage_fn = stage_fn or _optimal_stage
 
     T = cfg.horizon
-    fp = config_io.fingerprint(cfg)
-    states = {t: reachable_states(cfg, t) for t in range(1, T + 2)}
-    values: dict[int, dict] = {T + 1: {y: 0.0 for y in states[T + 1]}}
-    stderrs: dict[int, dict] = {T + 1: {y: 0.0 for y in states[T + 1]}}
-
     if backend == "exact":
         for t in range(1, T + 1):
             count = exact_profile_count(cfg, t)
@@ -452,49 +438,29 @@ def build_value_tables(
                     f"(budget {profile_budget})"
                 )
 
+    states = {t: reachable_states(cfg, t) for t in range(1, T + 2)}
+    tables = ValueTables(
+        config=cfg, fingerprint=config_io.fingerprint(cfg), backend=backend,
+        samples=samples if backend == "mc" else None,
+        seed=seed if backend == "mc" else None,
+        states=states,
+        values={T + 1: {y: 0.0 for y in states[T + 1]}},
+        stderrs={T + 1: {y: 0.0 for y in states[T + 1]}},
+    )
     for t in range(T, 0, -1):
-        if t == T:
-            cont = lambda m: 0.0  # noqa: E731 - terminal layer
-        else:
-            nxt = values[t + 1]
-            outcomes = _supply_outcomes(cfg, t + 1)
-            memo: dict[Vector, float] = {}
-
-            def cont(m, _nxt=nxt, _out=outcomes, _memo=memo):
-                got = _memo.get(m)
-                if got is None:
-                    got = math.fsum(p * _nxt[tuple(a + b for a, b in zip(m, xs))] for p, xs in _out)
-                    _memo[m] = got
-                return got
-
+        cont = tables.continuation_fn(t)
         layer_vals, layer_errs = {}, {}
-        atoms = _consumer_atoms(cfg, t) if backend == "exact" else None
         for idx, y in enumerate(states[t]):
             if backend == "exact":
-                layer_vals[y] = _expected_stage_exact(cfg, t, y, cont, stage_fn, atoms)
+                layer_vals[y] = _expected_stage_exact(cfg, t, y, cont, stage_fn)
                 layer_errs[y] = 0.0
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
                 layer_vals[y], layer_errs[y] = _sampled_stage(
                     cfg, t, y, cont, stage_fn, rng, samples
                 )
-        values[t], stderrs[t] = layer_vals, layer_errs
-
-    return ValueTables(
-        config=cfg, fingerprint=fp, backend=backend,
-        samples=samples if backend == "mc" else None,
-        seed=seed if backend == "mc" else None,
-        states=states, values=values, stderrs=stderrs,
-    )
-
-
-def _supply_outcomes(cfg: MarketConfig, t: int) -> list[tuple[float, Vector]]:
-    per_variety = [cfg.supply.pmf(t, j) for j in range(1, cfg.varieties + 1)]
-    out = [
-        (math.prod(pmf[x] for pmf, x in zip(per_variety, xs)), xs)
-        for xs in itertools.product(*(range(len(p)) for p in per_variety))
-    ]
-    return [(p, xs) for p, xs in out if p > 0.0]
+        tables.values[t], tables.stderrs[t] = layer_vals, layer_errs
+    return tables
 
 
 def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> float:
@@ -513,5 +479,5 @@ def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> f
     nxt = tables.values[t + 1]
     return math.fsum(
         p * (nxt[tuple(a + b for a, b in zip(kept, xs))] - nxt[tuple(a + b for a, b in zip(spent, xs))])
-        for p, xs in tables.supply_outcomes(t + 1)
+        for p, xs in tables.config.supply.outcomes(t + 1)
     )

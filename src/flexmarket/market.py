@@ -10,10 +10,11 @@ expectations use a midpoint-binned PMF that preserves normalization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,27 +108,6 @@ class TypeDistribution:
             family=family,
         )
 
-    @classmethod
-    def from_family(
-        cls,
-        flex_pmf,
-        pdf_fn: Callable[[int, int, np.ndarray], np.ndarray],
-        cdf_fn: Callable[[int, int, np.ndarray], np.ndarray],
-        grid: ValuationGrid,
-        horizon: int,
-        levels: int,
-        family: dict | None = None,
-    ) -> "TypeDistribution":
-        """Tabulate closed-form pdf/CDF callables on the grid."""
-        pts = grid.points
-        pdf = np.empty((horizon, levels, grid.size))
-        cdf = np.empty_like(pdf)
-        for t in range(horizon):
-            for b in range(levels):
-                pdf[t, b] = pdf_fn(t + 1, b + 1, pts)
-                cdf[t, b] = cdf_fn(t + 1, b + 1, pts)
-        return cls.from_tables(flex_pmf, pdf, cdf, family=family)
-
 
 def _bin_from_midpoints(cdf: np.ndarray, mid: np.ndarray) -> np.ndarray:
     binned = np.empty_like(cdf)
@@ -168,6 +148,20 @@ class SupplyDistribution:
     def pmf(self, t: int, j: int) -> np.ndarray:
         return self.pmfs[t - 1][j - 1]
 
+    def outcomes(self, t: int) -> tuple:
+        """Joint arrival outcomes (prob, x) of period t in lexicographic order,
+        zero-probability outcomes skipped."""
+        return self._outcomes_by_period[t - 1]
+
+    @cached_property
+    def _outcomes_by_period(self) -> tuple:
+        out = []
+        for row in self.pmfs:
+            joint = ((math.prod(pmf[x] for pmf, x in zip(row, xs)), xs)
+                     for xs in itertools.product(*(range(len(p)) for p in row)))
+            out.append(tuple((p, xs) for p, xs in joint if p > 0.0))
+        return tuple(out)
+
     def x_max(self, t: int, j: int) -> int:
         return len(self.pmfs[t - 1][j - 1]) - 1
 
@@ -198,6 +192,69 @@ class MarketConfig:
 
     def virtual_value_row(self, t: int, b: int) -> np.ndarray:
         return self.virtual_values[t - 1, b - 1]
+
+    def consumer_atoms(self, t: int) -> tuple:
+        """Positive-probability consumer types (level, grid_index, prob, w) of
+        period t in (level, grid index) order."""
+        return self._atoms_by_period[t - 1]
+
+    def sampler(self, t: int) -> "PeriodSampler":
+        """Seeded draws of period t's arrival count, consumer types and supply."""
+        return self._samplers_by_period[t - 1]
+
+    @cached_property
+    def _atoms_by_period(self) -> tuple:
+        out = []
+        for t in range(self.horizon):
+            atoms = []
+            for b in range(self.varieties):
+                g = float(self.types.flex_pmf[t, b])
+                if g == 0.0:
+                    continue
+                pmf = self.types.binned_pmf[t, b]
+                w_row = self.virtual_values[t, b]
+                for i in range(self.grid.size):
+                    p = g * float(pmf[i])
+                    if p > 0.0:
+                        atoms.append((b + 1, i, p, float(w_row[i])))
+            out.append(tuple(atoms))
+        return tuple(out)
+
+    @cached_property
+    def _samplers_by_period(self) -> tuple:
+        return tuple(PeriodSampler(self, t) for t in range(1, self.horizon + 1))
+
+
+class PeriodSampler:
+    """Inverse-CDF draws for one period, on CDFs tabulated once per config.
+
+    Every draw consumes one ``rng.random()`` in call order, so a seeded
+    generator reproduces the same stream.
+    """
+
+    __slots__ = ("arrivals", "levels", "values", "supply")
+
+    def __init__(self, cfg: MarketConfig, t: int):
+        self.arrivals = np.cumsum(cfg.arrivals.pmf(t))
+        self.levels = np.cumsum(cfg.types.flex_pmf[t - 1])
+        self.values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1)
+        self.supply = tuple(np.cumsum(pmf) for pmf in cfg.supply.pmfs[t - 1])
+
+    def arrival_count(self, rng) -> int:
+        return _draw(self.arrivals, rng)
+
+    def consumer(self, rng) -> tuple[int, int]:
+        """(level, grid index) of one consumer."""
+        b = _draw(self.levels, rng) + 1
+        return b, _draw(self.values[b - 1], rng)
+
+    def supply_arrivals(self, rng) -> tuple:
+        return tuple(_draw(cum, rng) for cum in self.supply)
+
+
+def _draw(cum: np.ndarray, rng) -> int:
+    """Index of the first CDF entry above a uniform draw, clamped to the support."""
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +296,10 @@ def build_example_config(
     """Truncated-exponential worked instance.
 
     Bernoulli(p) arrivals each period, uniform flexibility over the k levels,
-    and level-j valuations with density a_j exp(-a_j x) / (1 - exp(-a_j)) on
-    [0, 1]. One good of each variety arrives deterministically in period 1 and
-    none afterwards.
+    and level-j valuations truncated-exponential with rate alpha_j on [0, 1]
+    (see `truncated_exponential`). One good of each variety arrives
+    deterministically in period 1 and none afterwards.
     """
-    alpha = [float(a) for a in alpha]
-    if any(a <= 0 for a in alpha):
-        raise MalformedConfig("alpha parameters must be positive")
     if any(a2 <= a1 for a1, a2 in zip(alpha, alpha[1:])):
         raise MalformedConfig("alpha parameters must be strictly increasing")
     if not 0.0 <= p <= 1.0:
@@ -255,24 +309,7 @@ def build_example_config(
 
     k = len(alpha)
     grid = ValuationGrid.uniform(0.0, 1.0, grid_size)
-
-    def pdf_fn(t, b, x):
-        a = alpha[b - 1]
-        return a * np.exp(-a * np.asarray(x)) / (1.0 - math.exp(-a))
-
-    def cdf_fn(t, b, x):
-        a = alpha[b - 1]
-        return (1.0 - np.exp(-a * np.asarray(x))) / (1.0 - math.exp(-a))
-
-    types = TypeDistribution.from_family(
-        flex_pmf=np.full((horizon, k), 1.0 / k),
-        pdf_fn=pdf_fn,
-        cdf_fn=cdf_fn,
-        grid=grid,
-        horizon=horizon,
-        levels=k,
-        family={"family": "truncated_exponential", "alpha": list(alpha)},
-    )
+    types = truncated_exponential(alpha, grid, horizon)
     arrivals = ArrivalDistribution.from_lists([[1.0 - p, p]] * horizon)
     supply = SupplyDistribution.from_lists(
         [[[0.0, 1.0]] * k] + [[[1.0]] * k] * (horizon - 1)
@@ -284,6 +321,35 @@ def build_example_config(
         types=types,
         arrivals=arrivals,
         supply=supply,
+    )
+
+
+def truncated_exponential(
+    alpha: Sequence[float],
+    grid: ValuationGrid,
+    horizon: int,
+    flex_pmf=None,
+) -> TypeDistribution:
+    """Level-b valuations with density a_b exp(-a_b z) / (1 - exp(-a_b)) in
+    z = (x - theta_min) / (theta_max - theta_min), tabulated on the grid.
+
+    Flexibility levels are uniform unless `flex_pmf` (shape (T, k)) is given.
+    """
+    alpha = [float(a) for a in alpha]
+    if any(a <= 0 for a in alpha):
+        raise MalformedConfig("alpha parameters must be positive")
+    k = len(alpha)
+    if flex_pmf is None:
+        flex_pmf = np.full((horizon, k), 1.0 / k)
+    lo, span = grid.theta_min, grid.theta_max - grid.theta_min
+    z = (grid.points - lo) / span
+    pdf = np.empty((horizon, k, grid.size))
+    cdf = np.empty_like(pdf)
+    for b, a in enumerate(alpha):
+        pdf[:, b] = a * np.exp(-a * z) / (1.0 - math.exp(-a)) / span
+        cdf[:, b] = (1.0 - np.exp(-a * z)) / (1.0 - math.exp(-a))
+    return TypeDistribution.from_tables(
+        flex_pmf, pdf, cdf, family={"family": "truncated_exponential", "alpha": alpha},
     )
 
 

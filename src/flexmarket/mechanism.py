@@ -110,7 +110,6 @@ class Mechanism:
         self._tie_rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
         self._alloc_memo: dict = {}
         self._threshold_memo: dict = {}
-        self._samplers: dict = {}
 
     # -- allocation ----------------------------------------------------------
 
@@ -149,7 +148,7 @@ class Mechanism:
         if len(self._alloc_memo) > 500_000:
             self._alloc_memo.clear()
         summary, ranked = self._ranked_rows(t, reports)
-        res = stage_value(t, summary, y, lambda m: self.tables.continuation(t, m))
+        res = stage_value(t, summary, y, self.tables.continuation_fn(t))
         k = self.cfg.varieties
         goods = [j + 1 for j in range(k) for _ in range(res.v_star[j])]
         matrix = np.zeros((len(reports), k), dtype=np.int8)
@@ -259,34 +258,15 @@ class Mechanism:
 
     # -- sampling helpers ------------------------------------------------------
 
-    def _sampler(self, t: int):
-        got = self._samplers.get(t)
-        if got is None:
-            got = (
-                np.cumsum(self.cfg.arrivals.pmf(t)),
-                np.cumsum(self.cfg.types.flex_pmf[t - 1]),
-                np.cumsum(self.cfg.types.binned_pmf[t - 1], axis=1),
-            )
-            self._samplers[t] = got
-        return got
-
     def sample_arrival_count(self, rng, t: int) -> int:
-        lam_cum, _, _ = self._sampler(t)
-        return min(int(np.searchsorted(lam_cum, rng.random(), side="right")), len(lam_cum) - 1)
+        return self.cfg.sampler(t).arrival_count(rng)
 
     def sample_type(self, rng, t: int) -> tuple[float, int]:
-        _, flex_cum, val_cum = self._sampler(t)
-        b = min(int(np.searchsorted(flex_cum, rng.random(), side="right")) + 1, self.cfg.varieties)
-        i = min(int(np.searchsorted(val_cum[b - 1], rng.random(), side="right")),
-                self.cfg.grid.size - 1)
+        b, i = self.cfg.sampler(t).consumer(rng)
         return float(self.cfg.grid.points[i]), b
 
     def sample_supply_arrivals(self, rng, t: int) -> tuple:
-        out = []
-        for j in range(1, self.cfg.varieties + 1):
-            cum = np.cumsum(self.cfg.supply.pmf(t, j))
-            out.append(min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1))
-        return tuple(out)
+        return self.cfg.sampler(t).supply_arrivals(rng)
 
     def sample_supply_state(self, rng, t: int) -> tuple:
         """Supply vector at period t under truthful play of periods 1..t-1.
@@ -340,22 +320,22 @@ class Mechanism:
         if not 1 <= i <= n_t:
             raise ValueError("probe slot must lie in 1..n_t")
         report = (float(report[0]), int(report[1]))
+        atoms = self.cfg.consumer_atoms(1)
+        outcomes = self.cfg.supply.outcomes(1)
         if backend == "auto":
-            cheap = (t == 1 and
-                     len(_type_atoms(self.cfg, 1)) ** (n_t - 1)
-                     * len(_supply_atoms(self.cfg, 1)) <= 50_000)
+            cheap = t == 1 and len(atoms) ** (n_t - 1) * len(outcomes) <= 50_000
             backend = "exact" if cheap else "simulate"
         if backend == "exact":
             if t != 1:
                 raise ValueError("exact interim enumeration is only available at t = 1")
-            atoms = _type_atoms(self.cfg, t)
+            points = self.cfg.grid.points
             q_parts, p_parts = [], []
-            for prob_y, y in _supply_atoms(self.cfg, 1):
+            for prob_y, y in outcomes:
                 for combo in itertools.product(atoms, repeat=n_t - 1):
                     prob = prob_y
-                    for _pair, p in combo:
+                    for _b, _i, p, _w in combo:
                         prob *= p
-                    others = [pair for pair, _p in combo]
+                    others = [(float(points[gi]), b) for b, gi, _p, _w in combo]
                     served, pay = self._evaluate_probe(t, y, others, i, report)
                     q_parts.append(prob * served)
                     p_parts.append(prob * pay)
@@ -382,31 +362,6 @@ class InterimEstimate(NamedTuple):
     allocation_se: float
     payment_se: float
     replications: int | None  # None for exact enumeration
-
-
-def _type_atoms(cfg: MarketConfig, t: int) -> list[tuple[tuple, float]]:
-    """(valuation, level) atoms with positive probability, lexicographic order."""
-    out = []
-    for b in range(1, cfg.varieties + 1):
-        g = float(cfg.types.flex_pmf[t - 1, b - 1])
-        if g == 0.0:
-            continue
-        pmf = cfg.types.binned_pmf[t - 1, b - 1]
-        for i in range(cfg.grid.size):
-            p = g * float(pmf[i])
-            if p > 0.0:
-                out.append(((float(cfg.grid.points[i]), b), p))
-    return out
-
-
-def _supply_atoms(cfg: MarketConfig, t: int) -> list[tuple[float, tuple]]:
-    per_variety = [cfg.supply.pmf(t, j) for j in range(1, cfg.varieties + 1)]
-    out = []
-    for xs in itertools.product(*(range(len(p)) for p in per_variety)):
-        p = math.prod(pmf[x] for pmf, x in zip(per_variety, xs))
-        if p > 0.0:
-            out.append((p, xs))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .market import (
     SupplyDistribution,
     TypeDistribution,
     ValuationGrid,
+    truncated_exponential,
 )
 
 DEFAULT_MATRIX_BUDGET = 1_000_000
@@ -319,17 +320,7 @@ def random_instance(seed: int, master_seed: int = 0) -> MarketConfig:
     flex = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(T)])
 
     if seed % 2 == 0:
-        alpha = rng.uniform(0.5, 4.0, size=k)
-
-        def pdf_fn(t, b, x):
-            a = alpha[b - 1]
-            return a * np.exp(-a * np.asarray(x)) / (1.0 - math.exp(-a))
-
-        def cdf_fn(t, b, x):
-            a = alpha[b - 1]
-            return (1.0 - np.exp(-a * np.asarray(x))) / (1.0 - math.exp(-a))
-
-        types = TypeDistribution.from_family(flex, pdf_fn, cdf_fn, grid, T, k)
+        types = truncated_exponential(rng.uniform(0.5, 4.0, size=k), grid, T, flex)
     else:
         raw = rng.uniform(0.2, 2.0, size=(T, k, G))
         widths = np.diff(grid.points)
@@ -415,6 +406,7 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
     chain_ok = True
     constructive_ok = True
     for t in range(1, cfg.horizon + 1):
+        cont = tables.continuation_fn(t)
         for y in tables.states[t]:
             for counts in counts_family:
                 for u in feasible_service_set(counts, y):
@@ -428,8 +420,8 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
                         vs_ok = False
                         continue
                     remainders = [tuple(a - b for a, b in zip(y, v)) for v in vset]
-                    conts = [tables.continuation(t, m) for m in remainders]
-                    got = tables.continuation(t, tuple(a - b for a, b in zip(y, v_opt)))
+                    conts = [cont(m) for m in remainders]
+                    got = cont(tuple(a - b for a, b in zip(y, v_opt)))
                     if got != max(conts):
                         vs_ok = False
                         worst = max(worst, abs(max(conts) - got))
@@ -441,8 +433,7 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
                             continue
                         if chain[-1] != v_opt or len(chain) - 1 > sum(y):
                             chain_ok = False
-                        seen = [tables.continuation(t, tuple(a - b for a, b in zip(y, step)))
-                                for step in chain]
+                        seen = [cont(tuple(a - b for a, b in zip(y, step))) for step in chain]
                         if any(b < a for a, b in zip(seen, seen[1:])):
                             chain_ok = False
                         if any(step not in vset for step in chain):

@@ -18,7 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,10 +179,9 @@ def build_myopic_tables(cfg: MarketConfig, **kwargs) -> ValueTables:
 
 
 def expected_virtual_surplus(tables: ValueTables) -> float:
-    """Exact expected total virtual surplus of the policy behind the tables."""
-    atoms = tables.supply_outcomes(1)
-    layer = tables.values[1]
-    return math.fsum(p * layer[x] for p, x in atoms)
+    """Exact expected total virtual surplus of the policy behind the tables:
+    the value of entering period 1 with no stock carried over."""
+    return tables.continuation_fn(0)((0,) * tables.config.varieties)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +380,11 @@ def trace_rows(episode: int, trace: EpisodeTrace):
             ]
 
 
-def write_traces_csv(path, traces: Sequence[EpisodeTrace], manifest: dict | None = None) -> None:
-    """One row per consumer-period event; manifest embedded as a comment line."""
+def write_traces_csv(path, traces: Iterable[EpisodeTrace], manifest: dict | None = None) -> None:
+    """One row per consumer-period event; manifest embedded as a comment line.
+
+    `traces` may be any iterable (a generator streams episodes to disk).
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if manifest is not None:
             fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")

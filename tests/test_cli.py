@@ -197,3 +197,58 @@ def test_example_reproduces_reported_numbers(capsys):
     assert vals["holding cost rho, level 2, t=1"] == 0.0
     assert vals["critical value, level 1, t=1"] == pytest.approx(0.39, abs=0.01)
     assert vals["critical value, level 2, t=1"] == pytest.approx(0.29, abs=0.01)
+
+
+# -- bad input maps to documented exit codes ------------------------------------------
+
+def _truncated_copy(cache_file, tmp_path):
+    path = tmp_path / "truncated.bin"
+    path.write_bytes(open(cache_file, "rb").read()[:-7])
+    return str(path)
+
+
+def _under_regular_file(tmp_path, name):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    return str(blocker / name)
+
+
+# case -> (exit code, FLEXMARKET_SEED or None, argv from (config, cache, tmp_path))
+BAD_INPUTS = {
+    "truncated-cache": (5, None, lambda c, k, d: [
+        "simulate", "--config", c, "--cache", _truncated_copy(k, d),
+        "--out", str(d / "o"), "--replications", "10"]),
+    "mc-without-seed": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "mc.bin"), "--backend", "mc",
+        "--samples", "50"]),
+    "non-integer-env-seed": (3, "abc", lambda c, k, d: [
+        "simulate", "--config", c, "--cache", k, "--out", str(d / "o"),
+        "--replications", "10"]),
+    "unwritable-solve-cache": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "missing" / "tables.bin")]),
+    "unwritable-simulate-out": (3, None, lambda c, k, d: [
+        "simulate", "--config", c, "--cache", k, "--out", _under_regular_file(d, "out"),
+        "--replications", "10"]),
+    "unwritable-verify-out": (3, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--out", str(d / "missing" / "report.json")]),
+    "verify-zero-instances": (3, None, lambda c, k, d: ["verify", "--instances", "0"]),
+    "verify-negative-instances": (3, None, lambda c, k, d: ["verify", "--instances", "-2"]),
+    "simulate-one-replication": (3, None, lambda c, k, d: [
+        "simulate", "--config", c, "--cache", k, "--out", str(d / "o"),
+        "--replications", "1"]),
+    "mc-one-sample": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "mc.bin"), "--backend", "mc",
+        "--samples", "1", "--seed", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(case, config_file, cache_file, tmp_path, monkeypatch, capsys):
+    code, env_seed, argv = BAD_INPUTS[case]
+    if env_seed is not None:
+        monkeypatch.setenv("FLEXMARKET_SEED", env_seed)
+    else:
+        monkeypatch.delenv("FLEXMARKET_SEED", raising=False)
+    assert main(argv(config_file, cache_file, tmp_path)) == code
+    assert capsys.readouterr().out.strip()  # a message, not a silent failure
+

@@ -250,3 +250,15 @@ def test_mc_cache_keeps_errors(tmp_path, small_cfg):
     assert loaded.backend == "mc"
     assert loaded.samples == 200 and loaded.seed == 3
     assert loaded.stderrs == mc.stderrs
+
+
+def test_cache_rejects_every_truncation(tmp_path, small_cfg, small_tables):
+    path = tmp_path / "tables.bin"
+    small_tables.save(path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(TableMismatch):
+            ValueTables.load(path, small_cfg)
+    path.write_bytes(blob)
+    assert ValueTables.load(path, small_cfg).values == small_tables.values

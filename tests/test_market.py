@@ -210,3 +210,41 @@ def test_cross_level_strictness_violation_flagged():
     report = validate_config(cfg)
     assert any(v.kind == "hazard_strict_cross" for v in report.violations)
     assert not any(v.kind == "hazard_in_x" for v in report.violations)
+
+
+# -- per-period primitives -----------------------------------------------------------
+
+def test_supply_outcomes_and_consumer_atoms(example_cfg):
+    cfg = tabulated_config([1.0] * 5, T=1, k=2, grid=(0.0, 1.0, 5),
+                           supply=[[[0.25, 0.75], [0.0, 0.5, 0.5]]])
+    assert cfg.supply.outcomes(1) == ((0.125, (0, 1)), (0.125, (0, 2)),
+                                      (0.375, (1, 1)), (0.375, (1, 2)))
+    assert example_cfg.supply.outcomes(2) == ((1.0, (0, 0)),)
+    atoms = example_cfg.consumer_atoms(1)
+    assert [a[:2] for a in atoms] == sorted(a[:2] for a in atoms)
+    assert all(p > 0.0 for _b, _i, p, _w in atoms)
+    assert math.fsum(p for _b, _i, p, _w in atoms) == pytest.approx(1.0, abs=1e-12)
+    b, i, _p, w = atoms[-1]
+    assert w == fm.virtual_valuation(example_cfg, 1, float(example_cfg.grid.points[i]), b)
+
+
+def test_period_sampler_follows_the_pmfs(example_cfg):
+    sampler = example_cfg.sampler(1)
+    assert sampler is example_cfg.sampler(1)  # CDFs tabulated once per config
+    rng = np.random.default_rng(5)
+    draws = [sampler.consumer(rng) for _ in range(4000)]
+    assert {b for b, _i in draws} == {1, 2}
+    mean_level1 = np.mean([example_cfg.grid.points[i] for b, i in draws if b == 1])
+    exact = float(example_cfg.types.binned_pmf[0, 0] @ example_cfg.grid.points)
+    assert mean_level1 == pytest.approx(exact, abs=0.02)
+    assert {sampler.supply_arrivals(rng) for _ in range(20)} == {(1, 1)}
+    assert {sampler.arrival_count(rng) for _ in range(100)} == {0, 1}
+
+
+def test_truncated_exponential_rescales_to_the_grid():
+    unit = fm.market.truncated_exponential((2.0, 3.0), ValuationGrid.uniform(0.0, 1.0, 11), 1)
+    wide = fm.market.truncated_exponential((2.0, 3.0), ValuationGrid.uniform(2.0, 6.0, 11), 1)
+    assert np.allclose(wide.cdf, unit.cdf, rtol=1e-14, atol=1e-16)
+    assert np.allclose(wide.pdf, unit.pdf / 4.0, rtol=1e-14, atol=0.0)
+    with pytest.raises(MalformedConfig):
+        fm.market.truncated_exponential((2.0, 0.0), ValuationGrid.uniform(0.0, 1.0, 11), 1)

@@ -1,0 +1,70 @@
+"""Seeded streams pinned to exact floats.
+
+Same-seed reruns inside one process cannot notice a change in the order in
+which draws are taken from a seeded generator; these literals can. They were
+recorded with an earlier version of the package and must never be
+re-recorded to make a change pass: a mismatch means seeded tables, episodes
+or audits no longer reproduce earlier runs.
+"""
+
+import math
+
+import flexmarket as fm
+from flexmarket import simulate
+
+MC_TABLES = {  # (t, y): (value, stderr) of the seed-3, 200-sample Monte Carlo tables
+    (1, (0, 0)): ("0x0.0p+0", "0x0.0p+0"),
+    (1, (0, 1)): ("0x1.a6659dd803c53p-5", "0x1.26cc6d1c1f56bp-7"),
+    (1, (1, 0)): ("0x1.969cfcfa61bb4p-4", "0x1.4bc97a923bd0cp-7"),
+    (1, (1, 1)): ("0x1.2f26060f30a67p-3", "0x1.a1a59721278a8p-7"),
+    (2, (0, 0)): ("0x0.0p+0", "0x0.0p+0"),
+    (2, (0, 1)): ("0x1.48a80528a0ae6p-6", "0x1.a2e75481ff480p-8"),
+    (2, (1, 0)): ("0x1.79ed1c75580cap-5", "0x1.68cc6fd82148ap-7"),
+    (2, (1, 1)): ("0x1.51f2adb4c2c00p-4", "0x1.bc04a972873eap-7"),
+    (3, (0, 0)): ("0x0.0p+0", "0x0.0p+0"),
+    (3, (0, 1)): ("0x0.0p+0", "0x0.0p+0"),
+    (3, (1, 0)): ("0x0.0p+0", "0x0.0p+0"),
+    (3, (1, 1)): ("0x0.0p+0", "0x0.0p+0"),
+}
+
+EPISODE_REVENUES = [  # sample_episode seeds 0..4 on the worked example
+    "0x1.2d0e560418937p-2",
+    "0x0.0p+0",
+    "0x0.0p+0",
+    "0x0.0p+0",
+    "0x0.0p+0",
+]
+EPISODE_0_VIRTUAL_SURPLUS = "0x1.d62717c302c50p-4"
+REVENUE_MEAN_200 = "0x1.fd859c8c9320dp-4"          # estimate_revenue, 200 episodes, seed 0
+VIRTUAL_SURPLUS_MEAN_200 = "0x1.c2ea0d9ef2bd3p-4"
+
+BIC_WORST_GAIN = "0x0.0p+0"                          # t=2 default probe, 500 reps, seed 0
+BIC_GAIN_SUM = "-0x1.5cc161e4f7660p+7"               # fsum of every entry's gain
+BIC_STDERR_SUM = "0x1.c330f2a1fa08fp+0"
+
+
+def test_mc_tables_pinned(small_cfg):
+    mc = fm.build_value_tables(small_cfg, backend="mc", samples=200, seed=3)
+    got = {(t, y): (mc.values[t][y], mc.stderrs[t][y])
+           for t in sorted(mc.states) for y in mc.states[t]}
+    want = {key: (float.fromhex(v), float.fromhex(se)) for key, (v, se) in MC_TABLES.items()}
+    assert got == want
+
+
+def test_episodes_pinned(example_cfg, example_tables):
+    revenues = [fm.sample_episode(example_cfg, example_tables, seed).total_revenue
+                for seed in range(5)]
+    assert revenues == [float.fromhex(r) for r in EPISODE_REVENUES]
+    first = fm.sample_episode(example_cfg, example_tables, 0)
+    assert first.total_virtual_surplus == float.fromhex(EPISODE_0_VIRTUAL_SURPLUS)
+    est = fm.estimate_revenue(example_cfg, example_tables, 200, 0)
+    assert est.mean == float.fromhex(REVENUE_MEAN_200)
+    assert est.virtual_mean == float.fromhex(VIRTUAL_SURPLUS_MEAN_200)
+
+
+def test_bic_audit_pinned(example_cfg, example_tables):
+    probe = simulate.AuditProbe.default(example_cfg, 2)
+    report = fm.bic_audit(example_cfg, example_tables, probe, 500, 0)
+    assert report.worst_gain == float.fromhex(BIC_WORST_GAIN)
+    assert math.fsum(e.value for e in report.entries) == float.fromhex(BIC_GAIN_SUM)
+    assert math.fsum(e.stderr for e in report.entries) == float.fromhex(BIC_STDERR_SUM)
