@@ -63,7 +63,11 @@ def parse_config(doc: dict) -> MarketConfig:
     _expect_keys(gspec, {"min", "max", "points"}, "grid")
     if not isinstance(gspec["points"], int):
         raise MalformedConfig("grid.points must be an integer count (uniform grid)")
-    grid = ValuationGrid.uniform(float(gspec["min"]), float(gspec["max"]), gspec["points"])
+    try:
+        bounds = float(gspec["min"]), float(gspec["max"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedConfig(f"grid bounds must be numbers: {exc}") from exc
+    grid = ValuationGrid.uniform(*bounds, gspec["points"])
 
     try:
         arrivals = ArrivalDistribution.from_lists(doc["arrivals"])
@@ -89,17 +93,26 @@ def _parse_types(spec: dict, grid: ValuationGrid, horizon: int, varieties: int) 
             raise MalformedConfig(f"unknown type family {spec['family']!r}")
         if not isinstance(spec["alpha"], list) or len(spec["alpha"]) != varieties:
             raise MalformedConfig("types.alpha must list one rate per variety")
-        return truncated_exponential(spec["alpha"], grid, horizon)
+        try:
+            alpha = [float(a) for a in spec["alpha"]]
+        except (TypeError, ValueError) as exc:
+            raise MalformedConfig(f"types.alpha rates must be numbers: {exc}") from exc
+        return truncated_exponential(alpha, grid, horizon)
 
     _expect_keys(spec, {"flexibility", "pdf", "cdf"}, "types")
     try:
-        return TypeDistribution.from_tables(
-            flex_pmf=np.asarray(spec["flexibility"], dtype=float),
-            pdf=np.asarray(spec["pdf"], dtype=float),
-            cdf=np.asarray(spec["cdf"], dtype=float),
-        )
+        tables = {key: np.asarray(spec[key], dtype=float) for key in ("flexibility", "pdf", "cdf")}
     except (TypeError, ValueError) as exc:
         raise MalformedConfig(f"bad type tables: {exc}") from exc
+    for key in ("pdf", "cdf"):
+        if tables[key].shape != (horizon, varieties, grid.size):
+            raise MalformedConfig(
+                f"types.{key} must be shaped [period][level][grid point], "
+                f"({horizon}, {varieties}, {grid.size}); got {tables[key].shape}"
+            )
+    return TypeDistribution.from_tables(
+        flex_pmf=tables["flexibility"], pdf=tables["pdf"], cdf=tables["cdf"],
+    )
 
 
 def load_config(path) -> MarketConfig:

@@ -9,11 +9,16 @@ C_t(y) of the period value over the random report set; the report space never
 needs to be enumerated outside one period because reports are independent of
 history.
 
-Exact expectations enumerate consumer profiles in lexicographic (level, grid
-index) order with compensated accumulation, which makes table values
-reproducible bit for bit. Per-profile sums use ``math.fsum`` (correctly
-rounded), so two pipelines that agree on the served multiset and continuation
-value produce identical floats.
+Exact expectations enumerate ordered consumer profiles in lexicographic
+(level, grid index) order with compensated accumulation, which makes table
+values reproducible bit for bit. The stage itself is solved once per distinct
+*servable multiset* of a profile and state: per level j, the top
+``y_1 + ... + y_j`` virtual values, the most reports of that level any rule can
+serve from y. Every profile still adds its own probability times that shared
+value in the same order, so the memo moves no bit of any table
+(``oracle.reference_expected_stage`` is the unmemoised reference). Per-profile
+sums use ``math.fsum`` (correctly rounded), so two pipelines that agree on the
+served multiset and continuation value produce identical floats.
 """
 
 from __future__ import annotations
@@ -360,24 +365,60 @@ def exact_profile_count(cfg: MarketConfig, t: int) -> int:
     return sum(m ** n for n in range(len(lam)) if lam[n] > 0.0)
 
 
+def _servable(key: tuple, level_of: list, reach: list) -> tuple:
+    """Drop from a sorted rank tuple every report beyond its level's reach."""
+    out = []
+    level = room = -1
+    for r in key:
+        if level_of[r] != level:
+            level = level_of[r]
+            room = reach[level]
+        if room > 0:
+            out.append(r)
+            room -= 1
+    return tuple(out)
+
+
 def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
+    """Expected stage value over ordered profiles, one stage call per servable multiset.
+
+    Profiles and their weights are summed in the same order as a plain
+    enumeration would (see `oracle.reference_expected_stage`); only the stage
+    value is looked up. Its key is the profile's servable multiset: per level
+    j, the ranks of the top ``y_1 + ... + y_j`` reports by virtual value, the
+    most that level can ever be served from y.
+    """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
-    acc = KahanSum()
     k = cfg.varieties
+    reach = list(itertools.accumulate(y))
+    # rank order: by level, then non-increasing w, so a sorted rank tuple
+    # lists each level's reports best first
+    order = sorted(range(len(atoms)), key=lambda a: (atoms[a][0], -atoms[a][3], a))
+    rank = [0] * len(atoms)
+    for r, a in enumerate(order):
+        rank[a] = r
+    level_of = [atoms[a][0] - 1 for a in order]
+    consumer = [(atoms[a][0], atoms[a][1], atoms[a][3]) for a in order]
+    probs = [p for _b, _i, p, _w in atoms]
+    memo: dict[tuple, float] = {}
+    acc = KahanSum()
     for n in range(len(lam)):
         lam_n = float(lam[n])
         if lam_n == 0.0:
             continue
-        if n == 0:
-            acc.add(lam_n * stage_fn(t, (), y, cont, k))
-            continue
-        for combo in itertools.product(atoms, repeat=n):
+        clip = n > reach[0]  # otherwise every level can serve all n reports
+        for profile in itertools.product(range(len(atoms)), repeat=n):
             prob = lam_n
-            for _b, _i, p, _w in combo:
-                prob *= p
-            consumers = tuple((b, i, w) for b, i, _p, w in combo)
-            acc.add(prob * stage_fn(t, consumers, y, cont, k))
+            for a in profile:
+                prob *= probs[a]
+            key = tuple(sorted([rank[a] for a in profile]))
+            if clip:
+                key = _servable(key, level_of, reach)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = stage_fn(t, tuple(consumer[r] for r in key), y, cont, k)
+            acc.add(prob * value)
     return acc.total
 
 
@@ -407,17 +448,22 @@ def build_value_tables(
     """Backward induction over every reachable supply vector.
 
     The exact backend enumerates all (arrival count, type profile)
-    combinations per table entry and refuses instances whose per-entry
-    enumeration exceeds `profile_budget`. The Monte Carlo backend averages
-    `samples` seeded draws per entry, with an independent substream per
-    (period, state) so results do not depend on evaluation order, and records
-    each entry's standard error.
+    combinations per table entry, in order, and refuses instances whose
+    per-entry enumeration exceeds `profile_budget`; it calls the stage once
+    per distinct servable multiset and state and reuses that value for every
+    profile sharing it. The Monte Carlo backend averages `samples` seeded
+    draws per entry, with an independent substream per (period, state) so
+    results do not depend on evaluation order, and records each entry's
+    standard error.
 
     `stage_fn(t, consumers, y, cont, k)` computes one period value from the
     (level, grid_index, w) consumer triples; the default is the optimal
     service-vector stage. Alternative stage rules (brute-force oracle, myopic
     baseline) share all expectation machinery, which keeps comparisons free
-    of summation-order effects.
+    of summation-order effects. Contract: the value must not depend on the
+    order of `consumers`, nor on any level-j consumer beyond the top
+    ``y_1 + ... + y_j`` by w. The exact backend hands it only those top
+    consumers, grouped by level with the highest w first.
     """
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")

@@ -1,11 +1,12 @@
 """Brute-force ground truth for the solver.
 
 Everything here enumerates: feasible allocation matrices row by row, the
-full-matrix per-period maximization, the greedy constructive allocation, and
-the variety-shift transformation with its convergence loop. These routines
-are test fixtures at desk scale, deliberately independent of the service/
-variety-vector shortcuts they certify, and they refuse (rather than truncate)
-when an enumeration budget is hit.
+full-matrix per-period maximization, the report-set expectation over every
+ordered profile, the greedy constructive allocation, and the variety-shift
+transformation with its convergence loop. These routines are test fixtures at
+desk scale, deliberately independent of the service/variety-vector shortcuts
+they certify, and they refuse (rather than truncate) when an enumeration
+budget is hit.
 """
 
 from __future__ import annotations
@@ -139,8 +140,12 @@ def _brute_stage(t, consumers, y, cont, k, budget=DEFAULT_MATRIX_BUDGET):
 def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BUDGET, **kwargs) -> ValueTables:
     """Value tables from the unsimplified full-matrix recursion.
 
-    Shares the profile enumeration and accumulation of the solver build, so
-    any difference from the solver's tables is a stage-maximization bug.
+    Shares the profile enumeration, the per-servable-multiset stage memo and
+    the accumulation of the solver build, so any difference from the
+    solver's tables is a stage-maximization bug. The memo is exact here too:
+    a level-j consumer only takes varieties 1..j, so swapping a served report
+    for a better unserved one of its level keeps the goods spent and cannot
+    lower the correctly rounded sum.
     """
     def stage(t, consumers, y, cont, k):
         return _brute_stage(t, consumers, y, cont, k, budget=matrix_budget)
@@ -148,6 +153,33 @@ def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BU
     tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
     tables.backend = "exact-brute"
     return tables
+
+
+def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn) -> float:
+    """Report-set expectation of one stage, calling `stage_fn` on every ordered profile.
+
+    The slow path behind the exact backend: the same profiles, products and
+    compensated sum as `build_value_tables`, without its per-multiset memo,
+    so an exact table entry must equal this value bit for bit.
+    """
+    atoms = cfg.consumer_atoms(t)
+    lam = cfg.arrivals.pmf(t)
+    acc = dp.KahanSum()
+    k = cfg.varieties
+    for n in range(len(lam)):
+        lam_n = float(lam[n])
+        if lam_n == 0.0:
+            continue
+        if n == 0:
+            acc.add(lam_n * stage_fn(t, (), y, cont, k))
+            continue
+        for combo in itertools.product(atoms, repeat=n):
+            prob = lam_n
+            for _b, _i, p, _w in combo:
+                prob *= p
+            consumers = tuple((b, i, w) for b, i, _p, w in combo)
+            acc.add(prob * stage_fn(t, consumers, y, cont, k))
+    return acc.total
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,25 @@ def _under_regular_file(tmp_path, name):
     return str(blocker / name)
 
 
+def _edited_config(config_file, tmp_path, edit):
+    """Path of a copy of the config document after `edit(doc)`."""
+    with open(config_file) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _family_types(alpha):
+    return lambda doc: doc.update(types={"family": "truncated_exponential", "alpha": alpha})
+
+
+def _one_point_type_rows(doc):
+    for key in ("pdf", "cdf"):
+        doc["types"][key] = [[row[:1] for row in period] for period in doc["types"][key]]
+
+
 # case -> (exit code, FLEXMARKET_SEED or None, argv from (config, cache, tmp_path))
 BAD_INPUTS = {
     "truncated-cache": (5, None, lambda c, k, d: [
@@ -239,6 +258,14 @@ BAD_INPUTS = {
     "mc-one-sample": (3, None, lambda c, k, d: [
         "solve", "--config", c, "--cache", str(d / "mc.bin"), "--backend", "mc",
         "--samples", "1", "--seed", "1"]),
+    "non-numeric-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types(["x", 3.0]))]),
+    "null-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types([None, 3.0]))]),
+    "non-numeric-grid-min": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, lambda doc: doc["grid"].update(min="abc"))]),
+    "one-point-type-rows": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _one_point_type_rows)]),
 }
 
 

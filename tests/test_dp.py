@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, oracle
+from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, oracle
 from flexmarket.dp import (
     SortedReportSummary,
     ValueTables,
@@ -185,6 +185,28 @@ def test_budget_refusal(small_cfg):
 
 def test_monotone_under_supply_shift(small_tables):
     assert not oracle.check_monotonicity(small_tables)
+
+
+def test_stage_called_once_per_servable_multiset():
+    """k=2, T=2, G=21 market, arrivals uniform on {0, 1, 2}, Bernoulli(0.5) supply:
+    23,491 ordered (profile, state) pairs need at most 6,250 stage solves, and a
+    state with no supply serves nobody, so it needs one solve per period."""
+    bern = [0.5, 0.5]
+    cfg = config_io.parse_config({
+        "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
+        "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    })
+    calls = []
+
+    def counted(t, consumers, y, cont, k):
+        calls.append((t, y))
+        return dp._optimal_stage(t, consumers, y, cont, k)
+
+    tables = fm.build_value_tables(cfg, stage_fn=counted)
+    assert len(calls) <= 6250
+    assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
+    assert tables.values == fm.build_value_tables(cfg).values
 
 
 def test_mc_backend_matches_exact(small_cfg, small_tables):

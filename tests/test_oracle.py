@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import BudgetExceeded, InfeasibleU, NotApplicable, dp, oracle
+from flexmarket import BudgetExceeded, InfeasibleU, NotApplicable, dp, oracle, simulate
 from flexmarket.oracle import (
     check_monotonicity,
     constructive_allocation,
@@ -177,3 +177,26 @@ def test_degenerate_single_variety_family_passes():
         if cfg.varieties != 1:
             continue
         assert all(c.passed for c in verify_instance(cfg, seed))
+
+
+# -- reference expectation ------------------------------------------------------------
+
+def _exact_builds(cfg):
+    return (
+        (dp.build_value_tables(cfg), dp._optimal_stage),
+        (oracle.build_brute_tables(cfg), oracle._brute_stage),
+        (simulate.build_myopic_tables(cfg), simulate._myopic_stage),
+    )
+
+
+def test_exact_tables_match_reference_expectation(small_cfg):
+    """The memoised exact backend equals the plain ordered enumeration bit for bit,
+    for the optimal, brute-force and myopic stages alike."""
+    cfgs = [small_cfg] + [random_instance(i, master_seed=0) for i in range(20)]
+    for cfg in cfgs:
+        for tables, stage_fn in _exact_builds(cfg):
+            for t in range(1, cfg.horizon + 1):
+                cont = tables.continuation_fn(t)
+                for y in tables.states[t]:
+                    ref = oracle.reference_expected_stage(cfg, t, y, cont, stage_fn)
+                    assert tables.values[t][y] == ref, (tables.backend, t, y)
