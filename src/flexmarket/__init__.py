@@ -23,12 +23,13 @@ from .market import (  # noqa: F401
     TypeDistribution,
     ValuationGrid,
     build_example_config,
+    canonical_json,
     inverse_virtual,
     reserve_price,
     validate_config,
     virtual_valuation,
 )
-from .config_io import canonical_json, fingerprint, load_config, parse_config  # noqa: F401
+from .config_io import fingerprint, load_config, parse_config  # noqa: F401
 from .dp import (  # noqa: F401
     SortedReportSummary,
     ValueTables,

@@ -17,8 +17,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, config_io, dp, oracle, simulate
 from .dp import ValueTables, build_value_tables, continuation_gap
 from .errors import MalformedConfig, StateSpaceTooLarge, TableMismatch
@@ -152,19 +150,21 @@ def cmd_simulate(args) -> int:
     # one batch of episodes feeds both the trace file and the estimates
     revenues, surpluses = [], []
 
-    def episodes():
-        for rep in range(args.replications):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-            trace = simulate._run_episode(mech, rng)
+    def tallied(traces):
+        for trace in traces:
             revenues.append(trace.total_revenue)
             surpluses.append(trace.total_virtual_surplus)
             yield trace
 
-    simulate.write_traces_csv(outdir / "traces.csv", episodes(), manifest)
+    simulate.write_traces_csv(outdir / "traces.csv",
+                              tallied(simulate.run_episodes(mech, args.replications, seed)),
+                              manifest)
     est = simulate.RevenueEstimate(revenues, surpluses, args.replications, seed)
 
     optimal = simulate.expected_virtual_surplus(tables)
-    myopic = simulate.expected_virtual_surplus(simulate.build_myopic_tables(cfg))
+    # the baseline is solved the way the cached tables were
+    myopic = simulate.expected_virtual_surplus(simulate.build_myopic_tables(
+        cfg, backend=tables.backend, samples=tables.samples, seed=tables.seed))
 
     with open(outdir / "revenue.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")

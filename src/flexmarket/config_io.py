@@ -1,4 +1,4 @@
-"""Config file ingestion and canonical serialization.
+"""Config file ingestion and writing.
 
 A market is described by a single JSON document::
 
@@ -15,15 +15,13 @@ A market is described by a single JSON document::
 with `pdf` and `cdf` arrays shaped [period][level][grid point]. Unknown
 fields are rejected at every level.
 
-The canonical serialization always tabulates the type distributions, so a
-family-built config and its tabulated equivalent share one fingerprint.
+Files are written in the canonical serialization (`market.canonical_dict`),
+which always tabulates the type distributions.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Any
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .market import (
     SupplyDistribution,
     TypeDistribution,
     ValuationGrid,
+    canonical_dict,
     check_structure,
     truncated_exponential,
 )
@@ -129,36 +128,9 @@ def load_config(path) -> MarketConfig:
     return parse_config(doc)
 
 
-def canonical_dict(cfg: MarketConfig) -> dict[str, Any]:
-    """Fully tabulated, order-stable dict representation of a config."""
-    return {
-        "horizon": cfg.horizon,
-        "varieties": cfg.varieties,
-        "grid": {
-            "min": cfg.grid.theta_min,
-            "max": cfg.grid.theta_max,
-            "points": cfg.grid.size,
-        },
-        "arrivals": [list(map(float, cfg.arrivals.pmf(t))) for t in range(1, cfg.horizon + 1)],
-        "supply": [
-            [list(map(float, cfg.supply.pmf(t, j))) for j in range(1, cfg.varieties + 1)]
-            for t in range(1, cfg.horizon + 1)
-        ],
-        "types": {
-            "flexibility": cfg.types.flex_pmf.tolist(),
-            "pdf": cfg.types.pdf.tolist(),
-            "cdf": cfg.types.cdf.tolist(),
-        },
-    }
-
-
-def canonical_json(cfg: MarketConfig) -> str:
-    return json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
-
-
 def fingerprint(cfg: MarketConfig) -> str:
-    """SHA-256 of the canonical config serialization."""
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical config serialization (cached on the config)."""
+    return cfg.fingerprint
 
 
 def dump_config(cfg: MarketConfig, path) -> None:

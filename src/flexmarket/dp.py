@@ -31,7 +31,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import config_io
 from .errors import InfeasibleU, StateSpaceTooLarge, TableMismatch
 from .market import MarketConfig
 
@@ -226,7 +225,6 @@ class ValueTables:
     """Report-expected value functions C_t(y), frozen after construction."""
 
     config: MarketConfig
-    fingerprint: str
     backend: str                   # "exact" | "mc"
     samples: int | None
     seed: int | None
@@ -234,6 +232,15 @@ class ValueTables:
     values: dict                   # t -> {y: C_t(y)}
     stderrs: dict                  # t -> {y: standard error} (zero for exact)
     _conts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def fingerprint(self) -> str:
+        return self.config.fingerprint
+
+    def check_config(self, cfg: MarketConfig) -> None:
+        """Raise TableMismatch unless these tables were built for `cfg`."""
+        if cfg.fingerprint != self.fingerprint:
+            raise TableMismatch("tables were built for a different config")
 
     def value(self, t: int, y: Sequence[int]) -> float:
         return self.values[t][tuple(y)]
@@ -270,16 +277,6 @@ class ValueTables:
         """Expected next-period value of carrying supply m out of period t."""
         return self.continuation_fn(t)(tuple(m))
 
-    def continuation_stderr(self, t: int, m: Sequence[int]) -> float:
-        """Propagated standard error of continuation(t, m); entries are independent."""
-        if t >= self.config.horizon:
-            return 0.0
-        m = tuple(m)
-        nxt = self.stderrs[t + 1]
-        var = math.fsum((p * nxt[tuple(a + b for a, b in zip(m, xs))]) ** 2
-                        for p, xs in self.config.supply.outcomes(t + 1))
-        return math.sqrt(var)
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
@@ -302,7 +299,7 @@ class ValueTables:
 
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
-        fp = config_io.fingerprint(cfg)
+        fp = cfg.fingerprint
         with open(path, "rb") as fh:
 
             def read(fmt: str) -> tuple:
@@ -341,7 +338,7 @@ class ValueTables:
                     layer_errs[y] = se
                 states[t], values[t], stderrs[t] = layer_states, layer_vals, layer_errs
         return cls(
-            config=cfg, fingerprint=fp, backend=backend,
+            config=cfg, backend=backend,
             samples=samples or None, seed=seed if has_seed else None,
             states=states, values=values, stderrs=stderrs,
         )
@@ -486,7 +483,7 @@ def build_value_tables(
 
     states = {t: reachable_states(cfg, t) for t in range(1, T + 2)}
     tables = ValueTables(
-        config=cfg, fingerprint=config_io.fingerprint(cfg), backend=backend,
+        config=cfg, backend=backend,
         samples=samples if backend == "mc" else None,
         seed=seed if backend == "mc" else None,
         states=states,

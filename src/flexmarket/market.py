@@ -1,4 +1,5 @@
-"""Market primitives: valuation grid, distributions, virtual valuations, regularity.
+"""Market primitives: valuation grid, distributions, virtual valuations,
+canonical serialization (and the fingerprint hashed from it), regularity.
 
 The market sells k varieties of durable goods over a finite horizon T.
 A consumer of flexibility level b accepts any variety in 1..b and reports a
@@ -10,11 +11,13 @@ expectations use a midpoint-binned PMF that preserves normalization.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -190,6 +193,11 @@ class MarketConfig:
         w = np.where(one_minus == 0.0, self.grid.points, w)
         return _readonly(w)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical serialization, computed once per config."""
+        return hashlib.sha256(canonical_json(self).encode("utf-8")).hexdigest()
+
     def virtual_value_row(self, t: int, b: int) -> np.ndarray:
         return self.virtual_values[t - 1, b - 1]
 
@@ -223,6 +231,38 @@ class MarketConfig:
     @cached_property
     def _samplers_by_period(self) -> tuple:
         return tuple(PeriodSampler(self, t) for t in range(1, self.horizon + 1))
+
+
+def canonical_dict(cfg: MarketConfig) -> dict[str, Any]:
+    """Fully tabulated, order-stable dict representation of a config.
+
+    Type distributions are always tabulated, so a family-built config and its
+    tabulated equivalent share one fingerprint.
+    """
+    return {
+        "horizon": cfg.horizon,
+        "varieties": cfg.varieties,
+        "grid": {
+            "min": cfg.grid.theta_min,
+            "max": cfg.grid.theta_max,
+            "points": cfg.grid.size,
+        },
+        "arrivals": [list(map(float, cfg.arrivals.pmf(t))) for t in range(1, cfg.horizon + 1)],
+        "supply": [
+            [list(map(float, cfg.supply.pmf(t, j))) for j in range(1, cfg.varieties + 1)]
+            for t in range(1, cfg.horizon + 1)
+        ],
+        "types": {
+            "flexibility": cfg.types.flex_pmf.tolist(),
+            "pdf": cfg.types.pdf.tolist(),
+            "cdf": cfg.types.cdf.tolist(),
+        },
+    }
+
+
+def canonical_json(cfg: MarketConfig) -> str:
+    """Compact, key-sorted JSON of `canonical_dict`: what the fingerprint hashes."""
+    return json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
 
 
 class PeriodSampler:
@@ -336,8 +376,8 @@ def truncated_exponential(
     Flexibility levels are uniform unless `flex_pmf` (shape (T, k)) is given.
     """
     alpha = [float(a) for a in alpha]
-    if any(a <= 0 for a in alpha):
-        raise MalformedConfig("alpha parameters must be positive")
+    if not all(0 < a < math.inf for a in alpha):
+        raise MalformedConfig("alpha parameters must be positive and finite")
     k = len(alpha)
     if flex_pmf is None:
         flex_pmf = np.full((horizon, k), 1.0 / k)
@@ -402,6 +442,11 @@ def check_structure(cfg: MarketConfig) -> None:
         raise MalformedConfig("grid endpoints do not match declared bounds")
     if cfg.horizon < 1 or cfg.varieties < 1:
         raise MalformedConfig("horizon and variety count must be positive")
+    # every comparison with NaN is false, so no check below would catch one
+    ty = cfg.types
+    arrays = (*cfg.arrivals.pmfs, *itertools.chain(*cfg.supply.pmfs), ty.flex_pmf, ty.pdf, ty.cdf)
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise MalformedConfig("config holds a non-finite number (NaN or infinity)")
 
     T, k = cfg.horizon, cfg.varieties
     if len(cfg.arrivals.pmfs) != T:
@@ -421,7 +466,6 @@ def check_structure(cfg: MarketConfig) -> None:
             if np.any(gam < 0) or abs(float(np.sum(gam)) - 1.0) > PMF_TOL:
                 raise MalformedConfig(f"supply PMF at t={t}, variety {j} does not sum to 1")
 
-    ty = cfg.types
     if ty.flex_pmf.shape != (T, k) or ty.pdf.shape != (T, k, g.size) or ty.cdf.shape != (T, k, g.size):
         raise MalformedConfig("type tables do not match (horizon, varieties, grid)")
     for t in range(1, T + 1):

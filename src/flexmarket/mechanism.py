@@ -6,11 +6,11 @@ the v* goods up in non-decreasing variety order, and walks flexibility levels
 u*^j goods. A served consumer pays its critical value: the highest grid
 report at or above the reserve price at which it would still have lost.
 
-Ties between equal virtual valuations default to lowest arrival index first;
-a seeded random mode is available. Interim allocation/payment expectations
-condition on the period's arrival count, enumerate exactly where the period-1
-state allows it, and otherwise estimate by seeded forward simulation of the
-mechanism under truthful play.
+Ties between equal virtual valuations go to the lowest arrival index, so
+every decision is a pure function of its inputs. Interim allocation/payment
+expectations condition on the period's arrival count, enumerate exactly where
+the period-1 state allows it, and otherwise estimate by seeded forward
+simulation of the mechanism under truthful play.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import config_io
 from .dp import SortedReportSummary, ValueTables, stage_value
 from .errors import (
     InconsistentAllocation,
@@ -91,39 +90,28 @@ class MechanismOutcome:
 class Mechanism:
     """Session over one config/table pair with memoized allocation decisions.
 
-    The default tie-break (lowest arrival index) makes every decision a pure
-    function of the inputs, which the critical-value payments rely on: the
-    threshold scan must reproduce the allocation's knife-edge choices. The
-    seeded random tie mode re-randomizes per call and is meant for studying
-    allocation distributions; payments under it can reject tied outcomes as
-    InconsistentAllocation.
+    Ties between equal virtual valuations go to the lowest arrival index, so
+    allocations and thresholds are pure functions of their inputs and are
+    memoized; the critical-value payments rely on this, since the threshold
+    scan must reproduce the allocation's knife-edge choices.
     """
 
-    def __init__(self, tables: ValueTables, tie_break: str = "arrival", tie_seed: int | None = None):
-        if tables.fingerprint != config_io.fingerprint(tables.config):
-            raise TableMismatch("tables carry a fingerprint their config does not hash to")
-        if tie_break not in ("arrival", "random"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+    def __init__(self, tables: ValueTables):
         self.tables = tables
         self.cfg: MarketConfig = tables.config
-        self.tie_break = tie_break
-        self._tie_rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
         self._alloc_memo: dict = {}
         self._threshold_memo: dict = {}
 
     # -- allocation ----------------------------------------------------------
 
     def _ranked_rows(self, t: int, reports: Sequence[Report]) -> tuple[SortedReportSummary, list]:
-        """Summary plus per-level row order (virtual valuation desc, ties broken)."""
+        """Summary plus per-level row order (virtual valuation desc, then arrival)."""
         k = self.cfg.varieties
         per_level: list[list[tuple]] = [[] for _ in range(k)]
-        if self.tie_break == "random":
-            perm = self._tie_rng.permutation(len(reports))
         for row, r in enumerate(reports):
             w = float(self.cfg.virtual_values[t - 1, r.flexibility - 1,
                                               self.cfg.grid.index_of(r.valuation)])
-            tiebreak = perm[row] if self.tie_break == "random" else r.arrival_index
-            per_level[r.flexibility - 1].append((-w, tiebreak, row, w))
+            per_level[r.flexibility - 1].append((-w, r.arrival_index, row, w))
         for bucket in per_level:
             bucket.sort()
         summary = SortedReportSummary(
@@ -138,12 +126,10 @@ class Mechanism:
         _check_reports(reports, self.cfg.varieties)
         if y not in self.tables.values[min(t, self.cfg.horizon)]:
             raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
-        key = None
-        if self.tie_break == "arrival":
-            key = (t, y, tuple((r.valuation, r.flexibility) for r in reports))
-            got = self._alloc_memo.get(key)
-            if got is not None:
-                return got
+        key = (t, y, tuple((r.valuation, r.flexibility) for r in reports))
+        got = self._alloc_memo.get(key)
+        if got is not None:
+            return got
 
         if len(self._alloc_memo) > 500_000:
             self._alloc_memo.clear()
@@ -158,9 +144,7 @@ class Mechanism:
                 matrix[row, goods[pos] - 1] = 1
                 pos += 1
         matrix.setflags(write=False)
-        out = AllocationResult(matrix, res.u_star, res.v_star)
-        if key is not None:
-            self._alloc_memo[key] = out
+        out = self._alloc_memo[key] = AllocationResult(matrix, res.u_star, res.v_star)
         return out
 
     # -- payments -------------------------------------------------------------
@@ -184,7 +168,7 @@ class Mechanism:
         n = len(others) + 1
         probe_index = n if probe_index is None else probe_index
         key = (t, y, j, probe_index, tuple((r.valuation, r.flexibility) for r in others))
-        if self.tie_break == "arrival" and key in self._threshold_memo:
+        if key in self._threshold_memo:
             return self._threshold_memo[key]
 
         try:
@@ -203,8 +187,7 @@ class Mechanism:
             if alloc.matrix[probe_index - 1].any():
                 result = float(grid.points[max(idx - 1, reserve_idx)])
                 break
-        if self.tie_break == "arrival":
-            self._threshold_memo[key] = result
+        self._threshold_memo[key] = result
         return result
 
     def payments(
@@ -217,23 +200,23 @@ class Mechanism:
         """Per-consumer payments: the critical value if served, else zero."""
         if allocation is None:
             allocation = self.allocate(t, reports, y)
-        out = []
-        for row, r in enumerate(reports):
-            if not allocation.matrix[row].any():
-                out.append(0.0)
-                continue
-            others = [x for x in reports if x is not r]
-            tau = self.payment_threshold(t, others, r.flexibility, y, probe_index=row + 1)
-            if tau is NOT_SERVED:
-                raise InconsistentAllocation(
-                    f"consumer {r.arrival_index} is served but wins at no grid point"
-                )
-            if tau > r.valuation + 1e-12:
-                raise InconsistentAllocation(
-                    f"critical value {tau} exceeds the served report {r.valuation}"
-                )
-            out.append(float(tau))
-        return tuple(out)
+        return tuple(self._critical_value(t, reports, row, y) if allocation.matrix[row].any()
+                     else 0.0 for row in range(len(reports)))
+
+    def _critical_value(self, t: int, reports: Sequence[Report], row: int, y: Sequence[int]) -> float:
+        """Payment of the served consumer at `row`: its threshold against the others."""
+        r = reports[row]
+        others = [*reports[:row], *reports[row + 1:]]
+        tau = self.payment_threshold(t, others, r.flexibility, y, probe_index=row + 1)
+        if tau is NOT_SERVED:
+            raise InconsistentAllocation(
+                f"consumer {r.arrival_index} is served but wins at no grid point"
+            )
+        if tau > r.valuation + 1e-12:
+            raise InconsistentAllocation(
+                f"critical value {tau} exceeds the served report {r.valuation}"
+            )
+        return float(tau)
 
     def step(
         self,
@@ -284,6 +267,14 @@ class Mechanism:
             y = tuple(a - b + c for a, b, c in zip(y, spent, x_next))
         return y
 
+    def sample_environments(self, t: int, n_t: int, replications: int, seed: int):
+        """(supply state, other consumers' types) seen by a period-t probe among
+        n_t arrivals, one per replication on the (seed, t, rep) substream."""
+        for rep in range(replications):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, rep]))
+            y = self.sample_supply_state(rng, t)
+            yield y, tuple(self.sample_type(rng, t) for _ in range(n_t - 1))
+
     # -- interim quantities ----------------------------------------------------
 
     def _evaluate_probe(self, t, y, others_pairs, i, report) -> tuple[int, float]:
@@ -291,14 +282,9 @@ class Mechanism:
         pairs = list(others_pairs)
         pairs.insert(i - 1, report)
         reports = make_reports(pairs)
-        alloc = self.allocate(t, reports, y)
-        if not alloc.matrix[i - 1].any():
+        if not self.allocate(t, reports, y).matrix[i - 1].any():
             return 0, 0.0
-        tau = self.payment_threshold(t, [r for r in reports if r.arrival_index != i],
-                                     report[1], y, probe_index=i)
-        if tau is NOT_SERVED or tau > report[0] + 1e-12:
-            raise InconsistentAllocation("served probe has no consistent critical value")
-        return 1, float(tau)
+        return 1, self._critical_value(t, reports, i - 1, y)
 
     def interim_quantities(
         self,
@@ -345,10 +331,7 @@ class Mechanism:
 
         served = np.empty(replications)
         paid = np.empty(replications)
-        for rep in range(replications):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, rep]))
-            y = self.sample_supply_state(rng, t)
-            others = [self.sample_type(rng, t) for _ in range(n_t - 1)]
+        for rep, (y, others) in enumerate(self.sample_environments(t, n_t, replications, seed)):
             served[rep], paid[rep] = self._evaluate_probe(t, y, others, i, report)
         q, p = float(served.mean()), float(paid.mean())
         q_se = float(served.std(ddof=1) / math.sqrt(replications))
@@ -383,8 +366,7 @@ def payments(t: int, reports: Sequence[Report], y: Sequence[int], tables: ValueT
 
 def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int, i: int,
                        report: tuple, backend: str = "auto", **kwargs) -> InterimEstimate:
-    if config_io.fingerprint(cfg) != tables.fingerprint:
-        raise TableMismatch("tables were built for a different config")
+    tables.check_config(cfg)
     return Mechanism(tables).interim_quantities(t, n_t, i, report, backend=backend, **kwargs)
 
 

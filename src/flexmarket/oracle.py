@@ -76,14 +76,6 @@ def enumerate_feasible_matrices(
     return out
 
 
-def choices_to_matrix(choices: Sequence[int], k: int) -> np.ndarray:
-    mat = np.zeros((len(choices), k), dtype=np.int8)
-    for i, c in enumerate(choices):
-        if c > 0:
-            mat[i, c - 1] = 1
-    return mat
-
-
 def service_of(choices: Sequence[int], flexibilities: Sequence[int], k: int) -> tuple:
     """Consumers served per flexibility level under one matrix."""
     u = [0] * k

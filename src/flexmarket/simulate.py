@@ -22,16 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import config_io, dp
-from .dp import SortedReportSummary, ValueTables, feasible_service_set, vstar
-from .errors import TableMismatch
+from . import dp
+from .dp import SortedReportSummary, ValueTables
 from .market import MarketConfig
 from .mechanism import Mechanism, MechanismOutcome, make_reports
-
-
-def _check_pair(cfg: MarketConfig, tables: ValueTables) -> None:
-    if config_io.fingerprint(cfg) != tables.fingerprint:
-        raise TableMismatch("tables were built for a different config")
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +81,18 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
 def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
                    mech: Mechanism | None = None) -> EpisodeTrace:
     """One truthful market episode, deterministic in the seed."""
-    _check_pair(cfg, tables)
+    tables.check_config(cfg)
     mech = mech or Mechanism(tables)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     trace = _run_episode(mech, rng)
     return EpisodeTrace(seed, trace.periods, trace.total_revenue, trace.total_virtual_surplus)
+
+
+def run_episodes(mech: Mechanism, replications: int, seed: int):
+    """Episodes 0..replications-1, episode r on the (seed, r) substream, so a
+    batch can run in any order or in parallel without changing any episode."""
+    for rep in range(replications):
+        yield _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed, rep])))
 
 
 class RevenueEstimate:
@@ -131,19 +132,14 @@ def _mean_se(vals: Sequence[float]) -> tuple[float, float]:
 
 def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
                      seed: int, mech: Mechanism | None = None) -> RevenueEstimate:
-    """Mean and standard error of episode revenue (and virtual surplus).
-
-    Episode r uses the (seed, r) substream, so replications can run in any
-    order or in parallel without changing the result.
-    """
+    """Mean and standard error of episode revenue (and virtual surplus) over
+    the episodes of `run_episodes`."""
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    _check_pair(cfg, tables)
+    tables.check_config(cfg)
     mech = mech or Mechanism(tables)
     revenues, surpluses = [], []
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        trace = _run_episode(mech, rng)
+    for trace in run_episodes(mech, replications, seed):
         revenues.append(trace.total_revenue)
         surpluses.append(trace.total_virtual_surplus)
     return RevenueEstimate(revenues, surpluses, replications, seed)
@@ -154,16 +150,12 @@ def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
 # ---------------------------------------------------------------------------
 
 def _myopic_stage(t, consumers, y, cont, k):
-    """Serve for immediate virtual surplus only; same variety routing."""
+    """Serve for immediate virtual surplus only: the optimal stage with no
+    continuation picks the service, then the real continuation is added."""
     summary = SortedReportSummary.from_consumers(consumers, k)
-    best_u, best_imm = None, None
-    for u in feasible_service_set(summary.counts, y):
-        imm = math.fsum(w for ws, uj in zip(summary.w_sorted, u) for w in ws[:uj])
-        if best_imm is None or imm > best_imm:
-            best_u, best_imm = u, imm
-    v = vstar(best_u, y)
-    parts = [w for ws, uj in zip(summary.w_sorted, best_u) for w in ws[:uj]]
-    parts.append(cont(tuple(a - b for a, b in zip(y, v))))
+    greedy = dp.stage_value(t, summary, y, dp._no_continuation)
+    parts = [w for ws, uj in zip(summary.w_sorted, greedy.u_star) for w in ws[:uj]]
+    parts.append(cont(tuple(a - b for a, b in zip(y, greedy.v_star))))
     return math.fsum(parts)
 
 
@@ -171,10 +163,11 @@ def build_myopic_tables(cfg: MarketConfig, **kwargs) -> ValueTables:
     """Expected virtual surplus collected by the greedy per-period policy.
 
     A sanity baseline, not part of the mechanism: the optimal tables must
-    weakly dominate these everywhere.
+    weakly dominate these everywhere. `kwargs` go to `dp.build_value_tables`
+    (backend, samples, seed, ...), as for the tables it is compared with.
     """
     tables = dp.build_value_tables(cfg, stage_fn=_myopic_stage, **kwargs)
-    tables.backend = "exact-myopic"
+    tables.backend += "-myopic"
     return tables
 
 
@@ -267,18 +260,6 @@ class AuditReport:
         return head
 
 
-def _sample_environments(mech: Mechanism, probe: AuditProbe, replications: int,
-                         seed: int) -> Counter:
-    """Tally of (supply state, other consumers) environments at probe.t."""
-    envs: Counter = Counter()
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, probe.t, rep]))
-        y = mech.sample_supply_state(rng, probe.t)
-        others = tuple(mech.sample_type(rng, probe.t) for _ in range(probe.n_t - 1))
-        envs[(y, others)] += 1
-    return envs
-
-
 def _env_stats(per_env_values: list[tuple[int, float]], replications: int) -> tuple[float, float]:
     mean = math.fsum(c * v for c, v in per_env_values) / replications
     if replications < 2:
@@ -294,9 +275,9 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     Deviations never over-report flexibility: a true (v, b) is probed at all
     (r, c) with c <= b over the probe's misreport values.
     """
-    _check_pair(cfg, tables)
+    tables.check_config(cfg)
     mech = mech or Mechanism(tables)
-    envs = _sample_environments(mech, probe, replications, seed)
+    envs = Counter(mech.sample_environments(probe.t, probe.n_t, replications, seed))
     report = AuditReport(kind="bic", replications=replications, seed=seed)
 
     for true_val, true_lvl in probe.true_types:
@@ -324,13 +305,13 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
              probes: Sequence[AuditProbe] | None = None,
              mech: Mechanism | None = None) -> AuditReport:
     """Estimated truthful interim utility for every probed type, all periods."""
-    _check_pair(cfg, tables)
+    tables.check_config(cfg)
     mech = mech or Mechanism(tables)
     if probes is None:
         probes = [AuditProbe.default(cfg, t) for t in range(1, cfg.horizon + 1)]
     report = AuditReport(kind="ir", replications=replications, seed=seed)
     for probe in probes:
-        envs = _sample_environments(mech, probe, replications, seed)
+        envs = Counter(mech.sample_environments(probe.t, probe.n_t, replications, seed))
         for true_val, true_lvl in probe.true_types:
             utils = [
                 (count, _utility(mech, probe, env, (true_val, true_lvl), true_val))

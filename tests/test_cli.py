@@ -127,6 +127,26 @@ def test_simulate_env_seed_override(config_file, cache_file, tmp_path, monkeypat
             b[name].replace(str(outdir2).encode(), b"X")
 
 
+def test_simulate_on_mc_cache_beyond_exact_budget(tmp_path, capsys):
+    """The myopic baseline is solved with the cache's backend, so markets too
+    big for the exact backend simulate too."""
+    doc = {
+        "horizon": 1, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 1001},
+        "arrivals": [[0.25] * 4], "supply": [[[0.5, 0.5], [0.5, 0.5]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    }
+    assert dp.exact_profile_count(config_io.parse_config(doc), 1) == 8_028_034_015
+    cfg_path, cache, outdir = tmp_path / "big.json", tmp_path / "big.bin", tmp_path / "out"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg_path), "--cache", str(cache),
+                 "--backend", "mc", "--samples", "20", "--seed", "1"]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--cache", str(cache),
+                 "--out", str(outdir), "--replications", "20"]) == 0
+    assert "myopic baseline" in capsys.readouterr().out
+    assert {p.name for p in outdir.iterdir()} == {
+        "revenue.csv", "traces.csv", "bic_audit.json", "ir_audit.json"}
+
+
 def test_simulate_stale_cache(cache_file, tmp_path):
     other = fm.build_example_config((2.0, 3.0), 0.6, 2, 41)
     other_path = tmp_path / "other.json"
@@ -227,6 +247,16 @@ def _family_types(alpha):
     return lambda doc: doc.update(types={"family": "truncated_exponential", "alpha": alpha})
 
 
+def _set_nan(*path):
+    """Edit that puts NaN at doc[path[0]][path[1]]...; json.load reads `NaN` back."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = float("nan")
+    return edit
+
+
 def _one_point_type_rows(doc):
     for key in ("pdf", "cdf"):
         doc["types"][key] = [[row[:1] for row in period] for period in doc["types"][key]]
@@ -266,6 +296,16 @@ BAD_INPUTS = {
         "validate", "--config", _edited_config(c, d, lambda doc: doc["grid"].update(min="abc"))]),
     "one-point-type-rows": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _one_point_type_rows)]),
+    "nan-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types([float("nan"), 3.0]))]),
+    "inf-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types([float("inf"), 3.0]))]),
+    "nan-arrival": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set_nan("arrivals", 0, 0))]),
+    "nan-supply": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set_nan("supply", 0, 0, 0))]),
+    "nan-pdf": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set_nan("types", "pdf", 0, 0, 5))]),
 }
 
 

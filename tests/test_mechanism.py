@@ -72,16 +72,6 @@ def test_allocate_tie_breaks_by_arrival(example_mech):
     assert res.matrix[0, 0] == 1 and res.matrix[1].sum() == 0
 
 
-def test_allocate_random_tie_mode(example_tables):
-    mech = Mechanism(example_tables, tie_break="random", tie_seed=5)
-    reports = make_reports([(0.8, 1), (0.8, 1)])
-    winners = set()
-    for _ in range(40):
-        res = mech.allocate(2, reports, (1, 0))
-        winners.add(int(np.flatnonzero(res.matrix[:, 0])[0]))
-    assert winners == {0, 1}
-
-
 def test_served_consumers_have_positive_w(example_cfg, example_mech):
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import oracle, simulate
+from flexmarket import market, oracle, simulate
+from flexmarket.dp import ValueTables
 from flexmarket.mechanism import Mechanism
 from flexmarket.simulate import AuditProbe
 
@@ -22,6 +23,21 @@ def test_episode_deterministic(small_cfg, small_tables, small_mech):
     assert a == b
     c = fm.sample_episode(small_cfg, small_tables, 124, mech=small_mech)
     assert a != c
+
+
+def test_config_serialised_once(tmp_path, monkeypatch):
+    """Solve, episodes, an audit and a cache round trip hash a config once."""
+    real, calls = market.canonical_dict, []
+    monkeypatch.setattr(market, "canonical_dict", lambda cfg: calls.append(cfg) or real(cfg))
+    cfg = fm.build_example_config((2.0, 3.0), 0.5, 2, 41)
+    tables = fm.build_value_tables(cfg)
+    mech = Mechanism(tables)
+    for seed in range(5):
+        fm.sample_episode(cfg, tables, seed, mech=mech)
+    fm.bic_audit(cfg, tables, AuditProbe.default(cfg, 2, points=5), 20, 0, mech=mech)
+    tables.save(tmp_path / "tables.bin")
+    ValueTables.load(tmp_path / "tables.bin", cfg)
+    assert len(calls) == 1
 
 
 def test_zero_arrivals_zero_revenue():
