@@ -1,9 +1,12 @@
 """Operator command line: validate / solve / simulate / verify / example.
 
 Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
-3 malformed config, unreadable input, unwritable output path, bad seed or
-invalid count, 4 enumeration budget exceeded, 5 stale (fingerprint
-mismatch) or truncated table cache, 6 failed verification check.
+3 malformed config, unreadable input, unwritable output path, bad (missing,
+non-integer or negative) seed or invalid count, 4 enumeration budget
+exceeded (exact backend or brute-force matrices), 5 stale (fingerprint
+mismatch), truncated or inconsistent table cache, 6 failed verification
+check. Codes 2 and 6 are verdicts the commands return; every failure is
+raised and mapped to its code in one place, `main`'s `_FAILURES` table.
 Every output artifact embeds the run manifest; re-running a manifest with
 the same seed reproduces outputs byte for byte.
 """
@@ -19,7 +22,8 @@ from pathlib import Path
 
 from . import __version__, config_io, dp, oracle, simulate
 from .dp import ValueTables, build_value_tables, continuation_gap
-from .errors import MalformedConfig, StateSpaceTooLarge, TableMismatch
+from .errors import (BudgetExceeded, InconsistentAllocation, MalformedConfig,
+                     StateSpaceTooLarge, TableMismatch)
 from .market import build_example_config, reserve_price, validate_config
 from .mechanism import NOT_SERVED, Mechanism
 
@@ -52,21 +56,21 @@ class _BadArgument(Exception):
 
 def _resolve_seed(args) -> int | None:
     env = os.environ.get("FLEXMARKET_SEED")
-    if env is not None:
+    if env is None:
+        seed = getattr(args, "seed", None)
+    else:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise _BadArgument(f"FLEXMARKET_SEED must be an integer, got {env!r}") from None
-    return getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise _BadArgument(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = config_io.load_config(args.config)
-        report = validate_config(cfg)
-    except MalformedConfig as exc:
-        print(f"malformed config: {exc}")
-        return EXIT_MALFORMED
+    cfg = config_io.load_config(args.config)
+    report = validate_config(cfg)
     for note in report.notes:
         print(f"note: {note}")
     if report.passed:
@@ -87,25 +91,17 @@ def cmd_solve(args) -> int:
         raise _BadArgument("--backend mc needs --seed (or FLEXMARKET_SEED)")
     if args.backend == "mc" and args.samples < 2:
         raise _BadArgument(f"--samples must be at least 2, got {args.samples}")
-    try:
-        cfg = config_io.load_config(args.config)
-    except MalformedConfig as exc:
-        print(f"malformed config: {exc}")
-        return EXIT_MALFORMED
+    cfg = config_io.load_config(args.config)
     report = validate_config(cfg)
     if not report.passed:
         print(f"warning: config fails regularity at {len(report.violations)} point(s); "
               "solving anyway")
-    try:
-        tables = build_value_tables(
-            cfg, backend=args.backend,
-            samples=args.samples if args.backend == "mc" else None,
-            seed=seed if args.backend == "mc" else None,
-            profile_budget=args.budget,
-        )
-    except StateSpaceTooLarge as exc:
-        print(f"state space too large for the exact backend: {exc}")
-        return EXIT_TOO_LARGE
+    tables = build_value_tables(
+        cfg, backend=args.backend,
+        samples=args.samples if args.backend == "mc" else None,
+        seed=seed if args.backend == "mc" else None,
+        profile_budget=args.budget,
+    )
     tables.save(args.cache)
     print(f"tables written to {args.cache} (fingerprint {tables.fingerprint[:12]}...)")
     for t in sorted(tables.states):
@@ -124,19 +120,8 @@ def cmd_simulate(args) -> int:
     if args.replications < 2:
         raise _BadArgument(
             f"--replications must be at least 2 for a standard error, got {args.replications}")
-    try:
-        cfg = config_io.load_config(args.config)
-    except MalformedConfig as exc:
-        print(f"malformed config: {exc}")
-        return EXIT_MALFORMED
-    try:
-        tables = ValueTables.load(args.cache, cfg)
-    except TableMismatch as exc:
-        print(f"stale table cache: {exc}")
-        return EXIT_STALE_CACHE
-    except OSError as exc:
-        print(f"cannot read table cache: {exc}")
-        return EXIT_MALFORMED
+    cfg = config_io.load_config(args.config)
+    tables = ValueTables.load(args.cache, cfg)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -193,23 +178,21 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args) or 0
     if args.instances < 1:
         raise _BadArgument(f"--instances must be at least 1, got {args.instances}")
+    # the user's own instance is audited first, so a bad or oversized config
+    # fails before the random family runs; its checks are reported after it
+    own = []
+    if args.config:
+        own = oracle.verify_instance(config_io.load_config(args.config), seed=-1,
+                                     matrix_budget=args.budget)
+        for check in own:
+            check.detail = f"config {args.config}"
     report = oracle.run_verification(
         instances=args.instances, master_seed=seed, matrix_budget=args.budget,
     )
-    if args.config:
-        # audit the user's own instance alongside the random family
-        try:
-            cfg = config_io.load_config(args.config)
-        except MalformedConfig as exc:
-            print(f"malformed config: {exc}")
-            return EXIT_MALFORMED
-        own = oracle.verify_instance(cfg, seed=-1, matrix_budget=args.budget)
-        for check in own:
-            check.detail = f"config {args.config}"
-        report["checks"].extend(c.to_json() for c in own)
-        report["passed"] = report["passed"] and all(c.passed for c in own)
-        if not all(c.passed for c in own):
-            report["failed_seeds"].append(-1)
+    report["checks"].extend(c.to_json() for c in own)
+    if not all(c.passed for c in own):
+        report["passed"] = False
+        report["failed_seeds"].append(-1)
     manifest = RunManifest(
         subcommand="verify", config=args.config, cache=None, seed=seed,
         backend="exact", out=args.out, replications=args.instances,
@@ -314,15 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every failure a command raises, in match order: (exception, exit code, label).
+_FAILURES = (
+    (_BadArgument, EXIT_MALFORMED, "invalid argument"),
+    (MalformedConfig, EXIT_MALFORMED, "malformed config"),
+    (OSError, EXIT_MALFORMED, "cannot read or write file"),
+    (StateSpaceTooLarge, EXIT_TOO_LARGE, "state space too large for the exact backend"),
+    (BudgetExceeded, EXIT_TOO_LARGE, "brute-force matrix budget exceeded"),
+    (TableMismatch, EXIT_STALE_CACHE, "stale table cache"),
+    (InconsistentAllocation, EXIT_STALE_CACHE, "table cache inconsistent with the mechanism"),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _BadArgument as exc:
-        print(f"invalid argument: {exc}")
-    except OSError as exc:  # reads are handled per command; this is an output path
-        print(f"cannot write output: {exc}")
-    return EXIT_MALFORMED
+    except tuple(exc_type for exc_type, _, _ in _FAILURES) as exc:
+        code, label = next((code, label) for exc_type, code, label in _FAILURES
+                           if isinstance(exc, exc_type))
+        print(f"{label}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ A market is described by a single JSON document::
 
 `types` may instead tabulate `flexibility` (per-period level PMF) together
 with `pdf` and `cdf` arrays shaped [period][level][grid point]. Unknown
-fields are rejected at every level.
+fields are rejected at every level. Here only the document's own types are
+checked (objects, counts, numbers); every array's shape and values are
+checked once, by `market.check_structure`, before anything is derived from it.
 
 Files are written in the canonical serialization (`market.canonical_dict`),
 which always tabulates the type distributions.
@@ -49,24 +51,27 @@ def _expect_keys(obj: dict, required: set[str], where: str, optional: set[str] =
         raise MalformedConfig(f"{where}: missing fields {sorted(missing)}")
 
 
+def _count(value, where: str) -> int:
+    # bool is a subclass of int, but `true` is not a count
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise MalformedConfig(f"{where} must be a positive integer, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> MarketConfig:
     """Build and structurally validate a MarketConfig from a parsed JSON document."""
     _expect_keys(doc, {"horizon", "varieties", "grid", "arrivals", "supply", "types"}, "config")
 
-    horizon = doc["horizon"]
-    varieties = doc["varieties"]
-    if not isinstance(horizon, int) or not isinstance(varieties, int):
-        raise MalformedConfig("horizon and varieties must be integers")
+    horizon = _count(doc["horizon"], "horizon")
+    varieties = _count(doc["varieties"], "varieties")
 
     gspec = doc["grid"]
     _expect_keys(gspec, {"min", "max", "points"}, "grid")
-    if not isinstance(gspec["points"], int):
-        raise MalformedConfig("grid.points must be an integer count (uniform grid)")
     try:
         bounds = float(gspec["min"]), float(gspec["max"])
     except (TypeError, ValueError) as exc:
         raise MalformedConfig(f"grid bounds must be numbers: {exc}") from exc
-    grid = ValuationGrid.uniform(*bounds, gspec["points"])
+    grid = ValuationGrid.uniform(*bounds, _count(gspec["points"], "grid.points"))
 
     try:
         arrivals = ArrivalDistribution.from_lists(doc["arrivals"])
@@ -103,12 +108,6 @@ def _parse_types(spec: dict, grid: ValuationGrid, horizon: int, varieties: int) 
         tables = {key: np.asarray(spec[key], dtype=float) for key in ("flexibility", "pdf", "cdf")}
     except (TypeError, ValueError) as exc:
         raise MalformedConfig(f"bad type tables: {exc}") from exc
-    for key in ("pdf", "cdf"):
-        if tables[key].shape != (horizon, varieties, grid.size):
-            raise MalformedConfig(
-                f"types.{key} must be shaped [period][level][grid point], "
-                f"({horizon}, {varieties}, {grid.size}); got {tables[key].shape}"
-            )
     return TypeDistribution.from_tables(
         flex_pmf=tables["flexibility"], pdf=tables["pdf"], cdf=tables["cdf"],
     )

@@ -89,35 +89,26 @@ class TypeDistribution:
     flex_pmf: np.ndarray   # (T, k)
     pdf: np.ndarray        # (T, k, G)
     cdf: np.ndarray        # (T, k, G)
-    binned_pmf: np.ndarray  # (T, k, G)
     family: dict | None = None   # named-family provenance, e.g. truncated exponential
 
     @classmethod
     def from_tables(cls, flex_pmf, pdf, cdf, family: dict | None = None) -> "TypeDistribution":
-        """Build from tabulated pdf/CDF.
+        """Wrap tabulated pdf/CDF arrays; nothing is derived until it is read."""
+        return cls(flex_pmf=_readonly(flex_pmf), pdf=_readonly(pdf), cdf=_readonly(cdf),
+                   family=family)
 
-        The binned PMF always derives from the tabulated CDF (midpoints by
-        linear interpolation) so that configs with identical tables behave
-        identically no matter how they were constructed.
-        """
-        pdf = np.asarray(pdf, dtype=float)
-        cdf = np.asarray(cdf, dtype=float)
+    @cached_property
+    def binned_pmf(self) -> np.ndarray:  # (T, k, G)
+        """Always derived from the tabulated CDF (midpoints by linear
+        interpolation), so configs with identical tables behave identically
+        no matter how they were constructed."""
+        cdf = self.cdf
         mid = (cdf[..., :-1] + cdf[..., 1:]) / 2.0
-        return cls(
-            flex_pmf=_readonly(flex_pmf),
-            pdf=_readonly(pdf),
-            cdf=_readonly(cdf),
-            binned_pmf=_readonly(_bin_from_midpoints(cdf, mid)),
-            family=family,
-        )
-
-
-def _bin_from_midpoints(cdf: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    binned = np.empty_like(cdf)
-    binned[..., 0] = mid[..., 0] - cdf[..., 0]
-    binned[..., 1:-1] = mid[..., 1:] - mid[..., :-1]
-    binned[..., -1] = cdf[..., -1] - mid[..., -1]
-    return binned
+        binned = np.empty_like(cdf)
+        binned[..., 0] = mid[..., 0] - cdf[..., 0]
+        binned[..., 1:-1] = mid[..., 1:] - mid[..., :-1]
+        binned[..., -1] = cdf[..., -1] - mid[..., -1]
+        return _readonly(binned)
 
 
 @dataclass(frozen=True)
@@ -442,9 +433,13 @@ def check_structure(cfg: MarketConfig) -> None:
         raise MalformedConfig("grid endpoints do not match declared bounds")
     if cfg.horizon < 1 or cfg.varieties < 1:
         raise MalformedConfig("horizon and variety count must be positive")
+    # checked before anything below reads a PMF's length
+    pmfs = (*cfg.arrivals.pmfs, *itertools.chain(*cfg.supply.pmfs))
+    if any(pmf.ndim != 1 or pmf.size == 0 for pmf in pmfs):
+        raise MalformedConfig("every arrival and supply PMF must be a non-empty list of numbers")
     # every comparison with NaN is false, so no check below would catch one
     ty = cfg.types
-    arrays = (*cfg.arrivals.pmfs, *itertools.chain(*cfg.supply.pmfs), ty.flex_pmf, ty.pdf, ty.cdf)
+    arrays = (*pmfs, ty.flex_pmf, ty.pdf, ty.cdf)
     if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
         raise MalformedConfig("config holds a non-finite number (NaN or infinity)")
 
@@ -466,8 +461,11 @@ def check_structure(cfg: MarketConfig) -> None:
             if np.any(gam < 0) or abs(float(np.sum(gam)) - 1.0) > PMF_TOL:
                 raise MalformedConfig(f"supply PMF at t={t}, variety {j} does not sum to 1")
 
-    if ty.flex_pmf.shape != (T, k) or ty.pdf.shape != (T, k, g.size) or ty.cdf.shape != (T, k, g.size):
-        raise MalformedConfig("type tables do not match (horizon, varieties, grid)")
+    for key, table, shape in (("flexibility", ty.flex_pmf, (T, k)),
+                              ("pdf", ty.pdf, (T, k, g.size)), ("cdf", ty.cdf, (T, k, g.size))):
+        if table.shape != shape:
+            raise MalformedConfig(f"types.{key} has shape {table.shape}, expected {shape} "
+                                  "from (horizon, varieties, grid points)")
     for t in range(1, T + 1):
         gt = ty.flex_pmf[t - 1]
         if np.any(gt < 0) or abs(float(np.sum(gt)) - 1.0) > PMF_TOL:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import flexmarket as fm
 from flexmarket import config_io, dp
 from flexmarket.cli import main
+from flexmarket.errors import InconsistentAllocation
+from flexmarket.mechanism import Mechanism
 
 from conftest import tabulated_config
 
@@ -262,6 +268,35 @@ def _one_point_type_rows(doc):
         doc["types"][key] = [[row[:1] for row in period] for period in doc["types"][key]]
 
 
+def _set(*path, value):
+    """Edit that puts `value` at doc[path[0]][path[1]]..."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _zero_varieties(doc):
+    doc.update(varieties=0, types={"family": "truncated_exponential", "alpha": []})
+
+
+def _bool_horizon(doc):
+    doc.update(horizon=True, types={"family": "truncated_exponential", "alpha": [2.0, 3.0]})
+
+
+def _beyond_exact_budget(tmp_path):
+    """The 8,028,034,015-profile market of the mc-cache simulate test."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "horizon": 1, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 1001},
+        "arrivals": [[0.25] * 4], "supply": [[[0.5, 0.5], [0.5, 0.5]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    }))
+    return str(path)
+
+
 # case -> (exit code, FLEXMARKET_SEED or None, argv from (config, cache, tmp_path))
 BAD_INPUTS = {
     "truncated-cache": (5, None, lambda c, k, d: [
@@ -306,6 +341,28 @@ BAD_INPUTS = {
         "validate", "--config", _edited_config(c, d, _set_nan("supply", 0, 0, 0))]),
     "nan-pdf": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _set_nan("types", "pdf", 0, 0, 5))]),
+    "zero-varieties": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _zero_varieties)]),
+    "bool-horizon": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _bool_horizon)]),
+    "scalar-arrival-row": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("arrivals", 0, value=1.0))]),
+    "scalar-supply-pmf": (3, None, lambda c, k, d: [
+        "solve", "--config", _edited_config(c, d, _set("supply", 0, value=[1.0, 1.0])),
+        "--cache", str(d / "x.bin")]),
+    "nested-arrival-row": (3, None, lambda c, k, d: [
+        "solve", "--config", _edited_config(c, d, _set("arrivals", 0, value=[[0.5], [0.5]])),
+        "--cache", str(d / "x.bin")]),
+    "verify-config-beyond-budget": (4, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--config", _beyond_exact_budget(d)]),
+    "verify-matrix-budget": (4, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--budget", "1"]),
+    "negative-seed": (3, None, lambda c, k, d: [
+        "simulate", "--config", c, "--cache", k, "--out", str(d / "o"),
+        "--replications", "10", "--seed", "-1"]),
+    "negative-env-seed": (3, "-1", lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "mc.bin"), "--backend", "mc",
+        "--samples", "50"]),
 }
 
 
@@ -319,3 +376,27 @@ def test_bad_input_exit_code(case, config_file, cache_file, tmp_path, monkeypatc
     assert main(argv(config_file, cache_file, tmp_path)) == code
     assert capsys.readouterr().out.strip()  # a message, not a silent failure
 
+
+def test_inconsistent_allocation_exit_code(config_file, cache_file, tmp_path, monkeypatch,
+                                           capsys):
+    """A cache on which the mechanism breaks (a served report below its
+    critical value) is reported as an inconsistent cache, not a traceback."""
+    def broken(self, *args):
+        raise InconsistentAllocation("critical value 1.0 exceeds the served report 0.5")
+
+    monkeypatch.setattr(Mechanism, "_critical_value", broken)
+    assert main(["simulate", "--config", config_file, "--cache", cache_file,
+                 "--out", str(tmp_path / "o"), "--replications", "10"]) == 5
+    assert "inconsistent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [None, _zero_varieties], ids=["missing-file", "zero-varieties"])
+def test_process_exit_status(edit, config_file, tmp_path):
+    """The module entry point hands main's code to the process exit status."""
+    path = str(tmp_path / "nope.json") if edit is None else _edited_config(config_file, tmp_path, edit)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(fm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "flexmarket.cli", "validate", "--config", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and proc.stdout.strip()
