@@ -2,21 +2,26 @@
 
 Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
 3 malformed config, unreadable input, unwritable output path, bad (missing,
-non-integer or negative) seed or invalid count, 4 enumeration budget
-exceeded (exact backend or brute-force matrices), 5 stale (fingerprint
-mismatch), truncated or inconsistent table cache, 6 failed verification
-check. Codes 2 and 6 are verdicts the commands return; every failure is
-raised and mapped to its code in one place, `main`'s `_FAILURES` table.
-Every output artifact embeds the run manifest; re-running a manifest with
-the same seed reproduces outputs byte for byte.
+non-integer or negative) seed, invalid count or other usage error (the
+parser raises these too), 4 enumeration budget exceeded (exact backend or
+brute-force matrices), 5 stale (fingerprint mismatch), truncated or
+inconsistent table cache, 6 failed verification check. Codes 2 and 6 are
+verdicts the commands return; every failure is raised and mapped to its code
+in one place, `main`'s `_FAILURES` table. Every output artifact embeds the
+run manifest; re-running a manifest with the same seed reproduces outputs
+byte for byte. `simulate` moves its artifacts into `--out` only once all of
+them are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -115,6 +120,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _staged_dir(outdir: Path):
+    """A fresh sibling of `outdir` to write into; its files move into `outdir`
+    only if the block finishes, so a failed run leaves no partial artifacts."""
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+    try:
+        yield staging
+        outdir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, outdir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.replications < 2:
@@ -124,7 +144,6 @@ def cmd_simulate(args) -> int:
     tables = ValueTables.load(args.cache, cfg)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         subcommand="simulate", config=str(args.config), cache=str(args.cache),
         seed=seed, backend=tables.backend, out=str(outdir),
@@ -141,31 +160,33 @@ def cmd_simulate(args) -> int:
             surpluses.append(trace.total_virtual_surplus)
             yield trace
 
-    simulate.write_traces_csv(outdir / "traces.csv",
-                              tallied(simulate.run_episodes(mech, args.replications, seed)),
-                              manifest)
-    est = simulate.RevenueEstimate(revenues, surpluses, args.replications, seed)
+    with _staged_dir(outdir) as staging:
+        simulate.write_traces_csv(staging / "traces.csv",
+                                  tallied(simulate.run_episodes(mech, args.replications, seed)),
+                                  manifest)
+        est = simulate.RevenueEstimate(revenues, surpluses, args.replications, seed)
 
-    optimal = simulate.expected_virtual_surplus(tables)
-    # the baseline is solved the way the cached tables were
-    myopic = simulate.expected_virtual_surplus(simulate.build_myopic_tables(
-        cfg, backend=tables.backend, samples=tables.samples, seed=tables.seed))
+        optimal = simulate.expected_virtual_surplus(tables)
+        # the baseline is solved the way the cached tables were
+        myopic = simulate.expected_virtual_surplus(simulate.build_myopic_tables(
+            cfg, backend=tables.backend, samples=tables.samples, seed=tables.seed))
 
-    with open(outdir / "revenue.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        fh.write("replications,revenue_mean,revenue_stderr,virtual_surplus_mean,"
-                 "virtual_surplus_stderr,exact_virtual_surplus,myopic_virtual_surplus\n")
-        fh.write(f"{args.replications},{est.mean!r},{est.stderr!r},{est.virtual_mean!r},"
-                 f"{est.virtual_stderr!r},{optimal!r},{myopic!r}\n")
+        with open(staging / "revenue.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+            fh.write("replications,revenue_mean,revenue_stderr,virtual_surplus_mean,"
+                     "virtual_surplus_stderr,exact_virtual_surplus,myopic_virtual_surplus\n")
+            fh.write(f"{args.replications},{est.mean!r},{est.stderr!r},{est.virtual_mean!r},"
+                     f"{est.virtual_stderr!r},{optimal!r},{myopic!r}\n")
 
-    bic_reports = [
-        simulate.bic_audit(cfg, tables, simulate.AuditProbe.default(cfg, t),
-                           args.replications, seed, mech=mech).to_json()
-        for t in range(1, cfg.horizon + 1)
-    ]
-    simulate.write_json_report(outdir / "bic_audit.json", {"audits": bic_reports}, manifest)
-    ir = simulate.ir_audit(cfg, tables, args.replications, seed, mech=mech)
-    simulate.write_json_report(outdir / "ir_audit.json", ir.to_json(), manifest)
+        bic_reports = [
+            simulate.bic_audit(cfg, tables, simulate.AuditProbe.default(cfg, t),
+                               args.replications, seed, mech=mech).to_json()
+            for t in range(1, cfg.horizon + 1)
+        ]
+        simulate.write_json_report(staging / "bic_audit.json", {"audits": bic_reports},
+                                   manifest)
+        ir = simulate.ir_audit(cfg, tables, args.replications, seed, mech=mech)
+        simulate.write_json_report(staging / "ir_audit.json", ir.to_json(), manifest)
 
     print(f"revenue {est.mean:.6f} +/- {est.stderr:.6f} over {args.replications} episodes")
     print(f"virtual surplus {est.virtual_mean:.6f} +/- {est.virtual_stderr:.6f} "
@@ -252,8 +273,16 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its usage errors as `_BadArgument` (exit 3), since
+    its own exit 2 is the regularity verdict's code; `--help` still exits 0."""
+
+    def error(self, message):
+        raise _BadArgument(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flexmarket",
         description="Optimal dynamic-auction solver and market simulator "
                     "for flexible consumers under stochastic supply.",
@@ -310,8 +339,8 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except tuple(exc_type for exc_type, _, _ in _FAILURES) as exc:
         code, label = next((code, label) for exc_type, code, label in _FAILURES

@@ -19,6 +19,14 @@ value in the same order, so the memo moves no bit of any table
 (``oracle.reference_expected_stage`` is the unmemoised reference). Per-profile
 sums use ``math.fsum`` (correctly rounded), so two pipelines that agree on the
 served multiset and continuation value produce identical floats.
+
+The stage's candidates depend only on the per-level report counts and y, so
+each ``(counts, y)`` gets one *service plan*: the feasible service vectors in
+`feasible_service_set` order, each with the supply it carries forward. The
+plans live in a module-level store bounded at ``_PLAN_LIMIT`` plans (cleared
+past it) and remade whenever `feasible_service_set` or `vstar` is replaced;
+they move no bit of any table (``oracle.reference_stage_value`` is the
+unplanned reference).
 """
 
 from __future__ import annotations
@@ -163,6 +171,13 @@ class SortedReportSummary:
             raise ValueError("per-level w lists must be non-increasing")
 
     @classmethod
+    def presorted(cls, w_sorted: tuple) -> "SortedReportSummary":
+        """Summary of per-level w tuples the caller has already sorted, unchecked."""
+        summary = object.__new__(cls)
+        summary.__dict__.update(counts=tuple(map(len, w_sorted)), w_sorted=w_sorted)
+        return summary
+
+    @classmethod
     def from_consumers(cls, consumers: Iterable[tuple], k: int) -> "SortedReportSummary":
         """Build from (level, grid_index, w) triples."""
         per_level: list[list[float]] = [[] for _ in range(k)]
@@ -170,10 +185,7 @@ class SortedReportSummary:
             per_level[level - 1].append(w)
         for ws in per_level:
             ws.sort(reverse=True)
-        return cls(
-            counts=tuple(len(ws) for ws in per_level),
-            w_sorted=tuple(tuple(ws) for ws in per_level),
-        )
+        return cls.presorted(tuple(map(tuple, per_level)))
 
     @property
     def total(self) -> int:
@@ -184,6 +196,34 @@ class StageResult(NamedTuple):
     value: float
     u_star: Vector
     v_star: Vector
+
+
+# Service plans: (counts, y) -> flat tuple (u_0, m_0, u_1, m_1, ...) over
+# `feasible_service_set(counts, y)` in its order, m_i = y - v*(u_i, y). Keyed
+# by integer vectors only, so one store serves every config. The u and m
+# tuples are interned, and the store is cleared past _PLAN_LIMIT plans.
+_PLAN_LIMIT = 20_000
+_plans: dict = {}
+_interned: dict = {}
+_plan_makers: tuple = ()  # (feasible_service_set, vstar) the stored plans came from
+
+
+def _service_plan(counts: Vector, y: Vector) -> tuple:
+    global _plan_makers
+    makers = (feasible_service_set, vstar)
+    if _plan_makers != makers or len(_plans) >= _PLAN_LIMIT:
+        # a replaced set or recursion (a test patch, say) must not inherit old plans
+        _plans.clear()
+        _interned.clear()
+        _plan_makers = makers
+    intern = _interned.setdefault
+    plan = []
+    for u in feasible_service_set(counts, y):
+        m = tuple(a - b for a, b in zip(y, vstar(u, y)))
+        plan.append(intern(u, u))
+        plan.append(intern(m, m))
+    plan = _plans[intern(counts, counts), intern(y, y)] = tuple(plan)
+    return plan
 
 
 def stage_value(
@@ -198,18 +238,26 @@ def stage_value(
     forward (identically zero in the final period). Ties between service
     vectors go to the lexicographically smallest, so service at exactly zero
     net gain never happens.
+
+    The candidates come from the service plan of ``(summary.counts, y)``,
+    made once from `feasible_service_set` and `vstar` and then reused: the
+    same u in the same order with the same carried-forward supply, so the
+    result is bit for bit that of enumerating them afresh
+    (`oracle.reference_stage_value`). v* is recomputed for the winner only.
     """
     y = tuple(y)
-    best: StageResult | None = None
-    for u in feasible_service_set(summary.counts, y):
-        v = vstar(u, y)
-        parts = [w for ws, uj in zip(summary.w_sorted, u) for w in ws[:uj]]
-        parts.append(cont(tuple(a - b for a, b in zip(y, v))))
+    plan = _plans.get((summary.counts, y))
+    if plan is None or _plan_makers != (feasible_service_set, vstar):
+        plan = _service_plan(summary.counts, y)
+    w_sorted = summary.w_sorted
+    best_value = best_u = None
+    for u, m in zip(plan[::2], plan[1::2]):
+        parts = [w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
+        parts.append(cont(m))
         value = math.fsum(parts)
-        if best is None or value > best.value:
-            best = StageResult(value, u, v)
-    assert best is not None  # zero vector is always feasible
-    return best
+        if best_u is None or value > best_value:
+            best_value, best_u = value, u
+    return StageResult(best_value, best_u, vstar(best_u, y))
 
 
 def _optimal_stage(t: int, consumers: tuple, y: Vector, cont, k: int) -> float:

@@ -11,6 +11,7 @@ expectations use a midpoint-binned PMF that preserves normalization.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -260,16 +261,18 @@ class PeriodSampler:
     """Inverse-CDF draws for one period, on CDFs tabulated once per config.
 
     Every draw consumes one ``rng.random()`` in call order, so a seeded
-    generator reproduces the same stream.
+    generator reproduces the same stream. The CDFs are held as lists of the
+    very floats `np.cumsum` gives, so a `bisect` over them picks the index
+    `np.searchsorted` would, without a numpy call per scalar draw.
     """
 
     __slots__ = ("arrivals", "levels", "values", "supply")
 
     def __init__(self, cfg: MarketConfig, t: int):
-        self.arrivals = np.cumsum(cfg.arrivals.pmf(t))
-        self.levels = np.cumsum(cfg.types.flex_pmf[t - 1])
-        self.values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1)
-        self.supply = tuple(np.cumsum(pmf) for pmf in cfg.supply.pmfs[t - 1])
+        self.arrivals = np.cumsum(cfg.arrivals.pmf(t)).tolist()
+        self.levels = np.cumsum(cfg.types.flex_pmf[t - 1]).tolist()
+        self.values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1).tolist()
+        self.supply = tuple(np.cumsum(pmf).tolist() for pmf in cfg.supply.pmfs[t - 1])
 
     def arrival_count(self, rng) -> int:
         return _draw(self.arrivals, rng)
@@ -283,9 +286,9 @@ class PeriodSampler:
         return tuple(_draw(cum, rng) for cum in self.supply)
 
 
-def _draw(cum: np.ndarray, rng) -> int:
+def _draw(cum: list, rng) -> int:
     """Index of the first CDF entry above a uniform draw, clamped to the support."""
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+    return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 
 # ---------------------------------------------------------------------------

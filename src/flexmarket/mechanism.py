@@ -114,10 +114,8 @@ class Mechanism:
             per_level[r.flexibility - 1].append((-w, r.arrival_index, row, w))
         for bucket in per_level:
             bucket.sort()
-        summary = SortedReportSummary(
-            counts=tuple(len(b) for b in per_level),
-            w_sorted=tuple(tuple(item[3] for item in b) for b in per_level),
-        )
+        summary = SortedReportSummary.presorted(
+            tuple(tuple(item[3] for item in b) for b in per_level))
         return summary, [[item[2] for item in b] for b in per_level]
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:

@@ -1,12 +1,13 @@
 """Brute-force ground truth for the solver.
 
 Everything here enumerates: feasible allocation matrices row by row, the
-full-matrix per-period maximization, the report-set expectation over every
-ordered profile, the greedy constructive allocation, and the variety-shift
-transformation with its convergence loop. These routines are test fixtures at
-desk scale, deliberately independent of the service/variety-vector shortcuts
-they certify, and they refuse (rather than truncate) when an enumeration
-budget is hit.
+full-matrix per-period maximization, the service-vector stage without its
+precomputed plans, the report-set expectation over every ordered profile,
+the greedy constructive allocation, and the variety-shift transformation
+with its convergence loop. These routines are test fixtures at desk scale,
+deliberately independent of the service/variety-vector shortcuts they
+certify, and they refuse (rather than truncate) when an enumeration budget
+is hit.
 """
 
 from __future__ import annotations
@@ -145,6 +146,31 @@ def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BU
     tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
     tables.backend = "exact-brute"
     return tables
+
+
+def reference_stage_value(
+    t: int,
+    summary: dp.SortedReportSummary,
+    y: Sequence[int],
+    cont: Callable[[tuple], float],
+) -> dp.StageResult:
+    """`dp.stage_value` without service plans: enumerate the feasible service
+    vectors and run the variety recursion for each one, on every call.
+
+    The slow path behind the planned stage; both must return the same
+    value, u and v* bit for bit.
+    """
+    y = tuple(y)
+    best: dp.StageResult | None = None
+    for u in feasible_service_set(summary.counts, y):
+        v = dp.vstar(u, y)
+        parts = [w for ws, uj in zip(summary.w_sorted, u) for w in ws[:uj]]
+        parts.append(cont(tuple(a - b for a, b in zip(y, v))))
+        value = math.fsum(parts)
+        if best is None or value > best.value:
+            best = dp.StageResult(value, u, v)
+    assert best is not None  # zero vector is always feasible
+    return best
 
 
 def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn) -> float:

@@ -363,6 +363,23 @@ BAD_INPUTS = {
     "negative-env-seed": (3, "-1", lambda c, k, d: [
         "solve", "--config", c, "--cache", str(d / "mc.bin"), "--backend", "mc",
         "--samples", "50"]),
+    # argparse's own usage errors (its exit 2 is the regularity verdict's code)
+    "non-integer-seed": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--seed", "abc"]),
+    "non-integer-samples": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--backend", "mc",
+        "--samples", "2.5", "--seed", "1"]),
+    "non-integer-budget": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--budget", "1e6"]),
+    "non-integer-replications": (3, None, lambda c, k, d: [
+        "simulate", "--config", c, "--cache", k, "--out", str(d / "o"),
+        "--replications", "ten"]),
+    "non-integer-instances": (3, None, lambda c, k, d: ["verify", "--instances", "x"]),
+    "non-integer-verify-budget": (3, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--budget", "many"]),
+    "unknown-backend": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--backend", "fast"]),
+    "missing-command": (3, None, lambda c, k, d: []),
 }
 
 
@@ -388,6 +405,43 @@ def test_inconsistent_allocation_exit_code(config_file, cache_file, tmp_path, mo
     assert main(["simulate", "--config", config_file, "--cache", cache_file,
                  "--out", str(tmp_path / "o"), "--replications", "10"]) == 5
     assert "inconsistent" in capsys.readouterr().out
+
+
+def test_simulate_failure_leaves_no_partial_out(config_file, cache_file, tmp_path, monkeypatch,
+                                                capsys):
+    """A run that fails mid-way (here in the first episode's payments) writes
+    none of its artifacts into --out and leaves no staging directory behind."""
+    def broken(self, *args):
+        raise InconsistentAllocation("critical value 1.0 exceeds the served report 0.5")
+
+    monkeypatch.setattr(Mechanism, "_critical_value", broken)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config_file, "--cache", cache_file,
+                 "--out", str(out), "--replications", "10"]) == 5
+    assert not (out / "traces.csv").exists() and not (out / "revenue.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_out_into_existing_directory(config_file, cache_file, tmp_path, capsys):
+    """Artifacts replace their namesakes in an existing --out and leave other files."""
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "traces.csv").write_text("stale")
+    assert main(["simulate", "--config", config_file, "--cache", cache_file,
+                 "--out", str(out), "--replications", "10"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bic_audit.json", "ir_audit.json", "notes.txt", "revenue.csv", "traces.csv"]
+    assert (out / "traces.csv").read_text().startswith("# manifest")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip()
 
 
 @pytest.mark.parametrize("edit", [None, _zero_varieties], ids=["missing-file", "zero-varieties"])

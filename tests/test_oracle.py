@@ -1,4 +1,7 @@
 import dataclasses
+import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,3 +203,58 @@ def test_exact_tables_match_reference_expectation(small_cfg):
                 for y in tables.states[t]:
                     ref = oracle.reference_expected_stage(cfg, t, y, cont, stage_fn)
                     assert tables.values[t][y] == ref, (tables.backend, t, y)
+
+
+# -- planned stage against the unplanned reference ------------------------------------
+
+def _same_stage(got, want) -> bool:
+    return (got.value.hex(), got.u_star, got.v_star) == (want.value.hex(), want.u_star, want.v_star)
+
+
+def test_planned_stage_matches_reference_on_family():
+    """At every (t, y) and servable multiset the exact backend solves on the first
+    20 instances, the planned stage returns the reference's value, u and v*."""
+    calls = 0
+
+    def stage(t, consumers, y, cont, k):
+        nonlocal calls
+        calls += 1
+        summary = dp.SortedReportSummary.from_consumers(consumers, k)
+        got = dp.stage_value(t, summary, y, cont)
+        want = oracle.reference_stage_value(t, summary, y, cont)
+        assert _same_stage(got, want), (t, summary, y)
+        return got.value
+
+    for i in range(20):
+        dp.build_value_tables(random_instance(i, master_seed=0), stage_fn=stage)
+    assert calls > 1000
+
+
+def test_planned_stage_matches_reference_on_ties():
+    """Seeded random summaries on a few dyadic virtual values, so equal ws and
+    service at exactly zero net gain are common: the tie rule must agree too."""
+    rng = np.random.default_rng(2024)
+    ties = 0
+    for case in range(600):
+        k = int(rng.integers(1, 4))
+        y = tuple(int(c) for c in rng.integers(0, 4, size=k))
+        w_sorted = tuple(tuple(sorted(rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], size=n).tolist(),
+                                      reverse=True))
+                         for n in rng.integers(0, 4, size=k))
+        summary = dp.SortedReportSummary(tuple(map(len, w_sorted)), w_sorted)
+        if case % 2:
+            def cont(m):
+                return 0.25 * sum(m)  # a level-j good is worth exactly w = 0.25
+        else:
+            table = {}
+
+            def cont(m, table=table):
+                return table.setdefault(m, float(rng.choice([0.0, 0.25, 0.5])))
+        got = dp.stage_value(1, summary, y, cont)
+        want = oracle.reference_stage_value(1, summary, y, cont)
+        assert _same_stage(got, want), (summary, y)
+        values = [math.fsum([w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
+                            + [cont(tuple(a - b for a, b in zip(y, dp.vstar(u, y))))])
+                  for u in dp.feasible_service_set(summary.counts, y)]
+        ties += values.count(got.value) > 1
+    assert ties > 100

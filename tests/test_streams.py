@@ -7,10 +7,11 @@ re-recorded to make a change pass: a mismatch means seeded tables, episodes
 or audits no longer reproduce earlier runs.
 """
 
+import hashlib
 import math
 
 import flexmarket as fm
-from flexmarket import simulate
+from flexmarket import config_io, oracle, simulate
 
 MC_TABLES = {  # (t, y): (value, stderr) of the seed-3, 200-sample Monte Carlo tables
     (1, (0, 0)): ("0x0.0p+0", "0x0.0p+0"),
@@ -41,6 +42,43 @@ VIRTUAL_SURPLUS_MEAN_200 = "0x1.c2ea0d9ef2bd3p-4"
 BIC_WORST_GAIN = "0x0.0p+0"                          # t=2 default probe, 500 reps, seed 0
 BIC_GAIN_SUM = "-0x1.5cc161e4f7660p+7"               # fsum of every entry's gain
 BIC_STDERR_SUM = "0x1.c330f2a1fa08fp+0"
+
+TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha256)
+    "exact-solve": "bcff3a683d43d6ee3d71c2856150008ba02597c20199b14aaa84131a7ab2e670",
+    "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
+    "family-20": "cf38645f703c72ae1119dab3b5d6062faec9ea60483566cbb47d958a77251551",
+}
+
+
+def _table_sha256(tables) -> str:
+    """sha256 over one line per entry: t, y, value and stderr as float.hex."""
+    h = hashlib.sha256()
+    for tab in tables:
+        for t in sorted(tab.states):
+            for y in tab.states[t]:
+                h.update(f"{t} {y} {tab.values[t][y].hex()} {tab.stderrs[t][y].hex()}\n".encode())
+    return h.hexdigest()
+
+
+def test_exact_tables_pinned(small_cfg):
+    """k=2, T=2, G=21 market (arrivals uniform on {0, 1, 2}, Bernoulli(0.5)
+    supply), the worked example at G=41 and the first 20 master-seed-0
+    instances."""
+    bern = [0.5, 0.5]
+    exact_solve = config_io.parse_config({
+        "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
+        "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    })
+    markets = {
+        "exact-solve": [exact_solve],
+        "example-41": [small_cfg],
+        "family-20": [oracle.random_instance(i, master_seed=0) for i in range(20)],
+    }
+    got = {name: _table_sha256([tab for cfg in cfgs for tab in (
+        fm.build_value_tables(cfg), simulate.build_myopic_tables(cfg))])
+        for name, cfgs in markets.items()}
+    assert got == TABLE_SHA256
 
 
 def test_mc_tables_pinned(small_cfg):
