@@ -35,8 +35,6 @@ from .dp import (  # noqa: F401
     ValueTables,
     build_value_tables,
     continuation_gap,
-    feasible_service_set,
-    feasible_variety_set,
     stage_value,
     vstar,
 )

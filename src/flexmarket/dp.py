@@ -20,13 +20,14 @@ value in the same order, so the memo moves no bit of any table
 sums use ``math.fsum`` (correctly rounded), so two pipelines that agree on the
 served multiset and continuation value produce identical floats.
 
-The stage's candidates depend only on the per-level report counts and y, so
-each ``(counts, y)`` gets one *service plan*: the feasible service vectors in
-`feasible_service_set` order, each with the supply it carries forward. The
-plans live in a module-level store bounded at ``_PLAN_LIMIT`` plans (cleared
-past it) and remade whenever `feasible_service_set` or `vstar` is replaced;
-they move no bit of any table (``oracle.reference_stage_value`` is the
-unplanned reference).
+The stage is solved in the paper's threshold form: starting from serving
+nobody, serve one more report at a time, always the level whose next report
+adds the most to served virtual surplus plus continuation, and stop when no
+report adds anything. A report is served exactly when its virtual value beats
+the opportunity cost of the good it takes, the threshold the continuation
+values define. On continuations this DP builds, the result equals the
+enumerating argmax over every feasible service vector bit for bit, tie rule
+included (``oracle.reference_stage_value`` is that reference).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleU, StateSpaceTooLarge, TableMismatch
+from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
 from .market import MarketConfig
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
@@ -66,65 +67,8 @@ class KahanSum:
 
 
 # ---------------------------------------------------------------------------
-# Feasible sets and the variety recursion
+# The variety recursion
 # ---------------------------------------------------------------------------
-
-def feasible_service_set(counts: Sequence[int], y: Sequence[int]) -> list[Vector]:
-    """All service vectors u with u^j <= counts^j and cumulative u <= cumulative y.
-
-    Returned in lexicographic order. With no consumers present the only
-    member is the zero vector.
-    """
-    k = len(y)
-    cum_y = list(itertools.accumulate(y))
-    out: list[Vector] = []
-
-    def extend(prefix: list[int], j: int, cum_u: int) -> None:
-        if j == k:
-            out.append(tuple(prefix))
-            return
-        cap = min(counts[j], cum_y[j] - cum_u)
-        for uj in range(cap + 1):
-            prefix.append(uj)
-            extend(prefix, j + 1, cum_u + uj)
-            prefix.pop()
-
-    extend([], 0, 0)
-    return out
-
-
-def feasible_variety_set(u: Sequence[int], y: Sequence[int]) -> list[Vector]:
-    """All variety vectors that can fulfil service vector u from supply y.
-
-    v^j <= y^j per variety, cumulative v covers cumulative u at every prefix,
-    and total v equals total u. Returned in lexicographic order.
-    """
-    k = len(y)
-    total_u = sum(u)
-    cum_u = list(itertools.accumulate(u))
-    tail_y = [sum(y[j:]) for j in range(k)] + [0]
-    out: list[Vector] = []
-
-    def extend(prefix: list[int], j: int, cum_v: int) -> None:
-        if j == k:
-            if cum_v == total_u:
-                out.append(tuple(prefix))
-            return
-        for vj in range(y[j] + 1):
-            c = cum_v + vj
-            if c > total_u:
-                break
-            if j < k - 1 and c < cum_u[j]:
-                continue
-            if c + tail_y[j + 1] < total_u:
-                continue
-            prefix.append(vj)
-            extend(prefix, j + 1, c)
-            prefix.pop()
-
-    extend([], 0, 0)
-    return out
-
 
 def _check_u_supply_feasible(u: Sequence[int], y: Sequence[int]) -> None:
     cum_u = cum_y = 0
@@ -198,34 +142,6 @@ class StageResult(NamedTuple):
     v_star: Vector
 
 
-# Service plans: (counts, y) -> flat tuple (u_0, m_0, u_1, m_1, ...) over
-# `feasible_service_set(counts, y)` in its order, m_i = y - v*(u_i, y). Keyed
-# by integer vectors only, so one store serves every config. The u and m
-# tuples are interned, and the store is cleared past _PLAN_LIMIT plans.
-_PLAN_LIMIT = 20_000
-_plans: dict = {}
-_interned: dict = {}
-_plan_makers: tuple = ()  # (feasible_service_set, vstar) the stored plans came from
-
-
-def _service_plan(counts: Vector, y: Vector) -> tuple:
-    global _plan_makers
-    makers = (feasible_service_set, vstar)
-    if _plan_makers != makers or len(_plans) >= _PLAN_LIMIT:
-        # a replaced set or recursion (a test patch, say) must not inherit old plans
-        _plans.clear()
-        _interned.clear()
-        _plan_makers = makers
-    intern = _interned.setdefault
-    plan = []
-    for u in feasible_service_set(counts, y):
-        m = tuple(a - b for a, b in zip(y, vstar(u, y)))
-        plan.append(intern(u, u))
-        plan.append(intern(m, m))
-    plan = _plans[intern(counts, counts), intern(y, y)] = tuple(plan)
-    return plan
-
-
 def stage_value(
     t: int,
     summary: SortedReportSummary,
@@ -239,25 +155,40 @@ def stage_value(
     vectors go to the lexicographically smallest, so service at exactly zero
     net gain never happens.
 
-    The candidates come from the service plan of ``(summary.counts, y)``,
-    made once from `feasible_service_set` and `vstar` and then reused: the
-    same u in the same order with the same carried-forward supply, so the
-    result is bit for bit that of enumerating them afresh
-    (`oracle.reference_stage_value`). v* is recomputed for the winner only.
+    Threshold form: from u = 0, each round tries one more report per level
+    j = k..1 that has one left, spending the highest variety i <= j in stock
+    (v* for one good), and keeps the candidate with the strictly largest
+    correctly rounded total; on a tie the higher level wins, which is the
+    lexicographically smaller u. It stops when no candidate beats the current
+    value. This is exact for continuations built by this DP; for an arbitrary
+    `cont`, use `oracle.reference_stage_value`, which enumerates.
     """
-    y = tuple(y)
-    plan = _plans.get((summary.counts, y))
-    if plan is None or _plan_makers != (feasible_service_set, vstar):
-        plan = _service_plan(summary.counts, y)
     w_sorted = summary.w_sorted
-    best_value = best_u = None
-    for u, m in zip(plan[::2], plan[1::2]):
-        parts = [w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
-        parts.append(cont(m))
-        value = math.fsum(parts)
-        if best_u is None or value > best_value:
-            best_value, best_u = value, u
-    return StageResult(best_value, best_u, vstar(best_u, y))
+    k = len(y)
+    u = [0] * k
+    m = list(y)
+    served: list[float] = []
+    value = cont(tuple(y))
+    while True:
+        best = None
+        for j in range(k - 1, -1, -1):
+            if u[j] == len(w_sorted[j]):
+                continue
+            i = next((i for i in range(j, -1, -1) if m[i]), None)
+            if i is None:
+                break  # no good left that level j, or any lower level, accepts
+            m[i] -= 1
+            w = w_sorted[j][u[j]]
+            candidate = math.fsum([*served, w, cont(tuple(m))])
+            m[i] += 1
+            if candidate > value:
+                value, best = candidate, (j, i, w)
+        if best is None:
+            return StageResult(value, tuple(u), tuple(a - b for a, b in zip(y, m)))
+        j, i, w = best
+        u[j] += 1
+        m[i] -= 1
+        served.append(w)
 
 
 def _optimal_stage(t: int, consumers: tuple, y: Vector, cont, k: int) -> float:
@@ -560,8 +491,11 @@ def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> f
     The expected continuation with y intact minus the expected continuation
     after spending a good via the variety recursion; zero in the final period.
     """
+    k = tables.config.varieties
+    if not 1 <= j <= k:
+        raise OffGridValue(f"flexibility level {j} outside 1..{k}")
     y = tuple(y)
-    e_j = tuple(1 if lvl == j - 1 else 0 for lvl in range(len(y)))
+    e_j = tuple(1 if lvl == j - 1 else 0 for lvl in range(k))
     _check_u_supply_feasible(e_j, y)  # raises InfeasibleU when no good is reachable
     if t >= tables.config.horizon:
         return 0.0

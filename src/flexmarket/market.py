@@ -191,6 +191,11 @@ class MarketConfig:
         return hashlib.sha256(canonical_json(self).encode("utf-8")).hexdigest()
 
     def virtual_value_row(self, t: int, b: int) -> np.ndarray:
+        """Level b's virtual valuations at period t, both indices 1-based and checked."""
+        if not 1 <= b <= self.varieties:
+            raise OffGridValue(f"flexibility level {b} outside 1..{self.varieties}")
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"period {t} outside 1..{self.horizon}")
         return self.virtual_values[t - 1, b - 1]
 
     def consumer_atoms(self, t: int) -> tuple:
@@ -297,15 +302,12 @@ def _draw(cum: list, rng) -> int:
 
 def virtual_valuation(cfg: MarketConfig, t: int, x: float, b: int) -> float:
     """Virtual valuation of a type-(x, b) report at time t; x must be on the grid."""
-    if not 1 <= b <= cfg.varieties:
-        raise OffGridValue(f"flexibility level {b} outside 1..{cfg.varieties}")
-    i = cfg.grid.index_of(x)
-    return float(cfg.virtual_values[t - 1, b - 1, i])
+    return float(cfg.virtual_value_row(t, b)[cfg.grid.index_of(x)])
 
 
 def reserve_price(cfg: MarketConfig, t: int, j: int) -> float:
     """Smallest grid point whose virtual valuation is non-negative for level j at t."""
-    w = cfg.virtual_values[t - 1, j - 1]
+    w = cfg.virtual_value_row(t, j)
     nonneg = np.flatnonzero(w >= 0.0)
     if len(nonneg) == 0:
         raise NoNonnegativePoint(f"virtual valuation negative on the whole grid (t={t}, j={j})")
@@ -314,7 +316,7 @@ def reserve_price(cfg: MarketConfig, t: int, j: int) -> float:
 
 def inverse_virtual(cfg: MarketConfig, t: int, value: float, j: int) -> float:
     """Smallest grid point whose virtual valuation reaches `value` for level j at t."""
-    w = cfg.virtual_values[t - 1, j - 1]
+    w = cfg.virtual_value_row(t, j)
     hits = np.flatnonzero(w >= value)
     if len(hits) == 0:
         raise NoSolution(f"no grid point reaches virtual valuation {value} (t={t}, j={j})")

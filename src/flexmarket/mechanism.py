@@ -165,6 +165,8 @@ class Mechanism:
         y = tuple(y)
         n = len(others) + 1
         probe_index = n if probe_index is None else probe_index
+        if not 1 <= probe_index <= n:
+            raise ValueError(f"probe slot must lie in 1..{n}")
         key = (t, y, j, probe_index, tuple((r.valuation, r.flexibility) for r in others))
         if key in self._threshold_memo:
             return self._threshold_memo[key]

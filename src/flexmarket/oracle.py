@@ -1,13 +1,14 @@
 """Brute-force ground truth for the solver.
 
-Everything here enumerates: feasible allocation matrices row by row, the
-full-matrix per-period maximization, the service-vector stage without its
-precomputed plans, the report-set expectation over every ordered profile,
-the greedy constructive allocation, and the variety-shift transformation
-with its convergence loop. These routines are test fixtures at desk scale,
-deliberately independent of the service/variety-vector shortcuts they
-certify, and they refuse (rather than truncate) when an enumeration budget
-is hit.
+Everything here enumerates: the feasible service and variety sets,
+feasible allocation matrices row by row, the full-matrix per-period
+maximization, the service-vector stage as an argmax over every feasible u,
+the report-set expectation over every ordered profile, the greedy
+constructive allocation, and the variety-shift transformation with its
+convergence loop. These routines are test fixtures at desk scale,
+deliberately independent of the threshold-form stage and the service/
+variety-vector shortcuts they certify, and they refuse (rather than
+truncate) when an enumeration budget is hit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dp
-from .dp import ValueTables, feasible_service_set, feasible_variety_set
+from .dp import ValueTables
 from .errors import BudgetExceeded, InfeasibleU, NotApplicable
 from .market import (
     ArrivalDistribution,
@@ -32,6 +33,67 @@ from .market import (
 )
 
 DEFAULT_MATRIX_BUDGET = 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# Feasible service and variety sets
+# ---------------------------------------------------------------------------
+
+def feasible_service_set(counts: Sequence[int], y: Sequence[int]) -> list[tuple]:
+    """All service vectors u with u^j <= counts^j and cumulative u <= cumulative y.
+
+    Returned in lexicographic order. With no consumers present the only
+    member is the zero vector.
+    """
+    k = len(y)
+    cum_y = list(itertools.accumulate(y))
+    out: list[tuple] = []
+
+    def extend(prefix: list[int], j: int, cum_u: int) -> None:
+        if j == k:
+            out.append(tuple(prefix))
+            return
+        cap = min(counts[j], cum_y[j] - cum_u)
+        for uj in range(cap + 1):
+            prefix.append(uj)
+            extend(prefix, j + 1, cum_u + uj)
+            prefix.pop()
+
+    extend([], 0, 0)
+    return out
+
+
+def feasible_variety_set(u: Sequence[int], y: Sequence[int]) -> list[tuple]:
+    """All variety vectors that can fulfil service vector u from supply y.
+
+    v^j <= y^j per variety, cumulative v covers cumulative u at every prefix,
+    and total v equals total u. Returned in lexicographic order.
+    """
+    k = len(y)
+    total_u = sum(u)
+    cum_u = list(itertools.accumulate(u))
+    tail_y = [sum(y[j:]) for j in range(k)] + [0]
+    out: list[tuple] = []
+
+    def extend(prefix: list[int], j: int, cum_v: int) -> None:
+        if j == k:
+            if cum_v == total_u:
+                out.append(tuple(prefix))
+            return
+        for vj in range(y[j] + 1):
+            c = cum_v + vj
+            if c > total_u:
+                break
+            if j < k - 1 and c < cum_u[j]:
+                continue
+            if c + tail_y[j + 1] < total_u:
+                continue
+            prefix.append(vj)
+            extend(prefix, j + 1, c)
+            prefix.pop()
+
+    extend([], 0, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +216,12 @@ def reference_stage_value(
     y: Sequence[int],
     cont: Callable[[tuple], float],
 ) -> dp.StageResult:
-    """`dp.stage_value` without service plans: enumerate the feasible service
-    vectors and run the variety recursion for each one, on every call.
+    """Argmax of served virtual surplus plus continuation over every u in
+    `feasible_service_set`, with v* from the variety recursion.
 
-    The slow path behind the planned stage; both must return the same
-    value, u and v* bit for bit.
+    Exact for any `cont`, with ties to the lexicographically smallest u. The
+    slow path behind `dp.stage_value`'s threshold form: on continuations the
+    DP builds, both return the same value, u and v* bit for bit.
     """
     y = tuple(y)
     best: dp.StageResult | None = None

@@ -6,14 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
 from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, oracle
-from flexmarket.dp import (
-    SortedReportSummary,
-    ValueTables,
-    feasible_service_set,
-    feasible_variety_set,
-    stage_value,
-    vstar,
-)
+from flexmarket.dp import SortedReportSummary, ValueTables, stage_value, vstar
+from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
 from conftest import tabulated_config
 
@@ -207,43 +201,6 @@ def test_stage_called_once_per_servable_multiset():
     assert len(calls) <= 6250
     assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
     assert tables.values == fm.build_value_tables(cfg).values
-
-
-def _hex_rows(tables) -> list:
-    return [(t, y, tables.values[t][y].hex(), tables.stderrs[t][y].hex())
-            for t in sorted(tables.states) for y in tables.states[t]]
-
-
-def test_no_service_plan_outlives_a_patched_vstar(monkeypatch):
-    """Plans made with a replaced `dp.vstar` serve neither that build's
-    successors nor it the plans made before: both builds see their own v*."""
-    cfg = oracle.random_instance(0, master_seed=0)
-    real = dp.vstar
-
-    def broken(u, y):  # hand one good to the highest lower variety left in stock
-        v = list(real(u, y))
-        for j in range(len(v) - 1, -1, -1):
-            if v[j] > 0 and any(v[i] < y[i] for i in range(j)):
-                i = max(i for i in range(j) if v[i] < y[i])
-                v[j] -= 1
-                v[i] += 1
-                break
-        return tuple(v)
-
-    clean = _hex_rows(fm.build_value_tables(cfg))
-    with monkeypatch.context() as patch:
-        patch.setattr(dp, "vstar", broken)
-        patched = _hex_rows(fm.build_value_tables(cfg))
-    assert patched != clean
-    assert _hex_rows(fm.build_value_tables(cfg)) == clean
-
-
-def test_plan_store_is_bounded(monkeypatch, small_cfg, small_tables):
-    """Past its bound the store is cleared and refilled, and nothing else changes."""
-    monkeypatch.setattr(dp, "_PLAN_LIMIT", 3)
-    tables = fm.build_value_tables(small_cfg)
-    assert 0 < len(dp._plans) <= 3
-    assert _hex_rows(tables) == _hex_rows(small_tables)
 
 
 def test_mc_backend_matches_exact(small_cfg, small_tables):

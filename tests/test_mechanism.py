@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import InconsistentAllocation, TableMismatch, oracle
+from flexmarket import InconsistentAllocation, OffGridValue, TableMismatch, oracle
 from flexmarket.mechanism import (
     NOT_SERVED,
     Mechanism,
@@ -238,6 +238,31 @@ def test_module_level_wrappers(example_cfg, example_tables):
 def test_interim_rejects_foreign_tables(example_cfg, small_tables):
     with pytest.raises(TableMismatch):
         interim_quantities(example_cfg, small_tables, 1, 1, 1, (0.5, 1))
+
+
+_BAD_INDEX = {  # each call names a level, period or probe slot outside its range
+    "reserve-level-0": (lambda m: fm.reserve_price(m.cfg, 2, 0), OffGridValue),
+    "reserve-level-k+1": (lambda m: fm.reserve_price(m.cfg, 2, 3), OffGridValue),
+    "reserve-period-0": (lambda m: fm.reserve_price(m.cfg, 0, 1), ValueError),
+    "reserve-period-T+1": (lambda m: fm.reserve_price(m.cfg, 3, 1), ValueError),
+    "inverse-level-0": (lambda m: fm.inverse_virtual(m.cfg, 1, 0.0, 0), OffGridValue),
+    "inverse-period-0": (lambda m: fm.inverse_virtual(m.cfg, 0, 0.0, 1), ValueError),
+    "virtual-period-0": (lambda m: fm.virtual_valuation(m.cfg, 0, 0.5, 1), ValueError),
+    "gap-level-0": (lambda m: fm.continuation_gap(m.tables, 1, (1, 1), 0), OffGridValue),
+    "gap-level-k+1": (lambda m: fm.continuation_gap(m.tables, 1, (1, 1), 3), OffGridValue),
+    "probe-slot-0": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
+                                                   probe_index=0), ValueError),
+    "probe-slot-n+1": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
+                                                     probe_index=3), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INDEX))
+def test_out_of_range_index_raises(small_tables, case):
+    """numpy's negative indexing must not turn a bad index into another row."""
+    call, error = _BAD_INDEX[case]
+    with pytest.raises(error):
+        call(Mechanism(small_tables))
 
 
 # -- interim quantities ----------------------------------------------------------------

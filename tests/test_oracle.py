@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import BudgetExceeded, InfeasibleU, NotApplicable, dp, oracle, simulate
+from flexmarket import BudgetExceeded, InfeasibleU, NotApplicable, config_io, dp, oracle, simulate
 from flexmarket.oracle import (
     check_monotonicity,
     constructive_allocation,
@@ -93,8 +94,8 @@ def test_transform_chain_terminates_within_supply_bound(data):
     k = data.draw(st.integers(2, 4))
     y = tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
     counts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
-    for u in dp.feasible_service_set(counts, y):
-        vset = dp.feasible_variety_set(u, y)
+    for u in oracle.feasible_service_set(counts, y):
+        vset = oracle.feasible_variety_set(u, y)
         for v in vset:
             chain = transform_chain(v, u, y)
             assert len(chain) - 1 <= sum(y)
@@ -205,32 +206,67 @@ def test_exact_tables_match_reference_expectation(small_cfg):
                     assert tables.values[t][y] == ref, (tables.backend, t, y)
 
 
-# -- planned stage against the unplanned reference ------------------------------------
+# -- threshold-form stage against the enumerating reference ------------------------
 
 def _same_stage(got, want) -> bool:
     return (got.value.hex(), got.u_star, got.v_star) == (want.value.hex(), want.u_star, want.v_star)
 
 
-def test_planned_stage_matches_reference_on_family():
-    """At every (t, y) and servable multiset the exact backend solves on the first
-    20 instances, the planned stage returns the reference's value, u and v*."""
-    calls = 0
-
+def _checked_stage(calls: list):
+    """A `stage_fn` that solves each stage both ways and asserts they agree."""
     def stage(t, consumers, y, cont, k):
-        nonlocal calls
-        calls += 1
+        calls.append(t)
         summary = dp.SortedReportSummary.from_consumers(consumers, k)
         got = dp.stage_value(t, summary, y, cont)
         want = oracle.reference_stage_value(t, summary, y, cont)
         assert _same_stage(got, want), (t, summary, y)
         return got.value
-
-    for i in range(20):
-        dp.build_value_tables(random_instance(i, master_seed=0), stage_fn=stage)
-    assert calls > 1000
+    return stage
 
 
-def test_planned_stage_matches_reference_on_ties():
+def test_stage_matches_reference_on_family():
+    """At every (t, y) and servable multiset the exact backend solves on all 200
+    instances of the family, the stage returns the reference's value, u and v*."""
+    calls = []
+    for i in range(200):
+        dp.build_value_tables(random_instance(i, master_seed=0), stage_fn=_checked_stage(calls))
+    assert len(calls) > 100_000
+
+
+def test_stage_matches_reference_beyond_family():
+    """Inputs the family never reaches: non-monotone Monte Carlo tables, and an
+    exact k=3 market with two goods per variety per draw and three arrivals."""
+    doc = {
+        "horizon": 3, "varieties": 3,
+        "grid": {"min": 0.0, "max": 1.0, "points": 201},
+        "arrivals": [[0.25] * 4] * 3,
+        "supply": [[[1 / 3] * 3] * 3] * 3,
+        "types": {"family": "truncated_exponential", "alpha": [1.0, 2.0, 3.0]},
+    }
+    calls = []
+    dp.build_value_tables(config_io.parse_config(doc), backend="mc", samples=20, seed=1,
+                          stage_fn=_checked_stage(calls))
+    assert len(calls) > 5_000
+    doc.update(horizon=2, grid={"min": 0.0, "max": 1.0, "points": 3},
+               arrivals=[[0.25] * 4] * 2, supply=[[[1 / 3] * 3] * 3] * 2)
+    calls.clear()
+    dp.build_value_tables(config_io.parse_config(doc), stage_fn=_checked_stage(calls))
+    assert len(calls) > 5_000
+
+
+def _concave_cont(rng, k: int):
+    """cont(m) = sum over j of f_j(m_1 + ... + m_j), each f_j concave and
+    non-decreasing with dyadic steps: the shape of the DP's continuations,
+    on values that make exact ties common."""
+    steps = [sorted(rng.choice([0.0, 0.125, 0.25, 0.5], size=12).tolist(), reverse=True)
+             for _ in range(k)]
+
+    def cont(m):
+        return math.fsum(sum(f[:c]) for f, c in zip(steps, itertools.accumulate(m)))
+    return cont
+
+
+def test_stage_matches_reference_on_ties():
     """Seeded random summaries on a few dyadic virtual values, so equal ws and
     service at exactly zero net gain are common: the tie rule must agree too."""
     rng = np.random.default_rng(2024)
@@ -246,15 +282,12 @@ def test_planned_stage_matches_reference_on_ties():
             def cont(m):
                 return 0.25 * sum(m)  # a level-j good is worth exactly w = 0.25
         else:
-            table = {}
-
-            def cont(m, table=table):
-                return table.setdefault(m, float(rng.choice([0.0, 0.25, 0.5])))
+            cont = _concave_cont(rng, k)
         got = dp.stage_value(1, summary, y, cont)
         want = oracle.reference_stage_value(1, summary, y, cont)
         assert _same_stage(got, want), (summary, y)
         values = [math.fsum([w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
                             + [cont(tuple(a - b for a, b in zip(y, dp.vstar(u, y))))])
-                  for u in dp.feasible_service_set(summary.counts, y)]
+                  for u in oracle.feasible_service_set(summary.counts, y)]
         ties += values.count(got.value) > 1
     assert ties > 100
