@@ -9,25 +9,27 @@ C_t(y) of the period value over the random report set; the report space never
 needs to be enumerated outside one period because reports are independent of
 history.
 
-Exact expectations enumerate ordered consumer profiles in lexicographic
-(level, grid index) order with compensated accumulation, which makes table
-values reproducible bit for bit. The stage itself is solved once per distinct
-*servable multiset* of a profile and state: per level j, the top
-``y_1 + ... + y_j`` virtual values, the most reports of that level any rule can
-serve from y. Every profile still adds its own probability times that shared
-value in the same order, so the memo moves no bit of any table
-(``oracle.reference_expected_stage`` is the unmemoised reference). Per-profile
-sums use ``math.fsum`` (correctly rounded), so two pipelines that agree on the
-served multiset and continuation value produce identical floats.
+A stage sees the reports only through their *servable summary*: per level
+j, the top ``y_1 + ... + y_j`` virtual values, best first, the most reports of
+that level any rule can serve from y. Exact expectations enumerate ordered
+consumer profiles in lexicographic (level, grid index) order with compensated
+accumulation, which makes table values reproducible bit for bit, and solve the
+stage once per distinct summary and state. Every profile still adds its own
+probability times that shared value in the same order, so the memo moves no
+bit of any table (``oracle.reference_expected_stage`` is the unmemoised
+reference). Per-profile sums use ``math.fsum`` (correctly rounded), so two
+pipelines that agree on the served multiset and continuation value produce
+identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
 adds the most to served virtual surplus plus continuation, and stop when no
 report adds anything. A report is served exactly when its virtual value beats
 the opportunity cost of the good it takes, the threshold the continuation
-values define. On continuations this DP builds, the result equals the
-enumerating argmax over every feasible service vector bit for bit, tie rule
-included (``oracle.reference_stage_value`` is that reference).
+values define; ``continuation_gap`` reads that cost from the same memoised
+``ValueTables.continuation_fn``. On continuations this DP builds, the result
+equals the enumerating argmax over every feasible service vector bit for bit,
+tie rule included (``oracle.reference_stage_value`` is that reference).
 """
 
 from __future__ import annotations
@@ -123,17 +125,13 @@ class SortedReportSummary:
 
     @classmethod
     def from_consumers(cls, consumers: Iterable[tuple], k: int) -> "SortedReportSummary":
-        """Build from (level, grid_index, w) triples."""
+        """Build from (level, w) pairs in any order."""
         per_level: list[list[float]] = [[] for _ in range(k)]
-        for level, _gi, w in consumers:
+        for level, w in consumers:
             per_level[level - 1].append(w)
         for ws in per_level:
             ws.sort(reverse=True)
         return cls.presorted(tuple(map(tuple, per_level)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 class StageResult(NamedTuple):
@@ -191,8 +189,8 @@ def stage_value(
         served.append(w)
 
 
-def _optimal_stage(t: int, consumers: tuple, y: Vector, cont, k: int) -> float:
-    return stage_value(t, SortedReportSummary.from_consumers(consumers, k), y, cont).value
+def _optimal_stage(t: int, summary: SortedReportSummary, y: Vector, cont) -> float:
+    return stage_value(t, summary, y, cont).value
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +354,14 @@ def _servable(key: tuple, level_of: list, reach: list) -> tuple:
 
 
 def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
-    """Expected stage value over ordered profiles, one stage call per servable multiset.
+    """Expected stage value over ordered profiles, one stage call per servable summary.
 
     Profiles and their weights are summed in the same order as a plain
     enumeration would (see `oracle.reference_expected_stage`); only the stage
-    value is looked up. Its key is the profile's servable multiset: per level
-    j, the ranks of the top ``y_1 + ... + y_j`` reports by virtual value, the
-    most that level can ever be served from y.
+    value is looked up. Its key is the profile's sorted rank tuple clipped to
+    the servable reports: per level j, the top ``y_1 + ... + y_j`` by virtual
+    value. On a miss the key is grouped, in rank order, into the summary the
+    stage receives.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
@@ -375,7 +374,7 @@ def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
     for r, a in enumerate(order):
         rank[a] = r
     level_of = [atoms[a][0] - 1 for a in order]
-    consumer = [(atoms[a][0], atoms[a][1], atoms[a][3]) for a in order]
+    w_of = [atoms[a][3] for a in order]
     probs = [p for _b, _i, p, _w in atoms]
     memo: dict[tuple, float] = {}
     acc = KahanSum()
@@ -393,7 +392,11 @@ def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
                 key = _servable(key, level_of, reach)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = stage_fn(t, tuple(consumer[r] for r in key), y, cont, k)
+                per_level: list[list[float]] = [[] for _ in range(k)]
+                for r in key:
+                    per_level[level_of[r]].append(w_of[r])
+                summary = SortedReportSummary.presorted(tuple(map(tuple, per_level)))
+                value = memo[key] = stage_fn(t, summary, y, cont)
             acc.add(prob * value)
     return acc.total
 
@@ -401,14 +404,14 @@ def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
 def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, float]:
     sampler = cfg.sampler(t)
     w_rows = cfg.virtual_values[t - 1]
-    k = cfg.varieties
     vals = np.empty(samples)
     for s in range(samples):
         consumers = []
         for _ in range(sampler.arrival_count(rng)):
             b, i = sampler.consumer(rng)
-            consumers.append((b, i, float(w_rows[b - 1, i])))
-        vals[s] = stage_fn(t, tuple(consumers), y, cont, k)
+            consumers.append((b, float(w_rows[b - 1, i])))
+        summary = SortedReportSummary.from_consumers(consumers, cfg.varieties)
+        vals[s] = stage_fn(t, summary, y, cont)
     mean = float(np.mean(vals))
     return mean, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
@@ -432,14 +435,13 @@ def build_value_tables(
     results do not depend on evaluation order, and records each entry's
     standard error.
 
-    `stage_fn(t, consumers, y, cont, k)` computes one period value from the
-    (level, grid_index, w) consumer triples; the default is the optimal
-    service-vector stage. Alternative stage rules (brute-force oracle, myopic
-    baseline) share all expectation machinery, which keeps comparisons free
-    of summation-order effects. Contract: the value must not depend on the
-    order of `consumers`, nor on any level-j consumer beyond the top
-    ``y_1 + ... + y_j`` by w. The exact backend hands it only those top
-    consumers, grouped by level with the highest w first.
+    `stage_fn(t, summary, y, cont)` computes one period value from the
+    reports' `SortedReportSummary`; the default is the optimal service-vector
+    stage. Alternative stage rules (brute-force oracle, myopic baseline)
+    share all expectation machinery, which keeps comparisons free of
+    summation-order effects. Contract: the value must not depend on any
+    level-j report beyond the top ``y_1 + ... + y_j`` by w, which the exact
+    backend leaves out of the summary.
     """
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -488,21 +490,18 @@ def build_value_tables(
 def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> float:
     """Opportunity cost of serving one level-j consumer from supply y at period t.
 
-    The expected continuation with y intact minus the expected continuation
-    after spending a good via the variety recursion; zero in the final period.
+    C(y) - C(y - v*(e_j, y)) with C = `tables.continuation_fn(t)`: the
+    expected continuation with y intact minus the expected continuation after
+    spending a good via the variety recursion; zero in the final period.
     """
-    k = tables.config.varieties
+    cfg = tables.config
+    if not 1 <= t <= cfg.horizon:
+        raise ValueError(f"period {t} outside 1..{cfg.horizon}")
+    k = cfg.varieties
     if not 1 <= j <= k:
         raise OffGridValue(f"flexibility level {j} outside 1..{k}")
     y = tuple(y)
     e_j = tuple(1 if lvl == j - 1 else 0 for lvl in range(k))
-    _check_u_supply_feasible(e_j, y)  # raises InfeasibleU when no good is reachable
-    if t >= tables.config.horizon:
-        return 0.0
-    kept = y
-    spent = tuple(a - b for a, b in zip(y, vstar(e_j, y)))
-    nxt = tables.values[t + 1]
-    return math.fsum(
-        p * (nxt[tuple(a + b for a, b in zip(kept, xs))] - nxt[tuple(a + b for a, b in zip(spent, xs))])
-        for p, xs in tables.config.supply.outcomes(t + 1)
-    )
+    spent = tuple(a - b for a, b in zip(y, vstar(e_j, y)))  # InfeasibleU if no good is reachable
+    cont = tables.continuation_fn(t)
+    return cont(y) - cont(spent)

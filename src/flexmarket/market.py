@@ -90,13 +90,11 @@ class TypeDistribution:
     flex_pmf: np.ndarray   # (T, k)
     pdf: np.ndarray        # (T, k, G)
     cdf: np.ndarray        # (T, k, G)
-    family: dict | None = None   # named-family provenance, e.g. truncated exponential
 
     @classmethod
-    def from_tables(cls, flex_pmf, pdf, cdf, family: dict | None = None) -> "TypeDistribution":
+    def from_tables(cls, flex_pmf, pdf, cdf) -> "TypeDistribution":
         """Wrap tabulated pdf/CDF arrays; nothing is derived until it is read."""
-        return cls(flex_pmf=_readonly(flex_pmf), pdf=_readonly(pdf), cdf=_readonly(cdf),
-                   family=family)
+        return cls(flex_pmf=_readonly(flex_pmf), pdf=_readonly(pdf), cdf=_readonly(cdf))
 
     @cached_property
     def binned_pmf(self) -> np.ndarray:  # (T, k, G)
@@ -384,9 +382,7 @@ def truncated_exponential(
     for b, a in enumerate(alpha):
         pdf[:, b] = a * np.exp(-a * z) / (1.0 - math.exp(-a)) / span
         cdf[:, b] = (1.0 - np.exp(-a * z)) / (1.0 - math.exp(-a))
-    return TypeDistribution.from_tables(
-        flex_pmf, pdf, cdf, family={"family": "truncated_exponential", "alpha": alpha},
-    )
+    return TypeDistribution.from_tables(flex_pmf, pdf, cdf)
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,11 @@ class Mechanism:
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
         """Optimal allocation matrix for one period."""
+        if not 1 <= t <= self.cfg.horizon:
+            raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
         y = tuple(y)
         _check_reports(reports, self.cfg.varieties)
-        if y not in self.tables.values[min(t, self.cfg.horizon)]:
+        if y not in self.tables.values[t]:
             raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
         key = (t, y, tuple((r.valuation, r.flexibility) for r in reports))
         got = self._alloc_memo.get(key)

@@ -188,8 +188,9 @@ def brute_stage_value(
     return best
 
 
-def _brute_stage(t, consumers, y, cont, k, budget=DEFAULT_MATRIX_BUDGET):
-    return brute_stage_value(t, tuple((b, w) for b, _i, w in consumers), y, cont, budget=budget)
+def _brute_stage(t, summary: dp.SortedReportSummary, y, cont, budget=DEFAULT_MATRIX_BUDGET):
+    consumers = tuple((j + 1, w) for j, ws in enumerate(summary.w_sorted) for w in ws)
+    return brute_stage_value(t, consumers, y, cont, budget=budget)
 
 
 def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BUDGET, **kwargs) -> ValueTables:
@@ -202,8 +203,8 @@ def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BU
     for a better unserved one of its level keeps the goods spent and cannot
     lower the correctly rounded sum.
     """
-    def stage(t, consumers, y, cont, k):
-        return _brute_stage(t, consumers, y, cont, k, budget=matrix_budget)
+    def stage(t, summary, y, cont):
+        return _brute_stage(t, summary, y, cont, budget=matrix_budget)
 
     tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
     tables.backend = "exact-brute"
@@ -240,26 +241,25 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
     """Report-set expectation of one stage, calling `stage_fn` on every ordered profile.
 
     The slow path behind the exact backend: the same profiles, products and
-    compensated sum as `build_value_tables`, without its per-multiset memo,
-    so an exact table entry must equal this value bit for bit.
+    compensated sum as `build_value_tables`, without its per-multiset memo.
+    Each stage gets the whole profile's summary, not clipped to the servable
+    reports, so this also checks the clipping: an exact table entry must
+    equal this value bit for bit.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
     acc = dp.KahanSum()
-    k = cfg.varieties
     for n in range(len(lam)):
         lam_n = float(lam[n])
         if lam_n == 0.0:
-            continue
-        if n == 0:
-            acc.add(lam_n * stage_fn(t, (), y, cont, k))
             continue
         for combo in itertools.product(atoms, repeat=n):
             prob = lam_n
             for _b, _i, p, _w in combo:
                 prob *= p
-            consumers = tuple((b, i, w) for b, i, _p, w in combo)
-            acc.add(prob * stage_fn(t, consumers, y, cont, k))
+            summary = dp.SortedReportSummary.from_consumers(
+                [(b, w) for b, _i, _p, w in combo], cfg.varieties)
+            acc.add(prob * stage_fn(t, summary, y, cont))
     return acc.total
 
 
@@ -366,11 +366,12 @@ def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[Mo
     """Scan every table layer for supply-order monotonicity violations.
 
     Checks both the single-shift order (one good moved from a higher to a
-    lower variety index) and cumulative dominance. Exact tables are held to
-    1e-12; Monte Carlo tables get three combined standard errors of slack.
+    lower variety index) and cumulative dominance. The slack is `tol` when
+    given, else 1e-12 plus three combined standard errors of the two entries:
+    exact tables store zero errors, so they are held to 1e-12, and every
+    sampled table, whatever its stage rule, gets its own errors' allowance.
     """
     out: list[MonotonicityViolation] = []
-    exact = tables.backend != "mc"
     k = tables.config.varieties
     for t, layer_states in tables.states.items():
         vals = tables.values[t]
@@ -386,9 +387,7 @@ def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[Mo
                     )
                     if yvec not in in_layer:
                         continue
-                    slack = tol if tol is not None else (
-                        1e-12 if exact else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
-                    )
+                    slack = tol if tol is not None else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
                     deficit = vals[z] - vals[yvec]
                     if deficit > slack:
                         out.append(MonotonicityViolation("single_shift", t, yvec, z, deficit))
@@ -396,9 +395,7 @@ def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[Mo
             for z in layer_states:
                 if yvec == z or not _dominates(yvec, z):
                     continue
-                slack = tol if tol is not None else (
-                    1e-12 if exact else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
-                )
+                slack = tol if tol is not None else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
                 deficit = vals[z] - vals[yvec]
                 if deficit > slack:
                     out.append(MonotonicityViolation("cumulative_dominance", t, yvec, z, deficit))

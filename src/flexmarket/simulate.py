@@ -102,10 +102,11 @@ class RevenueEstimate:
                  replications: int, seed: int):
         self.replications = replications
         self.seed = seed
-        self.mean, self.stderr = _mean_se(revenues)
-        self.virtual_mean, self.virtual_stderr = _mean_se(surpluses)
-        self.diff_mean, self.diff_stderr = _mean_se(
-            [r - s for r, s in zip(revenues, surpluses)]
+        n = len(revenues)
+        self.mean, self.stderr = _env_stats([(1, r) for r in revenues], n)
+        self.virtual_mean, self.virtual_stderr = _env_stats([(1, s) for s in surpluses], n)
+        self.diff_mean, self.diff_stderr = _env_stats(
+            [(1, r - s) for r, s in zip(revenues, surpluses)], n
         )
 
     def to_json(self) -> dict:
@@ -119,15 +120,6 @@ class RevenueEstimate:
             "revenue_minus_virtual_mean": self.diff_mean,
             "revenue_minus_virtual_stderr": self.diff_stderr,
         }
-
-
-def _mean_se(vals: Sequence[float]) -> tuple[float, float]:
-    n = len(vals)
-    mean = math.fsum(vals) / n
-    if n < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    return mean, math.sqrt(var / n)
 
 
 def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
@@ -149,10 +141,9 @@ def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
 # Myopic baseline
 # ---------------------------------------------------------------------------
 
-def _myopic_stage(t, consumers, y, cont, k):
+def _myopic_stage(t, summary: SortedReportSummary, y, cont):
     """Serve for immediate virtual surplus only: the optimal stage with no
     continuation picks the service, then the real continuation is added."""
-    summary = SortedReportSummary.from_consumers(consumers, k)
     greedy = dp.stage_value(t, summary, y, dp._no_continuation)
     parts = [w for ws, uj in zip(summary.w_sorted, greedy.u_star) for w in ws[:uj]]
     parts.append(cont(tuple(a - b for a, b in zip(y, greedy.v_star))))

@@ -193,9 +193,9 @@ def test_stage_called_once_per_servable_multiset():
     })
     calls = []
 
-    def counted(t, consumers, y, cont, k):
+    def counted(t, summary, y, cont):
         calls.append((t, y))
-        return dp._optimal_stage(t, consumers, y, cont, k)
+        return dp._optimal_stage(t, summary, y, cont)
 
     tables = fm.build_value_tables(cfg, stage_fn=counted)
     assert len(calls) <= 6250

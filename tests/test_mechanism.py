@@ -250,6 +250,12 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
     "virtual-period-0": (lambda m: fm.virtual_valuation(m.cfg, 0, 0.5, 1), ValueError),
     "gap-level-0": (lambda m: fm.continuation_gap(m.tables, 1, (1, 1), 0), OffGridValue),
     "gap-level-k+1": (lambda m: fm.continuation_gap(m.tables, 1, (1, 1), 3), OffGridValue),
+    "gap-period-0": (lambda m: fm.continuation_gap(m.tables, 0, (1, 1), 1), ValueError),
+    "gap-period-T+1": (lambda m: fm.continuation_gap(m.tables, 3, (1, 1), 1), ValueError),
+    "allocate-period-0": (lambda m: m.allocate(0, make_reports([(0.5, 1)]), (1, 1)), ValueError),
+    "allocate-period-T+1": (lambda m: m.allocate(3, make_reports([(0.5, 1)]), (1, 1)),
+                            ValueError),
+    "allocate-period-T+1-no-reports": (lambda m: m.allocate(3, (), (1, 1)), ValueError),
     "probe-slot-0": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
                                                    probe_index=0), ValueError),
     "probe-slot-n+1": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),

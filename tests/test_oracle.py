@@ -121,6 +121,21 @@ def test_check_monotonicity_flags_corrupted_table(small_tables):
     assert any(v.better == (1, 0) and v.worse == (0, 1) for v in found)
 
 
+def test_check_monotonicity_slack_reads_stderrs_not_backend():
+    """Sampled myopic tables get the same standard-error slack as sampled
+    optimal ones: the slack must not depend on the backend's label."""
+    bern = [0.5, 0.5]
+    cfg = config_io.parse_config({
+        "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
+        "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    })
+    myopic = simulate.build_myopic_tables(cfg, backend="mc", samples=20, seed=1)
+    assert myopic.backend == "mc-myopic"
+    relabelled = dataclasses.replace(myopic, backend="mc")
+    assert check_monotonicity(myopic) == check_monotonicity(relabelled)
+
+
 def test_check_monotonicity_trivial_on_terminal_layer(small_tables):
     layer = small_tables.values[3]
     assert all(v == 0.0 for v in layer.values())
@@ -214,9 +229,8 @@ def _same_stage(got, want) -> bool:
 
 def _checked_stage(calls: list):
     """A `stage_fn` that solves each stage both ways and asserts they agree."""
-    def stage(t, consumers, y, cont, k):
+    def stage(t, summary, y, cont):
         calls.append(t)
-        summary = dp.SortedReportSummary.from_consumers(consumers, k)
         got = dp.stage_value(t, summary, y, cont)
         want = oracle.reference_stage_value(t, summary, y, cont)
         assert _same_stage(got, want), (t, summary, y)
