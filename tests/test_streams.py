@@ -43,6 +43,15 @@ BIC_WORST_GAIN = "0x0.0p+0"                          # t=2 default probe, 500 re
 BIC_GAIN_SUM = "-0x1.5cc161e4f7660p+7"               # fsum of every entry's gain
 BIC_STDERR_SUM = "0x1.c330f2a1fa08fp+0"
 
+IR_VALUE_SUM = "0x1.2b075f6fd2200p+4"                # default probes, 500 reps, seed 0
+IR_STDERR_SUM = "0x1.e4d89f178079bp-5"
+IR_MIN_UTILITY = "0x0.0p+0"
+
+INTERIM_T1 = {  # report: exact (Q, P) at t=1, n_t=2, probe in slot 1, worked example at G=41
+    (0.5, 1): ("0x1.bdce9651fe68ap-1", "0x1.55d4b0ee5c578p-2"),
+    (0.7, 2): ("0x1.0000000000000p+0", "0x1.3b4cba9da7c01p-2"),
+}
+
 TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha256)
     "exact-solve": "bcff3a683d43d6ee3d71c2856150008ba02597c20199b14aaa84131a7ab2e670",
     "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
@@ -106,3 +115,17 @@ def test_bic_audit_pinned(example_cfg, example_tables):
     assert report.worst_gain == float.fromhex(BIC_WORST_GAIN)
     assert math.fsum(e.value for e in report.entries) == float.fromhex(BIC_GAIN_SUM)
     assert math.fsum(e.stderr for e in report.entries) == float.fromhex(BIC_STDERR_SUM)
+
+
+def test_ir_audit_pinned(example_cfg, example_tables):
+    report = fm.ir_audit(example_cfg, example_tables, 500, 0)
+    assert math.fsum(e.value for e in report.entries) == float.fromhex(IR_VALUE_SUM)
+    assert math.fsum(e.stderr for e in report.entries) == float.fromhex(IR_STDERR_SUM)
+    assert report.min_utility == float.fromhex(IR_MIN_UTILITY)
+
+
+def test_exact_interim_pinned(small_cfg, small_tables):
+    for report, (q, p) in INTERIM_T1.items():
+        est = fm.interim_quantities(small_cfg, small_tables, 1, 2, 1, report)
+        assert (est.allocation, est.payment) == (float.fromhex(q), float.fromhex(p))
+        assert (est.allocation_se, est.payment_se) == (0.0, 0.0)
