@@ -43,12 +43,7 @@ from .mechanism import (  # noqa: F401
     Mechanism,
     MechanismOutcome,
     Report,
-    allocate,
-    interim_quantities,
     make_reports,
-    payment_threshold,
-    payments,
-    step,
 )
 from .simulate import (  # noqa: F401
     AuditProbe,
@@ -57,6 +52,7 @@ from .simulate import (  # noqa: F401
     build_myopic_tables,
     estimate_revenue,
     expected_virtual_surplus,
+    interim_quantities,
     ir_audit,
     sample_episode,
 )

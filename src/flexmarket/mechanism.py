@@ -7,16 +7,15 @@ u*^j goods. A served consumer pays its critical value: the highest grid
 report at or above the reserve price at which it would still have lost.
 
 Ties between equal virtual valuations go to the lowest arrival index, so
-every decision is a pure function of its inputs. Interim allocation/payment
-expectations condition on the period's arrival count, enumerate exactly where
-the period-1 state allows it, and otherwise estimate by seeded forward
-simulation of the mechanism under truthful play.
+every decision is a pure function of its inputs. Besides allocation, payment
+and the period step, a `Mechanism` samples the market under truthful play:
+supply arrivals, consumer types, and the supply state and rival reports a
+period-t consumer faces. Expectations over those samples (interim quantities,
+audits, revenue) live in `simulate`.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -220,6 +219,15 @@ class Mechanism:
             )
         return float(tau)
 
+    def _evaluate_probe(self, t, y, others_pairs, i, report) -> tuple[int, float]:
+        """(served indicator, payment) for the probe at slot i among n consumers."""
+        pairs = list(others_pairs)
+        pairs.insert(i - 1, report)
+        reports = make_reports(pairs)
+        if not self.allocate(t, reports, y).matrix[i - 1].any():
+            return 0, 0.0
+        return 1, self._critical_value(t, reports, i - 1, y)
+
     def step(
         self,
         t: int,
@@ -259,6 +267,8 @@ class Mechanism:
         Draw order per period: supply arrivals, then the arrival count, then
         each consumer's (level, valuation).
         """
+        if not 1 <= t <= self.cfg.horizon:
+            raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
         y = self.sample_supply_arrivals(rng, 1)
         for s in range(1, t):
             n = self.sample_arrival_count(rng, s)
@@ -276,102 +286,3 @@ class Mechanism:
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, rep]))
             y = self.sample_supply_state(rng, t)
             yield y, tuple(self.sample_type(rng, t) for _ in range(n_t - 1))
-
-    # -- interim quantities ----------------------------------------------------
-
-    def _evaluate_probe(self, t, y, others_pairs, i, report) -> tuple[int, float]:
-        """(served indicator, payment) for the probe at slot i among n consumers."""
-        pairs = list(others_pairs)
-        pairs.insert(i - 1, report)
-        reports = make_reports(pairs)
-        if not self.allocate(t, reports, y).matrix[i - 1].any():
-            return 0, 0.0
-        return 1, self._critical_value(t, reports, i - 1, y)
-
-    def interim_quantities(
-        self,
-        t: int,
-        n_t: int,
-        i: int,
-        report: tuple,
-        backend: str = "auto",
-        replications: int = 2000,
-        seed: int = 0,
-    ) -> "InterimEstimate":
-        """Expected allocation probability and payment for one probed report.
-
-        Conditions on n_t arrivals with the probe at slot i; the other n_t - 1
-        consumers and the supply state are integrated out — exactly at t = 1
-        (supply PMF times full type-profile enumeration), by seeded forward
-        simulation otherwise.
-        """
-        if not 1 <= i <= n_t:
-            raise ValueError("probe slot must lie in 1..n_t")
-        report = (float(report[0]), int(report[1]))
-        atoms = self.cfg.consumer_atoms(1)
-        outcomes = self.cfg.supply.outcomes(1)
-        if backend == "auto":
-            cheap = t == 1 and len(atoms) ** (n_t - 1) * len(outcomes) <= 50_000
-            backend = "exact" if cheap else "simulate"
-        if backend == "exact":
-            if t != 1:
-                raise ValueError("exact interim enumeration is only available at t = 1")
-            points = self.cfg.grid.points
-            q_parts, p_parts = [], []
-            for prob_y, y in outcomes:
-                for combo in itertools.product(atoms, repeat=n_t - 1):
-                    prob = prob_y
-                    for _b, _i, p, _w in combo:
-                        prob *= p
-                    others = [(float(points[gi]), b) for b, gi, _p, _w in combo]
-                    served, pay = self._evaluate_probe(t, y, others, i, report)
-                    q_parts.append(prob * served)
-                    p_parts.append(prob * pay)
-            return InterimEstimate(math.fsum(q_parts), math.fsum(p_parts), 0.0, 0.0, None)
-        if backend != "simulate":
-            raise ValueError(f"unknown backend {backend!r}")
-
-        served = np.empty(replications)
-        paid = np.empty(replications)
-        for rep, (y, others) in enumerate(self.sample_environments(t, n_t, replications, seed)):
-            served[rep], paid[rep] = self._evaluate_probe(t, y, others, i, report)
-        q, p = float(served.mean()), float(paid.mean())
-        q_se = float(served.std(ddof=1) / math.sqrt(replications))
-        p_se = float(paid.std(ddof=1) / math.sqrt(replications))
-        return InterimEstimate(q, p, q_se, p_se, replications)
-
-
-class InterimEstimate(NamedTuple):
-    allocation: float      # Q, in [0, 1]
-    payment: float         # P
-    allocation_se: float
-    payment_se: float
-    replications: int | None  # None for exact enumeration
-
-
-# ---------------------------------------------------------------------------
-# Module-level wrappers matching the operation signatures
-# ---------------------------------------------------------------------------
-
-def allocate(t: int, reports: Sequence[Report], y: Sequence[int], tables: ValueTables) -> AllocationResult:
-    return Mechanism(tables).allocate(t, reports, y)
-
-
-def payment_threshold(t: int, others: Sequence[Report], j: int, y: Sequence[int], tables: ValueTables):
-    return Mechanism(tables).payment_threshold(t, others, j, y)
-
-
-def payments(t: int, reports: Sequence[Report], y: Sequence[int], tables: ValueTables,
-             allocation: AllocationResult | None = None) -> tuple:
-    return Mechanism(tables).payments(t, reports, y, allocation)
-
-
-def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int, i: int,
-                       report: tuple, backend: str = "auto", **kwargs) -> InterimEstimate:
-    tables.check_config(cfg)
-    return Mechanism(tables).interim_quantities(t, n_t, i, report, backend=backend, **kwargs)
-
-
-def step(t: int, state: tuple, reports: Sequence[Report], tables: ValueTables) -> tuple[MechanismOutcome, tuple]:
-    y, x_next = state
-    return Mechanism(tables).step(t, y, reports, x_next)

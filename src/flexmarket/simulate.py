@@ -1,24 +1,28 @@
-"""Seeded market episodes, revenue estimation, and truthfulness audits.
+"""Seeded market episodes, revenue estimation, interim quantities and
+truthfulness audits.
 
 Replications use independent seed substreams and are aggregated with exact
 (correctly rounded) summation, so results do not depend on evaluation order.
-Deviation audits couple the truthful and deviating runs on common random
-environments: each replication samples one environment (supply state plus the
-other consumers), and every probed report is evaluated against it, which
-makes the paired gain estimates sharp. Environments repeat heavily at desk
-scale, so replications are tallied per distinct environment and each distinct
-environment is evaluated once; the estimates are identical to a
-per-replication loop.
+Interim quantities and audits are expectations over an environment law: the
+supply state a period-t consumer meets plus the other consumers' types. The
+law is either sampled (`Mechanism.sample_environments`, tallied per distinct
+environment, since environments repeat heavily at desk scale) or, for interim
+quantities at t = 1, enumerated exactly. One evaluator probes each distinct
+report once per environment of the law, and every interim quantity and audit
+entry is a weighted mean over those evaluations. Deviation audits thereby
+couple the truthful and deviating reports on common random environments,
+which makes the paired gain estimates sharp.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -251,12 +255,100 @@ class AuditReport:
         return head
 
 
-def _env_stats(per_env_values: list[tuple[int, float]], replications: int) -> tuple[float, float]:
+def _env_stats(per_env_values: list[tuple[float, float]],
+               replications: int | None) -> tuple[float, float]:
+    """Weighted mean and standard error of per-environment values.
+
+    The weights are replication counts summing to `replications`, or, with
+    `replications` None, the probabilities of an exact law, whose mean has no
+    sampling error.
+    """
+    if replications is None:
+        return math.fsum(c * v for c, v in per_env_values), 0.0
     mean = math.fsum(c * v for c, v in per_env_values) / replications
-    if replications < 2:
-        return mean, 0.0
     var = math.fsum(c * (v - mean) ** 2 for c, v in per_env_values) / (replications - 1)
     return mean, math.sqrt(var / replications)
+
+
+def _sampled_law(mech: Mechanism, t: int, n_t: int, replications: int, seed: int) -> list:
+    """The environments of `Mechanism.sample_environments` as (count, environment)
+    rows, one per distinct environment."""
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
+    envs = Counter(mech.sample_environments(t, n_t, replications, seed))
+    return [(count, env) for env, count in envs.items()]
+
+
+def _exact_law(cfg: MarketConfig, n_t: int) -> list | None:
+    """The period-1 environment law as (probability, environment) rows: every
+    supply outcome times every profile of the other n_t - 1 consumers' atoms.
+    None when that exceeds 50,000 rows."""
+    atoms = cfg.consumer_atoms(1)
+    outcomes = cfg.supply.outcomes(1)
+    if len(atoms) ** (n_t - 1) * len(outcomes) > 50_000:
+        return None
+    points = cfg.grid.points
+    law = []
+    for prob_y, y in outcomes:
+        for combo in itertools.product(atoms, repeat=n_t - 1):
+            prob = prob_y
+            for _b, _i, p, _w in combo:
+                prob *= p
+            law.append((prob, (y, tuple((float(points[gi]), b) for b, gi, _p, _w in combo))))
+    return law
+
+
+def _probe_table(mech: Mechanism, t: int, slot: int, law: list, reports) -> dict:
+    """(served, payment) of each distinct report probed at `slot`, once per
+    environment of `law`, in the law's row order.
+
+    Each report is evaluated over the whole law before the next, in order of
+    first appearance, so on tables that make the mechanism inconsistent the
+    first failing (report, environment) pair is the one a loop over reports
+    would meet first.
+    """
+    return {r: [mech._evaluate_probe(t, y, others, slot, r) for _, (y, others) in law]
+            for r in dict.fromkeys(reports)}
+
+
+def _utilities(law: list, outcomes: list, true_val: float) -> list[tuple[float, float]]:
+    """(weight, realized utility) per environment of a consumer whose true value
+    is true_val and whose report met `outcomes`."""
+    return [(w, true_val * served - pay) for (w, _), (served, pay) in zip(law, outcomes)]
+
+
+class InterimEstimate(NamedTuple):
+    allocation: float      # Q, in [0, 1]
+    payment: float         # P
+    allocation_se: float
+    payment_se: float
+    replications: int | None  # None for exact enumeration
+
+
+def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int, i: int,
+                       report: tuple, replications: int = 2000, seed: int = 0,
+                       mech: Mechanism | None = None) -> InterimEstimate:
+    """Expected allocation Q and payment P of one probed report.
+
+    Conditions on n_t arrivals with the probe at slot i; the other n_t - 1
+    consumers and the supply state are integrated out exactly at t = 1 when
+    that law has at most 50,000 terms (supply PMF times full type-profile
+    enumeration), and otherwise over the seeded environments the audits use.
+    """
+    tables.check_config(cfg)
+    if not 1 <= i <= n_t:
+        raise ValueError("probe slot must lie in 1..n_t")
+    mech = mech or Mechanism(tables)
+    report = (float(report[0]), int(report[1]))
+    law = _exact_law(cfg, n_t) if t == 1 else None
+    if law is None:
+        law = _sampled_law(mech, t, n_t, replications, seed)
+    else:
+        replications = None
+    outcomes = _probe_table(mech, t, i, law, [report])[report]
+    q, q_se = _env_stats([(w, served) for (w, _), (served, _) in zip(law, outcomes)], replications)
+    p, p_se = _env_stats([(w, pay) for (w, _), (_, pay) in zip(law, outcomes)], replications)
+    return InterimEstimate(q, p, q_se, p_se, replications)
 
 
 def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
@@ -268,21 +360,19 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     """
     tables.check_config(cfg)
     mech = mech or Mechanism(tables)
-    envs = Counter(mech.sample_environments(probe.t, probe.n_t, replications, seed))
+    law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)
+    reports = []  # in the order the entries below read them
+    for v, b in probe.true_types:
+        reports += [(v, b), *((r, c) for c in range(1, b + 1) for r in probe.deviation_values)]
+    table = _probe_table(mech, probe.t, probe.slot, law, reports)
     report = AuditReport(kind="bic", replications=replications, seed=seed)
 
     for true_val, true_lvl in probe.true_types:
-        truth_by_env = {
-            env: _utility(mech, probe, env, (true_val, true_lvl), true_val)
-            for env in envs
-        }
+        truth = _utilities(law, table[(true_val, true_lvl)], true_val)
         for dev_lvl in range(1, true_lvl + 1):
             for dev_val in probe.deviation_values:
-                gains = [
-                    (count, _utility(mech, probe, env, (dev_val, dev_lvl), true_val)
-                     - truth_by_env[env])
-                    for env, count in envs.items()
-                ]
+                lied = _utilities(law, table[(dev_val, dev_lvl)], true_val)
+                gains = [(count, u - u_truth) for (count, u), (_, u_truth) in zip(lied, truth)]
                 mean, se = _env_stats(gains, replications)
                 report.entries.append(AuditEntry(
                     t=probe.t, true_type=(true_val, true_lvl),
@@ -302,26 +392,16 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
         probes = [AuditProbe.default(cfg, t) for t in range(1, cfg.horizon + 1)]
     report = AuditReport(kind="ir", replications=replications, seed=seed)
     for probe in probes:
-        envs = Counter(mech.sample_environments(probe.t, probe.n_t, replications, seed))
+        law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)
+        table = _probe_table(mech, probe.t, probe.slot, law, probe.true_types)
         for true_val, true_lvl in probe.true_types:
-            utils = [
-                (count, _utility(mech, probe, env, (true_val, true_lvl), true_val))
-                for env, count in envs.items()
-            ]
+            utils = _utilities(law, table[(true_val, true_lvl)], true_val)
             mean, se = _env_stats(utils, replications)
             report.entries.append(AuditEntry(
                 t=probe.t, true_type=(true_val, true_lvl), deviation=None,
                 value=mean, stderr=se, samples=replications,
             ))
     return report
-
-
-def _utility(mech: Mechanism, probe: AuditProbe, env: tuple, reported: tuple,
-             true_val: float) -> float:
-    """Realized utility of the probe consumer under one environment."""
-    y, others = env
-    served, pay = mech._evaluate_probe(probe.t, y, list(others), probe.slot, reported)
-    return true_val * served - pay
 
 
 # ---------------------------------------------------------------------------

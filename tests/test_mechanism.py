@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import InconsistentAllocation, OffGridValue, TableMismatch, oracle
-from flexmarket.mechanism import (
-    NOT_SERVED,
-    Mechanism,
-    allocate,
-    interim_quantities,
-    make_reports,
-    payment_threshold,
-    payments,
-    step,
-)
+from flexmarket import InconsistentAllocation, OffGridValue, TableMismatch, oracle, simulate
+from flexmarket.mechanism import NOT_SERVED, Mechanism, make_reports
 
 from conftest import tabulated_config
 
@@ -136,7 +127,7 @@ def test_flexibility_ordering_on_random_instances():
 # -- thresholds and payments ---------------------------------------------------------
 
 def test_thresholds_match_reported_values(example_mech):
-    assert example_mech.payment_threshold(1, [], 1, (1, 1)) == pytest.approx(0.39, abs=0.01)
+    assert example_mech.payment_threshold(1, [], 1, (1, 1)) == pytest.approx(0.389, abs=1e-9)
     assert example_mech.payment_threshold(1, [], 2, (1, 1)) == pytest.approx(0.29, abs=0.01)
     # final period: the reserve price, exactly the grid reserve
     res = fm.reserve_price(example_mech.cfg, 2, 1)
@@ -160,7 +151,7 @@ def test_threshold_never_served(example_mech):
 
 def test_payments_examples(example_mech):
     pays = example_mech.payments(1, make_reports([(0.8, 1)]), (1, 1))
-    assert pays[0] == pytest.approx(0.39, abs=0.01)
+    assert pays[0] == pytest.approx(0.389, abs=1e-9)
     pays = example_mech.payments(2, make_reports([(0.5, 2)]), (0, 1))
     assert pays[0] == pytest.approx(0.29, abs=0.01)
     pays = example_mech.payments(1, make_reports([(0.2, 1)]), (1, 1))
@@ -225,19 +216,11 @@ def test_payments_detect_inconsistent_allocation(example_mech):
         example_mech.payments(1, reports, (0, 0), good)
 
 
-def test_module_level_wrappers(example_cfg, example_tables):
-    reports = make_reports([(0.8, 1)])
-    res = allocate(1, reports, (1, 1), example_tables)
-    assert res.matrix.any()
-    assert payment_threshold(1, [], 1, (1, 1), example_tables) == pytest.approx(0.389, abs=1e-9)
-    assert payments(1, reports, (1, 1), example_tables)[0] == pytest.approx(0.389, abs=1e-9)
-    est = interim_quantities(example_cfg, example_tables, 1, 1, 1, (0.8, 1), backend="exact")
+def test_interim_rejects_foreign_tables(example_cfg, example_tables, small_tables):
+    est = simulate.interim_quantities(example_cfg, example_tables, 1, 1, 1, (0.8, 1))
     assert est.allocation == 1.0
-
-
-def test_interim_rejects_foreign_tables(example_cfg, small_tables):
     with pytest.raises(TableMismatch):
-        interim_quantities(example_cfg, small_tables, 1, 1, 1, (0.5, 1))
+        simulate.interim_quantities(example_cfg, small_tables, 1, 1, 1, (0.5, 1))
 
 
 _BAD_INDEX = {  # each call names a level, period or probe slot outside its range
@@ -256,6 +239,14 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
     "allocate-period-T+1": (lambda m: m.allocate(3, make_reports([(0.5, 1)]), (1, 1)),
                             ValueError),
     "allocate-period-T+1-no-reports": (lambda m: m.allocate(3, (), (1, 1)), ValueError),
+    "environments-period-0": (lambda m: next(m.sample_environments(0, 1, 2, 0)), ValueError),
+    "environments-period-T+1": (lambda m: next(m.sample_environments(3, 1, 2, 0)), ValueError),
+    "bic-audit-period-T+1": (lambda m: simulate.bic_audit(
+        m.cfg, m.tables, simulate.AuditProbe.default(m.cfg, 3), 2, 0), ValueError),
+    "ir-audit-period-T+1": (lambda m: simulate.ir_audit(
+        m.cfg, m.tables, 2, 0, probes=[simulate.AuditProbe.default(m.cfg, 3)]), ValueError),
+    "interim-period-T+1": (lambda m: simulate.interim_quantities(
+        m.cfg, m.tables, 3, 1, 1, (0.5, 1)), ValueError),
     "probe-slot-0": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
                                                    probe_index=0), ValueError),
     "probe-slot-n+1": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
@@ -288,15 +279,20 @@ def crowded(crowded_cfg):
     return Mechanism(fm.build_value_tables(crowded_cfg))
 
 
+def interim(mech, *args, **kwargs):
+    return simulate.interim_quantities(mech.cfg, mech.tables, *args, mech=mech, **kwargs)
+
+
 def test_interim_at_bottom_type_is_zero(crowded_cfg, crowded):
     for c in (1, 2):
-        est = crowded.interim_quantities(1, 2, 1, (0.0, c), backend="exact")
+        est = interim(crowded, 1, 2, 1, (0.0, c))
+        assert est.replications is None  # exact enumeration
         assert est.allocation == 0.0 and est.payment == 0.0
 
 
 def test_interim_at_top_type_equals_supply_availability(crowded_cfg, crowded):
     """Q(theta_max, k) equals the probability that any good at all shows up."""
-    est = crowded.interim_quantities(1, 1, 1, (1.0, 2), backend="exact")
+    est = interim(crowded, 1, 1, 1, (1.0, 2))
     p_none = float(crowded_cfg.supply.pmf(1, 1)[0] * crowded_cfg.supply.pmf(1, 2)[0])
     assert est.allocation == pytest.approx(1.0 - p_none, abs=1e-12)
 
@@ -308,7 +304,7 @@ def test_interim_monotone_in_report_and_level(crowded_cfg, crowded):
         for r in grid:
             qs = {}
             for c in (1, 2):
-                est = crowded.interim_quantities(1, n_t, 1, (float(r), c), backend="exact")
+                est = interim(crowded, 1, n_t, 1, (float(r), c))
                 qs[c] = est.allocation
                 assert est.allocation >= prev[c] - 1e-12
                 prev[c] = est.allocation
@@ -320,7 +316,7 @@ def test_interim_payment_identity(crowded_cfg, crowded):
     grid = crowded_cfg.grid.points
     delta = crowded_cfg.grid.step
     for c in (1, 2):
-        ests = [crowded.interim_quantities(1, 2, 1, (float(r), c), backend="exact")
+        ests = [interim(crowded, 1, 2, 1, (float(r), c))
                 for r in grid]
         for i, r in enumerate(grid):
             riemann = math.fsum(e.allocation * delta for e in ests[:i])
@@ -331,27 +327,25 @@ def test_interim_payment_identity(crowded_cfg, crowded):
             assert ests[i].payment <= identity + 1e-12
 
 
-def test_interim_simulation_backend(example_cfg, example_tables, example_mech):
-    est = example_mech.interim_quantities(2, 1, 1, (0.9, 1), backend="simulate",
-                                          replications=400, seed=9)
-    est2 = example_mech.interim_quantities(2, 1, 1, (0.9, 1), backend="simulate",
-                                           replications=400, seed=9)
+def test_interim_simulation_backend(example_mech):
+    est = interim(example_mech, 2, 1, 1, (0.9, 1), replications=400, seed=9)
+    est2 = interim(example_mech, 2, 1, 1, (0.9, 1), replications=400, seed=9)
     assert est == est2  # deterministic in the seed
+    assert est.replications == 400
     assert 0.0 <= est.allocation <= 1.0
     assert est.allocation_se > 0
-    low = example_mech.interim_quantities(2, 1, 1, (0.2, 1), backend="simulate",
-                                          replications=400, seed=9)
+    low = interim(example_mech, 2, 1, 1, (0.2, 1), replications=400, seed=9)
     assert est.allocation >= low.allocation
 
 
 # -- step --------------------------------------------------------------------------
 
-def test_step_arithmetic(example_tables):
-    out, y_next = step(1, ((1, 1), (0, 1)), make_reports([(0.8, 1)]), example_tables)
+def test_step_arithmetic(example_mech):
+    out, y_next = example_mech.step(1, (1, 1), make_reports([(0.8, 1)]), (0, 1))
     assert out.v_star == (1, 0) and out.next_supply == (0, 1)
     assert y_next == (0, 2)
 
-    out, y_next = step(1, ((0, 0), (1, 0)), make_reports([(0.9, 2)]), example_tables)
+    out, y_next = example_mech.step(1, (0, 0), make_reports([(0.9, 2)]), (1, 0))
     assert out.v_star == (0, 0)
     assert y_next == (1, 0)
 
@@ -360,7 +354,7 @@ def test_step_arithmetic(example_tables):
         [[1.0] * 9, [1.0] * 9], T=1, k=2, grid=(0.0, 1.0, 9), n_max=2,
         supply=[[[0.0, 0.0, 1.0], [0.0, 1.0]]],
     )
-    big = fm.build_value_tables(cfg)
-    out, y_next = step(1, ((2, 1), (0, 0)), make_reports([(0.875, 1), (0.875, 2)]), big)
+    big = Mechanism(fm.build_value_tables(cfg))
+    out, y_next = big.step(1, (2, 1), make_reports([(0.875, 1), (0.875, 2)]), (0, 0))
     assert out.v_star == (1, 1)
     assert y_next == (1, 0)

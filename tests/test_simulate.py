@@ -256,6 +256,51 @@ def test_ir_minimum_nonnegative_within_noise(small_cfg, small_tables, small_mech
         assert e.value >= -3 * e.stderr - 1e-12
 
 
+@pytest.mark.parametrize("replications", [0, 1])
+def test_bic_audit_requires_replications(small_cfg, small_tables, replications):
+    with pytest.raises(ValueError):
+        simulate.bic_audit(small_cfg, small_tables, AuditProbe.default(small_cfg, 2, points=5),
+                           replications, 0)
+
+
+@pytest.mark.parametrize("replications", [0, 1])
+def test_ir_audit_requires_replications(small_cfg, small_tables, replications):
+    with pytest.raises(ValueError):
+        simulate.ir_audit(small_cfg, small_tables, replications, 0)
+
+
+@pytest.mark.parametrize("replications", [0, 1])
+def test_sampled_interim_requires_replications(small_cfg, small_tables, replications):
+    with pytest.raises(ValueError):
+        simulate.interim_quantities(small_cfg, small_tables, 2, 1, 1, (0.5, 1),
+                                    replications=replications)
+
+
+def test_each_report_evaluated_once_per_environment(small_cfg, small_tables, monkeypatch):
+    """Audits and sampled interim quantities probe every distinct report once
+    per distinct environment, however many true types or replications share it."""
+    calls = []
+    evaluate = Mechanism._evaluate_probe
+
+    def counted(self, t, y, others, i, report):
+        calls.append((y, tuple(others), report))
+        return evaluate(self, t, y, others, i, report)
+
+    monkeypatch.setattr(Mechanism, "_evaluate_probe", counted)
+    mech = Mechanism(small_tables)
+    probe = AuditProbe.default(small_cfg, 2, points=5)
+    simulate.bic_audit(small_cfg, small_tables, probe, 300, 9, mech=mech)
+    envs = set(mech.sample_environments(2, 1, 300, 9))
+    reports = {(r, c) for _, b in probe.true_types for c in range(1, b + 1)
+               for r in probe.deviation_values} | set(probe.true_types)
+    assert len(calls) == len(set(calls)) == len(envs) * len(reports)
+
+    calls.clear()
+    simulate.interim_quantities(small_cfg, small_tables, 2, 2, 1, (0.5, 1),
+                                replications=300, seed=9, mech=mech)
+    assert len(calls) == len(set(mech.sample_environments(2, 2, 300, 9))) < 300
+
+
 def test_served_traces_realize_nonnegative_utility(small_cfg, small_tables, small_mech):
     for seed in range(60):
         tr = fm.sample_episode(small_cfg, small_tables, seed, mech=small_mech)
