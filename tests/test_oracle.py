@@ -189,6 +189,44 @@ def test_verify_catches_injected_vstar_bug(monkeypatch):
     assert "vstar_optimality" in failed
 
 
+def _drop_last(real):
+    def broken(*args):
+        out = real(*args)
+        return out[:-1] if len(out) > 1 else out
+    return broken
+
+
+def _stall(real):
+    def broken(v, v_star, u, y):
+        return tuple(v)
+    return broken
+
+
+def _serve_one_fewer(real):
+    def broken(u, counts, y):
+        choices = list(real(u, counts, y))
+        served = [row for row, c in enumerate(choices) if c > 0]
+        if served:
+            choices[served[-1]] = 0
+        return tuple(choices)
+    return broken
+
+
+@pytest.mark.parametrize("target, mutate, check", [
+    ("feasible_service_set", _drop_last, "service_set_projection"),
+    ("feasible_variety_set", _drop_last, "variety_set_projection"),
+    ("transform_T", _stall, "transform_chain"),
+    ("constructive_allocation", _serve_one_fewer, "constructive_allocation"),
+])
+def test_verify_catches_injected_oracle_bug(monkeypatch, target, mutate, check):
+    """Each brute-force routine the walk reads has a check that notices it lying."""
+    monkeypatch.setattr(oracle, target, mutate(getattr(oracle, target)))
+    failed = set()
+    for seed in range(10):
+        failed |= {c.name for c in verify_instance(random_instance(seed), seed) if not c.passed}
+    assert check in failed
+
+
 def test_degenerate_single_variety_family_passes():
     """k = 1 leaves no variety choices; every check degenerates but still runs."""
     for seed in range(60):

@@ -8,6 +8,7 @@ or audits no longer reproduce earlier runs.
 """
 
 import hashlib
+import json
 import math
 
 import flexmarket as fm
@@ -57,6 +58,10 @@ TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha
     "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
     "family-20": "cf38645f703c72ae1119dab3b5d6062faec9ea60483566cbb47d958a77251551",
 }
+
+VERIFY_REPORT_SHA256 = (  # sort_keys JSON of oracle.run_verification(instances=20)
+    "01de2882e4e2b1eea02140b542c5ba99d8f5937fb97888dff0b8c571259f7663"
+)
 
 
 def _table_sha256(tables) -> str:
@@ -129,3 +134,9 @@ def test_exact_interim_pinned(small_cfg, small_tables):
         est = fm.interim_quantities(small_cfg, small_tables, 1, 2, 1, report)
         assert (est.allocation, est.payment) == (float.fromhex(q), float.fromhex(p))
         assert (est.allocation_se, est.payment_se) == (0.0, 0.0)
+
+
+def test_verify_report_pinned():
+    report = oracle.run_verification(instances=20)
+    got = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert got == VERIFY_REPORT_SHA256
