@@ -6,12 +6,14 @@ the v* goods up in non-decreasing variety order, and walks flexibility levels
 u*^j goods. A served consumer pays its critical value: the highest grid
 report at or above the reserve price at which it would still have lost.
 
-Ties between equal virtual valuations go to the lowest arrival index, so
-every decision is a pure function of its inputs. Besides allocation, payment
-and the period step, a `Mechanism` samples the market under truthful play:
-supply arrivals, consumer types, and the supply state and rival reports a
-period-t consumer faces. Expectations over those samples (interim quantities,
-audits, revenue) live in `simulate`.
+A report is a (valuation, flexibility level) pair, and its 1-based position
+in the period's report sequence is its arrival index. Ties between equal
+virtual valuations go to the lowest arrival index, so every decision is a
+pure function of its inputs. Besides allocation, payment and the period
+step, a `Mechanism` samples the market under truthful play: supply arrivals,
+consumer types, and the supply state and rival reports a period-t consumer
+faces. Expectations over those samples (interim quantities, audits, revenue)
+live in `simulate`.
 """
 
 from __future__ import annotations
@@ -43,25 +45,17 @@ class _NotServed:
 NOT_SERVED = _NotServed()
 
 
-@dataclass(frozen=True)
-class Report:
-    """One consumer's report within a period."""
+class Report(NamedTuple):
+    """One consumer's report within a period; its arrival index is its
+    1-based position in the period's report sequence."""
 
     valuation: float
     flexibility: int
-    arrival_index: int
 
 
 def make_reports(pairs: Sequence[tuple]) -> tuple[Report, ...]:
-    """Reports from (valuation, flexibility) pairs, arrival-indexed from 1."""
-    return tuple(Report(float(v), int(b), i + 1) for i, (v, b) in enumerate(pairs))
-
-
-def _check_reports(reports: Sequence[Report], k: int) -> None:
-    if [r.arrival_index for r in reports] != list(range(1, len(reports) + 1)):
-        raise ValueError("arrival indices must be contiguous from 1")
-    if any(not 1 <= r.flexibility <= k for r in reports):
-        raise ValueError(f"flexibility levels must lie in 1..{k}")
+    """Reports from (valuation, flexibility) pairs, in arrival order."""
+    return tuple(Report(float(v), int(b)) for v, b in pairs)
 
 
 class AllocationResult(NamedTuple):
@@ -110,22 +104,24 @@ class Mechanism:
         for row, r in enumerate(reports):
             w = float(self.cfg.virtual_values[t - 1, r.flexibility - 1,
                                               self.cfg.grid.index_of(r.valuation)])
-            per_level[r.flexibility - 1].append((-w, r.arrival_index, row, w))
+            per_level[r.flexibility - 1].append((-w, row, w))
         for bucket in per_level:
             bucket.sort()
         summary = SortedReportSummary.presorted(
-            tuple(tuple(item[3] for item in b) for b in per_level))
-        return summary, [[item[2] for item in b] for b in per_level]
+            tuple(tuple(item[2] for item in b) for b in per_level))
+        return summary, [[item[1] for item in b] for b in per_level]
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
         """Optimal allocation matrix for one period."""
         if not 1 <= t <= self.cfg.horizon:
             raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
         y = tuple(y)
-        _check_reports(reports, self.cfg.varieties)
+        k = self.cfg.varieties
+        if any(not 1 <= r.flexibility <= k for r in reports):
+            raise ValueError(f"flexibility levels must lie in 1..{k}")
         if y not in self.tables.values[t]:
             raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
-        key = (t, y, tuple((r.valuation, r.flexibility) for r in reports))
+        key = (t, y, tuple(reports))
         got = self._alloc_memo.get(key)
         if got is not None:
             return got
@@ -134,7 +130,6 @@ class Mechanism:
             self._alloc_memo.clear()
         summary, ranked = self._ranked_rows(t, reports)
         res = stage_value(t, summary, y, self.tables.continuation_fn(t))
-        k = self.cfg.varieties
         goods = [j + 1 for j in range(k) for _ in range(res.v_star[j])]
         matrix = np.zeros((len(reports), k), dtype=np.int8)
         pos = 0
@@ -163,12 +158,12 @@ class Mechanism:
         pays the reserve (the supremum over an empty set); one that never
         wins gets the NOT_SERVED sentinel.
         """
-        y = tuple(y)
+        y, others = tuple(y), tuple(others)
         n = len(others) + 1
         probe_index = n if probe_index is None else probe_index
         if not 1 <= probe_index <= n:
             raise ValueError(f"probe slot must lie in 1..{n}")
-        key = (t, y, j, probe_index, tuple((r.valuation, r.flexibility) for r in others))
+        key = (t, y, j, probe_index, others)
         if key in self._threshold_memo:
             return self._threshold_memo[key]
 
@@ -179,13 +174,11 @@ class Mechanism:
         grid = self.cfg.grid
         reserve_idx = grid.index_of(reserve)
 
-        pairs = [(r.valuation, r.flexibility) for r in others]
+        before, after = others[:probe_index - 1], others[probe_index - 1:]
         result = NOT_SERVED
         for idx in range(reserve_idx, grid.size):
-            probe_pairs = list(pairs)
-            probe_pairs.insert(probe_index - 1, (float(grid.points[idx]), j))
-            alloc = self.allocate(t, make_reports(probe_pairs), y)
-            if alloc.matrix[probe_index - 1].any():
+            reports = (*before, Report(float(grid.points[idx]), j), *after)
+            if self.allocate(t, reports, y).matrix[probe_index - 1].any():
                 result = float(grid.points[max(idx - 1, reserve_idx)])
                 break
         self._threshold_memo[key] = result
@@ -211,7 +204,7 @@ class Mechanism:
         tau = self.payment_threshold(t, others, r.flexibility, y, probe_index=row + 1)
         if tau is NOT_SERVED:
             raise InconsistentAllocation(
-                f"consumer {r.arrival_index} is served but wins at no grid point"
+                f"consumer {row + 1} is served but wins at no grid point"
             )
         if tau > r.valuation + 1e-12:
             raise InconsistentAllocation(
@@ -239,10 +232,9 @@ class Mechanism:
         y = tuple(y)
         alloc = self.allocate(t, reports, y)
         pays = self.payments(t, reports, y, alloc)
-        spent = tuple(int(c) for c in alloc.matrix.sum(axis=0))
-        left = tuple(a - b for a, b in zip(y, spent))
+        left = tuple(a - b for a, b in zip(y, alloc.v_star))
         if any(c < 0 for c in left):
-            raise NegativeSupply(f"allocation spent {spent} from supply {y}")
+            raise NegativeSupply(f"allocation spent {alloc.v_star} from supply {y}")
         outcome = MechanismOutcome(
             allocation=alloc.matrix, payments=pays,
             u_star=alloc.u_star, v_star=alloc.v_star, next_supply=left,
@@ -273,8 +265,7 @@ class Mechanism:
         for s in range(1, t):
             n = self.sample_arrival_count(rng, s)
             reports = make_reports([self.sample_type(rng, s) for _ in range(n)])
-            alloc = self.allocate(s, reports, y)
-            spent = tuple(int(c) for c in alloc.matrix.sum(axis=0))
+            spent = self.allocate(s, reports, y).v_star
             x_next = self.sample_supply_arrivals(rng, s + 1)
             y = tuple(a - b + c for a, b, c in zip(y, spent, x_next))
         return y

@@ -471,7 +471,13 @@ def _count_vectors(k: int, n_max: int) -> list[tuple]:
 
 
 def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> list[CheckResult]:
-    """Run every oracle check on one instance; returns one result per check."""
+    """Run every oracle check on one instance; returns one result per check.
+
+    Walks each (counts, y) pair once, y over every table state: the feasible
+    matrices, service and variety sets and every period-independent check are
+    built once; v* optimality and chain monotonicity, which read the
+    continuation, run once per period whose states contain y.
+    """
     results: list[CheckResult] = []
     tables = dp.build_value_tables(cfg)
     brute = build_brute_tables(cfg, matrix_budget=matrix_budget)
@@ -489,71 +495,63 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
     results.append(CheckResult("master_equivalence", seed, equal, worst))
 
     all_states = sorted({y for states in tables.states.values() for y in states})
-    counts_family = _count_vectors(k, cfg.arrivals.n_max)
-
-    # service/variety set projections against full matrix enumeration
-    svc_ok = var_ok = True
-    for counts in counts_family:
+    conts = {t: tables.continuation_fn(t) for t in range(1, cfg.horizon + 1)}
+    svc_ok = var_ok = vs_ok = chain_ok = constructive_ok = True
+    worst = 0.0
+    for counts in _count_vectors(k, cfg.arrivals.n_max):
         flexibilities = [lvl + 1 for lvl, c in enumerate(counts) for _ in range(c)]
         for y in all_states:
-            matrices = enumerate_feasible_matrices(flexibilities, y, budget=matrix_budget)
-            projected = {service_of(m, flexibilities, k) for m in matrices}
-            if projected != set(feasible_service_set(counts, y)):
+            # service/variety set projections against full matrix enumeration
+            by_service: dict[tuple, set] = {}
+            for m in enumerate_feasible_matrices(flexibilities, y, budget=matrix_budget):
+                by_service.setdefault(service_of(m, flexibilities, k), set()).add(varieties_of(m, k))
+            services = feasible_service_set(counts, y)
+            if set(by_service) != set(services):
                 svc_ok = False
-            for u in feasible_service_set(counts, y):
-                via_matrices = {
-                    varieties_of(m, k) for m in matrices if service_of(m, flexibilities, k) == u
-                }
-                if via_matrices != set(feasible_variety_set(u, y)):
+            for u in services:
+                left = {v: tuple(a - b for a, b in zip(y, v)) for v in feasible_variety_set(u, y)}
+                if by_service.get(u, set()) != set(left):
                     var_ok = False
-    results.append(CheckResult("service_set_projection", seed, svc_ok))
-    results.append(CheckResult("variety_set_projection", seed, var_ok))
-
-    # variety recursion: membership plus exact optimality under the built tables
-    # (dp.vstar looked up dynamically: it is the unit under audit here)
-    vs_ok = True
-    worst = 0.0
-    chain_ok = True
-    constructive_ok = True
-    for t in range(1, cfg.horizon + 1):
-        cont = tables.continuation_fn(t)
-        for y in tables.states[t]:
-            for counts in counts_family:
-                for u in feasible_service_set(counts, y):
-                    vset = feasible_variety_set(u, y)
+                # variety recursion: membership, then exact optimality under the
+                # built tables (dp.vstar looked up dynamically: it is the unit under audit)
+                try:
+                    v_opt = dp.vstar(u, y)
+                except InfeasibleU:
+                    vs_ok = False
+                    continue
+                if v_opt not in left:
+                    vs_ok = False
+                    continue
+                chains = []
+                for v in left:
                     try:
-                        v_opt = dp.vstar(u, y)
-                    except InfeasibleU:
-                        vs_ok = False
+                        chain = transform_chain(v, u, y)
+                    except (InfeasibleU, NotApplicable, AssertionError):
+                        chain_ok = False
                         continue
-                    if v_opt not in vset:
-                        vs_ok = False
+                    if (chain[-1] != v_opt or len(chain) - 1 > sum(y)
+                            or not set(chain) <= left.keys()):
+                        chain_ok = False
+                    else:
+                        chains.append(chain)
+                mat = constructive_allocation(u, counts, y)
+                if service_of(mat, flexibilities, k) != u:
+                    constructive_ok = False
+                if any(a > b for a, b in zip(varieties_of(mat, k), y)):
+                    constructive_ok = False
+                for t, cont in conts.items():
+                    if y not in tables.values[t]:
                         continue
-                    remainders = [tuple(a - b for a, b in zip(y, v)) for v in vset]
-                    conts = [cont(m) for m in remainders]
-                    got = cont(tuple(a - b for a, b in zip(y, v_opt)))
-                    if got != max(conts):
+                    best, got = max(cont(m) for m in left.values()), cont(left[v_opt])
+                    if got != best:
                         vs_ok = False
-                        worst = max(worst, abs(max(conts) - got))
-                    for v in vset:
-                        try:
-                            chain = transform_chain(v, u, y)
-                        except (InfeasibleU, NotApplicable, AssertionError):
-                            chain_ok = False
-                            continue
-                        if chain[-1] != v_opt or len(chain) - 1 > sum(y):
-                            chain_ok = False
-                        seen = [cont(tuple(a - b for a, b in zip(y, step))) for step in chain]
+                        worst = max(worst, abs(best - got))
+                    for chain in chains:
+                        seen = [cont(left[step]) for step in chain]
                         if any(b < a for a, b in zip(seen, seen[1:])):
                             chain_ok = False
-                        if any(step not in vset for step in chain):
-                            chain_ok = False
-                    mat = constructive_allocation(u, counts, y)
-                    flexibilities = [lvl + 1 for lvl, c in enumerate(counts) for _ in range(c)]
-                    if service_of(mat, flexibilities, k) != u:
-                        constructive_ok = False
-                    if any(a > b for a, b in zip(varieties_of(mat, k), y)):
-                        constructive_ok = False
+    results.append(CheckResult("service_set_projection", seed, svc_ok))
+    results.append(CheckResult("variety_set_projection", seed, var_ok))
     results.append(CheckResult("vstar_optimality", seed, vs_ok, worst))
     results.append(CheckResult("transform_chain", seed, chain_ok))
     results.append(CheckResult("constructive_allocation", seed, constructive_ok))

@@ -47,7 +47,6 @@ class PeriodRecord:
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    seed: object
     periods: tuple
     total_revenue: float
     total_virtual_surplus: float
@@ -75,7 +74,6 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(
-        seed=None,
         periods=tuple(periods),
         total_revenue=math.fsum(payments),
         total_virtual_surplus=math.fsum(surplus),
@@ -87,9 +85,7 @@ def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
     """One truthful market episode, deterministic in the seed."""
     tables.check_config(cfg)
     mech = mech or Mechanism(tables)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    trace = _run_episode(mech, rng)
-    return EpisodeTrace(seed, trace.periods, trace.total_revenue, trace.total_virtual_surplus)
+    return _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed])))
 
 
 def run_episodes(mech: Mechanism, replications: int, seed: int):
@@ -270,6 +266,12 @@ def _env_stats(per_env_values: list[tuple[float, float]],
     return mean, math.sqrt(var / replications)
 
 
+def _check_slot(n_t: int, slot: int) -> None:
+    """Raise unless `slot` names one of n_t >= 1 arrivals; run before any law is drawn."""
+    if n_t < 1 or not 1 <= slot <= n_t:
+        raise ValueError(f"probe slot {slot} must lie in 1..n_t with n_t >= 1 (n_t = {n_t})")
+
+
 def _sampled_law(mech: Mechanism, t: int, n_t: int, replications: int, seed: int) -> list:
     """The environments of `Mechanism.sample_environments` as (count, environment)
     rows, one per distinct environment."""
@@ -336,8 +338,7 @@ def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int,
     enumeration), and otherwise over the seeded environments the audits use.
     """
     tables.check_config(cfg)
-    if not 1 <= i <= n_t:
-        raise ValueError("probe slot must lie in 1..n_t")
+    _check_slot(n_t, i)
     mech = mech or Mechanism(tables)
     report = (float(report[0]), int(report[1]))
     law = _exact_law(cfg, n_t) if t == 1 else None
@@ -359,6 +360,9 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     (r, c) with c <= b over the probe's misreport values.
     """
     tables.check_config(cfg)
+    _check_slot(probe.n_t, probe.slot)
+    if not probe.true_types or not probe.deviation_values:
+        raise ValueError("a BIC probe needs at least one true type and one deviation value")
     mech = mech or Mechanism(tables)
     law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)
     reports = []  # in the order the entries below read them
@@ -390,6 +394,10 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
     mech = mech or Mechanism(tables)
     if probes is None:
         probes = [AuditProbe.default(cfg, t) for t in range(1, cfg.horizon + 1)]
+    if not probes or not all(probe.true_types for probe in probes):
+        raise ValueError("an IR audit needs at least one probe, each with a true type")
+    for probe in probes:
+        _check_slot(probe.n_t, probe.slot)
     report = AuditReport(kind="ir", replications=replications, seed=seed)
     for probe in probes:
         law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)

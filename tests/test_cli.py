@@ -47,7 +47,7 @@ def test_validate_regularity_failure(tmp_path, capsys):
 
 def test_validate_truncated_file(tmp_path, config_file):
     broken = tmp_path / "broken.json"
-    broken.write_text(open(config_file).read()[:50])
+    broken.write_text(Path(config_file).read_text()[:50])
     assert main(["validate", "--config", str(broken)]) == 3
 
 
@@ -229,7 +229,7 @@ def test_example_reproduces_reported_numbers(capsys):
 
 def _truncated_copy(cache_file, tmp_path):
     path = tmp_path / "truncated.bin"
-    path.write_bytes(open(cache_file, "rb").read()[:-7])
+    path.write_bytes(Path(cache_file).read_bytes()[:-7])
     return str(path)
 
 

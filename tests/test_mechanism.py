@@ -247,6 +247,15 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
         m.cfg, m.tables, 2, 0, probes=[simulate.AuditProbe.default(m.cfg, 3)]), ValueError),
     "interim-period-T+1": (lambda m: simulate.interim_quantities(
         m.cfg, m.tables, 3, 1, 1, (0.5, 1)), ValueError),
+    # valuation 0 is never served, so only an up-front check can reject slot 0
+    "bic-audit-slot-0": (lambda m: simulate.bic_audit(m.cfg, m.tables, simulate.AuditProbe(
+        t=1, true_types=((0.0, 1),), deviation_values=(0.0,), slot=0), 2, 0), ValueError),
+    "ir-audit-slot-n+1": (lambda m: simulate.ir_audit(m.cfg, m.tables, 2, 0, probes=[
+        simulate.AuditProbe(t=1, true_types=((0.5, 1),), deviation_values=(), n_t=2, slot=3)]),
+        ValueError),
+    "ir-audit-no-arrivals": (lambda m: simulate.ir_audit(m.cfg, m.tables, 2, 0, probes=[
+        simulate.AuditProbe(t=1, true_types=((0.5, 1),), deviation_values=(), n_t=0)]),
+        ValueError),
     "probe-slot-0": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),
                                                    probe_index=0), ValueError),
     "probe-slot-n+1": (lambda m: m.payment_threshold(1, make_reports([(0.5, 1)]), 1, (1, 1),

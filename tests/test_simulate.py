@@ -276,6 +276,25 @@ def test_sampled_interim_requires_replications(small_cfg, small_tables, replicat
                                     replications=replications)
 
 
+_EMPTY_AUDITS = {  # each would report no entries, whose worst gain / min utility is undefined
+    "ir-no-probes": lambda cfg, tables: simulate.ir_audit(cfg, tables, 2, 0, probes=[]),
+    "bic-no-true-types": lambda cfg, tables: simulate.bic_audit(
+        cfg, tables, AuditProbe(t=1, true_types=(), deviation_values=(0.5,)), 2, 0),
+    "bic-no-deviations": lambda cfg, tables: simulate.bic_audit(
+        cfg, tables, AuditProbe(t=1, true_types=((0.5, 1),), deviation_values=()), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_AUDITS))
+def test_empty_audit_rejected_before_sampling(small_cfg, small_tables, monkeypatch, case):
+    def no_draws(*args):
+        raise AssertionError("drew environments for an empty audit")
+
+    monkeypatch.setattr(Mechanism, "sample_environments", no_draws)
+    with pytest.raises(ValueError):
+        _EMPTY_AUDITS[case](small_cfg, small_tables)
+
+
 def test_each_report_evaluated_once_per_environment(small_cfg, small_tables, monkeypatch):
     """Audits and sampled interim quantities probe every distinct report once
     per distinct environment, however many true types or replications share it."""
