@@ -311,12 +311,15 @@ def transform_T(
     Picks the highest variety j still under-spent relative to v*, then the
     highest variety i < j with a good to give back; increments v^j and
     decrements v^i. The result stays feasible for (u, y) and the remaining
-    supply it leaves behind is weakly better ordered.
+    supply it leaves behind is weakly better ordered. Raises NotApplicable
+    when no variety is under-spent: v equals v*, or overshoots it.
     """
     v, v_star = tuple(v), tuple(v_star)
     if v == v_star:
         raise NotApplicable("vector already equals the recursion's optimum")
-    j = max(idx for idx in range(len(v)) if v[idx] < v_star[idx])
+    j = max((idx for idx in range(len(v)) if v[idx] < v_star[idx]), default=None)
+    if j is None:
+        raise NotApplicable(f"{v} is nowhere below the recursion's optimum {v_star}")
     candidates = [idx for idx in range(j) if v[idx] > 0]
     if not candidates:
         raise InfeasibleU(f"no donor variety below {j + 1}; {v} is not feasible for ({u}, {y})")

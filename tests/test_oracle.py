@@ -79,6 +79,8 @@ def test_constructive_rejects_infeasible():
 def test_transform_examples():
     with pytest.raises(NotApplicable):
         transform_T((1, 1), (1, 1), (0, 2), (1, 1))
+    with pytest.raises(NotApplicable):  # overshoots v* in variety 1
+        transform_T((2, 1), (1, 1), (0, 2), (2, 1))
     assert transform_T((1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 1, 1)) == (1, 0, 1)
 
 
@@ -202,6 +204,14 @@ def _stall(real):
     return broken
 
 
+def _overshoot(real):
+    def broken(v, v_star, u, y):
+        out = list(real(v, v_star, u, y))
+        out[0] += 1  # one extra good in variety 1
+        return tuple(out)
+    return broken
+
+
 def _serve_one_fewer(real):
     def broken(u, counts, y):
         choices = list(real(u, counts, y))
@@ -216,6 +226,7 @@ def _serve_one_fewer(real):
     ("feasible_service_set", _drop_last, "service_set_projection"),
     ("feasible_variety_set", _drop_last, "variety_set_projection"),
     ("transform_T", _stall, "transform_chain"),
+    ("transform_T", _overshoot, "transform_chain"),
     ("constructive_allocation", _serve_one_fewer, "constructive_allocation"),
 ])
 def test_verify_catches_injected_oracle_bug(monkeypatch, target, mutate, check):
@@ -246,17 +257,37 @@ def _exact_builds(cfg):
     )
 
 
+def _k3_market(horizon: int, points: int):
+    """k=3 market with up to three arrivals and two goods per variety per draw."""
+    return config_io.parse_config({
+        "horizon": horizon, "varieties": 3,
+        "grid": {"min": 0.0, "max": 1.0, "points": points},
+        "arrivals": [[0.25] * 4] * horizon,
+        "supply": [[[1 / 3] * 3] * 3] * horizon,
+        "types": {"family": "truncated_exponential", "alpha": [1.0, 2.0, 3.0]},
+    })
+
+
+def _assert_matches_reference(tables, stage_fn):
+    cfg = tables.config
+    for t in range(1, cfg.horizon + 1):
+        cont = tables.continuation_fn(t)
+        for y in tables.states[t]:
+            ref = oracle.reference_expected_stage(cfg, t, y, cont, stage_fn)
+            assert tables.values[t][y].hex() == ref.hex(), (tables.backend, t, y)
+
+
 def test_exact_tables_match_reference_expectation(small_cfg):
     """The memoised exact backend equals the plain ordered enumeration bit for bit,
-    for the optimal, brute-force and myopic stages alike."""
+    for the optimal, brute-force and myopic stages alike, on the family; for the
+    optimal stage also on the worked example over three periods and on a k=3
+    market of up to three arrivals, where most states clip the reports."""
     cfgs = [small_cfg] + [random_instance(i, master_seed=0) for i in range(20)]
     for cfg in cfgs:
         for tables, stage_fn in _exact_builds(cfg):
-            for t in range(1, cfg.horizon + 1):
-                cont = tables.continuation_fn(t)
-                for y in tables.states[t]:
-                    ref = oracle.reference_expected_stage(cfg, t, y, cont, stage_fn)
-                    assert tables.values[t][y] == ref, (tables.backend, t, y)
+            _assert_matches_reference(tables, stage_fn)
+    for cfg in (fm.build_example_config((2.0, 3.0), 0.5, 3, 41), _k3_market(horizon=2, points=3)):
+        _assert_matches_reference(dp.build_value_tables(cfg), dp._optimal_stage)
 
 
 # -- threshold-form stage against the enumerating reference ------------------------
@@ -288,21 +319,12 @@ def test_stage_matches_reference_on_family():
 def test_stage_matches_reference_beyond_family():
     """Inputs the family never reaches: non-monotone Monte Carlo tables, and an
     exact k=3 market with two goods per variety per draw and three arrivals."""
-    doc = {
-        "horizon": 3, "varieties": 3,
-        "grid": {"min": 0.0, "max": 1.0, "points": 201},
-        "arrivals": [[0.25] * 4] * 3,
-        "supply": [[[1 / 3] * 3] * 3] * 3,
-        "types": {"family": "truncated_exponential", "alpha": [1.0, 2.0, 3.0]},
-    }
     calls = []
-    dp.build_value_tables(config_io.parse_config(doc), backend="mc", samples=20, seed=1,
+    dp.build_value_tables(_k3_market(horizon=3, points=201), backend="mc", samples=20, seed=1,
                           stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
-    doc.update(horizon=2, grid={"min": 0.0, "max": 1.0, "points": 3},
-               arrivals=[[0.25] * 4] * 2, supply=[[[1 / 3] * 3] * 3] * 2)
     calls.clear()
-    dp.build_value_tables(config_io.parse_config(doc), stage_fn=_checked_stage(calls))
+    dp.build_value_tables(_k3_market(horizon=2, points=3), stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
 
 
