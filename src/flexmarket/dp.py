@@ -13,13 +13,17 @@ A stage sees the reports only through their *servable summary*: per level
 j, the top ``y_1 + ... + y_j`` virtual values, best first, the most reports of
 that level any rule can serve from y. Exact expectations enumerate ordered
 consumer profiles in lexicographic (level, grid index) order with compensated
-accumulation, which makes table values reproducible bit for bit, and solve the
-stage once per distinct summary and state. Every profile still adds its own
-probability times that shared value in the same order, so the memo moves no
-bit of any table (``oracle.reference_expected_stage`` is the unmemoised
-reference). Per-profile sums use ``math.fsum`` (correctly rounded), so two
-pipelines that agree on the served multiset and continuation value produce
-identical floats.
+accumulation, which makes table values reproducible bit for bit. The report
+law does not depend on the supply state, so each period's profiles are
+enumerated once for the whole layer: one walk records every profile's
+probability and multiset, and every state of the layer reads those columns,
+solves the stage once per distinct summary and adds each profile's
+probability times that shared value in the same summation order. Neither the
+memo nor the shared walk moves a bit of any table
+(``oracle.reference_expected_stage``, one unmemoised enumeration per state,
+is the reference). Per-profile sums use ``math.fsum`` (correctly rounded), so
+two pipelines that agree on the served multiset and continuation value
+produce identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
@@ -37,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -49,6 +54,10 @@ Vector = tuple  # length-k tuples of non-negative ints (supply / service / varie
 
 _MAGIC = b"FMTABLE1"
 _VERSION = 1
+# Ordered report profiles the exact backend may enumerate in one period. It
+# holds one period's profile columns at a time, 12 bytes per profile (a
+# float64 weight and a uint32 multiset index), so at most 120 MB at this
+# default, plus one rank tuple and one shared summary per distinct multiset.
 DEFAULT_PROFILE_BUDGET = 10_000_000
 
 
@@ -103,7 +112,7 @@ def vstar(u: Sequence[int], y: Sequence[int]) -> Vector:
 # Stage optimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortedReportSummary:
     """Per-level arrival counts plus non-increasing virtual-valuation lists."""
 
@@ -120,7 +129,8 @@ class SortedReportSummary:
     def presorted(cls, w_sorted: tuple) -> "SortedReportSummary":
         """Summary of per-level w tuples the caller has already sorted, unchecked."""
         summary = object.__new__(cls)
-        summary.__dict__.update(counts=tuple(map(len, w_sorted)), w_sorted=w_sorted)
+        object.__setattr__(summary, "counts", tuple(map(len, w_sorted)))
+        object.__setattr__(summary, "w_sorted", w_sorted)
         return summary
 
     @classmethod
@@ -172,12 +182,14 @@ def stage_value(
         for j in range(k - 1, -1, -1):
             if u[j] == len(w_sorted[j]):
                 continue
-            i = next((i for i in range(j, -1, -1) if m[i]), None)
-            if i is None:
+            i = j
+            while i >= 0 and not m[i]:
+                i -= 1
+            if i < 0:
                 break  # no good left that level j, or any lower level, accepts
             m[i] -= 1
             w = w_sorted[j][u[j]]
-            candidate = math.fsum([*served, w, cont(tuple(m))])
+            candidate = math.fsum((*served, w, cont(tuple(m))))
             m[i] += 1
             if candidate > value:
                 value, best = candidate, (j, i, w)
@@ -353,20 +365,24 @@ def _servable(key: tuple, level_of: list, reach: list) -> tuple:
     return tuple(out)
 
 
-def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
-    """Expected stage value over ordered profiles, one stage call per servable summary.
+def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
+    """C_t(y) for every state y of period t, from one walk over the ordered profiles.
 
-    Profiles and their weights are summed in the same order as a plain
-    enumeration would (see `oracle.reference_expected_stage`); only the stage
-    value is looked up. Its key is the profile's sorted rank tuple clipped to
-    the servable reports: per level j, the top ``y_1 + ... + y_j`` by virtual
-    value. On a miss the key is grouped, in rank order, into the summary the
-    stage receives.
+    The walk records, per ordered profile in enumeration order, its weight
+    ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and the index
+    of its sorted rank tuple among the distinct multisets; these two columns
+    take 12 bytes per profile and live for this call only. Per state,
+    each multiset is clipped to the servable reports (per level j, the top
+    ``y_1 + ... + y_j`` by virtual value), the stage is solved once per
+    distinct clipped key, and every profile adds its weight times its key's
+    value with a compensated update, in enumeration order: the same
+    products, the same stage values and the same sum as
+    `oracle.reference_expected_stage`, bit for bit. Clipped summaries are
+    frozen, so every state of the layer shares them.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
     k = cfg.varieties
-    reach = list(itertools.accumulate(y))
     # rank order: by level, then non-increasing w, so a sorted rank tuple
     # lists each level's reports best first
     order = sorted(range(len(atoms)), key=lambda a: (atoms[a][0], -atoms[a][3], a))
@@ -376,29 +392,54 @@ def _expected_stage_exact(cfg, t, y, cont, stage_fn) -> float:
     level_of = [atoms[a][0] - 1 for a in order]
     w_of = [atoms[a][3] for a in order]
     probs = [p for _b, _i, p, _w in atoms]
-    memo: dict[tuple, float] = {}
-    acc = KahanSum()
+    weights = array("d")
+    slots = array("I")
+    multisets: list[tuple] = []   # distinct sorted rank tuples, first seen first
+    slot_of: dict[tuple, int] = {}
     for n in range(len(lam)):
         lam_n = float(lam[n])
         if lam_n == 0.0:
             continue
-        clip = n > reach[0]  # otherwise every level can serve all n reports
         for profile in itertools.product(range(len(atoms)), repeat=n):
             prob = lam_n
             for a in profile:
                 prob *= probs[a]
             key = tuple(sorted([rank[a] for a in profile]))
-            if clip:
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(multisets)
+                multisets.append(key)
+            weights.append(prob)
+            slots.append(slot)
+    del slot_of
+    summaries: dict[tuple, SortedReportSummary] = {}
+    layer = {}
+    for y in states:
+        reach = list(itertools.accumulate(y))
+        memo: dict[tuple, float] = {}
+        values = []
+        for key in multisets:
+            if len(key) > reach[0]:  # otherwise every level can serve every report
                 key = _servable(key, level_of, reach)
             value = memo.get(key)
             if value is None:
-                per_level: list[list[float]] = [[] for _ in range(k)]
-                for r in key:
-                    per_level[level_of[r]].append(w_of[r])
-                summary = SortedReportSummary.presorted(tuple(map(tuple, per_level)))
+                summary = summaries.get(key)
+                if summary is None:
+                    per_level: list[list[float]] = [[] for _ in range(k)]
+                    for r in key:
+                        per_level[level_of[r]].append(w_of[r])
+                    summary = summaries[key] = SortedReportSummary.presorted(
+                        tuple(map(tuple, per_level)))
                 value = memo[key] = stage_fn(t, summary, y, cont)
-            acc.add(prob * value)
-    return acc.total
+            values.append(value)
+        total = comp = 0.0  # KahanSum.add, inlined
+        for prob, slot in zip(weights, slots):
+            x = prob * values[slot] - comp
+            acc = total + x
+            comp = (acc - total) - x
+            total = acc
+        layer[y] = total
+    return layer
 
 
 def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, float]:
@@ -427,13 +468,14 @@ def build_value_tables(
     """Backward induction over every reachable supply vector.
 
     The exact backend enumerates all (arrival count, type profile)
-    combinations per table entry, in order, and refuses instances whose
-    per-entry enumeration exceeds `profile_budget`; it calls the stage once
-    per distinct servable multiset and state and reuses that value for every
-    profile sharing it. The Monte Carlo backend averages `samples` seeded
-    draws per entry, with an independent substream per (period, state) so
-    results do not depend on evaluation order, and records each entry's
-    standard error.
+    combinations once per period, in order, and refuses instances whose
+    per-period enumeration exceeds `profile_budget`. Every state of the layer
+    reads that one enumeration in the same summation order; it calls the
+    stage once per distinct servable multiset and state and reuses that
+    value for every profile sharing it. The Monte Carlo backend averages
+    `samples` seeded draws per entry, with an independent substream per
+    (period, state) so results do not depend on evaluation order, and
+    records each entry's standard error.
 
     `stage_fn(t, summary, y, cont)` computes one period value from the
     reports' `SortedReportSummary`; the default is the optimal service-vector
@@ -458,7 +500,7 @@ def build_value_tables(
             count = exact_profile_count(cfg, t)
             if count > profile_budget:
                 raise StateSpaceTooLarge(
-                    f"exact backend would evaluate {count} profiles per entry at t={t} "
+                    f"exact backend would enumerate {count} profiles at t={t} "
                     f"(budget {profile_budget})"
                 )
 
@@ -473,12 +515,12 @@ def build_value_tables(
     )
     for t in range(T, 0, -1):
         cont = tables.continuation_fn(t)
-        layer_vals, layer_errs = {}, {}
-        for idx, y in enumerate(states[t]):
-            if backend == "exact":
-                layer_vals[y] = _expected_stage_exact(cfg, t, y, cont, stage_fn)
-                layer_errs[y] = 0.0
-            else:
+        if backend == "exact":
+            layer_vals = _expected_layer_exact(cfg, t, states[t], cont, stage_fn)
+            layer_errs = dict.fromkeys(states[t], 0.0)
+        else:
+            layer_vals, layer_errs = {}, {}
+            for idx, y in enumerate(states[t]):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
                 layer_vals[y], layer_errs[y] = _sampled_stage(
                     cfg, t, y, cont, stage_fn, rng, samples

@@ -196,12 +196,13 @@ def _brute_stage(t, summary: dp.SortedReportSummary, y, cont, budget=DEFAULT_MAT
 def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BUDGET, **kwargs) -> ValueTables:
     """Value tables from the unsimplified full-matrix recursion.
 
-    Shares the profile enumeration, the per-servable-multiset stage memo and
-    the accumulation of the solver build, so any difference from the
-    solver's tables is a stage-maximization bug. The memo is exact here too:
-    a level-j consumer only takes varieties 1..j, so swapping a served report
-    for a better unserved one of its level keeps the goods spent and cannot
-    lower the correctly rounded sum.
+    Shares the solver build's profile enumeration (one per period, read by
+    every state of the layer in the same summation order), its
+    per-servable-multiset stage memo and its accumulation, so any difference
+    from the solver's tables is a stage-maximization bug. The memo is exact
+    here too: a level-j consumer only takes varieties 1..j, so swapping a
+    served report for a better unserved one of its level keeps the goods
+    spent and cannot lower the correctly rounded sum.
     """
     def stage(t, summary, y, cont):
         return _brute_stage(t, summary, y, cont, budget=matrix_budget)
@@ -241,10 +242,11 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
     """Report-set expectation of one stage, calling `stage_fn` on every ordered profile.
 
     The slow path behind the exact backend: the same profiles, products and
-    compensated sum as `build_value_tables`, without its per-multiset memo.
-    Each stage gets the whole profile's summary, not clipped to the servable
-    reports, so this also checks the clipping: an exact table entry must
-    equal this value bit for bit.
+    compensated sum as `build_value_tables`, but enumerated afresh for this
+    one state rather than once per period for the whole layer, and without
+    its per-multiset memo. Each stage gets the whole profile's summary, not
+    clipped to the servable reports, so this also checks the clipping and the
+    shared enumeration: an exact table entry must equal this value bit for bit.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
@@ -315,8 +317,6 @@ def transform_T(
     when no variety is under-spent: v equals v*, or overshoots it.
     """
     v, v_star = tuple(v), tuple(v_star)
-    if v == v_star:
-        raise NotApplicable("vector already equals the recursion's optimum")
     j = max((idx for idx in range(len(v)) if v[idx] < v_star[idx]), default=None)
     if j is None:
         raise NotApplicable(f"{v} is nowhere below the recursion's optimum {v_star}")
