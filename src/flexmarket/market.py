@@ -65,17 +65,31 @@ class ValuationGrid:
     def step(self) -> float:
         return (self.theta_max - self.theta_min) / (self.size - 1)
 
+    @cached_property
+    def point_list(self) -> list:
+        """The grid points as Python floats (the same floats `float` reads off
+        `points`), for scalar code that would otherwise index numpy per call."""
+        return self.points.tolist()
+
+    def _nearest(self, x: float) -> int:
+        """Index of the grid point nearest x, clamped to the grid; ties round
+        half to even, as `np.rint` does."""
+        pos = (x - self.theta_min) / self.step
+        if pos != pos:  # NaN
+            raise OffGridValue(f"{x} is not a grid point")
+        return round(min(max(pos, 0.0), self.size - 1.0))
+
     def index_of(self, x: float) -> int:
         """Index of grid point x; raises OffGridValue for values not on the grid."""
-        i = int(np.clip(np.rint((x - self.theta_min) / self.step), 0, self.size - 1))
-        if abs(self.points[i] - x) > 1e-9 * max(1.0, abs(self.step)):
-            raise OffGridValue(f"{x} is not a grid point (nearest: {self.points[i]})")
+        i = self._nearest(x)
+        p = self.point_list[i]
+        if abs(p - x) > 1e-9 * max(1.0, abs(self.step)):
+            raise OffGridValue(f"{x} is not a grid point (nearest: {p})")
         return i
 
     def snap(self, x: float) -> float:
-        """Nearest grid value to x (clamped to the grid range)."""
-        i = int(np.clip(np.rint((x - self.theta_min) / self.step), 0, self.size - 1))
-        return float(self.points[i])
+        """Nearest grid value to x (clamped to the grid range); NaN raises OffGridValue."""
+        return self.point_list[self._nearest(x)]
 
 @dataclass(frozen=True)
 class TypeDistribution:
@@ -182,6 +196,12 @@ class MarketConfig:
             w = self.grid.points - one_minus / self.types.pdf
         w = np.where(one_minus == 0.0, self.grid.points, w)
         return _readonly(w)
+
+    @cached_property
+    def virtual_value_lists(self) -> list:
+        """`virtual_values` as nested lists of Python floats, ``[t-1][b-1][i]``,
+        for per-report lookups."""
+        return self.virtual_values.tolist()
 
     @cached_property
     def fingerprint(self) -> str:

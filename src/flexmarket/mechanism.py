@@ -18,6 +18,7 @@ live in `simulate`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,6 +32,10 @@ from .errors import (
     TableMismatch,
 )
 from .market import MarketConfig, reserve_price
+
+# Entries the allocation memo and the threshold memo may each hold; a memo
+# that is full is cleared before its next entry goes in.
+MEMO_BOUND = 500_000
 
 
 class _NotServed:
@@ -58,6 +63,13 @@ def make_reports(pairs: Sequence[tuple]) -> tuple[Report, ...]:
     return tuple(Report(float(v), int(b)) for v, b in pairs)
 
 
+def _variety_of(matrix: np.ndarray, row: int) -> int:
+    """1-based variety in one row of an allocation matrix, 0 if unserved. The
+    row is read as a Python list, which costs a fraction of a numpy call."""
+    cells = matrix[row].tolist()
+    return cells.index(1) + 1 if 1 in cells else 0
+
+
 class AllocationResult(NamedTuple):
     matrix: np.ndarray     # n x k binary
     u_star: tuple
@@ -76,17 +88,21 @@ class MechanismOutcome:
 
     def variety_received(self, row: int) -> int:
         """1-based variety given to a consumer row, 0 if unserved."""
-        hits = np.flatnonzero(self.allocation[row])
-        return int(hits[0]) + 1 if len(hits) else 0
+        return _variety_of(self.allocation, row)
 
 
 class Mechanism:
-    """Session over one config/table pair with memoized allocation decisions.
+    """Session over one config/table pair with memoized decisions and laws.
 
     Ties between equal virtual valuations go to the lowest arrival index, so
     allocations and thresholds are pure functions of their inputs and are
     memoized; the critical-value payments rely on this, since the threshold
-    scan must reproduce the allocation's knife-edge choices.
+    scan must reproduce the allocation's knife-edge choices. Three memos:
+    `_alloc_memo` per (t, y, reports) and `_threshold_memo` per (t, y, level,
+    slot, others), each cleared once it holds MEMO_BOUND entries, and
+    `_law_memo`, the tallied environment law per (t, n_t, replications,
+    seed), so every audit and interim estimate on one session that asks for
+    the same law shares one draw of it.
     """
 
     def __init__(self, tables: ValueTables):
@@ -94,16 +110,17 @@ class Mechanism:
         self.cfg: MarketConfig = tables.config
         self._alloc_memo: dict = {}
         self._threshold_memo: dict = {}
+        self._law_memo: dict = {}
 
     # -- allocation ----------------------------------------------------------
 
     def _ranked_rows(self, t: int, reports: Sequence[Report]) -> tuple[SortedReportSummary, list]:
         """Summary plus per-level row order (virtual valuation desc, then arrival)."""
-        k = self.cfg.varieties
-        per_level: list[list[tuple]] = [[] for _ in range(k)]
+        per_level: list[list[tuple]] = [[] for _ in range(self.cfg.varieties)]
+        w_rows = self.cfg.virtual_value_lists[t - 1]
+        index_of = self.cfg.grid.index_of
         for row, r in enumerate(reports):
-            w = float(self.cfg.virtual_values[t - 1, r.flexibility - 1,
-                                              self.cfg.grid.index_of(r.valuation)])
+            w = w_rows[r.flexibility - 1][index_of(r.valuation)]
             per_level[r.flexibility - 1].append((-w, row, w))
         for bucket in per_level:
             bucket.sort()
@@ -126,7 +143,7 @@ class Mechanism:
         if got is not None:
             return got
 
-        if len(self._alloc_memo) > 500_000:
+        if len(self._alloc_memo) >= MEMO_BOUND:
             self._alloc_memo.clear()
         summary, ranked = self._ranked_rows(t, reports)
         res = stage_value(t, summary, y, self.tables.continuation_fn(t))
@@ -171,16 +188,18 @@ class Mechanism:
             reserve = reserve_price(self.cfg, t, j)
         except NoNonnegativePoint:
             return NOT_SERVED
-        grid = self.cfg.grid
-        reserve_idx = grid.index_of(reserve)
+        points = self.cfg.grid.point_list
+        reserve_idx = self.cfg.grid.index_of(reserve)
 
         before, after = others[:probe_index - 1], others[probe_index - 1:]
         result = NOT_SERVED
-        for idx in range(reserve_idx, grid.size):
-            reports = (*before, Report(float(grid.points[idx]), j), *after)
-            if self.allocate(t, reports, y).matrix[probe_index - 1].any():
-                result = float(grid.points[max(idx - 1, reserve_idx)])
+        for idx in range(reserve_idx, len(points)):
+            reports = (*before, Report(points[idx], j), *after)
+            if _variety_of(self.allocate(t, reports, y).matrix, probe_index - 1):
+                result = points[max(idx - 1, reserve_idx)]
                 break
+        if len(self._threshold_memo) >= MEMO_BOUND:
+            self._threshold_memo.clear()
         self._threshold_memo[key] = result
         return result
 
@@ -194,8 +213,9 @@ class Mechanism:
         """Per-consumer payments: the critical value if served, else zero."""
         if allocation is None:
             allocation = self.allocate(t, reports, y)
-        return tuple(self._critical_value(t, reports, row, y) if allocation.matrix[row].any()
-                     else 0.0 for row in range(len(reports)))
+        return tuple(self._critical_value(t, reports, row, y)
+                     if _variety_of(allocation.matrix, row) else 0.0
+                     for row in range(len(reports)))
 
     def _critical_value(self, t: int, reports: Sequence[Report], row: int, y: Sequence[int]) -> float:
         """Payment of the served consumer at `row`: its threshold against the others."""
@@ -217,7 +237,7 @@ class Mechanism:
         pairs = list(others_pairs)
         pairs.insert(i - 1, report)
         reports = make_reports(pairs)
-        if not self.allocate(t, reports, y).matrix[i - 1].any():
+        if not _variety_of(self.allocate(t, reports, y).matrix, i - 1):
             return 0, 0.0
         return 1, self._critical_value(t, reports, i - 1, y)
 
@@ -248,7 +268,7 @@ class Mechanism:
 
     def sample_type(self, rng, t: int) -> tuple[float, int]:
         b, i = self.cfg.sampler(t).consumer(rng)
-        return float(self.cfg.grid.points[i]), b
+        return self.cfg.grid.point_list[i], b
 
     def sample_supply_arrivals(self, rng, t: int) -> tuple:
         return self.cfg.sampler(t).supply_arrivals(rng)
@@ -277,3 +297,19 @@ class Mechanism:
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, rep]))
             y = self.sample_supply_state(rng, t)
             yield y, tuple(self.sample_type(rng, t) for _ in range(n_t - 1))
+
+    def environment_law(self, t: int, n_t: int, replications: int, seed: int) -> tuple:
+        """The environments of `sample_environments` as (count, environment)
+        rows, one per distinct environment in order of first draw.
+
+        The law is a pure function of its arguments and the tables, so it is
+        drawn once per session and key and shared by every later caller.
+        """
+        if replications < 2:
+            raise ValueError("need at least 2 replications")
+        key = (t, n_t, replications, seed)
+        law = self._law_memo.get(key)
+        if law is None:
+            envs = Counter(self.sample_environments(t, n_t, replications, seed))
+            law = self._law_memo[key] = tuple((count, env) for env, count in envs.items())
+        return law

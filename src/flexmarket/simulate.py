@@ -5,13 +5,15 @@ Replications use independent seed substreams and are aggregated with exact
 (correctly rounded) summation, so results do not depend on evaluation order.
 Interim quantities and audits are expectations over an environment law: the
 supply state a period-t consumer meets plus the other consumers' types. The
-law is either sampled (`Mechanism.sample_environments`, tallied per distinct
-environment, since environments repeat heavily at desk scale) or, for interim
-quantities at t = 1, enumerated exactly. One evaluator probes each distinct
-report once per environment of the law, and every interim quantity and audit
-entry is a weighted mean over those evaluations. Deviation audits thereby
-couple the truthful and deviating reports on common random environments,
-which makes the paired gain estimates sharp.
+law is either sampled (`Mechanism.environment_law`: the environments of
+`Mechanism.sample_environments` tallied per distinct environment, since they
+repeat heavily at desk scale, and drawn once per Mechanism and key, so audits
+on one Mechanism share it) or, for interim quantities at t = 1, enumerated
+exactly. One evaluator probes each distinct report once per environment of
+the law, and every interim quantity and audit entry is a weighted mean over
+those evaluations. Deviation audits thereby couple the truthful and
+deviating reports on common random environments, which makes the paired
+gain estimates sharp.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import csv
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,9 +69,7 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
         payments.extend(outcome.payments)
         for row, (val, lvl) in enumerate(types):
             if outcome.variety_received(row):
-                surplus.append(float(
-                    cfg.virtual_values[t - 1, lvl - 1, cfg.grid.index_of(val)]
-                ))
+                surplus.append(cfg.virtual_value_lists[t - 1][lvl - 1][cfg.grid.index_of(val)])
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(
@@ -272,15 +271,6 @@ def _check_slot(n_t: int, slot: int) -> None:
         raise ValueError(f"probe slot {slot} must lie in 1..n_t with n_t >= 1 (n_t = {n_t})")
 
 
-def _sampled_law(mech: Mechanism, t: int, n_t: int, replications: int, seed: int) -> list:
-    """The environments of `Mechanism.sample_environments` as (count, environment)
-    rows, one per distinct environment."""
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    envs = Counter(mech.sample_environments(t, n_t, replications, seed))
-    return [(count, env) for env, count in envs.items()]
-
-
 def _exact_law(cfg: MarketConfig, n_t: int) -> list | None:
     """The period-1 environment law as (probability, environment) rows: every
     supply outcome times every profile of the other n_t - 1 consumers' atoms.
@@ -289,18 +279,18 @@ def _exact_law(cfg: MarketConfig, n_t: int) -> list | None:
     outcomes = cfg.supply.outcomes(1)
     if len(atoms) ** (n_t - 1) * len(outcomes) > 50_000:
         return None
-    points = cfg.grid.points
+    points = cfg.grid.point_list
     law = []
     for prob_y, y in outcomes:
         for combo in itertools.product(atoms, repeat=n_t - 1):
             prob = prob_y
             for _b, _i, p, _w in combo:
                 prob *= p
-            law.append((prob, (y, tuple((float(points[gi]), b) for b, gi, _p, _w in combo))))
+            law.append((prob, (y, tuple((points[gi], b) for b, gi, _p, _w in combo))))
     return law
 
 
-def _probe_table(mech: Mechanism, t: int, slot: int, law: list, reports) -> dict:
+def _probe_table(mech: Mechanism, t: int, slot: int, law: Sequence, reports) -> dict:
     """(served, payment) of each distinct report probed at `slot`, once per
     environment of `law`, in the law's row order.
 
@@ -313,7 +303,7 @@ def _probe_table(mech: Mechanism, t: int, slot: int, law: list, reports) -> dict
             for r in dict.fromkeys(reports)}
 
 
-def _utilities(law: list, outcomes: list, true_val: float) -> list[tuple[float, float]]:
+def _utilities(law: Sequence, outcomes: list, true_val: float) -> list[tuple[float, float]]:
     """(weight, realized utility) per environment of a consumer whose true value
     is true_val and whose report met `outcomes`."""
     return [(w, true_val * served - pay) for (w, _), (served, pay) in zip(law, outcomes)]
@@ -343,7 +333,7 @@ def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int,
     report = (float(report[0]), int(report[1]))
     law = _exact_law(cfg, n_t) if t == 1 else None
     if law is None:
-        law = _sampled_law(mech, t, n_t, replications, seed)
+        law = mech.environment_law(t, n_t, replications, seed)
     else:
         replications = None
     outcomes = _probe_table(mech, t, i, law, [report])[report]
@@ -364,7 +354,7 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     if not probe.true_types or not probe.deviation_values:
         raise ValueError("a BIC probe needs at least one true type and one deviation value")
     mech = mech or Mechanism(tables)
-    law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)
+    law = mech.environment_law(probe.t, probe.n_t, replications, seed)
     reports = []  # in the order the entries below read them
     for v, b in probe.true_types:
         reports += [(v, b), *((r, c) for c in range(1, b + 1) for r in probe.deviation_values)]
@@ -400,7 +390,7 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
         _check_slot(probe.n_t, probe.slot)
     report = AuditReport(kind="ir", replications=replications, seed=seed)
     for probe in probes:
-        law = _sampled_law(mech, probe.t, probe.n_t, replications, seed)
+        law = mech.environment_law(probe.t, probe.n_t, replications, seed)
         table = _probe_table(mech, probe.t, probe.slot, law, probe.true_types)
         for true_val, true_lvl in probe.true_types:
             utils = _utilities(law, table[(true_val, true_lvl)], true_val)

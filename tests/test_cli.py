@@ -108,6 +108,22 @@ def test_simulate_outputs_and_reproducibility(config_file, cache_file, tmp_path)
     assert _read_all(outdir) == first
 
 
+def test_simulate_samples_each_period_law_once(config_file, cache_file, tmp_path,
+                                              monkeypatch, small_cfg):
+    """The BIC audit of period t and the IR audit share period t's law."""
+    calls = []
+    sample = Mechanism.sample_environments
+
+    def counted(self, *args):
+        calls.append(args)
+        return sample(self, *args)
+
+    monkeypatch.setattr(Mechanism, "sample_environments", counted)
+    assert main(["simulate", "--config", config_file, "--cache", cache_file,
+                 "--out", str(tmp_path / "out"), "--replications", "40", "--seed", "3"]) == 0
+    assert calls == [(t, 1, 40, 3) for t in range(1, small_cfg.horizon + 1)]
+
+
 def test_simulate_seed_changes_outputs(config_file, cache_file, tmp_path):
     outdir = tmp_path / "out"
     base = ["simulate", "--config", config_file, "--cache", cache_file,

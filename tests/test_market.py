@@ -40,6 +40,43 @@ def test_grid_invariants():
         g.index_of(0.3501)
 
 
+def test_grid_nan_is_off_grid_and_infinities_keep_their_results():
+    g = ValuationGrid.uniform(0.0, 1.0, 11)
+    for lookup in (g.index_of, g.snap):
+        with pytest.raises(OffGridValue):
+            lookup(math.nan)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(OffGridValue):
+            g.index_of(x)
+    assert (g.snap(math.inf), g.snap(-math.inf)) == (1.0, 0.0)
+
+
+def _numpy_lookup(g, x):
+    """The numpy formula index_of and snap used before they read Python floats:
+    (index or exception type, snapped value or exception type)."""
+    try:
+        i = int(np.clip(np.rint((x - g.theta_min) / g.step), 0, g.size - 1))
+    except ValueError as exc:
+        return type(exc), type(exc)
+    snapped = float(g.points[i])
+    if abs(g.points[i] - x) > 1e-9 * max(1.0, abs(g.step)):
+        return OffGridValue, snapped
+    return i, snapped
+
+
+@pytest.mark.parametrize("size", [2, 3, 11, 41, 1001])
+def test_grid_lookup_matches_numpy_formula(size):
+    g = ValuationGrid.uniform(0.0, 1.0, size)
+    offsets = (0.0, 0.4 * g.step, -0.4 * g.step, 0.5 * g.step, -0.5 * g.step, 1e-12, -1e-12)
+    for p in g.points.tolist():
+        for x in (p + d for d in offsets):
+            try:
+                got_index = g.index_of(x)
+            except OffGridValue:
+                got_index = OffGridValue
+            assert (got_index, g.snap(x)) == _numpy_lookup(g, x), x
+
+
 def test_grid_rejects_degenerate():
     with pytest.raises(MalformedConfig):
         ValuationGrid.uniform(0.0, 1.0, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import InconsistentAllocation, OffGridValue, TableMismatch, oracle, simulate
+from flexmarket import InconsistentAllocation, OffGridValue, TableMismatch, mechanism, oracle, simulate
 from flexmarket.mechanism import NOT_SERVED, Mechanism, make_reports
 
 from conftest import tabulated_config
@@ -367,3 +367,36 @@ def test_step_arithmetic(example_mech):
     out, y_next = big.step(1, (2, 1), make_reports([(0.875, 1), (0.875, 2)]), (0, 0))
     assert out.v_star == (1, 1)
     assert y_next == (1, 0)
+
+
+# -- memos -------------------------------------------------------------------------
+
+def test_memo_bound_keeps_results(small_cfg, small_tables, monkeypatch):
+    """A tiny bound clears the allocation and threshold memos over and over, yet
+    episodes and audits come out identical and neither memo outgrows it."""
+    def run():
+        mech = Mechanism(small_tables)
+        rows = [list(simulate.trace_rows(s, fm.sample_episode(small_cfg, small_tables, s, mech=mech)))
+                for s in range(40)]
+        probe = simulate.AuditProbe.default(small_cfg, 2, points=5)
+        bic = simulate.bic_audit(small_cfg, small_tables, probe, 200, 3, mech=mech)
+        ir = simulate.ir_audit(small_cfg, small_tables, 200, 3, mech=mech)
+        return rows, bic.to_json(), ir.to_json()
+
+    unbounded = run()
+    bound, sizes_seen = 3, []
+
+    def checked(method):
+        def wrapper(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            sizes = (len(self._alloc_memo), len(self._threshold_memo))
+            assert max(sizes) <= bound
+            sizes_seen.append(sizes)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(mechanism, "MEMO_BOUND", bound)
+    monkeypatch.setattr(Mechanism, "allocate", checked(Mechanism.allocate))
+    monkeypatch.setattr(Mechanism, "payment_threshold", checked(Mechanism.payment_threshold))
+    assert run() == unbounded
+    assert tuple(map(max, zip(*sizes_seen))) == (bound, bound)  # both memos filled up

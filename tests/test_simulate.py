@@ -320,6 +320,32 @@ def test_each_report_evaluated_once_per_environment(small_cfg, small_tables, mon
     assert len(calls) == len(set(mech.sample_environments(2, 2, 300, 9))) < 300
 
 
+def test_audits_on_one_mechanism_share_each_law(small_cfg, small_tables, monkeypatch):
+    """A t=2 BIC audit, the IR audit and a sampled interim estimate on one
+    Mechanism draw each (t, n_t, replications, seed) law once, and report
+    exactly what they report on fresh Mechanisms."""
+    probe = AuditProbe.default(small_cfg, 2, points=5)
+    fresh = (simulate.bic_audit(small_cfg, small_tables, probe, 300, 9).to_json(),
+             simulate.ir_audit(small_cfg, small_tables, 300, 9).to_json(),
+             simulate.interim_quantities(small_cfg, small_tables, 2, 1, 1, (0.5, 1),
+                                         replications=300, seed=9))
+    calls = []
+    sample = Mechanism.sample_environments
+
+    def counted(self, *args):
+        calls.append(args)
+        return sample(self, *args)
+
+    monkeypatch.setattr(Mechanism, "sample_environments", counted)
+    mech = Mechanism(small_tables)
+    shared = (simulate.bic_audit(small_cfg, small_tables, probe, 300, 9, mech=mech).to_json(),
+              simulate.ir_audit(small_cfg, small_tables, 300, 9, mech=mech).to_json(),
+              simulate.interim_quantities(small_cfg, small_tables, 2, 1, 1, (0.5, 1),
+                                          replications=300, seed=9, mech=mech))
+    assert calls == [(2, 1, 300, 9), (1, 1, 300, 9)]
+    assert shared == fresh
+
+
 def test_served_traces_realize_nonnegative_utility(small_cfg, small_tables, small_mech):
     for seed in range(60):
         tr = fm.sample_episode(small_cfg, small_tables, seed, mech=small_mech)
