@@ -5,6 +5,8 @@ the pytest pass/fail status of each test doubles as the machine-readable
 verdict.
 """
 
+import hashlib
+import json
 import math
 import time
 from collections import defaultdict
@@ -17,6 +19,9 @@ from flexmarket.cli import main
 from flexmarket.mechanism import Mechanism
 
 FAMILY_INSTANCES = 200
+FAMILY_REPORT_SHA256 = (  # sort_keys JSON of oracle.run_verification(instances=200)
+    "83e8b69b253e76619920ff3bf044fd26d9dd907ed9befdcc42ae1cfa89290cc9"
+)
 
 
 def _report(criterion: str, failures: list):
@@ -90,6 +95,14 @@ def test_criterion_2_master_equivalence(family_report):
     if elapsed >= 60.0:
         failures.append(f"family suite took {elapsed:.1f}s (> 60s)")
     _report("2 (oracle master equivalence, 200 instances)", failures)
+
+
+def test_family_report_pinned(family_report):
+    """The 200-instance verify report, byte for byte: a faster walk must not
+    drop, reorder or re-score a check."""
+    report, _, _ = family_report
+    got = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert got == FAMILY_REPORT_SHA256
 
 
 def test_criterion_3_feasible_set_and_recursion_checks(family_report):
