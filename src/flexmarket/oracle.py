@@ -9,6 +9,11 @@ convergence loop. These routines are test fixtures at desk scale,
 deliberately independent of the threshold-form stage and the service/
 variety-vector shortcuts they certify, and they refuse (rather than
 truncate) when an enumeration budget is hit.
+
+The full-matrix stage and the verification walk read each matrix only
+through its (served rows, remaining supply) projection, so `verify_instance`
+enumerates the matrices of each (flexibilities, y) once and shares the
+de-duplicated projections between the brute-force build and the walk.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import dp
 from .dp import ValueTables
-from .errors import BudgetExceeded, InfeasibleU, NotApplicable
+from .errors import BudgetExceeded, InfeasibleU, NotApplicable, OffGridValue
 from .market import (
     ArrivalDistribution,
     MarketConfig,
@@ -109,8 +114,13 @@ def enumerate_feasible_matrices(
 
     A matrix is encoded as a tuple with entry 0 (no good) or a variety index
     1..flexibility for each consumer; column sums never exceed the supply y.
-    Raises BudgetExceeded instead of returning a truncated set.
+    Raises OffGridValue for a flexibility outside 1..len(y), and
+    BudgetExceeded instead of returning a truncated set.
     """
+    k = len(y)
+    for b in flexibilities:
+        if not 1 <= b <= k:
+            raise OffGridValue(f"flexibility level {b} outside 1..{k}")
     upper = math.prod(b + 1 for b in flexibilities) if flexibilities else 1
     if upper > budget * 16:
         raise BudgetExceeded(f"row-choice space {upper} far exceeds budget {budget}")
@@ -157,6 +167,26 @@ def varieties_of(choices: Sequence[int], k: int) -> tuple:
     return tuple(v)
 
 
+def _matrix_projections(memo: dict, flexibilities: tuple, y: tuple, budget: int) -> list[tuple]:
+    """(served rows, remaining supply) of every feasible matrix, de-duplicated
+    in first-seen order.
+
+    Each (flexibilities, y) is enumerated once per `memo`: the first call
+    stores the list there and later calls read it back. A failed enumeration
+    (BudgetExceeded, OffGridValue) stores nothing.
+    """
+    key = (flexibilities, y)
+    found = memo.get(key)
+    if found is None:
+        k = len(y)
+        seen: dict[tuple, None] = {}
+        for m in enumerate_feasible_matrices(flexibilities, y, budget=budget):
+            served = tuple(row for row, c in enumerate(m) if c > 0)
+            seen[served, tuple(a - b for a, b in zip(y, varieties_of(m, k)))] = None
+        found = memo[key] = list(seen)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Full-matrix stage maximization
 # ---------------------------------------------------------------------------
@@ -167,33 +197,48 @@ def brute_stage_value(
     y: Sequence[int],
     cont: Callable[[tuple], float],
     budget: int = DEFAULT_MATRIX_BUDGET,
+    *,
+    memo: dict | None = None,
 ) -> float:
     """Maximize served virtual surplus plus continuation over all matrices.
 
     `consumers` lists (flexibility, virtual valuation) pairs in arrival
     order; with no consumers the value is the continuation of y untouched.
+    The max runs over the matrices' distinct (served rows, remaining supply)
+    projections, read from `memo` (see `_matrix_projections`; without one
+    this call enumerates afresh). That is bit for bit the max over every
+    matrix: a matrix's parts, the served rows' w and the continuation of the
+    remaining supply, depend only on its projection, and `math.fsum` is
+    correctly rounded, so matrices with one projection score the same float
+    and a duplicate cannot change the max. First-seen order keeps which of
+    two tied values (0.0 and -0.0) wins.
     """
     y = tuple(y)
     if not consumers:
         return cont(y)
-    flexibilities = [b for b, _w in consumers]
+    flexibilities = tuple(b for b, _w in consumers)
     best = None
-    for choices in enumerate_feasible_matrices(flexibilities, y, budget=budget):
-        spent = varieties_of(choices, len(y))
-        parts = [w for (c, (_b, w)) in zip(choices, consumers) if c > 0]
-        parts.append(cont(tuple(a - b for a, b in zip(y, spent))))
+    for served, remaining in _matrix_projections({} if memo is None else memo, flexibilities, y, budget):
+        parts = [consumers[row][1] for row in served]
+        parts.append(cont(remaining))
         value = math.fsum(parts)
         if best is None or value > best:
             best = value
     return best
 
 
-def _brute_stage(t, summary: dp.SortedReportSummary, y, cont, budget=DEFAULT_MATRIX_BUDGET):
+def _brute_stage(t, summary: dp.SortedReportSummary, y, cont, budget=DEFAULT_MATRIX_BUDGET, *, memo=None):
     consumers = tuple((j + 1, w) for j, ws in enumerate(summary.w_sorted) for w in ws)
-    return brute_stage_value(t, consumers, y, cont, budget=budget)
+    return brute_stage_value(t, consumers, y, cont, budget=budget, memo=memo)
 
 
-def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BUDGET, **kwargs) -> ValueTables:
+def build_brute_tables(
+    cfg: MarketConfig,
+    matrix_budget: int = DEFAULT_MATRIX_BUDGET,
+    *,
+    memo: dict | None = None,
+    **kwargs,
+) -> ValueTables:
     """Value tables from the unsimplified full-matrix recursion.
 
     Shares the solver build's profile enumeration (one per period, read by
@@ -203,9 +248,15 @@ def build_brute_tables(cfg: MarketConfig, matrix_budget: int = DEFAULT_MATRIX_BU
     here too: a level-j consumer only takes varieties 1..j, so swapping a
     served report for a better unserved one of its level keeps the goods
     spent and cannot lower the correctly rounded sum.
+
+    Every stage reads its matrix projections from `memo` (a fresh one for
+    this build when none is given), so each (flexibilities, y) is enumerated
+    once however many stages and periods share it.
     """
+    memo = {} if memo is None else memo
+
     def stage(t, summary, y, cont):
-        return _brute_stage(t, summary, y, cont, budget=matrix_budget)
+        return _brute_stage(t, summary, y, cont, budget=matrix_budget, memo=memo)
 
     tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
     tables.backend = "exact-brute"
@@ -473,17 +524,66 @@ def _count_vectors(k: int, n_max: int) -> list[tuple]:
     return [c for c in itertools.product(range(n_max + 1), repeat=k) if sum(c) <= n_max]
 
 
+def _check_variety_set(u: tuple, y: tuple, conts: list) -> tuple[dict, bool, bool, float]:
+    """The walk's checks that read only (u, y), and the continuations of the
+    periods whose states contain y.
+
+    v* must lie in the variety set and maximize every continuation over it;
+    each variety-shift chain must reach v* within sum(y) steps inside the set
+    without lowering any continuation. Returns the variety set as
+    {v: remaining supply}, the v* and chain verdicts, and the worst v*
+    optimality gap.
+    """
+    left = {v: tuple(a - b for a, b in zip(y, v)) for v in feasible_variety_set(u, y)}
+    # dp.vstar looked up dynamically: it is the unit under audit
+    try:
+        v_opt = dp.vstar(u, y)
+    except InfeasibleU:
+        return left, False, True, 0.0
+    if v_opt not in left:
+        return left, False, True, 0.0
+    vs_ok = chain_ok = True
+    worst = 0.0
+    chains = []
+    for v in left:
+        try:
+            chain = transform_chain(v, u, y)
+        except (InfeasibleU, NotApplicable, AssertionError):
+            chain_ok = False
+            continue
+        if chain[-1] != v_opt or len(chain) - 1 > sum(y) or not set(chain) <= left.keys():
+            chain_ok = False
+        else:
+            chains.append(chain)
+    for cont in conts:
+        best, got = max(cont(m) for m in left.values()), cont(left[v_opt])
+        if got != best:
+            vs_ok = False
+            worst = max(worst, abs(best - got))
+        for chain in chains:
+            seen = [cont(left[step]) for step in chain]
+            if any(b < a for a, b in zip(seen, seen[1:])):
+                chain_ok = False
+    return left, vs_ok, chain_ok, worst
+
+
 def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> list[CheckResult]:
     """Run every oracle check on one instance; returns one result per check.
 
-    Walks each (counts, y) pair once, y over every table state: the feasible
-    matrices, service and variety sets and every period-independent check are
-    built once; v* optimality and chain monotonicity, which read the
-    continuation, run once per period whose states contain y.
+    One private memo of matrix projections serves the whole call: the
+    brute-force build and the walk read it, so each (flexibilities, y) pair
+    is enumerated once (see `brute_stage_value` for why its de-duplicated
+    max is exact). The walk visits each (counts, y) pair once, y over every
+    table state, and checks there the service-set projection and, per
+    service vector u, the variety-set projection and the constructive
+    allocation. The checks that read only (u, y) run once per (u, y) pair:
+    the variety set, v* and the transform chains, with v* optimality and
+    chain monotonicity under each period whose states contain y.
     """
     results: list[CheckResult] = []
+    memo: dict = {}
     tables = dp.build_value_tables(cfg)
-    brute = build_brute_tables(cfg, matrix_budget=matrix_budget)
+    brute = build_brute_tables(cfg, matrix_budget=matrix_budget, memo=memo)
     k = cfg.varieties
 
     # master equivalence of the two recursions, bit for bit
@@ -499,60 +599,38 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
 
     all_states = sorted({y for states in tables.states.values() for y in states})
     conts = {t: tables.continuation_fn(t) for t in range(1, cfg.horizon + 1)}
+    conts_at = {y: [cont for t, cont in conts.items() if y in tables.values[t]] for y in all_states}
+    variety_sets: dict[tuple, dict] = {}  # (u, y) -> {v: remaining supply}
     svc_ok = var_ok = vs_ok = chain_ok = constructive_ok = True
     worst = 0.0
     for counts in _count_vectors(k, cfg.arrivals.n_max):
-        flexibilities = [lvl + 1 for lvl, c in enumerate(counts) for _ in range(c)]
+        flexibilities = tuple(lvl + 1 for lvl, c in enumerate(counts) for _ in range(c))
         for y in all_states:
             # service/variety set projections against full matrix enumeration
             by_service: dict[tuple, set] = {}
-            for m in enumerate_feasible_matrices(flexibilities, y, budget=matrix_budget):
-                by_service.setdefault(service_of(m, flexibilities, k), set()).add(varieties_of(m, k))
+            for served, remaining in _matrix_projections(memo, flexibilities, y, matrix_budget):
+                u = [0] * k
+                for row in served:
+                    u[flexibilities[row] - 1] += 1
+                by_service.setdefault(tuple(u), set()).add(remaining)
             services = feasible_service_set(counts, y)
             if set(by_service) != set(services):
                 svc_ok = False
             for u in services:
-                left = {v: tuple(a - b for a, b in zip(y, v)) for v in feasible_variety_set(u, y)}
-                if by_service.get(u, set()) != set(left):
+                left = variety_sets.get((u, y))
+                if left is None:
+                    left, u_vs_ok, u_chain_ok, gap = _check_variety_set(u, y, conts_at[y])
+                    variety_sets[u, y] = left
+                    vs_ok &= u_vs_ok
+                    chain_ok &= u_chain_ok
+                    worst = max(worst, gap)
+                if by_service.get(u, set()) != set(left.values()):
                     var_ok = False
-                # variety recursion: membership, then exact optimality under the
-                # built tables (dp.vstar looked up dynamically: it is the unit under audit)
-                try:
-                    v_opt = dp.vstar(u, y)
-                except InfeasibleU:
-                    vs_ok = False
-                    continue
-                if v_opt not in left:
-                    vs_ok = False
-                    continue
-                chains = []
-                for v in left:
-                    try:
-                        chain = transform_chain(v, u, y)
-                    except (InfeasibleU, NotApplicable, AssertionError):
-                        chain_ok = False
-                        continue
-                    if (chain[-1] != v_opt or len(chain) - 1 > sum(y)
-                            or not set(chain) <= left.keys()):
-                        chain_ok = False
-                    else:
-                        chains.append(chain)
                 mat = constructive_allocation(u, counts, y)
                 if service_of(mat, flexibilities, k) != u:
                     constructive_ok = False
                 if any(a > b for a, b in zip(varieties_of(mat, k), y)):
                     constructive_ok = False
-                for t, cont in conts.items():
-                    if y not in tables.values[t]:
-                        continue
-                    best, got = max(cont(m) for m in left.values()), cont(left[v_opt])
-                    if got != best:
-                        vs_ok = False
-                        worst = max(worst, abs(best - got))
-                    for chain in chains:
-                        seen = [cont(left[step]) for step in chain]
-                        if any(b < a for a, b in zip(seen, seen[1:])):
-                            chain_ok = False
     results.append(CheckResult("service_set_projection", seed, svc_ok))
     results.append(CheckResult("variety_set_projection", seed, var_ok))
     results.append(CheckResult("vstar_optimality", seed, vs_ok, worst))

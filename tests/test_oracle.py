@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import BudgetExceeded, InfeasibleU, NotApplicable, config_io, dp, oracle, simulate
+from flexmarket import (
+    BudgetExceeded, InfeasibleU, NotApplicable, OffGridValue, config_io, dp, oracle, simulate,
+)
 from flexmarket.oracle import (
     check_monotonicity,
     constructive_allocation,
@@ -40,6 +42,15 @@ def test_enumerate_respects_column_budgets():
 def test_enumerate_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_feasible_matrices([3] * 10, (9, 9, 9), budget=10)
+
+
+@pytest.mark.parametrize("level", [-1, 0, 3])
+def test_out_of_range_flexibility_is_off_grid(level):
+    """A level outside 1..k is refused, not treated as unservable nor an IndexError."""
+    with pytest.raises(OffGridValue):
+        enumerate_feasible_matrices([level], (1, 1))
+    with pytest.raises(OffGridValue):
+        oracle.brute_stage_value(1, [(level, 0.5)], (1, 1), lambda m: 0.0)
 
 
 def test_brute_stage_empty_reports():
@@ -192,8 +203,8 @@ def test_verify_catches_injected_vstar_bug(monkeypatch):
 
 
 def _drop_last(real):
-    def broken(*args):
-        out = real(*args)
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
         return out[:-1] if len(out) > 1 else out
     return broken
 
@@ -228,6 +239,8 @@ def _serve_one_fewer(real):
     ("transform_T", _stall, "transform_chain"),
     ("transform_T", _overshoot, "transform_chain"),
     ("constructive_allocation", _serve_one_fewer, "constructive_allocation"),
+    ("enumerate_feasible_matrices", _drop_last, "service_set_projection"),
+    ("enumerate_feasible_matrices", _drop_last, "master_equivalence"),
 ])
 def test_verify_catches_injected_oracle_bug(monkeypatch, target, mutate, check):
     """Each brute-force routine the walk reads has a check that notices it lying."""
@@ -236,6 +249,38 @@ def test_verify_catches_injected_oracle_bug(monkeypatch, target, mutate, check):
     for seed in range(10):
         failed |= {c.name for c in verify_instance(random_instance(seed), seed) if not c.passed}
     assert check in failed
+
+
+def test_verify_instance_enumerates_each_matrix_set_once(monkeypatch):
+    """The brute-force build and the walk share one memo per verify_instance
+    call: one enumeration per distinct (flexibilities, y), and a fresh memo
+    for the next call."""
+    real = oracle.enumerate_feasible_matrices
+    calls = []
+
+    def counted(flexibilities, y, **kwargs):
+        calls.append((tuple(flexibilities), tuple(y)))
+        return real(flexibilities, y, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_feasible_matrices", counted)
+    for seed in range(10):
+        calls.clear()
+        assert all(c.passed for c in verify_instance(random_instance(seed), seed))
+        assert len(calls) == len(set(calls)) > 0, seed
+
+
+def test_memoised_brute_tables_equal_fresh_enumeration():
+    """Brute tables whose every stage enumerates afresh equal the memoised build's."""
+    def fresh(t, summary, y, cont):
+        consumers = [(j + 1, w) for j, ws in enumerate(summary.w_sorted) for w in ws]
+        return oracle.brute_stage_value(t, consumers, y, cont)
+
+    for seed in range(40):
+        cfg = random_instance(seed)
+        want = dp.build_value_tables(cfg, stage_fn=fresh)
+        got = oracle.build_brute_tables(cfg)
+        assert {t: {y: v.hex() for y, v in layer.items()} for t, layer in got.values.items()} == \
+            {t: {y: v.hex() for y, v in layer.items()} for t, layer in want.values.items()}, seed
 
 
 def test_degenerate_single_variety_family_passes():
