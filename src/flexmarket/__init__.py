@@ -31,7 +31,6 @@ from .market import (  # noqa: F401
 )
 from .config_io import fingerprint, load_config, parse_config  # noqa: F401
 from .dp import (  # noqa: F401
-    SortedReportSummary,
     ValueTables,
     build_value_tables,
     continuation_gap,

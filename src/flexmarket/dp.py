@@ -9,19 +9,19 @@ C_t(y) of the period value over the random report set; the report space never
 needs to be enumerated outside one period because reports are independent of
 history.
 
-A stage sees the reports only through their *servable summary*: per level
-j, the top ``y_1 + ... + y_j`` virtual values, best first, the most reports of
-that level any rule can serve from y. Exact expectations enumerate ordered
-consumer profiles in lexicographic (level, grid index) order with compensated
-accumulation, which makes table values reproducible bit for bit. The report
-law does not depend on the supply state, so each period's profiles are
-enumerated once for the whole layer: one walk records every profile's
-probability and multiset, and every state of the layer reads those columns,
-solves the stage once per distinct summary and adds each profile's
-probability times that shared value in the same summation order. Neither the
-memo nor the shared walk moves a bit of any table
-(``oracle.reference_expected_stage``, one unmemoised enumeration per state,
-is the reference). Per-profile sums use ``math.fsum`` (correctly rounded), so
+A stage sees the reports only through their *servable summary*, a plain
+tuple holding, per level j, the top ``y_1 + ... + y_j`` virtual values, best
+first: the most reports of that level any rule can serve from y. Exact
+expectations enumerate ordered consumer profiles in lexicographic (level,
+grid index) order with compensated accumulation, which makes table values
+reproducible bit for bit. The report law does not depend on the supply
+state, so each period's profiles are enumerated once for the whole layer:
+one walk records every profile's probability and multiset, and every state
+of the layer reads those columns, solves the stage once per distinct summary
+and adds each profile's probability times that shared value in the same
+summation order. Neither the memo nor the shared walk moves a bit of any
+table (``oracle.reference_expected_stage``, one unmemoised enumeration per
+state, is the reference). Per-profile sums use ``math.fsum`` (correctly rounded), so
 two pipelines that agree on the served multiset and continuation value
 produce identical floats.
 
@@ -112,36 +112,15 @@ def vstar(u: Sequence[int], y: Sequence[int]) -> Vector:
 # Stage optimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SortedReportSummary:
-    """Per-level arrival counts plus non-increasing virtual-valuation lists."""
-
-    counts: Vector
-    w_sorted: tuple  # tuple (one per level) of non-increasing float tuples
-
-    def __post_init__(self):
-        if any(len(ws) != n for ws, n in zip(self.w_sorted, self.counts)):
-            raise ValueError("per-level counts do not match w list lengths")
-        if any(any(a < b for a, b in zip(ws, ws[1:])) for ws in self.w_sorted):
-            raise ValueError("per-level w lists must be non-increasing")
-
-    @classmethod
-    def presorted(cls, w_sorted: tuple) -> "SortedReportSummary":
-        """Summary of per-level w tuples the caller has already sorted, unchecked."""
-        summary = object.__new__(cls)
-        object.__setattr__(summary, "counts", tuple(map(len, w_sorted)))
-        object.__setattr__(summary, "w_sorted", w_sorted)
-        return summary
-
-    @classmethod
-    def from_consumers(cls, consumers: Iterable[tuple], k: int) -> "SortedReportSummary":
-        """Build from (level, w) pairs in any order."""
-        per_level: list[list[float]] = [[] for _ in range(k)]
-        for level, w in consumers:
-            per_level[level - 1].append(w)
-        for ws in per_level:
-            ws.sort(reverse=True)
-        return cls.presorted(tuple(map(tuple, per_level)))
+def summarize(consumers: Iterable[tuple], k: int) -> tuple:
+    """Per-level virtual values, best first, from (level, w) pairs in any order:
+    the tuple of k non-increasing float tuples a stage rule reads."""
+    per_level: list[list[float]] = [[] for _ in range(k)]
+    for level, w in consumers:
+        per_level[level - 1].append(w)
+    for ws in per_level:
+        ws.sort(reverse=True)
+    return tuple(map(tuple, per_level))
 
 
 class StageResult(NamedTuple):
@@ -152,16 +131,17 @@ class StageResult(NamedTuple):
 
 def stage_value(
     t: int,
-    summary: SortedReportSummary,
+    w_sorted: tuple,
     y: Sequence[int],
     cont: Callable[[Vector], float],
 ) -> StageResult:
     """Maximize served virtual surplus plus continuation over service vectors.
 
-    `cont(m)` must give the expected next-period value of carrying supply m
-    forward (identically zero in the final period). Ties between service
-    vectors go to the lexicographically smallest, so service at exactly zero
-    net gain never happens.
+    `w_sorted` holds each level's virtual values, best first (see
+    `summarize`). `cont(m)` must give the expected next-period value of
+    carrying supply m forward (identically zero in the final period). Ties
+    between service vectors go to the lexicographically smallest, so service
+    at exactly zero net gain never happens.
 
     Threshold form: from u = 0, each round tries one more report per level
     j = k..1 that has one left, spending the highest variety i <= j in stock
@@ -171,7 +151,6 @@ def stage_value(
     value. This is exact for continuations built by this DP; for an arbitrary
     `cont`, use `oracle.reference_stage_value`, which enumerates.
     """
-    w_sorted = summary.w_sorted
     k = len(y)
     u = [0] * k
     m = list(y)
@@ -201,8 +180,8 @@ def stage_value(
         served.append(w)
 
 
-def _optimal_stage(t: int, summary: SortedReportSummary, y: Vector, cont) -> float:
-    return stage_value(t, summary, y, cont).value
+def _optimal_stage(t: int, w_sorted: tuple, y: Vector, cont) -> float:
+    return stage_value(t, w_sorted, y, cont).value
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +267,10 @@ class ValueTables:
 
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
+        """Tables saved for `cfg`. Raises TableMismatch unless the file holds
+        exactly what `build_value_tables` saves for `cfg`: an "exact" or "mc"
+        backend (mc with at least 2 samples and a seed), every layer's
+        `reachable_states` in order, and nothing after the last layer."""
         fp = cfg.fingerprint
         with open(path, "rb") as fh:
 
@@ -312,20 +295,30 @@ class ValueTables:
             backend = read(f"<{blen}s")[0].decode("utf-8", errors="replace")
             (samples,) = read("<Q")
             has_seed, seed = read("<BQ")
+            if backend not in ("exact", "mc"):
+                raise TableMismatch(f"cache backend {backend!r} is neither 'exact' nor 'mc'")
+            if backend == "mc" and (samples < 2 or not has_seed):
+                raise TableMismatch("mc cache needs at least 2 samples and a seed")
             T, k = read("<II")
             if T != cfg.horizon or k != cfg.varieties:
                 raise TableMismatch("cache dimensions do not match config")
             states, values, stderrs = {}, {}, {}
             for t in range(1, T + 2):
                 (n,) = read("<I")
-                layer_states, layer_vals, layer_errs = [], {}, {}
-                for _ in range(n):
-                    *y, c, se = read(f"<{k}Idd")
-                    y = tuple(y)
-                    layer_states.append(y)
+                layer_states, layer_vals, layer_errs = reachable_states(cfg, t), {}, {}
+                if n != len(layer_states):
+                    raise TableMismatch(
+                        f"cache layer t={t} has {n} states, the config reaches {len(layer_states)}")
+                for y in layer_states:
+                    *got, c, se = read(f"<{k}Idd")
+                    if tuple(got) != y:
+                        raise TableMismatch(
+                            f"cache layer t={t} lists state {tuple(got)} where the config has {y}")
                     layer_vals[y] = c
                     layer_errs[y] = se
                 states[t], values[t], stderrs[t] = layer_states, layer_vals, layer_errs
+            if fh.read(1):
+                raise TableMismatch("table cache file has bytes after its last layer")
         return cls(
             config=cfg, backend=backend,
             samples=samples or None, seed=seed if has_seed else None,
@@ -378,7 +371,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
     value with a compensated update, in enumeration order: the same
     products, the same stage values and the same sum as
     `oracle.reference_expected_stage`, bit for bit. Clipped summaries are
-    frozen, so every state of the layer shares them.
+    plain tuples, so every state of the layer shares them.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
@@ -412,7 +405,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
             weights.append(prob)
             slots.append(slot)
     del slot_of
-    summaries: dict[tuple, SortedReportSummary] = {}
+    summaries: dict[tuple, tuple] = {}
     layer = {}
     for y in states:
         reach = list(itertools.accumulate(y))
@@ -428,8 +421,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
                     per_level: list[list[float]] = [[] for _ in range(k)]
                     for r in key:
                         per_level[level_of[r]].append(w_of[r])
-                    summary = summaries[key] = SortedReportSummary.presorted(
-                        tuple(map(tuple, per_level)))
+                    summary = summaries[key] = tuple(map(tuple, per_level))
                 value = memo[key] = stage_fn(t, summary, y, cont)
             values.append(value)
         total = comp = 0.0  # KahanSum.add, inlined
@@ -451,8 +443,7 @@ def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, floa
         for _ in range(sampler.arrival_count(rng)):
             b, i = sampler.consumer(rng)
             consumers.append((b, float(w_rows[b - 1, i])))
-        summary = SortedReportSummary.from_consumers(consumers, cfg.varieties)
-        vals[s] = stage_fn(t, summary, y, cont)
+        vals[s] = stage_fn(t, summarize(consumers, cfg.varieties), y, cont)
     mean = float(np.mean(vals))
     return mean, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
@@ -477,13 +468,14 @@ def build_value_tables(
     (period, state) so results do not depend on evaluation order, and
     records each entry's standard error.
 
-    `stage_fn(t, summary, y, cont)` computes one period value from the
-    reports' `SortedReportSummary`; the default is the optimal service-vector
-    stage. Alternative stage rules (brute-force oracle, myopic baseline)
+    `stage_fn(t, w_sorted, y, cont)` computes one period value from the
+    reports' per-level virtual values, best first (a tuple of k non-increasing
+    float tuples, as `summarize` builds it); the default is the optimal
+    service-vector stage. Alternative stage rules (brute-force oracle, myopic baseline)
     share all expectation machinery, which keeps comparisons free of
     summation-order effects. Contract: the value must not depend on any
     level-j report beyond the top ``y_1 + ... + y_j`` by w, which the exact
-    backend leaves out of the summary.
+    backend leaves out of `w_sorted`.
     """
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")

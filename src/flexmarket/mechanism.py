@@ -3,8 +3,11 @@
 Each period the mechanism solves the per-period problem for (u*, v*), lines
 the v* goods up in non-decreasing variety order, and walks flexibility levels
 1..k giving the top u*^j consumers of level j (by virtual valuation) the next
-u*^j goods. A served consumer pays its critical value: the highest grid
-report at or above the reserve price at which it would still have lost.
+u*^j goods. An allocation is one variety per report, in arrival order: the
+1-based variety the consumer receives, or 0 if unserved (the row encoding
+`oracle.enumerate_feasible_matrices` uses). A served consumer pays its
+critical value: the highest grid report at or above the reserve price at
+which it would still have lost.
 
 A report is a (valuation, flexibility level) pair, and its 1-based position
 in the period's report sequence is its arrival index. Ties between equal
@@ -24,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import SortedReportSummary, ValueTables, stage_value
+from .dp import ValueTables, stage_value
 from .errors import (
     InconsistentAllocation,
     NegativeSupply,
@@ -63,15 +66,8 @@ def make_reports(pairs: Sequence[tuple]) -> tuple[Report, ...]:
     return tuple(Report(float(v), int(b)) for v, b in pairs)
 
 
-def _variety_of(matrix: np.ndarray, row: int) -> int:
-    """1-based variety in one row of an allocation matrix, 0 if unserved. The
-    row is read as a Python list, which costs a fraction of a numpy call."""
-    cells = matrix[row].tolist()
-    return cells.index(1) + 1 if 1 in cells else 0
-
-
 class AllocationResult(NamedTuple):
-    matrix: np.ndarray     # n x k binary
+    varieties: tuple       # per report: 1-based variety received, 0 if unserved
     u_star: tuple
     v_star: tuple
 
@@ -80,15 +76,11 @@ class AllocationResult(NamedTuple):
 class MechanismOutcome:
     """One period's allocation, payments and supply bookkeeping."""
 
-    allocation: np.ndarray
+    varieties: tuple     # per report: 1-based variety received, 0 if unserved
     payments: tuple
     u_star: tuple
     v_star: tuple
     next_supply: tuple   # supply left after allocation, before new arrivals
-
-    def variety_received(self, row: int) -> int:
-        """1-based variety given to a consumer row, 0 if unserved."""
-        return _variety_of(self.allocation, row)
 
 
 class Mechanism:
@@ -114,8 +106,9 @@ class Mechanism:
 
     # -- allocation ----------------------------------------------------------
 
-    def _ranked_rows(self, t: int, reports: Sequence[Report]) -> tuple[SortedReportSummary, list]:
-        """Summary plus per-level row order (virtual valuation desc, then arrival)."""
+    def _ranked_rows(self, t: int, reports: Sequence[Report]) -> tuple[tuple, list]:
+        """Per-level virtual values, best first, plus per-level row order
+        (virtual valuation desc, then arrival)."""
         per_level: list[list[tuple]] = [[] for _ in range(self.cfg.varieties)]
         w_rows = self.cfg.virtual_value_lists[t - 1]
         index_of = self.cfg.grid.index_of
@@ -124,12 +117,11 @@ class Mechanism:
             per_level[r.flexibility - 1].append((-w, row, w))
         for bucket in per_level:
             bucket.sort()
-        summary = SortedReportSummary.presorted(
-            tuple(tuple(item[2] for item in b) for b in per_level))
-        return summary, [[item[1] for item in b] for b in per_level]
+        return (tuple(tuple(item[2] for item in b) for b in per_level),
+                [[item[1] for item in b] for b in per_level])
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
-        """Optimal allocation matrix for one period."""
+        """Optimal allocation for one period: the variety each report receives."""
         if not 1 <= t <= self.cfg.horizon:
             raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
         y = tuple(y)
@@ -145,17 +137,14 @@ class Mechanism:
 
         if len(self._alloc_memo) >= MEMO_BOUND:
             self._alloc_memo.clear()
-        summary, ranked = self._ranked_rows(t, reports)
-        res = stage_value(t, summary, y, self.tables.continuation_fn(t))
-        goods = [j + 1 for j in range(k) for _ in range(res.v_star[j])]
-        matrix = np.zeros((len(reports), k), dtype=np.int8)
-        pos = 0
+        w_sorted, ranked = self._ranked_rows(t, reports)
+        res = stage_value(t, w_sorted, y, self.tables.continuation_fn(t))
+        goods = iter([j + 1 for j in range(k) for _ in range(res.v_star[j])])
+        varieties = [0] * len(reports)
         for level in range(k):
             for row in ranked[level][: res.u_star[level]]:
-                matrix[row, goods[pos] - 1] = 1
-                pos += 1
-        matrix.setflags(write=False)
-        out = self._alloc_memo[key] = AllocationResult(matrix, res.u_star, res.v_star)
+                varieties[row] = next(goods)
+        out = self._alloc_memo[key] = AllocationResult(tuple(varieties), res.u_star, res.v_star)
         return out
 
     # -- payments -------------------------------------------------------------
@@ -195,7 +184,7 @@ class Mechanism:
         result = NOT_SERVED
         for idx in range(reserve_idx, len(points)):
             reports = (*before, Report(points[idx], j), *after)
-            if _variety_of(self.allocate(t, reports, y).matrix, probe_index - 1):
+            if self.allocate(t, reports, y).varieties[probe_index - 1]:
                 result = points[max(idx - 1, reserve_idx)]
                 break
         if len(self._threshold_memo) >= MEMO_BOUND:
@@ -213,9 +202,8 @@ class Mechanism:
         """Per-consumer payments: the critical value if served, else zero."""
         if allocation is None:
             allocation = self.allocate(t, reports, y)
-        return tuple(self._critical_value(t, reports, row, y)
-                     if _variety_of(allocation.matrix, row) else 0.0
-                     for row in range(len(reports)))
+        return tuple(self._critical_value(t, reports, row, y) if variety else 0.0
+                     for row, variety in enumerate(allocation.varieties))
 
     def _critical_value(self, t: int, reports: Sequence[Report], row: int, y: Sequence[int]) -> float:
         """Payment of the served consumer at `row`: its threshold against the others."""
@@ -237,7 +225,7 @@ class Mechanism:
         pairs = list(others_pairs)
         pairs.insert(i - 1, report)
         reports = make_reports(pairs)
-        if not _variety_of(self.allocate(t, reports, y).matrix, i - 1):
+        if not self.allocate(t, reports, y).varieties[i - 1]:
             return 0, 0.0
         return 1, self._critical_value(t, reports, i - 1, y)
 
@@ -256,7 +244,7 @@ class Mechanism:
         if any(c < 0 for c in left):
             raise NegativeSupply(f"allocation spent {alloc.v_star} from supply {y}")
         outcome = MechanismOutcome(
-            allocation=alloc.matrix, payments=pays,
+            varieties=alloc.varieties, payments=pays,
             u_star=alloc.u_star, v_star=alloc.v_star, next_supply=left,
         )
         return outcome, tuple(a + b for a, b in zip(left, x_next))

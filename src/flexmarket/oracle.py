@@ -227,8 +227,8 @@ def brute_stage_value(
     return best
 
 
-def _brute_stage(t, summary: dp.SortedReportSummary, y, cont, budget=DEFAULT_MATRIX_BUDGET, *, memo=None):
-    consumers = tuple((j + 1, w) for j, ws in enumerate(summary.w_sorted) for w in ws)
+def _brute_stage(t, w_sorted: tuple, y, cont, budget=DEFAULT_MATRIX_BUDGET, *, memo=None):
+    consumers = tuple((j + 1, w) for j, ws in enumerate(w_sorted) for w in ws)
     return brute_stage_value(t, consumers, y, cont, budget=budget, memo=memo)
 
 
@@ -255,8 +255,8 @@ def build_brute_tables(
     """
     memo = {} if memo is None else memo
 
-    def stage(t, summary, y, cont):
-        return _brute_stage(t, summary, y, cont, budget=matrix_budget, memo=memo)
+    def stage(t, w_sorted, y, cont):
+        return _brute_stage(t, w_sorted, y, cont, budget=matrix_budget, memo=memo)
 
     tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
     tables.backend = "exact-brute"
@@ -265,7 +265,7 @@ def build_brute_tables(
 
 def reference_stage_value(
     t: int,
-    summary: dp.SortedReportSummary,
+    w_sorted: tuple,
     y: Sequence[int],
     cont: Callable[[tuple], float],
 ) -> dp.StageResult:
@@ -278,9 +278,9 @@ def reference_stage_value(
     """
     y = tuple(y)
     best: dp.StageResult | None = None
-    for u in feasible_service_set(summary.counts, y):
+    for u in feasible_service_set(tuple(map(len, w_sorted)), y):
         v = dp.vstar(u, y)
-        parts = [w for ws, uj in zip(summary.w_sorted, u) for w in ws[:uj]]
+        parts = [w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
         parts.append(cont(tuple(a - b for a, b in zip(y, v))))
         value = math.fsum(parts)
         if best is None or value > best.value:
@@ -310,9 +310,8 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
             prob = lam_n
             for _b, _i, p, _w in combo:
                 prob *= p
-            summary = dp.SortedReportSummary.from_consumers(
-                [(b, w) for b, _i, _p, w in combo], cfg.varieties)
-            acc.add(prob * stage_fn(t, summary, y, cont))
+            w_sorted = dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties)
+            acc.add(prob * stage_fn(t, w_sorted, y, cont))
     return acc.total
 
 

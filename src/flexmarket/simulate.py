@@ -28,7 +28,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import dp
-from .dp import SortedReportSummary, ValueTables
+from .dp import ValueTables
+from .errors import TableMismatch
 from .market import MarketConfig
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
@@ -53,6 +54,17 @@ class EpisodeTrace:
     total_virtual_surplus: float
 
 
+def _session(cfg: MarketConfig, tables: ValueTables, mech: Mechanism | None) -> Mechanism:
+    """`mech`, or a new Mechanism on `tables` when None. Raises TableMismatch
+    unless the tables were built for `cfg` and `mech` runs on these tables."""
+    tables.check_config(cfg)
+    if mech is None:
+        return Mechanism(tables)
+    if mech.tables is not tables:
+        raise TableMismatch("mech runs on other tables than the ones passed")
+    return mech
+
+
 def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
     cfg = mech.cfg
     periods = []
@@ -67,8 +79,8 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
         x_next = mech.sample_supply_arrivals(rng, t + 1) if t < cfg.horizon else (0,) * cfg.varieties
         outcome, y_next = mech.step(t, y, reports, x_next)
         payments.extend(outcome.payments)
-        for row, (val, lvl) in enumerate(types):
-            if outcome.variety_received(row):
+        for (val, lvl), variety in zip(types, outcome.varieties):
+            if variety:
                 surplus.append(cfg.virtual_value_lists[t - 1][lvl - 1][cfg.grid.index_of(val)])
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
@@ -82,8 +94,7 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
 def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
                    mech: Mechanism | None = None) -> EpisodeTrace:
     """One truthful market episode, deterministic in the seed."""
-    tables.check_config(cfg)
-    mech = mech or Mechanism(tables)
+    mech = _session(cfg, tables, mech)
     return _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed])))
 
 
@@ -127,8 +138,7 @@ def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
     the episodes of `run_episodes`."""
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    tables.check_config(cfg)
-    mech = mech or Mechanism(tables)
+    mech = _session(cfg, tables, mech)
     revenues, surpluses = [], []
     for trace in run_episodes(mech, replications, seed):
         revenues.append(trace.total_revenue)
@@ -140,11 +150,11 @@ def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
 # Myopic baseline
 # ---------------------------------------------------------------------------
 
-def _myopic_stage(t, summary: SortedReportSummary, y, cont):
+def _myopic_stage(t, w_sorted: tuple, y, cont):
     """Serve for immediate virtual surplus only: the optimal stage with no
     continuation picks the service, then the real continuation is added."""
-    greedy = dp.stage_value(t, summary, y, dp._no_continuation)
-    parts = [w for ws, uj in zip(summary.w_sorted, greedy.u_star) for w in ws[:uj]]
+    greedy = dp.stage_value(t, w_sorted, y, dp._no_continuation)
+    parts = [w for ws, uj in zip(w_sorted, greedy.u_star) for w in ws[:uj]]
     parts.append(cont(tuple(a - b for a, b in zip(y, greedy.v_star))))
     return math.fsum(parts)
 
@@ -327,9 +337,8 @@ def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int,
     that law has at most 50,000 terms (supply PMF times full type-profile
     enumeration), and otherwise over the seeded environments the audits use.
     """
-    tables.check_config(cfg)
+    mech = _session(cfg, tables, mech)
     _check_slot(n_t, i)
-    mech = mech or Mechanism(tables)
     report = (float(report[0]), int(report[1]))
     law = _exact_law(cfg, n_t) if t == 1 else None
     if law is None:
@@ -349,11 +358,10 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     Deviations never over-report flexibility: a true (v, b) is probed at all
     (r, c) with c <= b over the probe's misreport values.
     """
-    tables.check_config(cfg)
+    mech = _session(cfg, tables, mech)
     _check_slot(probe.n_t, probe.slot)
     if not probe.true_types or not probe.deviation_values:
         raise ValueError("a BIC probe needs at least one true type and one deviation value")
-    mech = mech or Mechanism(tables)
     law = mech.environment_law(probe.t, probe.n_t, replications, seed)
     reports = []  # in the order the entries below read them
     for v, b in probe.true_types:
@@ -380,8 +388,7 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
              probes: Sequence[AuditProbe] | None = None,
              mech: Mechanism | None = None) -> AuditReport:
     """Estimated truthful interim utility for every probed type, all periods."""
-    tables.check_config(cfg)
-    mech = mech or Mechanism(tables)
+    mech = _session(cfg, tables, mech)
     if probes is None:
         probes = [AuditProbe.default(cfg, t) for t in range(1, cfg.horizon + 1)]
     if not probes or not all(probe.true_types for probe in probes):
@@ -420,8 +427,7 @@ def trace_rows(episode: int, trace: EpisodeTrace):
     """CSV rows (one per consumer-period event) for one episode."""
     for rec in trace.periods:
         after = rec.outcome.next_supply
-        for row, (val, lvl) in enumerate(rec.true_types):
-            variety = rec.outcome.variety_received(row)
+        for row, ((val, lvl), variety) in enumerate(zip(rec.true_types, rec.outcome.varieties)):
             yield [
                 episode, rec.t, row + 1, repr(val), lvl,
                 int(variety > 0), variety,

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flexmarket as fm
-from flexmarket import config_io, dp
+from flexmarket import config_io, dp, oracle, simulate
 from flexmarket.cli import main
 from flexmarket.errors import InconsistentAllocation
 from flexmarket.mechanism import Mechanism
@@ -436,6 +438,53 @@ def test_simulate_failure_leaves_no_partial_out(config_file, cache_file, tmp_pat
                  "--out", str(out), "--replications", "10"]) == 5
     assert not (out / "traces.csv").exists() and not (out / "revenue.csv").exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def _saved(tables, tmp_path):
+    path = tmp_path / "tables.bin"
+    tables.save(path)
+    return path
+
+
+def _edited_cache(cache_file, tmp_path, edit):
+    path = tmp_path / "edited.bin"
+    path.write_bytes(edit(Path(cache_file).read_bytes()))
+    return path
+
+
+def _first_state_as_7_0(blob):
+    """Overwrite the t=1 layer's first state, (0, 0), with (7, 0)."""
+    # magic, version, fingerprint, backend "exact", samples, seed, (T, k), layer size
+    at = struct.calcsize("<8sI64sH5sQBQIII")
+    assert struct.unpack_from("<2I", blob, at) == (0, 0)
+    return blob[:at] + struct.pack("<I", 7) + blob[at + 4:]
+
+
+# case -> cache path from (config, exact tables, exact cache file, tmp_path)
+UNSERVABLE_CACHES = {
+    "myopic-backend": lambda cfg, tab, k, d: _saved(simulate.build_myopic_tables(cfg), d),
+    "brute-backend": lambda cfg, tab, k, d: _saved(oracle.build_brute_tables(cfg), d),
+    "mc-one-sample": lambda cfg, tab, k, d: _saved(
+        dataclasses.replace(tab, backend="mc", samples=1, seed=1), d),
+    "mc-without-seed": lambda cfg, tab, k, d: _saved(
+        dataclasses.replace(tab, backend="mc", samples=50, seed=None), d),
+    "edited-state": lambda cfg, tab, k, d: _edited_cache(k, d, _first_state_as_7_0),
+    "trailing-bytes": lambda cfg, tab, k, d: _edited_cache(k, d, lambda blob: blob + b"\0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSERVABLE_CACHES))
+def test_simulate_rejects_unservable_cache(case, config_file, cache_file, small_cfg,
+                                           small_tables, tmp_path, capsys):
+    """A cache `build_value_tables` would not have saved for the config exits 5
+    with a message: no traceback and no --out artifacts."""
+    cache = UNSERVABLE_CACHES[case](small_cfg, small_tables, cache_file, tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config_file, "--cache", str(cache),
+                 "--out", str(out), "--replications", "10"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.strip() and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_simulate_out_into_existing_directory(config_file, cache_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
 from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, oracle
-from flexmarket.dp import SortedReportSummary, ValueTables, stage_value, vstar
+from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
 from conftest import tabulated_config
@@ -63,8 +63,7 @@ def test_vstar_is_feasible_and_spends_everything(data):
 
 def test_stage_example_exhaustive():
     """Terminal-period toy: top values 0.5 and 0.3 are served, -0.1 is not."""
-    summary = SortedReportSummary(counts=(1, 2), w_sorted=((0.5,), (0.3, -0.1)))
-    res = stage_value(2, summary, (1, 1), lambda m: 0.0)
+    res = stage_value(2, ((0.5,), (0.3, -0.1)), (1, 1), lambda m: 0.0)
     assert res.value == pytest.approx(0.8)
     assert res.u_star == (1, 1)
     # cross-check against the full-matrix search
@@ -73,26 +72,24 @@ def test_stage_example_exhaustive():
 
 
 def test_stage_empty_summary_returns_continuation():
-    summary = SortedReportSummary(counts=(0, 0), w_sorted=((), ()))
-    res = stage_value(1, summary, (2, 1), lambda m: 0.25 * sum(m))
+    res = stage_value(1, ((), ()), (2, 1), lambda m: 0.25 * sum(m))
     assert res.value == 0.25 * 3
     assert res.u_star == (0, 0) and res.v_star == (0, 0)
 
 
 def test_stage_zero_gain_consumer_not_served():
     """Exactly zero net gain loses the tie to the smaller service vector."""
-    summary = SortedReportSummary(counts=(1,), w_sorted=((0.5,),))
-    res = stage_value(1, summary, (1,), lambda m: 1.0 + 0.5 * sum(m))
+    res = stage_value(1, ((0.5,),), (1,), lambda m: 1.0 + 0.5 * sum(m))
     # serving: 0.5 + cont((0,)) = 1.5 ; not serving: cont((1,)) = 1.5
     assert res.value == 1.5
     assert res.u_star == (0,)
 
 
-def test_summary_validates_ordering():
-    with pytest.raises(ValueError):
-        SortedReportSummary(counts=(2,), w_sorted=((0.1, 0.5),))
-    with pytest.raises(ValueError):
-        SortedReportSummary(counts=(1,), w_sorted=((0.1, 0.05),))
+def test_summarize_sorts_each_level():
+    """(level, w) pairs in any order become per-level tuples, best first."""
+    pairs = [(2, 0.1), (1, -0.2), (2, 0.5), (2, 0.3), (1, 0.4)]
+    assert summarize(pairs, 3) == ((0.4, -0.2), (0.5, 0.3, 0.1), ())
+    assert summarize([], 2) == ((), ())
 
 
 # -- value tables -------------------------------------------------------------------

@@ -18,7 +18,7 @@ def w_of(cfg, t, report):
 
 def test_allocate_empty(example_mech):
     res = example_mech.allocate(1, make_reports([]), (1, 1))
-    assert res.matrix.shape == (0, 2)
+    assert res.varieties == ()
     assert res.u_star == (0, 0) and res.v_star == (0, 0)
 
 
@@ -29,38 +29,38 @@ def test_allocate_single_flexible_consumer(example_cfg, example_mech):
     for val in (0.05, 0.25, 0.3, 0.35, 0.9):
         reports = make_reports([(val, 2)])
         res = example_mech.allocate(1, reports, (1, 1))
-        served = bool(res.matrix.any())
+        served = bool(res.varieties[0])
         assert served == (fm.virtual_valuation(example_cfg, 1, val, 2) > 0)
         if served:
             assert res.u_star == (0, 1)
-            assert res.matrix[0].sum() == 1
+            assert res.varieties[0] in (1, 2)
 
 
 def test_allocate_two_rivals_one_good(example_mech):
     """Two level-1 consumers, one variety-1 good: the higher value wins."""
     reports = make_reports([(0.5, 1), (0.8, 1)])
     res = example_mech.allocate(2, reports, (1, 0))
-    assert res.matrix[1, 0] == 1 and res.matrix[0].sum() == 0
+    assert res.varieties == (0, 1)
     assert res.u_star == (1, 0)
 
 
 def test_allocate_feasibility_and_goods_order(example_mech):
-    """Matrix feasibility: row sums, column budgets, flexibility bounds."""
+    """Feasibility: one good per consumer, variety budgets, flexibility bounds."""
     reports = make_reports([(0.9, 1), (0.8, 2), (0.7, 2), (0.6, 1)])
     y = (1, 1)
     res = example_mech.allocate(2, reports, y)
-    mat = res.matrix
-    assert (mat.sum(axis=1) <= 1).all()
-    assert (mat.sum(axis=0) <= np.array(y)).all()
-    for row, r in enumerate(reports):
-        assert mat[row, r.flexibility:].sum() == 0
-    assert tuple(mat.sum(axis=0)) == res.v_star
+    assert len(res.varieties) == len(reports)
+    spent = oracle.varieties_of(res.varieties, len(y))
+    assert all(s <= yj for s, yj in zip(spent, y))
+    for variety, r in zip(res.varieties, reports):
+        assert 0 <= variety <= r.flexibility
+    assert spent == res.v_star
 
 
 def test_allocate_tie_breaks_by_arrival(example_mech):
     reports = make_reports([(0.8, 1), (0.8, 1)])
     res = example_mech.allocate(2, reports, (1, 0))
-    assert res.matrix[0, 0] == 1 and res.matrix[1].sum() == 0
+    assert res.varieties == (1, 0)
 
 
 def test_served_consumers_have_positive_w(example_cfg, example_mech):
@@ -74,7 +74,7 @@ def test_served_consumers_have_positive_w(example_cfg, example_mech):
         y = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         res = example_mech.allocate(t, reports, y)
         for row, r in enumerate(reports):
-            if res.matrix[row].any():
+            if res.varieties[row]:
                 assert w_of(example_cfg, t, r) > 0
 
 
@@ -90,11 +90,11 @@ def test_flexible_consumers_with_better_w_are_served(example_cfg, example_mech):
         y = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         res = example_mech.allocate(t, reports, y)
         served1 = [w_of(example_cfg, t, r) for row, r in enumerate(reports)
-                   if r.flexibility == 1 and res.matrix[row].any()]
+                   if r.flexibility == 1 and res.varieties[row]]
         bar = min(served1) if served1 else math.inf
         for row, r in enumerate(reports):
             if r.flexibility == 2 and w_of(example_cfg, t, r) > bar:
-                assert res.matrix[row].any()
+                assert res.varieties[row]
 
 
 def test_flexibility_ordering_on_random_instances():
@@ -116,12 +116,37 @@ def test_flexibility_ordering_on_random_instances():
                 for lo in range(1, k + 1):
                     served_lo = sorted(
                         (ws[row] for row, r in enumerate(reports)
-                         if r.flexibility == lo and res.matrix[row].any()),
+                         if r.flexibility == lo and res.varieties[row]),
                     )
                     bar = served_lo[0] if served_lo else math.inf
                     for row, r in enumerate(reports):
                         if r.flexibility > lo and ws[row] > bar:
-                            assert res.matrix[row].any()
+                            assert res.varieties[row]
+
+
+def test_allocations_match_oracle_matrices():
+    """On seeded reports over family instances, an allocation is one of the
+    oracle's feasible matrices (the same one-variety-per-row encoding), and its
+    service and spent varieties are the stage's u* and v*."""
+    rng = np.random.default_rng(14)
+    served = 0
+    for seed in range(8):
+        cfg = oracle.random_instance(seed)
+        mech = Mechanism(fm.build_value_tables(cfg))
+        k = cfg.varieties
+        for t in range(1, cfg.horizon + 1):
+            states = mech.tables.states[t]
+            for _ in range(25):
+                y = states[int(rng.integers(len(states)))]
+                n = int(rng.integers(0, 4))
+                reports = make_reports([mech.sample_type(rng, t) for _ in range(n)])
+                res = mech.allocate(t, reports, y)
+                flexibilities = [r.flexibility for r in reports]
+                assert res.varieties in oracle.enumerate_feasible_matrices(flexibilities, y)
+                assert oracle.service_of(res.varieties, flexibilities, k) == res.u_star
+                assert oracle.varieties_of(res.varieties, k) == res.v_star
+                served += any(res.varieties)
+    assert served > 50
 
 
 # -- thresholds and payments ---------------------------------------------------------
@@ -175,7 +200,7 @@ def test_critical_value_property(example_cfg, example_mech):
             others = [x for x in reports if x is not r]
             tau = example_mech.payment_threshold(t, others, r.flexibility, y,
                                                  probe_index=row + 1)
-            if res.matrix[row].any():
+            if res.varieties[row]:
                 assert tau is not NOT_SERVED
                 assert tau <= r.valuation + 1e-12
                 assert pays[row] == tau
@@ -200,7 +225,7 @@ def test_payment_consistency_under_heavy_ties():
         res = mech.allocate(t, reports, y)
         pays = mech.payments(t, reports, y, res)
         for row, r in enumerate(reports):
-            if res.matrix[row].any():
+            if res.varieties[row]:
                 assert pays[row] <= r.valuation + 1e-12
                 served_checked += 1
             else:

@@ -271,8 +271,8 @@ def test_verify_instance_enumerates_each_matrix_set_once(monkeypatch):
 
 def test_memoised_brute_tables_equal_fresh_enumeration():
     """Brute tables whose every stage enumerates afresh equal the memoised build's."""
-    def fresh(t, summary, y, cont):
-        consumers = [(j + 1, w) for j, ws in enumerate(summary.w_sorted) for w in ws]
+    def fresh(t, w_sorted, y, cont):
+        consumers = [(j + 1, w) for j, ws in enumerate(w_sorted) for w in ws]
         return oracle.brute_stage_value(t, consumers, y, cont)
 
     for seed in range(40):
@@ -343,11 +343,11 @@ def _same_stage(got, want) -> bool:
 
 def _checked_stage(calls: list):
     """A `stage_fn` that solves each stage both ways and asserts they agree."""
-    def stage(t, summary, y, cont):
+    def stage(t, w_sorted, y, cont):
         calls.append(t)
-        got = dp.stage_value(t, summary, y, cont)
-        want = oracle.reference_stage_value(t, summary, y, cont)
-        assert _same_stage(got, want), (t, summary, y)
+        got = dp.stage_value(t, w_sorted, y, cont)
+        want = oracle.reference_stage_value(t, w_sorted, y, cont)
+        assert _same_stage(got, want), (t, w_sorted, y)
         return got.value
     return stage
 
@@ -396,17 +396,16 @@ def test_stage_matches_reference_on_ties():
         w_sorted = tuple(tuple(sorted(rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], size=n).tolist(),
                                       reverse=True))
                          for n in rng.integers(0, 4, size=k))
-        summary = dp.SortedReportSummary(tuple(map(len, w_sorted)), w_sorted)
         if case % 2:
             def cont(m):
                 return 0.25 * sum(m)  # a level-j good is worth exactly w = 0.25
         else:
             cont = _concave_cont(rng, k)
-        got = dp.stage_value(1, summary, y, cont)
-        want = oracle.reference_stage_value(1, summary, y, cont)
-        assert _same_stage(got, want), (summary, y)
+        got = dp.stage_value(1, w_sorted, y, cont)
+        want = oracle.reference_stage_value(1, w_sorted, y, cont)
+        assert _same_stage(got, want), (w_sorted, y)
         values = [math.fsum([w for ws, uj in zip(w_sorted, u) for w in ws[:uj]]
                             + [cont(tuple(a - b for a, b in zip(y, dp.vstar(u, y))))])
-                  for u in oracle.feasible_service_set(summary.counts, y)]
+                  for u in oracle.feasible_service_set(tuple(map(len, w_sorted)), y)]
         ties += values.count(got.value) > 1
     assert ties > 100

@@ -40,6 +40,24 @@ def test_config_serialised_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mech_on_other_tables_is_refused(small_cfg, small_tables):
+    """Each entry point taking `mech=` refuses one built on other tables, even
+    tables of the same config, instead of running the other market."""
+    probe = AuditProbe.default(small_cfg, 2, points=3)
+    entry_points = [
+        lambda mech: fm.sample_episode(small_cfg, small_tables, 1, mech=mech),
+        lambda mech: fm.estimate_revenue(small_cfg, small_tables, 50, 1, mech=mech),
+        lambda mech: fm.interim_quantities(small_cfg, small_tables, 1, 1, 1, (0.5, 1), mech=mech),
+        lambda mech: fm.bic_audit(small_cfg, small_tables, probe, 20, 0, mech=mech),
+        lambda mech: fm.ir_audit(small_cfg, small_tables, 20, 0, mech=mech),
+    ]
+    other_market = fm.build_value_tables(fm.build_example_config((2.0, 3.0), 0.9, 2, 41))
+    for tables in (other_market, fm.build_value_tables(small_cfg)):
+        for run in entry_points:
+            with pytest.raises(fm.TableMismatch, match="other tables"):
+                run(Mechanism(tables))
+
+
 def test_zero_arrivals_zero_revenue():
     cfg = fm.build_example_config((2.0, 3.0), 0.0, 2, 21)
     tables = fm.build_value_tables(cfg)
@@ -57,7 +75,7 @@ def test_final_period_winners_pay_reserve(small_cfg, small_tables, small_mech):
         tr = fm.sample_episode(small_cfg, small_tables, seed, mech=small_mech)
         rec = tr.periods[1]
         for row, (val, lvl) in enumerate(rec.true_types):
-            if rec.outcome.variety_received(row):
+            if rec.outcome.varieties[row]:
                 assert rec.outcome.payments[row] == reserves[lvl]
                 seen += 1
     assert seen > 10
@@ -89,7 +107,7 @@ def test_payments_never_exceed_reports(small_cfg, small_tables, small_mech):
         for rec in tr.periods:
             for row, (val, lvl) in enumerate(rec.true_types):
                 assert rec.outcome.payments[row] <= val + 1e-12
-                if not rec.outcome.variety_received(row):
+                if not rec.outcome.varieties[row]:
                     assert rec.outcome.payments[row] == 0.0
 
 
@@ -98,7 +116,7 @@ def test_varieties_respect_flexibility(small_cfg, small_tables, small_mech):
         tr = fm.sample_episode(small_cfg, small_tables, seed, mech=small_mech)
         for rec in tr.periods:
             for row, (val, lvl) in enumerate(rec.true_types):
-                variety = rec.outcome.variety_received(row)
+                variety = rec.outcome.varieties[row]
                 assert variety <= lvl
 
 
@@ -167,8 +185,7 @@ def test_revenue_deficit_bounded_by_one_grid_cell():
     sales = 0
     for seed in range(400):
         tr = fm.sample_episode(cfg, tables, seed, mech=mech)
-        sales += sum(int(rec.outcome.variety_received(r) > 0)
-                     for rec in tr.periods for r in range(len(rec.true_types)))
+        sales += sum(int(variety > 0) for rec in tr.periods for variety in rec.outcome.varieties)
     bound = g.step * sales / 400
     assert -3 * est.stderr <= exact - est.mean <= bound + 3 * est.stderr
 
@@ -351,7 +368,7 @@ def test_served_traces_realize_nonnegative_utility(small_cfg, small_tables, smal
         tr = fm.sample_episode(small_cfg, small_tables, seed, mech=small_mech)
         for rec in tr.periods:
             for row, (val, lvl) in enumerate(rec.true_types):
-                if rec.outcome.variety_received(row):
+                if rec.outcome.varieties[row]:
                     assert val - rec.outcome.payments[row] >= -1e-12
 
 
