@@ -19,7 +19,11 @@ state, so each period's profiles are enumerated once for the whole layer:
 one walk records every profile's probability and multiset, and every state
 of the layer reads those columns, solves the stage once per distinct summary
 and adds each profile's probability times that shared value in the same
-summation order. Neither the memo nor the shared walk moves a bit of any
+summation order. When the next layer's table is non-decreasing in every
+variety, bit for bit (checked per layer; the final one is all zeros), the
+multiset also leaves out every report with virtual value w <= 0: against a
+non-decreasing continuation, serving it cannot raise a correctly rounded
+sum. Neither the memo, nor the shared walk, nor that rule moves a bit of any
 table (``oracle.reference_expected_stage``, one unmemoised enumeration per
 state, is the reference). Per-profile sums use ``math.fsum`` (correctly rounded), so
 two pipelines that agree on the served multiset and continuation value
@@ -270,7 +274,9 @@ class ValueTables:
         """Tables saved for `cfg`. Raises TableMismatch unless the file holds
         exactly what `build_value_tables` saves for `cfg`: an "exact" or "mc"
         backend (mc with at least 2 samples and a seed), every layer's
-        `reachable_states` in order, and nothing after the last layer."""
+        `reachable_states` in order, finite non-negative values and standard
+        errors (every error zero in an exact cache, every entry zero in layer
+        T + 1), and nothing after the last layer."""
         fp = cfg.fingerprint
         with open(path, "rb") as fh:
 
@@ -314,6 +320,15 @@ class ValueTables:
                     if tuple(got) != y:
                         raise TableMismatch(
                             f"cache layer t={t} lists state {tuple(got)} where the config has {y}")
+                    if not (math.isfinite(c) and c >= 0.0 and math.isfinite(se) and se >= 0.0):
+                        raise TableMismatch(
+                            f"cache entry t={t}, y={y} holds value {c!r} and standard error "
+                            f"{se!r}; both must be finite and non-negative")
+                    if se and backend == "exact":
+                        raise TableMismatch(
+                            f"exact cache entry t={t}, y={y} has standard error {se!r}")
+                    if t == T + 1 and (c or se):
+                        raise TableMismatch(f"cache entry t={t}, y={y} past the horizon is not 0")
                     layer_vals[y] = c
                     layer_errs[y] = se
                 states[t], values[t], stderrs[t] = layer_states, layer_vals, layer_errs
@@ -358,13 +373,28 @@ def _servable(key: tuple, level_of: list, reach: list) -> tuple:
     return tuple(out)
 
 
-def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
+def _non_decreasing(layer: dict) -> bool:
+    """Whether every entry is at least the entry one good lower in each
+    variety, bit for bit: values[y - e_i] <= values[y] wherever y_i > 0."""
+    for y, value in layer.items():
+        for i, yi in enumerate(y):
+            if yi and layer[(*y[:i], yi - 1, *y[i + 1:])] > value:
+                return False
+    return True
+
+
+def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -> dict:
     """C_t(y) for every state y of period t, from one walk over the ordered profiles.
 
     The walk records, per ordered profile in enumeration order, its weight
     ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and the index
     of its sorted rank tuple among the distinct multisets; these two columns
-    take 12 bytes per profile and live for this call only. Per state,
+    take 12 bytes per profile and live for this call only. With
+    `drop_unserved` (the caller's guarantee that `cont` is non-decreasing in
+    every variety), a multiset leaves out every report with w <= 0: serving
+    one cannot raise a correctly rounded sum, so no stage obeying the
+    contract of `build_value_tables` can tell, and such a report is the
+    lowest of its level, so the clipping below is unchanged. Per state,
     each multiset is clipped to the servable reports (per level j, the top
     ``y_1 + ... + y_j`` by virtual value), the stage is solved once per
     distinct clipped key, and every profile adds its weight times its key's
@@ -382,6 +412,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
     rank = [0] * len(atoms)
     for r, a in enumerate(order):
         rank[a] = r
+    keep = [not drop_unserved or w > 0.0 for _b, _i, _p, w in atoms]
     level_of = [atoms[a][0] - 1 for a in order]
     w_of = [atoms[a][3] for a in order]
     probs = [p for _b, _i, p, _w in atoms]
@@ -397,7 +428,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn) -> dict:
             prob = lam_n
             for a in profile:
                 prob *= probs[a]
-            key = tuple(sorted([rank[a] for a in profile]))
+            key = tuple(sorted([rank[a] for a in profile if keep[a]]))
             slot = slot_of.get(key)
             if slot is None:
                 slot = slot_of[key] = len(multisets)
@@ -463,7 +494,9 @@ def build_value_tables(
     per-period enumeration exceeds `profile_budget`. Every state of the layer
     reads that one enumeration in the same summation order; it calls the
     stage once per distinct servable multiset and state and reuses that
-    value for every profile sharing it. The Monte Carlo backend averages
+    value for every profile sharing it. Where layer t + 1 is non-decreasing
+    in every variety, bit for bit, the multisets of layer t leave out every
+    report with w <= 0. The Monte Carlo backend averages
     `samples` seeded draws per entry, with an independent substream per
     (period, state) so results do not depend on evaluation order, and
     records each entry's standard error.
@@ -474,8 +507,9 @@ def build_value_tables(
     service-vector stage. Alternative stage rules (brute-force oracle, myopic baseline)
     share all expectation machinery, which keeps comparisons free of
     summation-order effects. Contract: the value must not depend on any
-    level-j report beyond the top ``y_1 + ... + y_j`` by w, which the exact
-    backend leaves out of `w_sorted`.
+    level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
+    is non-decreasing in every variety, on any report with w <= 0; the exact
+    backend leaves both out of `w_sorted`.
     """
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -508,7 +542,8 @@ def build_value_tables(
     for t in range(T, 0, -1):
         cont = tables.continuation_fn(t)
         if backend == "exact":
-            layer_vals = _expected_layer_exact(cfg, t, states[t], cont, stage_fn)
+            layer_vals = _expected_layer_exact(
+                cfg, t, states[t], cont, stage_fn, _non_decreasing(tables.values[t + 1]))
             layer_errs = dict.fromkeys(states[t], 0.0)
         else:
             layer_vals, layer_errs = {}, {}

@@ -460,8 +460,25 @@ def _first_state_as_7_0(blob):
     return blob[:at] + struct.pack("<I", 7) + blob[at + 4:]
 
 
+def _one_entry_set(tables, t, field, number, **changes):
+    """A copy of `tables`, with `changes`, whose `field` entry at period t's
+    last state is `number`."""
+    layers = {u: dict(layer) for u, layer in getattr(tables, field).items()}
+    layers[t][tables.states[t][-1]] = number
+    return dataclasses.replace(tables, **{field: layers}, **changes)
+
+
 # case -> cache path from (config, exact tables, exact cache file, tmp_path)
 UNSERVABLE_CACHES = {
+    "nan-value": lambda cfg, tab, k, d: _saved(_one_entry_set(tab, 1, "values", float("nan")), d),
+    "negative-value": lambda cfg, tab, k, d: _saved(_one_entry_set(tab, 1, "values", -5.0), d),
+    "inf-stderr": lambda cfg, tab, k, d: _saved(
+        _one_entry_set(tab, 1, "stderrs", float("inf"), backend="mc", samples=50, seed=1), d),
+    "negative-stderr": lambda cfg, tab, k, d: _saved(
+        _one_entry_set(tab, 1, "stderrs", -0.5, backend="mc", samples=50, seed=1), d),
+    "exact-with-stderr": lambda cfg, tab, k, d: _saved(_one_entry_set(tab, 1, "stderrs", 0.01), d),
+    "nonzero-past-horizon": lambda cfg, tab, k, d: _saved(
+        _one_entry_set(tab, cfg.horizon + 1, "values", 0.5), d),
     "myopic-backend": lambda cfg, tab, k, d: _saved(simulate.build_myopic_tables(cfg), d),
     "brute-backend": lambda cfg, tab, k, d: _saved(oracle.build_brute_tables(cfg), d),
     "mc-one-sample": lambda cfg, tab, k, d: _saved(

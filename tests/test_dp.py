@@ -178,16 +178,23 @@ def test_monotone_under_supply_shift(small_tables):
     assert not oracle.check_monotonicity(small_tables)
 
 
-def test_stage_called_once_per_servable_multiset():
-    """k=2, T=2, G=21 market, arrivals uniform on {0, 1, 2}, Bernoulli(0.5) supply:
-    23,491 ordered (profile, state) pairs need at most 6,250 stage solves, and a
-    state with no supply serves nobody, so it needs one solve per period."""
+def _exact_solve_market():
+    """k=2, T=2, G=21 market, arrivals uniform on {0, 1, 2}, Bernoulli(0.5) supply."""
     bern = [0.5, 0.5]
-    cfg = config_io.parse_config({
+    return config_io.parse_config({
         "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
         "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
         "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
     })
+
+
+def test_stage_called_once_per_servable_multiset():
+    """On `_exact_solve_market`, 23,491 ordered (profile, state) pairs need at
+    most 2,955 stage solves: one per state and distinct servable multiset of
+    reports with w > 0, since the tables are monotone and a report with w <= 0
+    is never served. A state with no supply serves nobody, so it needs one
+    solve per period."""
+    cfg = _exact_solve_market()
     calls = []
 
     def counted(t, summary, y, cont):
@@ -195,9 +202,35 @@ def test_stage_called_once_per_servable_multiset():
         return dp._optimal_stage(t, summary, y, cont)
 
     tables = fm.build_value_tables(cfg, stage_fn=counted)
-    assert len(calls) <= 6250
+    assert len(calls) <= 2955
     assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
     assert tables.values == fm.build_value_tables(cfg).values
+
+
+def test_non_monotone_layer_keeps_never_served_reports():
+    """A stage that keeps the contract but charges 0.25 per good held makes
+    layers 1 and 2 non-monotone, so a report with w <= 0 may matter there; the
+    tables still equal the unmemoised reference expectation bit for bit."""
+    cfg = _exact_solve_market()
+
+    def charged(t, summary, y, cont):
+        return dp._optimal_stage(t, summary, y, cont) - 0.25 * sum(y)
+
+    tables = fm.build_value_tables(cfg, stage_fn=charged)
+    assert not dp._non_decreasing(tables.values[1]) and not dp._non_decreasing(tables.values[2])
+    for t in (1, 2):
+        cont = tables.continuation_fn(t)
+        for y in tables.states[t]:
+            ref = oracle.reference_expected_stage(cfg, t, y, cont, charged)
+            assert tables.values[t][y].hex() == ref.hex(), (t, y)
+
+
+def test_non_decreasing_reads_every_variety():
+    layer = {(a, b): float(a + 2 * b) for a in range(2) for b in range(3)}
+    assert dp._non_decreasing(layer)
+    layer[(1, 1)] = 1.5  # one good of variety 1 more than (0, 1), which holds 2.0
+    assert not dp._non_decreasing(layer)
+    assert dp._non_decreasing({(0, 0): 0.0})
 
 
 def test_mc_backend_matches_exact(small_cfg, small_tables):

@@ -353,11 +353,15 @@ def _checked_stage(calls: list):
 
 
 def test_stage_matches_reference_on_family():
-    """At every (t, y) and servable multiset the exact backend solves on all 200
-    instances of the family, the stage returns the reference's value, u and v*."""
+    """On all 200 instances of the family, at every (t, y) and on every ordered
+    profile's whole summary (unclipped, never-served reports included, as
+    `Mechanism.allocate` passes them), the stage returns the reference's value,
+    u and v*; and every exact table entry equals the reference expectation bit
+    for bit."""
     calls = []
     for i in range(200):
-        dp.build_value_tables(random_instance(i, master_seed=0), stage_fn=_checked_stage(calls))
+        tables = dp.build_value_tables(random_instance(i, master_seed=0))
+        _assert_matches_reference(tables, _checked_stage(calls))
     assert len(calls) > 100_000
 
 
