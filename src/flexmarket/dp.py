@@ -65,22 +65,6 @@ _VERSION = 1
 DEFAULT_PROFILE_BUDGET = 10_000_000
 
 
-class KahanSum:
-    """Compensated accumulator; deterministic for a fixed addition order."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 # ---------------------------------------------------------------------------
 # The variety recursion
 # ---------------------------------------------------------------------------
@@ -214,12 +198,6 @@ class ValueTables:
         if cfg.fingerprint != self.fingerprint:
             raise TableMismatch("tables were built for a different config")
 
-    def value(self, t: int, y: Sequence[int]) -> float:
-        return self.values[t][tuple(y)]
-
-    def stderr(self, t: int, y: Sequence[int]) -> float:
-        return self.stderrs[t][tuple(y)]
-
     def continuation_fn(self, t: int) -> Callable[[Vector], float]:
         """Memoised m -> expected next-period value of carrying supply m out of period t.
 
@@ -245,10 +223,6 @@ class ValueTables:
             self._conts[t] = cont
         return cont
 
-    def continuation(self, t: int, m: Sequence[int]) -> float:
-        """Expected next-period value of carrying supply m out of period t."""
-        return self.continuation_fn(t)(tuple(m))
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
@@ -272,8 +246,9 @@ class ValueTables:
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
         """Tables saved for `cfg`. Raises TableMismatch unless the file holds
-        exactly what `build_value_tables` saves for `cfg`: an "exact" or "mc"
-        backend (mc with at least 2 samples and a seed), every layer's
+        exactly what `build_value_tables` saves for `cfg`: an "exact" backend
+        with no samples and no seed, or an "mc" one with at least 2 samples
+        and a seed (a seed flag of 0 or 1, the seed 0 under flag 0), every layer's
         `reachable_states` in order, finite non-negative values and standard
         errors (every error zero in an exact cache, every entry zero in layer
         T + 1), and nothing after the last layer."""
@@ -303,8 +278,13 @@ class ValueTables:
             has_seed, seed = read("<BQ")
             if backend not in ("exact", "mc"):
                 raise TableMismatch(f"cache backend {backend!r} is neither 'exact' nor 'mc'")
+            if has_seed not in (0, 1) or (seed and not has_seed):
+                raise TableMismatch(f"cache seed flag {has_seed} with seed {seed} is malformed")
             if backend == "mc" and (samples < 2 or not has_seed):
                 raise TableMismatch("mc cache needs at least 2 samples and a seed")
+            if backend == "exact" and (samples or has_seed):
+                raise TableMismatch(
+                    f"exact cache carries Monte Carlo samples ({samples}) or a seed")
             T, k = read("<II")
             if T != cfg.horizon or k != cfg.varieties:
                 raise TableMismatch("cache dimensions do not match config")
@@ -455,7 +435,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -
                     summary = summaries[key] = tuple(map(tuple, per_level))
                 value = memo[key] = stage_fn(t, summary, y, cont)
             values.append(value)
-        total = comp = 0.0  # KahanSum.add, inlined
+        total = comp = 0.0  # compensated sum: the Kahan accumulator of oracle, inlined
         for prob, slot in zip(weights, slots):
             x = prob * values[slot] - comp
             acc = total + x
@@ -473,7 +453,7 @@ def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, floa
         consumers = []
         for _ in range(sampler.arrival_count(rng)):
             b, i = sampler.consumer(rng)
-            consumers.append((b, float(w_rows[b - 1, i])))
+            consumers.append((b, w_rows[b - 1][i]))
         vals[s] = stage_fn(t, summarize(consumers, cfg.varieties), y, cont)
     mean = float(np.mean(vals))
     return mean, float(np.std(vals, ddof=1) / math.sqrt(samples))

@@ -189,32 +189,27 @@ class MarketConfig:
     supply: SupplyDistribution
 
     @cached_property
-    def virtual_values(self) -> np.ndarray:
-        """w[t-1, b-1, i] = x_i - (1 - CDF) / pdf, with w = x exactly where CDF = 1."""
+    def virtual_values(self) -> tuple:
+        """w[t-1][b-1][i] = x_i - (1 - CDF) / pdf, with w = x exactly where
+        CDF = 1, as nested tuples of Python floats."""
         one_minus = 1.0 - self.types.cdf
         with np.errstate(divide="ignore", invalid="ignore"):
             w = self.grid.points - one_minus / self.types.pdf
         w = np.where(one_minus == 0.0, self.grid.points, w)
-        return _readonly(w)
-
-    @cached_property
-    def virtual_value_lists(self) -> list:
-        """`virtual_values` as nested lists of Python floats, ``[t-1][b-1][i]``,
-        for per-report lookups."""
-        return self.virtual_values.tolist()
+        return tuple(tuple(map(tuple, rows)) for rows in w.tolist())
 
     @cached_property
     def fingerprint(self) -> str:
         """SHA-256 of the canonical serialization, computed once per config."""
         return hashlib.sha256(canonical_json(self).encode("utf-8")).hexdigest()
 
-    def virtual_value_row(self, t: int, b: int) -> np.ndarray:
+    def virtual_value_row(self, t: int, b: int) -> tuple:
         """Level b's virtual valuations at period t, both indices 1-based and checked."""
         if not 1 <= b <= self.varieties:
             raise OffGridValue(f"flexibility level {b} outside 1..{self.varieties}")
         if not 1 <= t <= self.horizon:
             raise ValueError(f"period {t} outside 1..{self.horizon}")
-        return self.virtual_values[t - 1, b - 1]
+        return self.virtual_values[t - 1][b - 1]
 
     def consumer_atoms(self, t: int) -> tuple:
         """Positive-probability consumer types (level, grid_index, prob, w) of
@@ -235,11 +230,11 @@ class MarketConfig:
                 if g == 0.0:
                     continue
                 pmf = self.types.binned_pmf[t, b]
-                w_row = self.virtual_values[t, b]
+                w_row = self.virtual_values[t][b]
                 for i in range(self.grid.size):
                     p = g * float(pmf[i])
                     if p > 0.0:
-                        atoms.append((b + 1, i, p, float(w_row[i])))
+                        atoms.append((b + 1, i, p, w_row[i]))
             out.append(tuple(atoms))
         return tuple(out)
 
@@ -320,25 +315,28 @@ def _draw(cum: list, rng) -> int:
 
 def virtual_valuation(cfg: MarketConfig, t: int, x: float, b: int) -> float:
     """Virtual valuation of a type-(x, b) report at time t; x must be on the grid."""
-    return float(cfg.virtual_value_row(t, b)[cfg.grid.index_of(x)])
+    return cfg.virtual_value_row(t, b)[cfg.grid.index_of(x)]
+
+
+def _first_reaching(row: tuple, target: float) -> int | None:
+    """Index of the first virtual value in `row` with w >= target, or None."""
+    return next((i for i, w in enumerate(row) if w >= target), None)
 
 
 def reserve_price(cfg: MarketConfig, t: int, j: int) -> float:
     """Smallest grid point whose virtual valuation is non-negative for level j at t."""
-    w = cfg.virtual_value_row(t, j)
-    nonneg = np.flatnonzero(w >= 0.0)
-    if len(nonneg) == 0:
+    i = _first_reaching(cfg.virtual_value_row(t, j), 0.0)
+    if i is None:
         raise NoNonnegativePoint(f"virtual valuation negative on the whole grid (t={t}, j={j})")
-    return float(cfg.grid.points[nonneg[0]])
+    return cfg.grid.point_list[i]
 
 
 def inverse_virtual(cfg: MarketConfig, t: int, value: float, j: int) -> float:
     """Smallest grid point whose virtual valuation reaches `value` for level j at t."""
-    w = cfg.virtual_value_row(t, j)
-    hits = np.flatnonzero(w >= value)
-    if len(hits) == 0:
+    i = _first_reaching(cfg.virtual_value_row(t, j), value)
+    if i is None:
         raise NoSolution(f"no grid point reaches virtual valuation {value} (t={t}, j={j})")
-    return float(cfg.grid.points[hits[0]])
+    return cfg.grid.point_list[i]
 
 
 def build_example_config(
@@ -553,7 +551,7 @@ def validate_config(cfg: MarketConfig) -> ValidationReport:
                 ))
 
         for b in range(1, k + 1):
-            w0 = float(cfg.virtual_values[t - 1, b - 1, 0])
+            w0 = cfg.virtual_values[t - 1][b - 1][0]
             if w0 >= 0:
                 report.violations.append(RegularityViolation(
                     kind="w_min_sign", t=t, level=b, grid_index=0,

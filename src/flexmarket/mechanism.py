@@ -110,7 +110,7 @@ class Mechanism:
         """Per-level virtual values, best first, plus per-level row order
         (virtual valuation desc, then arrival)."""
         per_level: list[list[tuple]] = [[] for _ in range(self.cfg.varieties)]
-        w_rows = self.cfg.virtual_value_lists[t - 1]
+        w_rows = self.cfg.virtual_values[t - 1]
         index_of = self.cfg.grid.index_of
         for row, r in enumerate(reports):
             w = w_rows[r.flexibility - 1][index_of(r.valuation)]

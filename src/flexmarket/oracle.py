@@ -40,6 +40,22 @@ from .market import (
 DEFAULT_MATRIX_BUDGET = 1_000_000
 
 
+class KahanSum:
+    """Compensated accumulator; deterministic for a fixed addition order."""
+
+    __slots__ = ("total", "_c")
+
+    def __init__(self):
+        self.total = 0.0
+        self._c = 0.0
+
+    def add(self, x: float) -> None:
+        y = x - self._c
+        t = self.total + y
+        self._c = (t - self.total) - y
+        self.total = t
+
+
 # ---------------------------------------------------------------------------
 # Feasible service and variety sets
 # ---------------------------------------------------------------------------
@@ -301,7 +317,7 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
-    acc = dp.KahanSum()
+    acc = KahanSum()
     for n in range(len(lam)):
         lam_n = float(lam[n])
         if lam_n == 0.0:
@@ -398,7 +414,6 @@ def transform_chain(v: Sequence[int], u: Sequence[int], y: Sequence[int]) -> lis
 
 @dataclass(frozen=True)
 class MonotonicityViolation:
-    kind: str      # "single_shift" | "cumulative_dominance"
     t: int
     better: tuple  # supply vector that should dominate
     worse: tuple
@@ -418,32 +433,18 @@ def _dominates(y: tuple, z: tuple) -> bool:
 def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[MonotonicityViolation]:
     """Scan every table layer for supply-order monotonicity violations.
 
-    Checks both the single-shift order (one good moved from a higher to a
-    lower variety index) and cumulative dominance. The slack is `tol` when
-    given, else 1e-12 plus three combined standard errors of the two entries:
-    exact tables store zero errors, so they are held to 1e-12, and every
-    sampled table, whatever its stage rule, gets its own errors' allowance.
+    One scan over cumulative dominance: y should be worth at least z
+    wherever every prefix sum of y reaches z's. That order holds every
+    single shift too (one good moved from a higher to a lower variety index),
+    so each violating pair is reported once. The slack is `tol` when given,
+    else 1e-12 plus three combined standard errors of the two entries: exact
+    tables store zero errors, so they are held to 1e-12, and every sampled
+    table, whatever its stage rule, gets its own errors' allowance.
     """
     out: list[MonotonicityViolation] = []
-    k = tables.config.varieties
     for t, layer_states in tables.states.items():
         vals = tables.values[t]
         errs = tables.stderrs[t]
-        in_layer = set(layer_states)
-        for z in layer_states:
-            for j in range(1, k):
-                if z[j] == 0:
-                    continue
-                for i in range(j):
-                    yvec = tuple(
-                        c + (1 if l == i else -1 if l == j else 0) for l, c in enumerate(z)
-                    )
-                    if yvec not in in_layer:
-                        continue
-                    slack = tol if tol is not None else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
-                    deficit = vals[z] - vals[yvec]
-                    if deficit > slack:
-                        out.append(MonotonicityViolation("single_shift", t, yvec, z, deficit))
         for yvec in layer_states:
             for z in layer_states:
                 if yvec == z or not _dominates(yvec, z):
@@ -451,7 +452,7 @@ def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[Mo
                 slack = tol if tol is not None else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
                 deficit = vals[z] - vals[yvec]
                 if deficit > slack:
-                    out.append(MonotonicityViolation("cumulative_dominance", t, yvec, z, deficit))
+                    out.append(MonotonicityViolation(t, yvec, z, deficit))
     return out
 
 

@@ -81,7 +81,7 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
         payments.extend(outcome.payments)
         for (val, lvl), variety in zip(types, outcome.varieties):
             if variety:
-                surplus.append(cfg.virtual_value_lists[t - 1][lvl - 1][cfg.grid.index_of(val)])
+                surplus.append(cfg.virtual_values[t - 1][lvl - 1][cfg.grid.index_of(val)])
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(
@@ -436,24 +436,20 @@ def trace_rows(episode: int, trace: EpisodeTrace):
             ]
 
 
-def write_traces_csv(path, traces: Iterable[EpisodeTrace], manifest: dict | None = None) -> None:
+def write_traces_csv(path, traces: Iterable[EpisodeTrace], manifest: dict) -> None:
     """One row per consumer-period event; manifest embedded as a comment line.
 
     `traces` may be any iterable (a generator streams episodes to disk).
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if manifest is not None:
-            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for ep, trace in enumerate(traces):
             writer.writerows(trace_rows(ep, trace))
 
 
-def write_json_report(path, payload: dict, manifest: dict | None = None) -> None:
-    doc = dict(payload)
-    if manifest is not None:
-        doc["manifest"] = manifest
+def write_json_report(path, payload: dict, manifest: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "manifest": manifest}, fh, indent=2, sort_keys=True)
         fh.write("\n")

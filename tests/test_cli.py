@@ -63,7 +63,7 @@ def test_solve_prints_equal_continuations(config_file, cache_file, capsys, small
     assert main(["solve", "--config", config_file, "--cache", cache_file]) == 0
     out = capsys.readouterr().out
     tables = dp.ValueTables.load(cache_file, small_cfg)
-    assert tables.value(2, (1, 1)) == tables.value(2, (1, 0))
+    assert tables.values[2][(1, 1)] == tables.values[2][(1, 0)]
     line = [l for l in out.splitlines() if "C_2((1, 1))" in l][0]
     line2 = [l for l in out.splitlines() if "C_2((1, 0))" in l][0]
     assert line.split("=")[1] == line2.split("=")[1]
@@ -460,6 +460,13 @@ def _first_state_as_7_0(blob):
     return blob[:at] + struct.pack("<I", 7) + blob[at + 4:]
 
 
+def _seed_header(blob, backend, flag, seed):
+    """Rewrite the seed flag and seed of a cache saved with `backend`."""
+    # magic, version, fingerprint, backend, samples
+    at = struct.calcsize(f"<8sI64sH{len(backend)}sQ")
+    return blob[:at] + struct.pack("<BQ", flag, seed) + blob[at + struct.calcsize("<BQ"):]
+
+
 def _one_entry_set(tables, t, field, number, **changes):
     """A copy of `tables`, with `changes`, whose `field` entry at period t's
     last state is `number`."""
@@ -485,6 +492,13 @@ UNSERVABLE_CACHES = {
         dataclasses.replace(tab, backend="mc", samples=1, seed=1), d),
     "mc-without-seed": lambda cfg, tab, k, d: _saved(
         dataclasses.replace(tab, backend="mc", samples=50, seed=None), d),
+    "exact-with-samples": lambda cfg, tab, k, d: _saved(dataclasses.replace(tab, samples=7), d),
+    "exact-with-seed": lambda cfg, tab, k, d: _saved(dataclasses.replace(tab, seed=99), d),
+    "seed-flag-2": lambda cfg, tab, k, d: _edited_cache(
+        _saved(dataclasses.replace(tab, backend="mc", samples=50, seed=1), d), d,
+        lambda blob: _seed_header(blob, "mc", 2, 1)),
+    "seed-without-flag": lambda cfg, tab, k, d: _edited_cache(
+        k, d, lambda blob: _seed_header(blob, "exact", 0, 99)),
     "edited-state": lambda cfg, tab, k, d: _edited_cache(k, d, _first_state_as_7_0),
     "trailing-bytes": lambda cfg, tab, k, d: _edited_cache(k, d, lambda blob: blob + b"\0"),
 }

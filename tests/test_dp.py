@@ -96,9 +96,9 @@ def test_summarize_sorts_each_level():
 
 def test_example_continuations(small_tables):
     """Period-2 continuation is blind to a variety-2 good when one of variety 1 is held."""
-    assert small_tables.value(2, (1, 1)) == small_tables.value(2, (1, 0))
-    assert small_tables.value(3, (1, 1)) == 0.0
-    assert small_tables.value(2, (0, 0)) == 0.0
+    assert small_tables.values[2][(1, 1)] == small_tables.values[2][(1, 0)]
+    assert small_tables.values[3][(1, 1)] == 0.0
+    assert small_tables.values[2][(0, 0)] == 0.0
 
 
 def test_terminal_value_against_direct_expectation(small_cfg, small_tables):
@@ -110,7 +110,7 @@ def test_terminal_value_against_direct_expectation(small_cfg, small_tables):
         pmf = small_cfg.types.binned_pmf[1, b - 1]
         expected += float(small_cfg.types.flex_pmf[1, b - 1]) * float(pmf @ np.maximum(w, 0.0))
     expected *= float(lam[1])
-    assert small_tables.value(2, (1, 1)) == pytest.approx(expected, abs=1e-12)
+    assert small_tables.values[2][(1, 1)] == pytest.approx(expected, abs=1e-12)
 
 
 def test_continuation_gap_examples(small_tables):
@@ -237,11 +237,11 @@ def test_mc_backend_matches_exact(small_cfg, small_tables):
     mc = fm.build_value_tables(small_cfg, backend="mc", samples=4000, seed=11)
     for t in mc.states:
         for y in mc.states[t]:
-            exact = small_tables.value(t, y)
-            est, se = mc.value(t, y), mc.stderr(t, y)
+            exact = small_tables.values[t][y]
+            est, se = mc.values[t][y], mc.stderrs[t][y]
             assert abs(est - exact) <= 5 * se + 1e-9
     # recorded errors are positive wherever the stage value is random
-    assert mc.stderr(2, (1, 1)) > 0
+    assert mc.stderrs[2][(1, 1)] > 0
 
 
 def test_mc_backend_deterministic(small_cfg):
@@ -270,7 +270,7 @@ def test_cache_roundtrip(tmp_path, small_cfg, small_tables):
     assert loaded.states == {t: list(s) for t, s in small_tables.states.items()}
     assert loaded.backend == "exact" and loaded.fingerprint == small_tables.fingerprint
     # continuations evaluate identically through the loaded copy
-    assert loaded.continuation(1, (1, 1)) == small_tables.continuation(1, (1, 1))
+    assert loaded.continuation_fn(1)((1, 1)) == small_tables.continuation_fn(1)((1, 1))
 
 
 def test_cache_rejects_other_config(tmp_path, small_tables):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import MalformedConfig, NoNonnegativePoint, NoSolution, OffGridValue
+from flexmarket import MalformedConfig, NoNonnegativePoint, NoSolution, OffGridValue, oracle
 from flexmarket.market import ValuationGrid, validate_config
 
 from conftest import tabulated_config
@@ -115,8 +115,8 @@ def test_virtual_valuation_rejects_off_grid(example_cfg):
 def test_virtual_valuation_monotone_in_value_and_level(example_cfg):
     """Non-decreasing along the grid; strictly higher for the more flexible level."""
     for t in (1, 2):
-        w1 = example_cfg.virtual_value_row(t, 1)
-        w2 = example_cfg.virtual_value_row(t, 2)
+        w1 = np.asarray(example_cfg.virtual_value_row(t, 1))
+        w2 = np.asarray(example_cfg.virtual_value_row(t, 2))
         assert np.all(np.diff(w1) > 0)
         assert np.all(np.diff(w2) > 0)
         assert np.all(w2[:-1] > w1[:-1])
@@ -162,6 +162,32 @@ def test_inverse_virtual(example_cfg):
     assert fm.inverse_virtual(example_cfg, 1, 1.0, 1) == 1.0  # w(1, j) = 1 analytically
     with pytest.raises(NoSolution):
         fm.inverse_virtual(example_cfg, 1, 1.0 + 1e-9, 1)
+
+
+def test_threshold_scans_match_numpy_on_family():
+    """`reserve_price` and `inverse_virtual` pick the first grid point that
+    `np.flatnonzero` finds, on every (t, level) of the first 50 family
+    instances: at 0.0, at every virtual value, one ulp above each, and above
+    the top."""
+    for seed in range(50):
+        cfg = oracle.random_instance(seed)
+        for t in range(1, cfg.horizon + 1):
+            for b in range(1, cfg.varieties + 1):
+                w = np.asarray(cfg.virtual_value_row(t, b))
+                hits = np.flatnonzero(w >= 0.0)
+                if hits.size:
+                    assert fm.reserve_price(cfg, t, b) == cfg.grid.points[hits[0]]
+                else:
+                    with pytest.raises(NoNonnegativePoint):
+                        fm.reserve_price(cfg, t, b)
+                targets = (0.0, *w.tolist(), *np.nextafter(w, np.inf).tolist(), w.max() + 1.0)
+                for target in targets:
+                    hits = np.flatnonzero(w >= target)
+                    if hits.size:
+                        assert fm.inverse_virtual(cfg, t, target, b) == cfg.grid.points[hits[0]]
+                    else:
+                        with pytest.raises(NoSolution):
+                            fm.inverse_virtual(cfg, t, target, b)
 
 
 # -- example builder ------------------------------------------------------------

@@ -130,8 +130,20 @@ def test_check_monotonicity_flags_corrupted_table(small_tables):
     corrupted.values[2][(1, 0)] = corrupted.values[2][(0, 1)] - 0.01
     found = check_monotonicity(corrupted)
     assert found
-    assert any(v.kind == "single_shift" and v.t == 2 for v in found)
-    assert any(v.better == (1, 0) and v.worse == (0, 1) for v in found)
+    assert any(v.t == 2 and v.better == (1, 0) and v.worse == (0, 1) for v in found)
+
+
+def test_check_monotonicity_reports_each_pair_once(small_tables):
+    """(1, 0) against (0, 1) is both a single shift and a dominance pair; the
+    scan reports it, and every other violating pair, exactly once."""
+    corrupted = dataclasses.replace(
+        small_tables,
+        values={t: dict(layer) for t, layer in small_tables.values.items()},
+    )
+    corrupted.values[2][(1, 0)] = corrupted.values[2][(0, 1)] - 0.01
+    pairs = [(v.t, v.better, v.worse) for v in check_monotonicity(corrupted)]
+    assert pairs.count((2, (1, 0), (0, 1))) == 1
+    assert len(pairs) == len(set(pairs))
 
 
 def test_check_monotonicity_slack_reads_stderrs_not_backend():
