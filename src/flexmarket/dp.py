@@ -11,23 +11,21 @@ history.
 
 A stage sees the reports only through their *servable summary*, a plain
 tuple holding, per level j, the top ``y_1 + ... + y_j`` virtual values, best
-first: the most reports of that level any rule can serve from y. Exact
-expectations enumerate ordered consumer profiles in lexicographic (level,
-grid index) order with compensated accumulation, which makes table values
-reproducible bit for bit. The report law does not depend on the supply
-state, so each period's profiles are enumerated once for the whole layer:
-one walk records every profile's probability and multiset, and every state
-of the layer reads those columns, solves the stage once per distinct summary
-and adds each profile's probability times that shared value in the same
-summation order. When the next layer's table is non-decreasing in every
-variety, bit for bit (checked per layer; the final one is all zeros), the
-multiset also leaves out every report with virtual value w <= 0: against a
-non-decreasing continuation, serving it cannot raise a correctly rounded
-sum. Neither the memo, nor the shared walk, nor that rule moves a bit of any
-table (``oracle.reference_expected_stage``, one unmemoised enumeration per
-state, is the reference). Per-profile sums use ``math.fsum`` (correctly rounded), so
-two pipelines that agree on the served multiset and continuation value
-produce identical floats.
+first: the most reports of that level any rule can serve from y. Both
+backends key a report set one way (`_expected_layer`): clipped to the
+servable reports, solved once per state and distinct key, and, when the
+next layer's table is non-decreasing in every variety, bit for bit (checked
+per layer; the final one is all zeros), without its reports of virtual value
+w <= 0, since against a non-decreasing continuation serving one cannot raise
+a correctly rounded sum. Exact expectations enumerate ordered consumer
+profiles in lexicographic (level, grid index) order, once per period for the
+whole layer (the report law does not depend on the supply state), with
+compensated accumulation, which makes table values reproducible bit for bit.
+None of these shortcuts moves a bit of any table
+(``oracle.reference_expected_stage``, one unmemoised enumeration per state,
+is the exact reference). Per-profile sums use ``math.fsum`` (correctly
+rounded), so two pipelines that agree on the served multiset and
+continuation value produce identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
@@ -363,42 +361,81 @@ def _non_decreasing(layer: dict) -> bool:
     return True
 
 
-def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -> dict:
-    """C_t(y) for every state y of period t, from one walk over the ordered profiles.
+def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
+                    samples: int | None, seed: int | None) -> tuple[dict, dict]:
+    """C_t(y) and its standard error for every state y of period t.
 
-    The walk records, per ordered profile in enumeration order, its weight
-    ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and the index
-    of its sorted rank tuple among the distinct multisets; these two columns
-    take 12 bytes per profile and live for this call only. With
+    A report set is keyed by its sorted tuple of ranks, so a key lists each
+    level's reports best first: every (level, grid index) cell, atom or not
+    (the sampler's clamp can draw a cell of zero probability), is ranked
+    once per layer by level, then non-increasing w, then grid index. With
     `drop_unserved` (the caller's guarantee that `cont` is non-decreasing in
-    every variety), a multiset leaves out every report with w <= 0: serving
-    one cannot raise a correctly rounded sum, so no stage obeying the
-    contract of `build_value_tables` can tell, and such a report is the
-    lowest of its level, so the clipping below is unchanged. Per state,
-    each multiset is clipped to the servable reports (per level j, the top
-    ``y_1 + ... + y_j`` by virtual value), the stage is solved once per
-    distinct clipped key, and every profile adds its weight times its key's
-    value with a compensated update, in enumeration order: the same
-    products, the same stage values and the same sum as
-    `oracle.reference_expected_stage`, bit for bit. Clipped summaries are
-    plain tuples, so every state of the layer shares them.
+    every variety), a key leaves out every report with w <= 0: serving one
+    cannot raise a correctly rounded sum, and such a report is the lowest of
+    its level. Per state, each key is clipped to the servable reports (per
+    level j, the top ``y_1 + ... + y_j``), the stage is solved once per
+    distinct clipped key, and every state shares the summaries.
+
+    Exact (`samples` None): one walk records each ordered profile's weight
+    ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and its key's
+    slot, 12 bytes per profile; every state adds weight times value with a
+    compensated update in enumeration order, bit for bit the sum of
+    `oracle.reference_expected_stage`. Monte Carlo: state number idx draws
+    `samples` report sets from ``SeedSequence([seed, t, idx])`` (arrival
+    count, then each consumer) and takes the numpy mean and standard error of
+    the per-sample values in draw order.
     """
+    w_rows = cfg.virtual_values[t - 1]
+    cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
+    rank = [[0] * len(row) for row in w_rows]   # rank[level - 1][grid index]
+    level_of, pair_of = [], []                  # per rank: 0-based level, (level, w)
+    for r, (b, _w, i) in enumerate(cells):
+        rank[b][i] = r
+        level_of.append(b)
+        pair_of.append((b + 1, w_rows[b][i]))
+    keep = [not drop_unserved or w > 0.0 for _b, w in pair_of]
+    summaries: dict[tuple, tuple] = {}
+
+    def evaluate(y, keys) -> list:
+        """Stage value of every key at state y, in order."""
+        reach = list(itertools.accumulate(y))
+        memo: dict[tuple, float] = {}
+        values = []
+        for key in keys:
+            if len(key) > reach[0]:  # otherwise every level can serve every report
+                key = _servable(key, level_of, reach)
+            value = memo.get(key)
+            if value is None:
+                summary = summaries.get(key)
+                if summary is None:
+                    summary = summaries[key] = summarize([pair_of[r] for r in key], cfg.varieties)
+                value = memo[key] = stage_fn(t, summary, y, cont)
+            values.append(value)
+        return values
+
+    if samples is not None:
+        sampler = cfg.sampler(t)
+        layer, errs = {}, {}
+        for idx, y in enumerate(states):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
+            keys = []
+            for _ in range(samples):
+                drawn = [sampler.consumer(rng) for _ in range(sampler.arrival_count(rng))]
+                ranks = [rank[b - 1][i] for b, i in drawn]
+                keys.append(tuple(sorted([r for r in ranks if keep[r]])))
+            vals = evaluate(y, keys)
+            layer[y] = float(np.mean(vals))
+            errs[y] = float(np.std(vals, ddof=1) / math.sqrt(samples))
+        return layer, errs
+
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
-    k = cfg.varieties
-    # rank order: by level, then non-increasing w, so a sorted rank tuple
-    # lists each level's reports best first
-    order = sorted(range(len(atoms)), key=lambda a: (atoms[a][0], -atoms[a][3], a))
-    rank = [0] * len(atoms)
-    for r, a in enumerate(order):
-        rank[a] = r
-    keep = [not drop_unserved or w > 0.0 for _b, _i, _p, w in atoms]
-    level_of = [atoms[a][0] - 1 for a in order]
-    w_of = [atoms[a][3] for a in order]
+    atom_rank = [rank[b - 1][i] for b, i, _p, _w in atoms]
+    atom_kept = [keep[r] for r in atom_rank]
     probs = [p for _b, _i, p, _w in atoms]
     weights = array("d")
     slots = array("I")
-    multisets: list[tuple] = []   # distinct sorted rank tuples, first seen first
+    multisets: list[tuple] = []   # distinct keys, first seen first
     slot_of: dict[tuple, int] = {}
     for n in range(len(lam)):
         lam_n = float(lam[n])
@@ -408,7 +445,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -
             prob = lam_n
             for a in profile:
                 prob *= probs[a]
-            key = tuple(sorted([rank[a] for a in profile if keep[a]]))
+            key = tuple(sorted([atom_rank[a] for a in profile if atom_kept[a]]))
             slot = slot_of.get(key)
             if slot is None:
                 slot = slot_of[key] = len(multisets)
@@ -416,25 +453,9 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -
             weights.append(prob)
             slots.append(slot)
     del slot_of
-    summaries: dict[tuple, tuple] = {}
     layer = {}
     for y in states:
-        reach = list(itertools.accumulate(y))
-        memo: dict[tuple, float] = {}
-        values = []
-        for key in multisets:
-            if len(key) > reach[0]:  # otherwise every level can serve every report
-                key = _servable(key, level_of, reach)
-            value = memo.get(key)
-            if value is None:
-                summary = summaries.get(key)
-                if summary is None:
-                    per_level: list[list[float]] = [[] for _ in range(k)]
-                    for r in key:
-                        per_level[level_of[r]].append(w_of[r])
-                    summary = summaries[key] = tuple(map(tuple, per_level))
-                value = memo[key] = stage_fn(t, summary, y, cont)
-            values.append(value)
+        values = evaluate(y, multisets)
         total = comp = 0.0  # compensated sum: the Kahan accumulator of oracle, inlined
         for prob, slot in zip(weights, slots):
             x = prob * values[slot] - comp
@@ -442,21 +463,7 @@ def _expected_layer_exact(cfg, t, states, cont, stage_fn, drop_unserved: bool) -
             comp = (acc - total) - x
             total = acc
         layer[y] = total
-    return layer
-
-
-def _sampled_stage(cfg, t, y, cont, stage_fn, rng, samples) -> tuple[float, float]:
-    sampler = cfg.sampler(t)
-    w_rows = cfg.virtual_values[t - 1]
-    vals = np.empty(samples)
-    for s in range(samples):
-        consumers = []
-        for _ in range(sampler.arrival_count(rng)):
-            b, i = sampler.consumer(rng)
-            consumers.append((b, w_rows[b - 1][i]))
-        vals[s] = stage_fn(t, summarize(consumers, cfg.varieties), y, cont)
-    mean = float(np.mean(vals))
-    return mean, float(np.std(vals, ddof=1) / math.sqrt(samples))
+    return layer, dict.fromkeys(states, 0.0)
 
 
 def build_value_tables(
@@ -469,17 +476,16 @@ def build_value_tables(
 ) -> ValueTables:
     """Backward induction over every reachable supply vector.
 
-    The exact backend enumerates all (arrival count, type profile)
-    combinations once per period, in order, and refuses instances whose
-    per-period enumeration exceeds `profile_budget`. Every state of the layer
-    reads that one enumeration in the same summation order; it calls the
-    stage once per distinct servable multiset and state and reuses that
-    value for every profile sharing it. Where layer t + 1 is non-decreasing
-    in every variety, bit for bit, the multisets of layer t leave out every
-    report with w <= 0. The Monte Carlo backend averages
-    `samples` seeded draws per entry, with an independent substream per
-    (period, state) so results do not depend on evaluation order, and
-    records each entry's standard error.
+    Both backends key report sets one way and call the stage once per state
+    and distinct servable report set (`_expected_layer`); where layer t + 1
+    is non-decreasing in every variety, bit for bit, the report sets of
+    layer t also leave out every report with w <= 0. The exact backend
+    enumerates all (arrival count, type profile) combinations once per
+    period, in order, and refuses instances whose per-period enumeration
+    exceeds `profile_budget`. The Monte Carlo backend averages `samples`
+    seeded draws per entry, with an independent substream per (period,
+    state) so results do not depend on evaluation order, and records each
+    entry's standard error.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing
@@ -488,8 +494,8 @@ def build_value_tables(
     share all expectation machinery, which keeps comparisons free of
     summation-order effects. Contract: the value must not depend on any
     level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
-    is non-decreasing in every variety, on any report with w <= 0; the exact
-    backend leaves both out of `w_sorted`.
+    is non-decreasing in every variety, on any report with w <= 0; both
+    backends leave both out of `w_sorted`.
     """
     if backend not in ("exact", "mc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -520,19 +526,9 @@ def build_value_tables(
         stderrs={T + 1: {y: 0.0 for y in states[T + 1]}},
     )
     for t in range(T, 0, -1):
-        cont = tables.continuation_fn(t)
-        if backend == "exact":
-            layer_vals = _expected_layer_exact(
-                cfg, t, states[t], cont, stage_fn, _non_decreasing(tables.values[t + 1]))
-            layer_errs = dict.fromkeys(states[t], 0.0)
-        else:
-            layer_vals, layer_errs = {}, {}
-            for idx, y in enumerate(states[t]):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
-                layer_vals[y], layer_errs[y] = _sampled_stage(
-                    cfg, t, y, cont, stage_fn, rng, samples
-                )
-        tables.values[t], tables.stderrs[t] = layer_vals, layer_errs
+        tables.values[t], tables.stderrs[t] = _expected_layer(
+            cfg, t, states[t], tables.continuation_fn(t), stage_fn,
+            _non_decreasing(tables.values[t + 1]), tables.samples, tables.seed)
     return tables
 
 
@@ -550,6 +546,8 @@ def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> f
     if not 1 <= j <= k:
         raise OffGridValue(f"flexibility level {j} outside 1..{k}")
     y = tuple(y)
+    if y not in tables.values[t]:
+        raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
     e_j = tuple(1 if lvl == j - 1 else 0 for lvl in range(k))
     spent = tuple(a - b for a, b in zip(y, vstar(e_j, y)))  # InfeasibleU if no good is reachable
     cont = tables.continuation_fn(t)

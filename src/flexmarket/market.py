@@ -30,7 +30,7 @@ from .errors import (
 )
 
 PMF_TOL = 1e-9        # distribution normalization
-CDF_END_TOL = 1e-6    # CDF must reach 1 at the top of the grid
+CDF_END_TOL = 1e-6    # CDF must start at 0 and reach 1 on the grid
 MONO_SLACK = 1e-12    # monotonicity slack separating modeling error from fp noise
 
 
@@ -493,6 +493,8 @@ def check_structure(cfg: MarketConfig) -> None:
             cdf = ty.cdf[t - 1, b - 1]
             if np.any(np.diff(cdf) < -MONO_SLACK):
                 raise MalformedConfig(f"CDF decreasing at t={t}, level {b}")
+            if abs(float(cdf[0])) > CDF_END_TOL:
+                raise MalformedConfig(f"CDF does not start at 0 at t={t}, level {b}")
             if abs(float(cdf[-1]) - 1.0) > CDF_END_TOL:
                 raise MalformedConfig(f"CDF does not reach 1 at t={t}, level {b}")
             if np.any(ty.pdf[t - 1, b - 1, 1:-1] <= 0):

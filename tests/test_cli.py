@@ -286,6 +286,12 @@ def _one_point_type_rows(doc):
         doc["types"][key] = [[row[:1] for row in period] for period in doc["types"][key]]
 
 
+def _cdf_from_0_3(doc):
+    """Every CDF row lifted to 0.3 + 0.7 * cdf: it still ends at 1 but starts at 0.3."""
+    doc["types"]["cdf"] = [[[0.3 + 0.7 * c for c in row] for row in period]
+                           for period in doc["types"]["cdf"]]
+
+
 def _set(*path, value):
     """Edit that puts `value` at doc[path[0]][path[1]]..."""
     def edit(doc):
@@ -359,6 +365,8 @@ BAD_INPUTS = {
         "validate", "--config", _edited_config(c, d, _set_nan("supply", 0, 0, 0))]),
     "nan-pdf": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _set_nan("types", "pdf", 0, 0, 5))]),
+    "cdf-not-from-zero": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _cdf_from_0_3)]),
     "zero-varieties": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _zero_varieties)]),
     "bool-horizon": (3, None, lambda c, k, d: [

@@ -122,6 +122,16 @@ def test_continuation_gap_examples(small_tables):
         fm.continuation_gap(small_tables, 1, (0, 1), 1)  # level 1 cannot reach variety 2
 
 
+def test_continuation_gap_rejects_unreachable_state(small_tables):
+    """A supply vector outside layer t is refused as `Mechanism.allocate` refuses it."""
+    with pytest.raises(TableMismatch, match="not a reachable state at t=1"):
+        fm.continuation_gap(small_tables, 1, (5, 5), 1)
+    with pytest.raises(TableMismatch, match="not a reachable state"):
+        fm.continuation_gap(small_tables, 2, (1,), 1)  # wrong length
+    with pytest.raises(TableMismatch):
+        fm.Mechanism(small_tables).allocate(1, [], (5, 5))
+
+
 def test_holding_cost_converges_to_closed_form():
     """Truncated-exponential identity: E[max(w,0)] = root * (1 - CDF(root)).
 
@@ -188,23 +198,29 @@ def _exact_solve_market():
     })
 
 
-def test_stage_called_once_per_servable_multiset():
-    """On `_exact_solve_market`, 23,491 ordered (profile, state) pairs need at
-    most 2,955 stage solves: one per state and distinct servable multiset of
-    reports with w > 0, since the tables are monotone and a report with w <= 0
-    is never served. A state with no supply serves nobody, so it needs one
-    solve per period."""
-    cfg = _exact_solve_market()
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_stage_called_once_per_servable_multiset(backend, small_cfg):
+    """One stage solve per state and distinct servable multiset of reports,
+    for both backends. Exact, on `_exact_solve_market`: 23,491 ordered
+    (profile, state) pairs need at most 2,955 solves, since the tables are
+    monotone and a report with w <= 0 is never served, so it leaves the keys.
+    Monte Carlo, on the inputs of `test_mc_tables_pinned`: 1,600 drawn
+    (report set, state) pairs need at most 143. A state with no supply serves
+    nobody, so it needs one solve per period."""
+    if backend == "exact":
+        cfg, kwargs, bound = _exact_solve_market(), {}, 2955
+    else:
+        cfg, kwargs, bound = small_cfg, {"backend": "mc", "samples": 200, "seed": 3}, 143
     calls = []
 
     def counted(t, summary, y, cont):
         calls.append((t, y))
         return dp._optimal_stage(t, summary, y, cont)
 
-    tables = fm.build_value_tables(cfg, stage_fn=counted)
-    assert len(calls) <= 2955
+    tables = fm.build_value_tables(cfg, stage_fn=counted, **kwargs)
+    assert len(calls) <= bound
     assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
-    assert tables.values == fm.build_value_tables(cfg).values
+    assert tables.values == fm.build_value_tables(cfg, **kwargs).values
 
 
 def test_non_monotone_layer_keeps_never_served_reports():

@@ -14,6 +14,8 @@ import math
 import flexmarket as fm
 from flexmarket import config_io, oracle, simulate
 
+from test_oracle import _k3_market
+
 MC_TABLES = {  # (t, y): (value, stderr) of the seed-3, 200-sample Monte Carlo tables
     (1, (0, 0)): ("0x0.0p+0", "0x0.0p+0"),
     (1, (0, 1)): ("0x1.a6659dd803c53p-5", "0x1.26cc6d1c1f56bp-7"),
@@ -59,6 +61,11 @@ TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha
     "family-20": "cf38645f703c72ae1119dab3b5d6062faec9ea60483566cbb47d958a77251551",
 }
 
+MC_TABLE_SHA256 = {  # Monte Carlo tables of the k=3, T=3, G=201 market, 20 samples, seed 1
+    "optimal": "fb070d831f6e63366661b30c9682c6d998293ee91d131136a4c966bbe3bcf5c0",
+    "myopic": "ae15cd76c653246da861e0556971f60d00822f13c15e42e8d3fb5de0c077133b",
+}
+
 VERIFY_REPORT_SHA256 = (  # sort_keys JSON of oracle.run_verification(instances=20)
     "01de2882e4e2b1eea02140b542c5ba99d8f5937fb97888dff0b8c571259f7663"
 )
@@ -101,6 +108,16 @@ def test_mc_tables_pinned(small_cfg):
            for t in sorted(mc.states) for y in mc.states[t]}
     want = {key: (float.fromhex(v), float.fromhex(se)) for key, (v, se) in MC_TABLES.items()}
     assert got == want
+
+
+def test_k3_mc_tables_pinned():
+    """Optimal and myopic Monte Carlo tables of `test_oracle._k3_market(3, 201)`,
+    whose stages clip many drawn report sets."""
+    cfg = _k3_market(3, 201)
+    got = {"optimal": _table_sha256([fm.build_value_tables(cfg, backend="mc", samples=20, seed=1)]),
+           "myopic": _table_sha256([simulate.build_myopic_tables(cfg, backend="mc", samples=20,
+                                                                 seed=1)])}
+    assert got == MC_TABLE_SHA256
 
 
 def test_episodes_pinned(example_cfg, example_tables):
