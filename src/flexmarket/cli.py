@@ -96,6 +96,8 @@ def cmd_solve(args) -> int:
         raise _BadArgument("--backend mc needs --seed (or FLEXMARKET_SEED)")
     if args.backend == "mc" and args.samples < 2:
         raise _BadArgument(f"--samples must be at least 2, got {args.samples}")
+    if args.budget < 1:
+        raise _BadArgument(f"--budget must be at least 1, got {args.budget}")
     cfg = config_io.load_config(args.config)
     report = validate_config(cfg)
     if not report.passed:
@@ -199,6 +201,8 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args) or 0
     if args.instances < 1:
         raise _BadArgument(f"--instances must be at least 1, got {args.instances}")
+    if args.budget < 1:
+        raise _BadArgument(f"--budget must be at least 1, got {args.budget}")
     # the user's own instance is audited first, so a bad or oversized config
     # fails before the random family runs; its checks are reported after it
     own = []

@@ -482,7 +482,8 @@ def build_value_tables(
     layer t also leave out every report with w <= 0. The exact backend
     enumerates all (arrival count, type profile) combinations once per
     period, in order, and refuses instances whose per-period enumeration
-    exceeds `profile_budget`. The Monte Carlo backend averages `samples`
+    exceeds `profile_budget`; it takes no `samples` or `seed` and raises
+    ValueError when given either. The Monte Carlo backend averages `samples`
     seeded draws per entry, with an independent substream per (period,
     state) so results do not depend on evaluation order, and records each
     entry's standard error.
@@ -504,6 +505,8 @@ def build_value_tables(
             raise ValueError("mc backend needs samples >= 2")
         if seed is None:
             raise ValueError("mc backend needs a seed")
+    elif samples is not None or seed is not None:
+        raise ValueError("exact backend takes no samples or seed")
     stage_fn = stage_fn or _optimal_stage
 
     T = cfg.horizon
@@ -519,9 +522,7 @@ def build_value_tables(
     states = {t: reachable_states(cfg, t) for t in range(1, T + 2)}
     tables = ValueTables(
         config=cfg, backend=backend,
-        samples=samples if backend == "mc" else None,
-        seed=seed if backend == "mc" else None,
-        states=states,
+        samples=samples, seed=seed, states=states,
         values={T + 1: {y: 0.0 for y in states[T + 1]}},
         stderrs={T + 1: {y: 0.0 for y in states[T + 1]}},
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,57 +63,26 @@ class KahanSum:
 def feasible_service_set(counts: Sequence[int], y: Sequence[int]) -> list[tuple]:
     """All service vectors u with u^j <= counts^j and cumulative u <= cumulative y.
 
-    Returned in lexicographic order. With no consumers present the only
-    member is the zero vector.
+    Level by level, u^j runs over 0 .. min(counts^j, cum y^j - cum u), so the
+    list is in lexicographic order; with no consumers it is the zero vector.
     """
-    k = len(y)
-    cum_y = list(itertools.accumulate(y))
-    out: list[tuple] = []
-
-    def extend(prefix: list[int], j: int, cum_u: int) -> None:
-        if j == k:
-            out.append(tuple(prefix))
-            return
-        cap = min(counts[j], cum_y[j] - cum_u)
-        for uj in range(cap + 1):
-            prefix.append(uj)
-            extend(prefix, j + 1, cum_u + uj)
-            prefix.pop()
-
-    extend([], 0, 0)
+    out = [()]
+    for cj, cum_yj in zip(counts, itertools.accumulate(y)):
+        out = [u + (uj,) for u in out for uj in range(min(cj, cum_yj - sum(u)) + 1)]
     return out
 
 
 def feasible_variety_set(u: Sequence[int], y: Sequence[int]) -> list[tuple]:
-    """All variety vectors that can fulfil service vector u from supply y.
-
-    v^j <= y^j per variety, cumulative v covers cumulative u at every prefix,
-    and total v equals total u. Returned in lexicographic order.
+    """All variety vectors that can fulfil service vector u from supply y:
+    v^j <= y^j, cumulative v covers cumulative u at every prefix, and total v
+    equals total u. Level by level, v^j runs over max(0, cum u^j - cum v) ..
+    min(y^j, total u - cum v), so the list is in lexicographic order.
     """
-    k = len(y)
     total_u = sum(u)
-    cum_u = list(itertools.accumulate(u))
-    tail_y = [sum(y[j:]) for j in range(k)] + [0]
-    out: list[tuple] = []
-
-    def extend(prefix: list[int], j: int, cum_v: int) -> None:
-        if j == k:
-            if cum_v == total_u:
-                out.append(tuple(prefix))
-            return
-        for vj in range(y[j] + 1):
-            c = cum_v + vj
-            if c > total_u:
-                break
-            if j < k - 1 and c < cum_u[j]:
-                continue
-            if c + tail_y[j + 1] < total_u:
-                continue
-            prefix.append(vj)
-            extend(prefix, j + 1, c)
-            prefix.pop()
-
-    extend([], 0, 0)
+    out = [()]
+    for cum_uj, yj in zip(itertools.accumulate(u), y):
+        out = [v + (vj,) for v in out
+               for vj in range(max(0, cum_uj - sum(v)), min(yj, total_u - sum(v)) + 1)]
     return out
 
 
@@ -130,8 +99,8 @@ def enumerate_feasible_matrices(
 
     A matrix is encoded as a tuple with entry 0 (no good) or a variety index
     1..flexibility for each consumer; column sums never exceed the supply y.
-    Raises OffGridValue for a flexibility outside 1..len(y), and
-    BudgetExceeded instead of returning a truncated set.
+    Returned in lexicographic order. Raises OffGridValue for a flexibility
+    outside 1..len(y), and BudgetExceeded instead of returning a truncated set.
     """
     k = len(y)
     for b in flexibilities:
@@ -141,27 +110,20 @@ def enumerate_feasible_matrices(
     if upper > budget * 16:
         raise BudgetExceeded(f"row-choice space {upper} far exceeds budget {budget}")
 
-    out: list[tuple] = []
-    remaining = list(y)
-
-    def extend(row: int, prefix: list[int]) -> None:
-        if row == len(flexibilities):
-            if len(out) >= budget:
-                raise BudgetExceeded(f"feasible matrix count exceeds budget {budget}")
-            out.append(tuple(prefix))
+    def walk(prefix: tuple, stock: tuple):
+        if len(prefix) == len(flexibilities):
+            yield prefix
             return
-        for choice in range(flexibilities[row] + 1):
-            if choice > 0:
-                if remaining[choice - 1] == 0:
-                    continue
-                remaining[choice - 1] -= 1
-            prefix.append(choice)
-            extend(row + 1, prefix)
-            prefix.pop()
-            if choice > 0:
-                remaining[choice - 1] += 1
+        yield from walk(prefix + (0,), stock)
+        for j in range(flexibilities[len(prefix)]):
+            if stock[j] > 0:
+                yield from walk(prefix + (j + 1,), stock[:j] + (stock[j] - 1,) + stock[j + 1:])
 
-    extend(0, [])
+    out: list[tuple] = []
+    for m in walk((), tuple(y)):
+        if len(out) == budget:
+            raise BudgetExceeded(f"feasible matrix count exceeds budget {budget}")
+        out.append(m)
     return out
 
 
@@ -253,7 +215,6 @@ def build_brute_tables(
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
     *,
     memo: dict | None = None,
-    **kwargs,
 ) -> ValueTables:
     """Value tables from the unsimplified full-matrix recursion.
 
@@ -274,7 +235,7 @@ def build_brute_tables(
     def stage(t, w_sorted, y, cont):
         return _brute_stage(t, w_sorted, y, cont, budget=matrix_budget, memo=memo)
 
-    tables = dp.build_value_tables(cfg, stage_fn=stage, **kwargs)
+    tables = dp.build_value_tables(cfg, stage_fn=stage)
     tables.backend = "exact-brute"
     return tables
 
@@ -511,13 +472,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instance_seed": self.instance_seed,
-            "passed": self.passed,
-            "worst": self.worst,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _count_vectors(k: int, n_max: int) -> list[tuple]:
@@ -650,7 +605,11 @@ def run_verification(
     master_seed: int = 0,
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
 ) -> dict:
-    """Oracle suite over the seeded instance family; JSON-ready report."""
+    """Oracle suite over the first `instances` seeds of the instance family;
+    a JSON-ready report with every check in order. Raises ValueError for
+    fewer than one instance, which would pass vacuously."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     checks: list[CheckResult] = []
     for seed in range(instances):
         cfg = random_instance(seed, master_seed=master_seed)

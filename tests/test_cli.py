@@ -383,6 +383,14 @@ BAD_INPUTS = {
         "verify", "--instances", "1", "--config", _beyond_exact_budget(d)]),
     "verify-matrix-budget": (4, None, lambda c, k, d: [
         "verify", "--instances", "1", "--budget", "1"]),
+    "solve-zero-budget": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--budget", "0"]),
+    "solve-negative-budget": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", str(d / "x.bin"), "--budget", "-5"]),
+    "verify-zero-budget": (3, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--budget", "0"]),
+    "verify-negative-budget": (3, None, lambda c, k, d: [
+        "verify", "--instances", "1", "--budget", "-5"]),
     "negative-seed": (3, None, lambda c, k, d: [
         "simulate", "--config", c, "--cache", k, "--out", str(d / "o"),
         "--replications", "10", "--seed", "-1"]),

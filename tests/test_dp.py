@@ -275,6 +275,14 @@ def test_mc_requires_sampling_params(small_cfg):
         fm.build_value_tables(small_cfg, backend="mc", seed=1)
 
 
+@pytest.mark.parametrize("params", [{"samples": 50, "seed": 1}, {"samples": 50}, {"seed": 1}])
+def test_exact_refuses_sampling_params(small_cfg, params):
+    """An exact build never reads samples or a seed, so it refuses them, as
+    `ValueTables.load` refuses an exact cache that records them."""
+    with pytest.raises(ValueError, match="exact backend"):
+        fm.build_value_tables(small_cfg, **params)
+
+
 # -- persistence ---------------------------------------------------------------------
 
 def test_cache_roundtrip(tmp_path, small_cfg, small_tables):

@@ -53,6 +53,36 @@ def test_out_of_range_flexibility_is_off_grid(level):
         oracle.brute_stage_value(1, [(level, 0.5)], (1, 1), lambda m: 0.0)
 
 
+def _cumulative_at_most(a, b):
+    return all(x <= z for x, z in zip(itertools.accumulate(a), itertools.accumulate(b)))
+
+
+def test_enumerators_match_their_definitions():
+    """Each enumerator returns exactly its definition's members, in the
+    lexicographic order of `itertools.product` over the raw ranges: the
+    reference stage's tie rule and the brute stage's first-seen max read it."""
+    rng = np.random.default_rng(2024)
+    for _ in range(600):
+        k = int(rng.integers(1, 5))
+        y, counts, u = (tuple(int(a) for a in rng.integers(0, 4, size=k)) for _ in range(3))
+        assert oracle.feasible_service_set(counts, y) == [
+            s for s in itertools.product(*(range(c + 1) for c in counts))
+            if _cumulative_at_most(s, y)]
+        # u is drawn freely, so it is often infeasible and the set empty
+        assert oracle.feasible_variety_set(u, y) == [
+            v for v in itertools.product(*(range(a + 1) for a in y))
+            if _cumulative_at_most(u, v) and sum(v) == sum(u)]
+        flex = tuple(int(b) for b in rng.integers(1, k + 1, size=int(rng.integers(0, 5))))
+        space = list(itertools.product(*(range(b + 1) for b in flex)))
+        mats = [m for m in space if all(m.count(j + 1) <= a for j, a in enumerate(y))]
+        for budget in (1, 2, oracle.DEFAULT_MATRIX_BUDGET):
+            if len(space) > 16 * budget or len(mats) > budget:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_feasible_matrices(flex, y, budget=budget)
+            else:
+                assert enumerate_feasible_matrices(flex, y, budget=budget) == mats
+
+
 def test_brute_stage_empty_reports():
     assert oracle.brute_stage_value(1, [], (1, 1), lambda m: 1.5 + sum(m)) == 3.5
 
@@ -190,6 +220,13 @@ def test_verify_instance_passes_on_family_sample():
         cfg = random_instance(seed)
         results = verify_instance(cfg, seed)
         assert all(c.passed for c in results), [c for c in results if not c.passed]
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_run_verification_refuses_no_instances(instances):
+    """An empty family would pass vacuously."""
+    with pytest.raises(ValueError, match="instances"):
+        oracle.run_verification(instances=instances)
 
 
 def test_verify_catches_injected_vstar_bug(monkeypatch):
