@@ -1,9 +1,10 @@
 """Operator command line: validate / solve / simulate / verify / example.
 
 Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
-3 malformed config, unreadable input, unwritable output path, bad (missing,
-non-integer or negative) seed, invalid count or other usage error (the
-parser raises these too), 4 enumeration budget exceeded (exact backend or
+3 malformed config, unreadable input, unwritable output path, bad seed
+(missing, non-integer, negative, or 2**64 or more for an mc `solve`, whose
+cache stores it in 64 bits), invalid count or other usage error (the parser
+raises these too), 4 enumeration budget exceeded (exact backend or
 brute-force matrices), 5 stale (fingerprint mismatch), truncated or
 inconsistent table cache, 6 failed verification check. Codes 2 and 6 are
 verdicts the commands return; every failure is raised and mapped to its code
@@ -94,6 +95,8 @@ def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     if args.backend == "mc" and seed is None:
         raise _BadArgument("--backend mc needs --seed (or FLEXMARKET_SEED)")
+    if args.backend == "mc" and seed >= 2 ** 64:
+        raise _BadArgument(f"an mc seed must be below 2**64 (the cache stores 64 bits), got {seed}")
     if args.backend == "mc" and args.samples < 2:
         raise _BadArgument(f"--samples must be at least 2, got {args.samples}")
     if args.budget < 1:

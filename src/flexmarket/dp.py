@@ -224,22 +224,28 @@ class ValueTables:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the cache file. The whole file is packed before `path` is
+        opened, so a value that does not fit raises with nothing written."""
         T, k = self.config.horizon, self.config.varieties
+        backend = self.backend.encode("utf-8")
+        parts = [
+            _MAGIC,
+            struct.pack("<I", _VERSION),
+            self.fingerprint.encode("ascii"),
+            struct.pack("<H", len(backend)),
+            backend,
+            struct.pack("<Q", self.samples or 0),
+            struct.pack("<BQ", int(self.seed is not None), self.seed or 0),
+            struct.pack("<II", T, k),
+        ]
+        for t in range(1, T + 2):
+            states = self.states[t]
+            parts.append(struct.pack("<I", len(states)))
+            for y in states:
+                parts.append(struct.pack(f"<{k}Idd", *y, self.values[t][y], self.stderrs[t][y]))
+        data = b"".join(parts)
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            fh.write(self.fingerprint.encode("ascii"))
-            backend = self.backend.encode("utf-8")
-            fh.write(struct.pack("<H", len(backend)))
-            fh.write(backend)
-            fh.write(struct.pack("<Q", self.samples or 0))
-            fh.write(struct.pack("<BQ", int(self.seed is not None), self.seed or 0))
-            fh.write(struct.pack("<II", T, k))
-            for t in range(1, T + 2):
-                states = self.states[t]
-                fh.write(struct.pack("<I", len(states)))
-                for y in states:
-                    fh.write(struct.pack(f"<{k}Idd", *y, self.values[t][y], self.stderrs[t][y]))
+            fh.write(data)
 
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":

@@ -28,13 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dp import ValueTables, stage_value
-from .errors import (
-    InconsistentAllocation,
-    NegativeSupply,
-    NoNonnegativePoint,
-    TableMismatch,
-)
-from .market import MarketConfig, reserve_price
+from .errors import InconsistentAllocation, NegativeSupply, TableMismatch
+from .market import MarketConfig, _first_reaching
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -110,10 +105,9 @@ class Mechanism:
         """Per-level virtual values, best first, plus per-level row order
         (virtual valuation desc, then arrival)."""
         per_level: list[list[tuple]] = [[] for _ in range(self.cfg.varieties)]
-        w_rows = self.cfg.virtual_values[t - 1]
-        index_of = self.cfg.grid.index_of
+        row_of, index_of = self.cfg.virtual_value_row, self.cfg.grid.index_of
         for row, r in enumerate(reports):
-            w = w_rows[r.flexibility - 1][index_of(r.valuation)]
+            w = row_of(t, r.flexibility)[index_of(r.valuation)]
             per_level[r.flexibility - 1].append((-w, row, w))
         for bucket in per_level:
             bucket.sort()
@@ -125,9 +119,6 @@ class Mechanism:
         if not 1 <= t <= self.cfg.horizon:
             raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
         y = tuple(y)
-        k = self.cfg.varieties
-        if any(not 1 <= r.flexibility <= k for r in reports):
-            raise ValueError(f"flexibility levels must lie in 1..{k}")
         if y not in self.tables.values[t]:
             raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
         key = (t, y, tuple(reports))
@@ -139,10 +130,10 @@ class Mechanism:
             self._alloc_memo.clear()
         w_sorted, ranked = self._ranked_rows(t, reports)
         res = stage_value(t, w_sorted, y, self.tables.continuation_fn(t))
-        goods = iter([j + 1 for j in range(k) for _ in range(res.v_star[j])])
+        goods = iter([j + 1 for j, v in enumerate(res.v_star) for _ in range(v)])
         varieties = [0] * len(reports)
-        for level in range(k):
-            for row in ranked[level][: res.u_star[level]]:
+        for level, rows in enumerate(ranked):
+            for row in rows[: res.u_star[level]]:
                 varieties[row] = next(goods)
         out = self._alloc_memo[key] = AllocationResult(tuple(varieties), res.u_star, res.v_star)
         return out
@@ -162,7 +153,7 @@ class Mechanism:
         Scans the grid upward from the reserve price for the largest point at
         which the probe still loses. A probe that wins already at the reserve
         pays the reserve (the supremum over an empty set); one that never
-        wins gets the NOT_SERVED sentinel.
+        wins, or whose level has no reserve, gets the NOT_SERVED sentinel.
         """
         y, others = tuple(y), tuple(others)
         n = len(others) + 1
@@ -173,13 +164,10 @@ class Mechanism:
         if key in self._threshold_memo:
             return self._threshold_memo[key]
 
-        try:
-            reserve = reserve_price(self.cfg, t, j)
-        except NoNonnegativePoint:
-            return NOT_SERVED
         points = self.cfg.grid.point_list
-        reserve_idx = self.cfg.grid.index_of(reserve)
-
+        reserve_idx = _first_reaching(self.cfg.virtual_value_row(t, j), 0.0)
+        if reserve_idx is None:  # no reserve: the scan is empty
+            reserve_idx = len(points)
         before, after = others[:probe_index - 1], others[probe_index - 1:]
         result = NOT_SERVED
         for idx in range(reserve_idx, len(points)):
@@ -206,7 +194,8 @@ class Mechanism:
                      for row, variety in enumerate(allocation.varieties))
 
     def _critical_value(self, t: int, reports: Sequence[Report], row: int, y: Sequence[int]) -> float:
-        """Payment of the served consumer at `row`: its threshold against the others."""
+        """Payment of the served consumer at `row`: its threshold against the
+        others, which must not exceed the grid point `allocate` read for it."""
         r = reports[row]
         others = [*reports[:row], *reports[row + 1:]]
         tau = self.payment_threshold(t, others, r.flexibility, y, probe_index=row + 1)
@@ -214,7 +203,7 @@ class Mechanism:
             raise InconsistentAllocation(
                 f"consumer {row + 1} is served but wins at no grid point"
             )
-        if tau > r.valuation + 1e-12:
+        if tau > self.cfg.grid.snap(r.valuation):
             raise InconsistentAllocation(
                 f"critical value {tau} exceeds the served report {r.valuation}"
             )

@@ -30,7 +30,7 @@ import numpy as np
 from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
-from .market import MarketConfig
+from .market import MarketConfig, virtual_valuation
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
 
@@ -81,7 +81,7 @@ def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
         payments.extend(outcome.payments)
         for (val, lvl), variety in zip(types, outcome.varieties):
             if variety:
-                surplus.append(cfg.virtual_values[t - 1][lvl - 1][cfg.grid.index_of(val)])
+                surplus.append(virtual_valuation(cfg, t, val, lvl))
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(

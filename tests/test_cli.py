@@ -321,6 +321,19 @@ def _beyond_exact_budget(tmp_path):
     return str(path)
 
 
+def _json_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _kept_cache(cache_file, tmp_path):
+    """A copy of the good cache at the path a refused solve is pointed at."""
+    path = tmp_path / "kept.bin"
+    path.write_bytes(Path(cache_file).read_bytes())
+    return str(path)
+
+
 # case -> (exit code, FLEXMARKET_SEED or None, argv from (config, cache, tmp_path))
 BAD_INPUTS = {
     "truncated-cache": (5, None, lambda c, k, d: [
@@ -414,6 +427,25 @@ BAD_INPUTS = {
     "unknown-backend": (3, None, lambda c, k, d: [
         "solve", "--config", c, "--cache", str(d / "x.bin"), "--backend", "fast"]),
     "missing-command": (3, None, lambda c, k, d: []),
+    # the cache stores an mc seed in 64 bits
+    "mc-seed-beyond-64-bits": (3, None, lambda c, k, d: [
+        "solve", "--config", c, "--cache", _kept_cache(k, d), "--backend", "mc",
+        "--samples", "3", "--seed", str(2 ** 64)]),
+    "mc-env-seed-beyond-64-bits": (3, str(2 ** 64), lambda c, k, d: [
+        "solve", "--config", c, "--cache", _kept_cache(k, d), "--backend", "mc",
+        "--samples", "3"]),
+    "list-root": (3, None, lambda c, k, d: ["validate", "--config", _json_file(d, [])]),
+    "scalar-grid": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("grid", value=5))]),
+    "list-types": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("types", value=[]))]),
+    "short-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types([2.0]))]),
+    "non-numeric-arrivals": (3, None, lambda c, k, d: [
+        "validate", "--config",
+        _edited_config(c, d, _set("arrivals", value=[["a", "b"], [0.5, 0.5]]))]),
+    "non-numeric-pdf": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("types", "pdf", value="x"))]),
 }
 
 
@@ -426,6 +458,13 @@ def test_bad_input_exit_code(case, config_file, cache_file, tmp_path, monkeypatc
         monkeypatch.delenv("FLEXMARKET_SEED", raising=False)
     assert main(argv(config_file, cache_file, tmp_path)) == code
     assert capsys.readouterr().out.strip()  # a message, not a silent failure
+
+
+@pytest.mark.parametrize("case", ["mc-seed-beyond-64-bits", "mc-env-seed-beyond-64-bits"])
+def test_refused_solve_keeps_the_cache_at_its_path(case, config_file, cache_file, tmp_path,
+                                                   monkeypatch, capsys):
+    test_bad_input_exit_code(case, config_file, cache_file, tmp_path, monkeypatch, capsys)
+    assert (tmp_path / "kept.bin").read_bytes() == Path(cache_file).read_bytes()
 
 
 def test_inconsistent_allocation_exit_code(config_file, cache_file, tmp_path, monkeypatch,
@@ -483,6 +522,12 @@ def _seed_header(blob, backend, flag, seed):
     return blob[:at] + struct.pack("<BQ", flag, seed) + blob[at + struct.calcsize("<BQ"):]
 
 
+def _overwrite(before, fmt, *values):
+    """Edit that packs `values` with `fmt` over the field after the fields `before`."""
+    at = struct.calcsize(before)
+    return lambda blob: blob[:at] + struct.pack(fmt, *values) + blob[at + struct.calcsize(fmt):]
+
+
 def _one_entry_set(tables, t, field, number, **changes):
     """A copy of `tables`, with `changes`, whose `field` entry at period t's
     last state is `number`."""
@@ -517,6 +562,13 @@ UNSERVABLE_CACHES = {
         k, d, lambda blob: _seed_header(blob, "exact", 0, 99)),
     "edited-state": lambda cfg, tab, k, d: _edited_cache(k, d, _first_state_as_7_0),
     "trailing-bytes": lambda cfg, tab, k, d: _edited_cache(k, d, lambda blob: blob + b"\0"),
+    # magic | version | fingerprint, backend "exact", samples, seed | (T, k) | t=1 layer size
+    "unsupported-version": lambda cfg, tab, k, d: _edited_cache(
+        k, d, _overwrite("<8s", "<I", dp._VERSION + 1)),
+    "other-dimensions": lambda cfg, tab, k, d: _edited_cache(
+        k, d, _overwrite("<8sI64sH5sQBQ", "<II", cfg.horizon + 1, cfg.varieties)),
+    "layer-size": lambda cfg, tab, k, d: _edited_cache(
+        k, d, _overwrite("<8sI64sH5sQBQII", "<I", len(tab.states[1]) + 1)),
 }
 
 

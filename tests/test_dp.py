@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -320,6 +322,15 @@ def test_mc_cache_keeps_errors(tmp_path, small_cfg):
     assert loaded.backend == "mc"
     assert loaded.samples == 200 and loaded.seed == 3
     assert loaded.stderrs == mc.stderrs
+
+
+def test_save_writes_nothing_when_a_field_does_not_fit(tmp_path, small_tables):
+    """The file is packed before it is opened: a seed beyond 64 bits raises
+    and leaves no file behind."""
+    path = tmp_path / "tables.bin"
+    with pytest.raises(struct.error):
+        dataclasses.replace(small_tables, backend="mc", samples=3, seed=2 ** 64).save(path)
+    assert not path.exists()
 
 
 def test_cache_rejects_every_truncation(tmp_path, small_cfg, small_tables):

@@ -241,6 +241,29 @@ def test_payments_detect_inconsistent_allocation(example_mech):
         example_mech.payments(1, reports, (0, 0), good)
 
 
+def test_payment_reads_the_served_grid_point(example_mech):
+    """A report a hair below a grid point is read as that point by both
+    `allocate` and the payment check, so it is served and pays the point."""
+    reports = make_reports([(0.294 - 1e-11, 2)])
+    assert example_mech.allocate(1, reports, (1, 1)).varieties == (2,)
+    assert example_mech.payments(1, reports, (1, 1)) == (0.294,)
+
+
+def test_level_without_reserve_is_never_served():
+    """Valuations in [-2, -1] have negative virtual values on the whole grid:
+    the threshold scan is empty, its NOT_SERVED is memoised like any other
+    threshold, and a claimed service is refused."""
+    mech = Mechanism(fm.build_value_tables(tabulated_config([1.0] * 5, grid=(-2.0, -1.0, 5))))
+    with pytest.raises(fm.NoNonnegativePoint):
+        fm.reserve_price(mech.cfg, 1, 1)
+    assert mech.payment_threshold(1, [], 1, (1,)) is NOT_SERVED
+    assert list(mech._threshold_memo.values()) == [NOT_SERVED]
+    reports = make_reports([(-1.0, 1)])
+    assert mech.allocate(1, reports, (1,)).varieties == (0,)
+    with pytest.raises(InconsistentAllocation, match="wins at no grid point"):
+        mech.payments(1, reports, (1,), mechanism.AllocationResult((1,), (1,), (1,)))
+
+
 def test_interim_rejects_foreign_tables(example_cfg, example_tables, small_tables):
     est = simulate.interim_quantities(example_cfg, example_tables, 1, 1, 1, (0.8, 1))
     assert est.allocation == 1.0
@@ -264,6 +287,9 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
     "allocate-period-T+1": (lambda m: m.allocate(3, make_reports([(0.5, 1)]), (1, 1)),
                             ValueError),
     "allocate-period-T+1-no-reports": (lambda m: m.allocate(3, (), (1, 1)), ValueError),
+    "allocate-level-0": (lambda m: m.allocate(1, make_reports([(0.5, 0)]), (1, 1)), OffGridValue),
+    "allocate-level-k+1": (lambda m: m.allocate(1, make_reports([(0.5, 3)]), (1, 1)),
+                           OffGridValue),
     "environments-period-0": (lambda m: next(m.sample_environments(0, 1, 2, 0)), ValueError),
     "environments-period-T+1": (lambda m: next(m.sample_environments(3, 1, 2, 0)), ValueError),
     "bic-audit-period-T+1": (lambda m: simulate.bic_audit(

@@ -11,6 +11,7 @@ import flexmarket as fm
 from flexmarket import (
     BudgetExceeded, InfeasibleU, NotApplicable, OffGridValue, config_io, dp, oracle, simulate,
 )
+from flexmarket.market import truncated_exponential
 from flexmarket.oracle import (
     check_monotonicity,
     constructive_allocation,
@@ -382,6 +383,33 @@ def test_exact_tables_match_reference_expectation(small_cfg):
             _assert_matches_reference(tables, stage_fn)
     for cfg in (fm.build_example_config((2.0, 3.0), 0.5, 3, 41), _k3_market(horizon=2, points=3)):
         _assert_matches_reference(dp.build_value_tables(cfg), dp._optimal_stage)
+
+
+def _zero_atom_market():
+    """k=3, T=2 market whose PMFs put zero mass on a flexibility level and on
+    an arrival count in each period, and on a supply outcome at t=2."""
+    grid = fm.ValuationGrid.uniform(0.0, 1.0, 5)
+    return fm.MarketConfig(
+        horizon=2, varieties=3, grid=grid,
+        types=truncated_exponential([1.0, 2.0, 3.0], grid, 2,
+                                    flex_pmf=[[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]),
+        arrivals=fm.ArrivalDistribution.from_lists([[0.5, 0.0, 0.5], [0.0, 0.3, 0.7]]),
+        supply=fm.SupplyDistribution.from_lists(
+            [[[0.5, 0.5]] * 3, [[0.0, 1.0], [1.0], [0.5, 0.5]]]),
+    )
+
+
+def test_zero_probability_atoms_match_reference_expectation():
+    """Levels and arrival counts of probability 0 contribute nothing: every
+    exact build equals the reference expectation, which skips them too, and
+    the instance passes every oracle check."""
+    cfg = _zero_atom_market()
+    assert {b for b, _i, _p, _w in cfg.consumer_atoms(1)} == {1, 3}
+    assert {b for b, _i, _p, _w in cfg.consumer_atoms(2)} == {2}
+    for tables, stage_fn in _exact_builds(cfg):
+        _assert_matches_reference(tables, stage_fn)
+    checks = verify_instance(cfg, seed=0)
+    assert len(checks) == 7 and all(c.passed for c in checks)
 
 
 # -- threshold-form stage against the enumerating reference ------------------------

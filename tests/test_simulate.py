@@ -293,6 +293,20 @@ def test_sampled_interim_requires_replications(small_cfg, small_tables, replicat
                                     replications=replications)
 
 
+def test_interim_samples_the_t1_law_past_50000_rows(small_cfg, small_tables):
+    """At t=1 the law is enumerated exactly up to 50,000 rows: the 82 atoms make
+    6,724 rows for two rivals, while the 551,368 for three give way to the
+    seeded environments."""
+    assert len(small_cfg.consumer_atoms(1)) == 82
+    assert len(simulate._exact_law(small_cfg, 3)) == 6_724
+    assert simulate._exact_law(small_cfg, 4) is None
+    exact = simulate.interim_quantities(small_cfg, small_tables, 1, 3, 1, (0.5, 1))
+    assert exact.replications is None and exact.allocation_se == 0.0
+    sampled = simulate.interim_quantities(small_cfg, small_tables, 1, 4, 1, (0.5, 1),
+                                          replications=200, seed=3)
+    assert sampled.replications == 200 and sampled.allocation_se > 0.0
+
+
 _EMPTY_AUDITS = {  # each would report no entries, whose worst gain / min utility is undefined
     "ir-no-probes": lambda cfg, tables: simulate.ir_audit(cfg, tables, 2, 0, probes=[]),
     "bic-no-true-types": lambda cfg, tables: simulate.bic_audit(
