@@ -50,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
-from .market import MarketConfig
+from .market import MarketConfig, substreams
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
@@ -387,9 +387,10 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     slot, 12 bytes per profile; every state adds weight times value with a
     compensated update in enumeration order, bit for bit the sum of
     `oracle.reference_expected_stage`. Monte Carlo: state number idx draws
-    `samples` report sets from ``SeedSequence([seed, t, idx])`` (arrival
-    count, then each consumer) and takes the numpy mean and standard error of
-    the per-sample values in draw order.
+    `samples` report sets (arrival count, then each consumer) from the stream
+    of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit, seeded in
+    bulk by `market.substreams`, and takes the numpy mean and standard error
+    of the per-sample values in draw order.
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -422,8 +423,7 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     if samples is not None:
         sampler = cfg.sampler(t)
         layer, errs = {}, {}
-        for idx, y in enumerate(states):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
+        for y, rng in zip(states, substreams((seed, t), len(states))):
             keys = []
             for _ in range(samples):
                 drawn = [sampler.consumer(rng) for _ in range(sampler.arrival_count(rng))]

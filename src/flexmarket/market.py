@@ -309,6 +309,88 @@ def _draw(cum: list, rng) -> int:
     return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 4096   # replications seeded per numpy pass, so the arrays stay small at any count
+
+
+def _seed_states(words: list, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(words + [r]).generate_state(4, uint64)`` for every r
+    in start..stop-1, as one (stop - start, 4) array: numpy's pool mixing,
+    word for word, on uint32 arrays (which wrap silently), one lane per r.
+    The hex constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R,
+    INIT_B and MULT_B, in order of use."""
+    entropy = [np.full(stop - start, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    entropy += [np.zeros(stop - start, dtype=np.uint32)] * (4 - len(entropy))
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * 0xCA01F9DD - y * 0x4973F715
+        return result ^ result >> 16
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    state = np.empty((stop - start, 8), dtype=np.uint32)
+    hash_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def substreams(prefix: Sequence[int], count: int):
+    """Replications 0..count-1 of a batch: replication r's generator draws
+    the stream of ``default_rng(SeedSequence([*prefix, r]))`` bit for bit.
+
+    The batch is seeded in bulk. SeedSequence's entropy-pool mixing and its
+    ``generate_state(4, uint64)`` run on numpy arrays over up to
+    `_SEED_BLOCK` replications at once (`_seed_states`); per r, PCG64's
+    seeding step (``inc = seq << 1 | 1``, then two 128-bit multiply-adds)
+    runs in Python ints and the state is set on one reused Generator, which
+    is yielded, so read each before taking the next.
+    ``SeedSequence([*prefix, 0])`` is built once per batch: it raises numpy's
+    own error for a bad key, and its state must equal the bulk row 0.
+    """
+    if count <= 0:
+        return
+    if count > 1 << 32:
+        raise ValueError("a batch holds at most 2**32 replications")
+    check = np.random.SeedSequence([*prefix, 0])
+    # entropy words, as SeedSequence splits each key: 32 bits at a time, low first
+    words = [int(key) >> s & _MASK32 for key in prefix
+             for s in range(0, max(int(key).bit_length(), 1), 32)]
+    rng = np.random.default_rng(check)
+    bit_generator = rng.bit_generator
+    for start in range(0, count, _SEED_BLOCK):
+        seeds = _seed_states(words, start, min(count, start + _SEED_BLOCK))
+        if start == 0 and check.generate_state(4, np.uint64).tolist() != seeds[0].tolist():
+            raise RuntimeError(f"bulk seeding of {[*prefix, 0]} differs from SeedSequence")
+        for row in seeds:   # per r: seed high, low, then seq high, low
+            s_hi, s_lo, seq_hi, seq_lo = row.tolist()
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

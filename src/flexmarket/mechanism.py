@@ -25,11 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, NegativeSupply, TableMismatch
-from .market import MarketConfig, _first_reaching
+from .market import MarketConfig, _first_reaching, substreams
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -269,9 +267,13 @@ class Mechanism:
 
     def sample_environments(self, t: int, n_t: int, replications: int, seed: int):
         """(supply state, other consumers' types) seen by a period-t probe among
-        n_t arrivals, one per replication on the (seed, t, rep) substream."""
-        for rep in range(replications):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, rep]))
+        n_t >= 1 arrivals, one per replication r on the (seed, t, r) substream:
+        the stream of ``default_rng(SeedSequence([seed, t, r]))`` bit for bit,
+        seeded in bulk by `market.substreams`. Raises ValueError for n_t < 1
+        before any draw."""
+        if n_t < 1:
+            raise ValueError(f"need n_t >= 1 arrivals, got {n_t}")
+        for rng in substreams((seed, t), replications):
             y = self.sample_supply_state(rng, t)
             yield y, tuple(self.sample_type(rng, t) for _ in range(n_t - 1))
 

@@ -3,6 +3,9 @@ truthfulness audits.
 
 Replications use independent seed substreams and are aggregated with exact
 (correctly rounded) summation, so results do not depend on evaluation order.
+Replication r of a batch draws the stream of
+``default_rng(SeedSequence([seed, r]))`` (``[seed, t, r]`` for environments)
+bit for bit, seeded in bulk by `market.substreams`.
 Interim quantities and audits are expectations over an environment law: the
 supply state a period-t consumer meets plus the other consumers' types. The
 law is either sampled (`Mechanism.environment_law`: the environments of
@@ -30,7 +33,7 @@ import numpy as np
 from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
-from .market import MarketConfig, virtual_valuation
+from .market import MarketConfig, substreams, virtual_valuation
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
 
@@ -99,10 +102,12 @@ def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
 
 
 def run_episodes(mech: Mechanism, replications: int, seed: int):
-    """Episodes 0..replications-1, episode r on the (seed, r) substream, so a
-    batch can run in any order or in parallel without changing any episode."""
-    for rep in range(replications):
-        yield _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed, rep])))
+    """Episodes 0..replications-1, episode r on the (seed, r) substream:
+    the stream of ``default_rng(SeedSequence([seed, r]))`` bit for bit,
+    seeded in bulk by `market.substreams`, so a batch can run in any order or
+    in parallel without changing any episode."""
+    for rng in substreams((seed,), replications):
+        yield _run_episode(mech, rng)
 
 
 class RevenueEstimate:

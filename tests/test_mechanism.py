@@ -322,6 +322,19 @@ def test_out_of_range_index_raises(small_tables, case):
         call(Mechanism(small_tables))
 
 
+@pytest.mark.parametrize("n_t", [0, -3])
+def test_environments_need_an_arrival(small_tables, monkeypatch, n_t):
+    """A probe is one of n_t >= 1 arrivals; no environment is drawn otherwise."""
+    draws = []
+    monkeypatch.setattr(Mechanism, "sample_supply_state", lambda self, rng, t: draws.append(t))
+    mech = Mechanism(small_tables)
+    with pytest.raises(ValueError):
+        mech.environment_law(2, n_t, 5, 1)
+    with pytest.raises(ValueError):
+        next(mech.sample_environments(2, n_t, 5, 1))
+    assert draws == [] and mech._law_memo == {}
+
+
 # -- interim quantities ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
