@@ -5,7 +5,7 @@ Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
 (missing, non-integer, negative, or 2**64 or more for an mc `solve`, whose
 cache stores it in 64 bits), invalid count or other usage error (the parser
 raises these too), 4 enumeration budget exceeded (exact backend or
-brute-force matrices), 5 stale (fingerprint mismatch), truncated or
+brute-force matrices), 5 stale (not what `solve` writes for the config) or
 inconsistent table cache, 6 failed verification check. Codes 2 and 6 are
 verdicts the commands return; every failure is raised and mapped to its code
 in one place, `main`'s `_FAILURES` table. Every output artifact embeds the
@@ -93,12 +93,10 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
-    if args.backend == "mc" and seed is None:
-        raise _BadArgument("--backend mc needs --seed (or FLEXMARKET_SEED)")
-    if args.backend == "mc" and seed >= 2 ** 64:
+    samples, seed = (args.samples, seed) if args.backend == "mc" else (None, None)
+    dp.check_backend(args.backend, samples, seed, _BadArgument)
+    if seed is not None and seed >= 2 ** 64:
         raise _BadArgument(f"an mc seed must be below 2**64 (the cache stores 64 bits), got {seed}")
-    if args.backend == "mc" and args.samples < 2:
-        raise _BadArgument(f"--samples must be at least 2, got {args.samples}")
     if args.budget < 1:
         raise _BadArgument(f"--budget must be at least 1, got {args.budget}")
     cfg = config_io.load_config(args.config)
@@ -106,12 +104,8 @@ def cmd_solve(args) -> int:
     if not report.passed:
         print(f"warning: config fails regularity at {len(report.violations)} point(s); "
               "solving anyway")
-    tables = build_value_tables(
-        cfg, backend=args.backend,
-        samples=args.samples if args.backend == "mc" else None,
-        seed=seed if args.backend == "mc" else None,
-        profile_budget=args.budget,
-    )
+    tables = build_value_tables(cfg, backend=args.backend, samples=samples, seed=seed,
+                                profile_budget=args.budget)
     tables.save(args.cache)
     print(f"tables written to {args.cache} (fingerprint {tables.fingerprint[:12]}...)")
     for t in sorted(tables.states):

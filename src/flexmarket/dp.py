@@ -223,9 +223,8 @@ class ValueTables:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Write the cache file. The whole file is packed before `path` is
-        opened, so a value that does not fit raises with nothing written."""
+    def _pack(self) -> bytes:
+        """The cache file's bytes: the one description of its layout."""
         T, k = self.config.horizon, self.config.varieties
         backend = self.backend.encode("utf-8")
         parts = [
@@ -243,86 +242,83 @@ class ValueTables:
             parts.append(struct.pack("<I", len(states)))
             for y in states:
                 parts.append(struct.pack(f"<{k}Idd", *y, self.values[t][y], self.stderrs[t][y]))
-        data = b"".join(parts)
+        return b"".join(parts)
+
+    def save(self, path) -> None:
+        """Write `_pack()` to `path`. The bytes are packed before `path` is
+        opened, so a value that does not fit raises with nothing written."""
+        data = self._pack()
         with open(path, "wb") as fh:
             fh.write(data)
 
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
-        """Tables saved for `cfg`. Raises TableMismatch unless the file holds
-        exactly what `build_value_tables` saves for `cfg`: an "exact" backend
-        with no samples and no seed, or an "mc" one with at least 2 samples
-        and a seed (a seed flag of 0 or 1, the seed 0 under flag 0), every layer's
-        `reachable_states` in order, finite non-negative values and standard
-        errors (every error zero in an exact cache, every entry zero in layer
-        T + 1), and nothing after the last layer."""
+        """Tables saved for `cfg`. Raises TableMismatch unless the file is
+        byte for byte what `save` writes for `cfg`: parsed into tables over
+        `reachable_states`, with layer T + 1 and an exact cache's standard
+        errors 0.0 by construction, it must pack back into the same bytes.
+        What a round trip cannot see is refused first: a foreign, truncated or
+        other-version file, another config's fingerprint or (T, k), a backend
+        `check_backend` refuses, and a value or standard error that is not
+        finite or is below 0."""
         fp = cfg.fingerprint
         with open(path, "rb") as fh:
+            data = fh.read()
+        at = 0
 
-            def read(fmt: str) -> tuple:
-                size = struct.calcsize(fmt)
-                raw = fh.read(size)
-                if len(raw) != size:
-                    raise TableMismatch("table cache file is truncated")
-                return struct.unpack(fmt, raw)
+        def read(fmt: str) -> tuple:
+            nonlocal at
+            end = at + struct.calcsize(fmt)
+            if end > len(data):
+                raise TableMismatch("table cache file is truncated")
+            got = struct.unpack(fmt, data[at:end])
+            at = end
+            return got
 
-            if fh.read(8) != _MAGIC:
-                raise TableMismatch("not a value-table cache file")
-            (version,) = read("<I")
-            if version != _VERSION:
-                raise TableMismatch(f"unsupported cache version {version}")
-            file_fp = read("<64s")[0].decode("ascii", errors="replace")
-            if file_fp != fp:
-                raise TableMismatch(
-                    f"cache fingerprint {file_fp[:12]}... does not match config {fp[:12]}..."
-                )
-            (blen,) = read("<H")
-            backend = read(f"<{blen}s")[0].decode("utf-8", errors="replace")
-            (samples,) = read("<Q")
-            has_seed, seed = read("<BQ")
-            if backend not in ("exact", "mc"):
-                raise TableMismatch(f"cache backend {backend!r} is neither 'exact' nor 'mc'")
-            if has_seed not in (0, 1) or (seed and not has_seed):
-                raise TableMismatch(f"cache seed flag {has_seed} with seed {seed} is malformed")
-            if backend == "mc" and (samples < 2 or not has_seed):
-                raise TableMismatch("mc cache needs at least 2 samples and a seed")
-            if backend == "exact" and (samples or has_seed):
-                raise TableMismatch(
-                    f"exact cache carries Monte Carlo samples ({samples}) or a seed")
-            T, k = read("<II")
-            if T != cfg.horizon or k != cfg.varieties:
-                raise TableMismatch("cache dimensions do not match config")
-            states, values, stderrs = {}, {}, {}
-            for t in range(1, T + 2):
-                (n,) = read("<I")
-                layer_states, layer_vals, layer_errs = reachable_states(cfg, t), {}, {}
-                if n != len(layer_states):
+        if read("<8s")[0] != _MAGIC:
+            raise TableMismatch("not a value-table cache file")
+        (version,) = read("<I")
+        if version != _VERSION:
+            raise TableMismatch(f"unsupported cache version {version}")
+        file_fp = read("<64s")[0].decode("ascii", errors="replace")
+        if file_fp != fp:
+            raise TableMismatch(
+                f"cache fingerprint {file_fp[:12]}... does not match config {fp[:12]}..."
+            )
+        (blen,) = read("<H")
+        backend = read(f"<{blen}s")[0].decode("utf-8", errors="replace")
+        samples, has_seed, seed = read("<QBQ")
+        samples, seed = samples or None, seed if has_seed else None
+        check_backend(backend, samples, seed, TableMismatch)
+        T, k = read("<II")
+        if (T, k) != (cfg.horizon, cfg.varieties):
+            raise TableMismatch("cache dimensions do not match config")
+        record = struct.Struct(f"<{k}Idd")
+        values, stderrs = {}, {}
+        for t in range(1, T + 2):
+            (n,) = read("<I")
+            values[t], stderrs[t] = {}, {}
+            for *y, c, se in record.iter_unpack(read(f"<{n * record.size}s")[0]):
+                if not (math.isfinite(c) and c >= 0.0 and math.isfinite(se) and se >= 0.0):
                     raise TableMismatch(
-                        f"cache layer t={t} has {n} states, the config reaches {len(layer_states)}")
-                for y in layer_states:
-                    *got, c, se = read(f"<{k}Idd")
-                    if tuple(got) != y:
-                        raise TableMismatch(
-                            f"cache layer t={t} lists state {tuple(got)} where the config has {y}")
-                    if not (math.isfinite(c) and c >= 0.0 and math.isfinite(se) and se >= 0.0):
-                        raise TableMismatch(
-                            f"cache entry t={t}, y={y} holds value {c!r} and standard error "
-                            f"{se!r}; both must be finite and non-negative")
-                    if se and backend == "exact":
-                        raise TableMismatch(
-                            f"exact cache entry t={t}, y={y} has standard error {se!r}")
-                    if t == T + 1 and (c or se):
-                        raise TableMismatch(f"cache entry t={t}, y={y} past the horizon is not 0")
-                    layer_vals[y] = c
-                    layer_errs[y] = se
-                states[t], values[t], stderrs[t] = layer_states, layer_vals, layer_errs
-            if fh.read(1):
-                raise TableMismatch("table cache file has bytes after its last layer")
-        return cls(
-            config=cfg, backend=backend,
-            samples=samples or None, seed=seed if has_seed else None,
-            states=states, values=values, stderrs=stderrs,
-        )
+                        f"cache entry t={t}, y={tuple(y)} holds value {c!r} and standard "
+                        f"error {se!r}; both must be finite and non-negative")
+                values[t][tuple(y)] = c
+                stderrs[t][tuple(y)] = se
+
+        states = {t: reachable_states(cfg, t) for t in values}
+        values[T + 1] = dict.fromkeys(states[T + 1], 0.0)
+        for t in states if backend == "exact" else [T + 1]:
+            stderrs[t] = dict.fromkeys(states[t], 0.0)
+        tables = cls(config=cfg, backend=backend, samples=samples, seed=seed,
+                     states=states, values=values, stderrs=stderrs)
+        try:
+            same = tables._pack() == data
+        except KeyError:  # the file lacks a state the config reaches
+            same = False
+        if not same:
+            raise TableMismatch("cache is not byte for byte what `save` writes for this config")
+        return tables
 
 
 def reachable_states(cfg: MarketConfig, t: int) -> list[Vector]:
@@ -472,6 +468,22 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     return layer, dict.fromkeys(states, 0.0)
 
 
+def check_backend(backend: str, samples: int | None, seed: int | None,
+                  error: type[Exception] = ValueError) -> None:
+    """The one backend rule, raised as `error`: the backend is "exact", with
+    no samples and no seed, or "mc", with at least 2 samples and a seed.
+    `build_value_tables`, `ValueTables.load` and the `solve` command apply it."""
+    if backend not in ("exact", "mc"):
+        raise error(f"unknown backend {backend!r}")
+    if backend == "mc":
+        if not samples or samples < 2:
+            raise error("mc backend needs samples >= 2")
+        if seed is None:
+            raise error("mc backend needs a seed")
+    elif samples is not None or seed is not None:
+        raise error("exact backend takes no samples or seed")
+
+
 def build_value_tables(
     cfg: MarketConfig,
     backend: str = "exact",
@@ -488,8 +500,7 @@ def build_value_tables(
     layer t also leave out every report with w <= 0. The exact backend
     enumerates all (arrival count, type profile) combinations once per
     period, in order, and refuses instances whose per-period enumeration
-    exceeds `profile_budget`; it takes no `samples` or `seed` and raises
-    ValueError when given either. The Monte Carlo backend averages `samples`
+    exceeds `profile_budget`. The Monte Carlo backend averages `samples`
     seeded draws per entry, with an independent substream per (period,
     state) so results do not depend on evaluation order, and records each
     entry's standard error.
@@ -504,15 +515,7 @@ def build_value_tables(
     is non-decreasing in every variety, on any report with w <= 0; both
     backends leave both out of `w_sorted`.
     """
-    if backend not in ("exact", "mc"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "mc":
-        if not samples or samples < 2:
-            raise ValueError("mc backend needs samples >= 2")
-        if seed is None:
-            raise ValueError("mc backend needs a seed")
-    elif samples is not None or seed is not None:
-        raise ValueError("exact backend takes no samples or seed")
+    check_backend(backend, samples, seed)
     stage_fn = stage_fn or _optimal_stage
 
     T = cfg.horizon

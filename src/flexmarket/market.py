@@ -177,9 +177,10 @@ class SupplyDistribution:
         return sum(self.x_max(s, j) for s in range(1, t + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketConfig:
-    """Full stochastic description of one market instance."""
+    """Full stochastic description of one market instance; configs compare
+    and hash by their fingerprint."""
 
     horizon: int
     varieties: int
@@ -202,6 +203,14 @@ class MarketConfig:
     def fingerprint(self) -> str:
         """SHA-256 of the canonical serialization, computed once per config."""
         return hashlib.sha256(canonical_json(self).encode("utf-8")).hexdigest()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MarketConfig):
+            return NotImplemented
+        return self.fingerprint == other.fingerprint
+
+    def __hash__(self) -> int:
+        return hash(self.fingerprint)
 
     def virtual_value_row(self, t: int, b: int) -> tuple:
         """Level b's virtual valuations at period t, both indices 1-based and checked."""
@@ -480,8 +489,12 @@ def truncated_exponential(
     pdf = np.empty((horizon, k, grid.size))
     cdf = np.empty_like(pdf)
     for b, a in enumerate(alpha):
-        pdf[:, b] = a * np.exp(-a * z) / (1.0 - math.exp(-a)) / span
-        cdf[:, b] = (1.0 - np.exp(-a * z)) / (1.0 - math.exp(-a))
+        mass = 1.0 - math.exp(-a)
+        if mass == 0.0:
+            raise MalformedConfig(f"alpha rate {a!r} is too small to tabulate: "
+                                  "1 - exp(-alpha) rounds to 0")
+        pdf[:, b] = a * np.exp(-a * z) / mass / span
+        cdf[:, b] = (1.0 - np.exp(-a * z)) / mass
     return TypeDistribution.from_tables(flex_pmf, pdf, cdf)
 
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 import pytest
 
 import flexmarket as fm
-from flexmarket import config_io, oracle, simulate
+from flexmarket import cli, config_io, oracle, simulate
 from flexmarket.cli import main
 from flexmarket.mechanism import Mechanism
 
@@ -78,6 +78,45 @@ def test_criterion_1_worked_instance_golden_numbers():
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 10s")
     _report("1 (worked-instance golden numbers)", failures)
+
+
+def _root(f, lo=0.0, hi=1.0):
+    """The point of [lo, hi] where the increasing `f` crosses 0, by bisection."""
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _w(a, x):
+    """Continuum virtual value of the rate-a truncated exponential on [0, 1]:
+    x - (1 - F(x)) / f(x) = x - (1 - exp(-a (1 - x))) / a, increasing in x."""
+    return x - (1.0 - math.exp(-a * (1.0 - x))) / a
+
+
+@pytest.mark.parametrize("grid_size", [41, 101, 201, 401, 1001])
+def test_worked_instance_against_continuum_closed_forms(grid_size):
+    """The worked instance's numbers are the grid readings of their continuum
+    closed forms. Level j has rate (2, 3)[j - 1]; r_a solves w_a(r) = 0. With
+    one good of each variety and no later supply, the level-1 holding cost at
+    t=1 is the chance of a level-1 arrival at t=2 (1/2 * 1/2) times the
+    expected positive virtual value, which is the revenue r_2 (1 - F_2(r_2))
+    of posting the reserve. A critical value is the largest grid point at
+    which the report still loses: for level 1 at t=1, the last point below
+    the crossing of w_2 with that cost; level 2's holding cost is 0, so its
+    critical value is its reserve."""
+    got = cli.example_quantities(grid_size)
+    points = fm.build_example_config((2.0, 3.0), 0.5, 2, grid_size).grid.points.tolist()
+    r2, r3 = _root(lambda x: _w(2.0, x)), _root(lambda x: _w(3.0, x))
+    tail2 = (math.exp(-2.0 * r2) - math.exp(-2.0)) / (1.0 - math.exp(-2.0))  # 1 - F_2(r_2)
+    rho1 = 0.25 * r2 * tail2
+    bar1 = _root(lambda x: _w(2.0, x) - rho1)
+
+    assert got["res_1_2"] == min(x for x in points if x >= r2)
+    assert got["res_2_2"] == min(x for x in points if x >= r3)
+    assert got["bar_2_1"] == got["res_2_2"]
+    assert got["bar_1_1"] == max(x for x in points if x < bar1)
+    assert abs(got["rho_1_1"] - rho1) <= points[1] - points[0]
 
 
 def test_criterion_2_master_equivalence(family_report):

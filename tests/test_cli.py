@@ -372,6 +372,9 @@ BAD_INPUTS = {
         "validate", "--config", _edited_config(c, d, _family_types([float("nan"), 3.0]))]),
     "inf-alpha": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _family_types([float("inf"), 3.0]))]),
+    # 1 - exp(-alpha) rounds to 0: the rate's density cannot be normalised
+    "tiny-alpha": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_types([1e-17, 3.0]))]),
     "nan-arrival": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _set_nan("arrivals", 0, 0))]),
     "nan-supply": (3, None, lambda c, k, d: [
@@ -545,8 +548,12 @@ UNSERVABLE_CACHES = {
     "negative-stderr": lambda cfg, tab, k, d: _saved(
         _one_entry_set(tab, 1, "stderrs", -0.5, backend="mc", samples=50, seed=1), d),
     "exact-with-stderr": lambda cfg, tab, k, d: _saved(_one_entry_set(tab, 1, "stderrs", 0.01), d),
+    "exact-negative-zero-stderr": lambda cfg, tab, k, d: _saved(
+        _one_entry_set(tab, 1, "stderrs", -0.0), d),
     "nonzero-past-horizon": lambda cfg, tab, k, d: _saved(
         _one_entry_set(tab, cfg.horizon + 1, "values", 0.5), d),
+    "negative-zero-past-horizon": lambda cfg, tab, k, d: _saved(
+        _one_entry_set(tab, cfg.horizon + 1, "values", -0.0), d),
     "myopic-backend": lambda cfg, tab, k, d: _saved(simulate.build_myopic_tables(cfg), d),
     "brute-backend": lambda cfg, tab, k, d: _saved(oracle.build_brute_tables(cfg), d),
     "mc-one-sample": lambda cfg, tab, k, d: _saved(

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import flexmarket as fm
-from flexmarket import MalformedConfig, config_io
+from flexmarket import MalformedConfig, config_io, market
 
 EXAMPLE_DOC = {
     "horizon": 2,
@@ -27,6 +27,13 @@ def test_roundtrip_preserves_fingerprint(tmp_path, small_cfg):
     again = config_io.load_config(path)
     assert config_io.fingerprint(again) == config_io.fingerprint(small_cfg)
     assert again.types.binned_pmf.tolist() == small_cfg.types.binned_pmf.tolist()
+
+
+def test_configs_compare_and_hash_by_fingerprint(small_cfg):
+    reparsed = config_io.parse_config(market.canonical_dict(small_cfg))
+    assert reparsed == small_cfg and hash(reparsed) == hash(small_cfg)
+    assert small_cfg != fm.build_example_config((2.0, 3.0), 0.4, 2, 41)
+    assert small_cfg != small_cfg.fingerprint
 
 
 def test_unknown_fields_rejected():

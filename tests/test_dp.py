@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, oracle
+from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, market, oracle
 from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
@@ -297,6 +297,19 @@ def test_cache_roundtrip(tmp_path, small_cfg, small_tables):
     assert loaded.backend == "exact" and loaded.fingerprint == small_tables.fingerprint
     # continuations evaluate identically through the loaded copy
     assert loaded.continuation_fn(1)((1, 1)) == small_tables.continuation_fn(1)((1, 1))
+
+
+def test_every_solved_cache_loads_back(tmp_path):
+    """The exact and mc tables of the first 40 family instances, saved and
+    loaded through a re-parsed config, equal the tables built."""
+    path = tmp_path / "tables.bin"
+    for seed in range(40):
+        cfg = oracle.random_instance(seed)
+        reparsed = config_io.parse_config(market.canonical_dict(cfg))
+        for tables in (fm.build_value_tables(cfg),
+                       fm.build_value_tables(cfg, backend="mc", samples=3, seed=seed)):
+            tables.save(path)
+            assert ValueTables.load(path, reparsed) == tables, (seed, tables.backend)
 
 
 def test_cache_rejects_other_config(tmp_path, small_tables):
