@@ -21,6 +21,10 @@ a correctly rounded sum. Exact expectations enumerate ordered consumer
 profiles in lexicographic (level, grid index) order, once per period for the
 whole layer (the report law does not depend on the supply state), with
 compensated accumulation, which makes table values reproducible bit for bit.
+Monte Carlo expectations draw each state's report sets from one block of
+uniforms on the state's own substream (`PeriodSampler.report_sets`), and
+reduce the layer's (states, samples) array of stage values once: one mean and
+one standard error per row, the same floats as 1-D numpy calls per state give.
 None of these shortcuts moves a bit of any table
 (``oracle.reference_expected_stage``, one unmemoised enumeration per state,
 is the exact reference). Per-profile sums use ``math.fsum`` (correctly
@@ -383,10 +387,14 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     slot, 12 bytes per profile; every state adds weight times value with a
     compensated update in enumeration order, bit for bit the sum of
     `oracle.reference_expected_stage`. Monte Carlo: state number idx draws
-    `samples` report sets (arrival count, then each consumer) from the stream
-    of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit, seeded in
-    bulk by `market.substreams`, and takes the numpy mean and standard error
-    of the per-sample values in draw order.
+    its `samples` report sets (arrival count, then each consumer) in one
+    `PeriodSampler.report_sets` block from the stream of
+    ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit, seeded in
+    bulk by `market.substreams`. Its per-sample values, in draw order, fill
+    row idx of one (states, samples) array, and the layer takes the numpy
+    mean and standard error along the rows once: a reduction along the
+    contiguous last axis sums each row pairwise as the 1-D call does, so
+    every entry is the float the per-state calls give.
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -418,17 +426,16 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
 
     if samples is not None:
         sampler = cfg.sampler(t)
-        layer, errs = {}, {}
-        for y, rng in zip(states, substreams((seed, t), len(states))):
+        vals = np.empty((len(states), samples))
+        for idx, (y, rng) in enumerate(zip(states, substreams((seed, t), len(states)))):
             keys = []
-            for _ in range(samples):
-                drawn = [sampler.consumer(rng) for _ in range(sampler.arrival_count(rng))]
+            for drawn in sampler.report_sets(rng, samples):
                 ranks = [rank[b - 1][i] for b, i in drawn]
                 keys.append(tuple(sorted([r for r in ranks if keep[r]])))
-            vals = evaluate(y, keys)
-            layer[y] = float(np.mean(vals))
-            errs[y] = float(np.std(vals, ddof=1) / math.sqrt(samples))
-        return layer, errs
+            vals[idx] = evaluate(y, keys)
+        means = vals.mean(axis=1).tolist()
+        errs = (vals.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
+        return dict(zip(states, means)), dict(zip(states, errs))
 
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
@@ -503,7 +510,9 @@ def build_value_tables(
     exceeds `profile_budget`. The Monte Carlo backend averages `samples`
     seeded draws per entry, with an independent substream per (period,
     state) so results do not depend on evaluation order, and records each
-    entry's standard error.
+    entry's standard error. Each state draws its report sets as one block of
+    uniforms, and each layer takes one mean/std reduction over all its
+    states, the same floats as 1-D numpy calls per state give.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing

@@ -287,9 +287,12 @@ def canonical_json(cfg: MarketConfig) -> str:
 class PeriodSampler:
     """Inverse-CDF draws for one period, on CDFs tabulated once per config.
 
-    Every draw consumes one ``rng.random()`` in call order, so a seeded
-    generator reproduces the same stream. The CDFs are held as lists of the
-    very floats `np.cumsum` gives, so a `bisect` over them picks the index
+    Every draw consumes one uniform, in call order: an arrival count one, a
+    consumer two (its level, then its grid index), a supply vector one per
+    variety. So a seeded generator reproduces the same stream, and
+    `report_sets` can read a block of uniforms where the per-call methods
+    call ``rng.random()`` once each. The CDFs are held as lists of the very
+    floats `np.cumsum` gives, so a `bisect` over them picks the index
     `np.searchsorted` would, without a numpy call per scalar draw.
     """
 
@@ -302,20 +305,38 @@ class PeriodSampler:
         self.supply = tuple(np.cumsum(pmf).tolist() for pmf in cfg.supply.pmfs[t - 1])
 
     def arrival_count(self, rng) -> int:
-        return _draw(self.arrivals, rng)
+        return _draw(self.arrivals, rng.random())
 
     def consumer(self, rng) -> tuple[int, int]:
         """(level, grid index) of one consumer."""
-        b = _draw(self.levels, rng) + 1
-        return b, _draw(self.values[b - 1], rng)
+        b = _draw(self.levels, rng.random()) + 1
+        return b, _draw(self.values[b - 1], rng.random())
 
     def supply_arrivals(self, rng) -> tuple:
-        return tuple(_draw(cum, rng) for cum in self.supply)
+        return tuple(_draw(cum, rng.random()) for cum in self.supply)
+
+    def report_sets(self, rng, count: int) -> list:
+        """`count` report sets, each a list of consumers' (level, grid index):
+        the sets that `count` rounds of `arrival_count`, then that many
+        `consumer` calls, draw from `rng`, bit for bit. They are read in that
+        order off one ``rng.random(count * (1 + 2 * n_max))`` block, wide
+        enough for the largest arrival count n_max in every round, so `rng`
+        may end past where the per-call draws would leave it."""
+        arrivals, levels, values = self.arrivals, self.levels, self.values
+        uniforms = iter(rng.random(count * (2 * len(arrivals) - 1)).tolist())
+        sets = []
+        for _ in range(count):
+            drawn = []
+            for _ in range(_draw(arrivals, next(uniforms))):
+                b = _draw(levels, next(uniforms))
+                drawn.append((b + 1, _draw(values[b], next(uniforms))))
+            sets.append(drawn)
+        return sets
 
 
-def _draw(cum: list, rng) -> int:
-    """Index of the first CDF entry above a uniform draw, clamped to the support."""
-    return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
+def _draw(cum: list, u: float) -> int:
+    """Index of the first CDF entry above the uniform `u`, clamped to the support."""
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
 _MASK32 = 0xFFFFFFFF
@@ -620,7 +641,8 @@ def validate_config(cfg: MarketConfig) -> ValidationReport:
             report.hazard[(t, b)] = _readonly(h)
 
         for b in range(1, k + 1):
-            bad = np.flatnonzero(np.diff(hz[b - 1]) < -MONO_SLACK)
+            with np.errstate(invalid="ignore"):  # inf - inf where the CDF rounds to 1
+                bad = np.flatnonzero(np.diff(hz[b - 1]) < -MONO_SLACK)
             for i in bad:
                 report.violations.append(RegularityViolation(
                     kind="hazard_in_x", t=t, level=b, grid_index=int(i) + 1,

@@ -47,6 +47,17 @@ def test_validate_regularity_failure(tmp_path, capsys):
     assert "hazard_in_x" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", [1e-16, 1e-15, 40.0])
+def test_validate_hazard_infinite_where_cdf_reaches_1(rate, config_file, tmp_path, capsys):
+    """At these rates the tabulated CDF rounds to 1 inside the grid, so the
+    hazard is inf at neighbouring points; comparing them raises no warning
+    and the verdict stays a regularity failure."""
+    path = _edited_config(config_file, tmp_path, _family_types([rate, 3.0]))
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().out.strip()
+
+
 def test_validate_truncated_file(tmp_path, config_file):
     broken = tmp_path / "broken.json"
     broken.write_text(Path(config_file).read_text()[:50])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmarket as fm
-from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, market, oracle
+from flexmarket import InfeasibleU, StateSpaceTooLarge, TableMismatch, config_io, dp, market, oracle, simulate
 from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
@@ -268,6 +268,55 @@ def test_mc_backend_deterministic(small_cfg):
     assert a.values == b.values and a.stderrs == b.stderrs
     c = fm.build_value_tables(small_cfg, backend="mc", samples=500, seed=8)
     assert c.values != a.values
+
+
+def _per_call_mc_tables(cfg, samples, seed, stage_fn):
+    """Monte Carlo tables drawn the plain way. State number idx of period t
+    draws each of its `samples` report sets with per-call `arrival_count` and
+    `consumer` draws on ``default_rng(SeedSequence([seed, t, idx]))``, sums
+    up every report (no clipping, no memo, no w <= 0 rule), and takes the
+    1-D numpy mean and standard error of its stage values."""
+    T, k = cfg.horizon, cfg.varieties
+    states = {t: dp.reachable_states(cfg, t) for t in range(1, T + 2)}
+    tables = ValueTables(config=cfg, backend="mc", samples=samples, seed=seed, states=states,
+                         values={T + 1: dict.fromkeys(states[T + 1], 0.0)},
+                         stderrs={T + 1: dict.fromkeys(states[T + 1], 0.0)})
+    for t in range(T, 0, -1):
+        sampler, cont, w_rows = cfg.sampler(t), tables.continuation_fn(t), cfg.virtual_values[t - 1]
+        tables.values[t], tables.stderrs[t] = {}, {}
+        for idx, y in enumerate(states[t]):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
+            vals = []
+            for _ in range(samples):
+                drawn = [sampler.consumer(rng) for _ in range(sampler.arrival_count(rng))]
+                summary = summarize([(b, w_rows[b - 1][i]) for b, i in drawn], k)
+                vals.append(stage_fn(t, summary, y, cont))
+            tables.values[t][y] = float(np.mean(vals))
+            tables.stderrs[t][y] = float(np.std(vals, ddof=1) / math.sqrt(samples))
+    return tables
+
+
+def _hex_entries(tables):
+    return {(t, y): (tables.values[t][y].hex(), tables.stderrs[t][y].hex())
+            for t in tables.states for y in tables.states[t]}
+
+
+# 2, 3, 9 and 20 samples sit on both sides of numpy's 8-wide unrolled sum, 129 past its 128 block
+@pytest.mark.parametrize("seed", [1, 2 ** 64 + 5])
+@pytest.mark.parametrize("samples", [2, 3, 9, 20, 129])
+def test_mc_tables_match_per_call_draws(samples, seed):
+    """The mc backend (one block of uniforms per state, clipped memoised
+    keys, one mean/std reduction per layer) equals the plain per-call
+    reference bit for bit, for the optimal and the myopic stage, on the
+    first 40 family instances."""
+    for instance in range(40):
+        cfg = oracle.random_instance(instance)
+        kwargs = {"backend": "mc", "samples": samples, "seed": seed}
+        for built, stage_fn in ((fm.build_value_tables(cfg, **kwargs), dp._optimal_stage),
+                                (simulate.build_myopic_tables(cfg, **kwargs),
+                                 simulate._myopic_stage)):
+            reference = _per_call_mc_tables(cfg, samples, seed, stage_fn)
+            assert _hex_entries(built) == _hex_entries(reference), (instance, built.backend)
 
 
 def test_mc_requires_sampling_params(small_cfg):

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import MalformedConfig, NoNonnegativePoint, NoSolution, OffGridValue, oracle
-from flexmarket.market import ValuationGrid, validate_config
+from flexmarket import (MalformedConfig, NoNonnegativePoint, NoSolution, OffGridValue, config_io,
+                        market, oracle)
+from flexmarket.market import ArrivalDistribution, ValuationGrid, validate_config
 
 from conftest import tabulated_config
 
@@ -302,6 +304,54 @@ def test_period_sampler_follows_the_pmfs(example_cfg):
     assert mean_level1 == pytest.approx(exact, abs=0.02)
     assert {sampler.supply_arrivals(rng) for _ in range(20)} == {(1, 1)}
     assert {sampler.arrival_count(rng) for _ in range(100)} == {0, 1}
+
+
+# perfbench's mc-market: k=3, T=3, G=201, arrivals uniform on {0..3}, supply uniform on {0, 1, 2}
+MC_MARKET = {
+    "horizon": 3, "varieties": 3, "grid": {"min": 0.0, "max": 1.0, "points": 201},
+    "arrivals": [[0.25] * 4] * 3, "supply": [[[1 / 3] * 3] * 3] * 3,
+    "types": {"family": "truncated_exponential", "alpha": [1.0, 2.0, 3.0]},
+}
+
+
+def _checked_report_sets(sampler, seed: int, count: int) -> list:
+    """`sampler.report_sets(default_rng(seed), count)`, checked against
+    `count` rounds of per-call draws from a same-seeded generator; the block
+    must end after ``count * (1 + 2 * n_max)`` uniforms."""
+    rng = np.random.default_rng(seed)
+    sets = sampler.report_sets(rng, count)
+    per_call = np.random.default_rng(seed)
+    assert sets == [[sampler.consumer(per_call) for _ in range(sampler.arrival_count(per_call))]
+                    for _ in range(count)]
+    past_block = np.random.default_rng(seed)
+    past_block.random(count * (2 * len(sampler.arrivals) - 1))
+    assert rng.random() == past_block.random()
+    return sets
+
+
+@pytest.mark.parametrize("count", [0, 1, 20, 500])
+def test_report_sets_are_the_per_call_draws(count, example_cfg):
+    for cfg in (config_io.parse_config(MC_MARKET), example_cfg):
+        for t in range(1, cfg.horizon + 1):
+            _checked_report_sets(cfg.sampler(t), t, count)
+
+
+def test_report_sets_with_no_arrivals(small_cfg):
+    """Arrivals [1.0]: n_max = 0, so each set is empty and takes one uniform."""
+    cfg = dataclasses.replace(small_cfg, arrivals=ArrivalDistribution.from_lists([[1.0], [1.0]]))
+    assert _checked_report_sets(market.PeriodSampler(cfg, 1), 3, 50) == [[]] * 50
+
+
+def test_report_sets_clamp_a_cdf_below_1(small_cfg):
+    """CDFs ending at 0.5: a uniform at or above 0.5 draws the last index
+    only through `_draw`'s clamp, so every set of one report and every
+    level-2 report here is the clamp's."""
+    sampler = market.PeriodSampler(small_cfg, 1)
+    sampler.arrivals = [0.5, 0.5]
+    sampler.levels = [0.5, 0.5]
+    sets = _checked_report_sets(sampler, 9, 200)
+    assert {len(s) for s in sets} == {0, 1}
+    assert {b for s in sets for b, _i in s} == {1, 2}
 
 
 def test_truncated_exponential_rescales_to_the_grid():
