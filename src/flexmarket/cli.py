@@ -30,7 +30,7 @@ from . import __version__, config_io, dp, oracle, simulate
 from .dp import ValueTables, build_value_tables, continuation_gap
 from .errors import (BudgetExceeded, InconsistentAllocation, MalformedConfig,
                      StateSpaceTooLarge, TableMismatch)
-from .market import build_example_config, reserve_price, validate_config
+from .market import MAX_REPLICATIONS, build_example_config, reserve_price, validate_config
 from .mechanism import NOT_SERVED, Mechanism
 
 EXIT_OK = 0
@@ -139,6 +139,9 @@ def cmd_simulate(args) -> int:
     if args.replications < 2:
         raise _BadArgument(
             f"--replications must be at least 2 for a standard error, got {args.replications}")
+    if args.replications > MAX_REPLICATIONS:
+        raise _BadArgument(f"--replications must be at most {MAX_REPLICATIONS} (one 32-bit "
+                           f"stream index each), got {args.replications}")
     cfg = config_io.load_config(args.config)
     tables = ValueTables.load(args.cache, cfg)
 

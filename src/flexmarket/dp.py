@@ -21,10 +21,11 @@ a correctly rounded sum. Exact expectations enumerate ordered consumer
 profiles in lexicographic (level, grid index) order, once per period for the
 whole layer (the report law does not depend on the supply state), with
 compensated accumulation, which makes table values reproducible bit for bit.
-Monte Carlo expectations draw each state's report sets from one block of
-uniforms on the state's own substream (`PeriodSampler.report_sets`), and
-reduce the layer's (states, samples) array of stage values once: one mean and
-one standard error per row, the same floats as 1-D numpy calls per state give.
+Monte Carlo expectations draw each state's report sets from one row of
+uniforms, the state's own stream (`market.uniform_rows`, read by
+`PeriodSampler.report_sets`), and reduce the layer's (states, samples) array
+of stage values once: one mean and one standard error per row, the same
+floats as 1-D numpy calls per state give.
 None of these shortcuts moves a bit of any table
 (``oracle.reference_expected_stage``, one unmemoised enumeration per state,
 is the exact reference). Per-profile sums use ``math.fsum`` (correctly
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
-from .market import MarketConfig, substreams
+from .market import MarketConfig, uniform_rows
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
@@ -388,13 +389,14 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     compensated update in enumeration order, bit for bit the sum of
     `oracle.reference_expected_stage`. Monte Carlo: state number idx draws
     its `samples` report sets (arrival count, then each consumer) in one
-    `PeriodSampler.report_sets` block from the stream of
-    ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit, seeded in
-    bulk by `market.substreams`. Its per-sample values, in draw order, fill
-    row idx of one (states, samples) array, and the layer takes the numpy
-    mean and standard error along the rows once: a reduction along the
-    contiguous last axis sums each row pairwise as the 1-D call does, so
-    every entry is the float the per-state calls give.
+    `PeriodSampler.report_sets` call from row idx of `market.uniform_rows`:
+    the stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for
+    bit, ``samples * (1 + 2 * n_max)`` uniforms wide, enough for the
+    largest arrival count n_max in every sample. Its per-sample values, in
+    draw order, fill row idx of one (states, samples) array, and the layer
+    takes the numpy mean and standard error along the rows once: a
+    reduction along the contiguous last axis sums each row pairwise as the
+    1-D call does, so every entry is the float the per-state calls give.
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -427,9 +429,10 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     if samples is not None:
         sampler = cfg.sampler(t)
         vals = np.empty((len(states), samples))
-        for idx, (y, rng) in enumerate(zip(states, substreams((seed, t), len(states)))):
+        rows = uniform_rows((seed, t), len(states), samples * (1 + 2 * sampler.n_max))
+        for idx, (y, row) in enumerate(zip(states, rows)):
             keys = []
-            for drawn in sampler.report_sets(rng, samples):
+            for drawn in sampler.report_sets(row, samples):
                 ranks = [rank[b - 1][i] for b, i in drawn]
                 keys.append(tuple(sorted([r for r in ranks if keep[r]])))
             vals[idx] = evaluate(y, keys)
@@ -508,9 +511,9 @@ def build_value_tables(
     enumerates all (arrival count, type profile) combinations once per
     period, in order, and refuses instances whose per-period enumeration
     exceeds `profile_budget`. The Monte Carlo backend averages `samples`
-    seeded draws per entry, with an independent substream per (period,
-    state) so results do not depend on evaluation order, and records each
-    entry's standard error. Each state draws its report sets as one block of
+    seeded draws per entry, with an independent stream per (period, state)
+    so results do not depend on evaluation order, and records each entry's
+    standard error. Each state draws its report sets from one row of
     uniforms, and each layer takes one mean/std reduction over all its
     states, the same floats as 1-D numpy calls per state give.
 

@@ -15,8 +15,10 @@ virtual valuations go to the lowest arrival index, so every decision is a
 pure function of its inputs. Besides allocation, payment and the period
 step, a `Mechanism` samples the market under truthful play: supply arrivals,
 consumer types, and the supply state and rival reports a period-t consumer
-faces. Expectations over those samples (interim quantities, audits, revenue)
-live in `simulate`.
+faces. Each sampler takes `u`, a zero-argument callable returning the next
+uniform of a stream; a batch of environments reads replication r's stream
+as row r of `market.uniform_rows`. Expectations over those samples (interim
+quantities, audits, revenue) live in `simulate`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, NegativeSupply, TableMismatch
-from .market import MarketConfig, _first_reaching, substreams
+from .market import MarketConfig, _first_reaching, uniform_rows
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -238,17 +240,17 @@ class Mechanism:
 
     # -- sampling helpers ------------------------------------------------------
 
-    def sample_arrival_count(self, rng, t: int) -> int:
-        return self.cfg.sampler(t).arrival_count(rng)
+    def sample_arrival_count(self, u, t: int) -> int:
+        return self.cfg.sampler(t).arrival_count(u)
 
-    def sample_type(self, rng, t: int) -> tuple[float, int]:
-        b, i = self.cfg.sampler(t).consumer(rng)
+    def sample_type(self, u, t: int) -> tuple[float, int]:
+        b, i = self.cfg.sampler(t).consumer(u)
         return self.cfg.grid.point_list[i], b
 
-    def sample_supply_arrivals(self, rng, t: int) -> tuple:
-        return self.cfg.sampler(t).supply_arrivals(rng)
+    def sample_supply_arrivals(self, u, t: int) -> tuple:
+        return self.cfg.sampler(t).supply_arrivals(u)
 
-    def sample_supply_state(self, rng, t: int) -> tuple:
+    def sample_supply_state(self, u, t: int) -> tuple:
         """Supply vector at period t under truthful play of periods 1..t-1.
 
         Draw order per period: supply arrivals, then the arrival count, then
@@ -256,26 +258,35 @@ class Mechanism:
         """
         if not 1 <= t <= self.cfg.horizon:
             raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
-        y = self.sample_supply_arrivals(rng, 1)
+        y = self.sample_supply_arrivals(u, 1)
         for s in range(1, t):
-            n = self.sample_arrival_count(rng, s)
-            reports = make_reports([self.sample_type(rng, s) for _ in range(n)])
+            n = self.sample_arrival_count(u, s)
+            reports = make_reports([self.sample_type(u, s) for _ in range(n)])
             spent = self.allocate(s, reports, y).v_star
-            x_next = self.sample_supply_arrivals(rng, s + 1)
+            x_next = self.sample_supply_arrivals(u, s + 1)
             y = tuple(a - b + c for a, b, c in zip(y, spent, x_next))
         return y
 
     def sample_environments(self, t: int, n_t: int, replications: int, seed: int):
         """(supply state, other consumers' types) seen by a period-t probe among
-        n_t >= 1 arrivals, one per replication r on the (seed, t, r) substream:
-        the stream of ``default_rng(SeedSequence([seed, t, r]))`` bit for bit,
-        seeded in bulk by `market.substreams`. Raises ValueError for n_t < 1
-        before any draw."""
+        n_t >= 1 arrivals. Replication r reads the stream of
+        ``default_rng(SeedSequence([seed, t, r]))``, bit for bit, as row r of
+        `market.uniform_rows`, which is as wide as the most uniforms an
+        environment takes: the supply arrivals of period 1, each earlier
+        period's arrival count, consumers and next supply, then n_t - 1
+        consumers. Raises ValueError for n_t < 1 or a period outside
+        1..T before any draw."""
+        cfg = self.cfg
         if n_t < 1:
             raise ValueError(f"need n_t >= 1 arrivals, got {n_t}")
-        for rng in substreams((seed, t), replications):
-            y = self.sample_supply_state(rng, t)
-            yield y, tuple(self.sample_type(rng, t) for _ in range(n_t - 1))
+        if not 1 <= t <= cfg.horizon:
+            raise ValueError(f"period {t} outside 1..{cfg.horizon}")
+        k = cfg.varieties
+        width = k + sum(1 + 2 * cfg.sampler(s).n_max + k for s in range(1, t)) + 2 * (n_t - 1)
+        for row in uniform_rows((seed, t), replications, width):
+            u = iter(row).__next__
+            y = self.sample_supply_state(u, t)
+            yield y, tuple(self.sample_type(u, t) for _ in range(n_t - 1))
 
     def environment_law(self, t: int, n_t: int, replications: int, seed: int) -> tuple:
         """The environments of `sample_environments` as (count, environment)

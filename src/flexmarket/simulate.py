@@ -1,11 +1,14 @@
 """Seeded market episodes, revenue estimation, interim quantities and
 truthfulness audits.
 
-Replications use independent seed substreams and are aggregated with exact
+Replications use independent seeded streams and are aggregated with exact
 (correctly rounded) summation, so results do not depend on evaluation order.
-Replication r of a batch draws the stream of
+Replication r of a batch reads the stream of
 ``default_rng(SeedSequence([seed, r]))`` (``[seed, t, r]`` for environments)
-bit for bit, seeded in bulk by `market.substreams`.
+bit for bit, as row r of `market.uniform_rows`, a row as wide as the most
+uniforms a replication can take; the samplers read one uniform per draw.
+A standalone `sample_episode` draws from its own ``SeedSequence([seed])``
+Generator.
 Interim quantities and audits are expectations over an environment law: the
 supply state a period-t consumer meets plus the other consumers' types. The
 law is either sampled (`Mechanism.environment_law`: the environments of
@@ -33,7 +36,7 @@ import numpy as np
 from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
-from .market import MarketConfig, substreams, virtual_valuation
+from .market import MarketConfig, uniform_rows, virtual_valuation
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
 
@@ -68,18 +71,19 @@ def _session(cfg: MarketConfig, tables: ValueTables, mech: Mechanism | None) -> 
     return mech
 
 
-def _run_episode(mech: Mechanism, rng) -> EpisodeTrace:
+def _run_episode(mech: Mechanism, u) -> EpisodeTrace:
+    """One truthful episode drawn from `u`, which returns the next uniform."""
     cfg = mech.cfg
     periods = []
     payments: list[float] = []
     surplus: list[float] = []
-    x = mech.sample_supply_arrivals(rng, 1)
+    x = mech.sample_supply_arrivals(u, 1)
     y = x
     for t in range(1, cfg.horizon + 1):
-        n = mech.sample_arrival_count(rng, t)
-        types = tuple(mech.sample_type(rng, t) for _ in range(n))
+        n = mech.sample_arrival_count(u, t)
+        types = tuple(mech.sample_type(u, t) for _ in range(n))
         reports = make_reports(types)
-        x_next = mech.sample_supply_arrivals(rng, t + 1) if t < cfg.horizon else (0,) * cfg.varieties
+        x_next = mech.sample_supply_arrivals(u, t + 1) if t < cfg.horizon else (0,) * cfg.varieties
         outcome, y_next = mech.step(t, y, reports, x_next)
         payments.extend(outcome.payments)
         for (val, lvl), variety in zip(types, outcome.varieties):
@@ -98,16 +102,20 @@ def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
                    mech: Mechanism | None = None) -> EpisodeTrace:
     """One truthful market episode, deterministic in the seed."""
     mech = _session(cfg, tables, mech)
-    return _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed])))
+    return _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed])).random)
 
 
 def run_episodes(mech: Mechanism, replications: int, seed: int):
-    """Episodes 0..replications-1, episode r on the (seed, r) substream:
-    the stream of ``default_rng(SeedSequence([seed, r]))`` bit for bit,
-    seeded in bulk by `market.substreams`, so a batch can run in any order or
-    in parallel without changing any episode."""
-    for rng in substreams((seed,), replications):
-        yield _run_episode(mech, rng)
+    """Episodes 0..replications-1. Episode r reads the stream of
+    ``default_rng(SeedSequence([seed, r]))``, bit for bit, as row r of
+    `market.uniform_rows`, so a batch can run in any order or in parallel
+    without changing any episode. A row is as wide as the most uniforms an
+    episode takes: per period, one supply vector, the arrival count and two
+    per consumer."""
+    cfg = mech.cfg
+    width = sum(cfg.varieties + 1 + 2 * cfg.sampler(t).n_max for t in range(1, cfg.horizon + 1))
+    for row in uniform_rows((seed,), replications, width):
+        yield _run_episode(mech, iter(row).__next__)
 
 
 class RevenueEstimate:

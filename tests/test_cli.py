@@ -494,6 +494,20 @@ def test_inconsistent_allocation_exit_code(config_file, cache_file, tmp_path, mo
     assert "inconsistent" in capsys.readouterr().out
 
 
+def test_simulate_refuses_more_replications_than_streams(config_file, cache_file, tmp_path,
+                                                         monkeypatch, capsys):
+    """A replication count past `market.MAX_REPLICATIONS` is an invalid
+    argument (exit 3), refused before the cache is read and before --out
+    is made."""
+    loads = []
+    monkeypatch.setattr(fm.ValueTables, "load", lambda *args: loads.append(args))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config_file, "--cache", cache_file, "--out", str(out),
+                 "--replications", str(fm.market.MAX_REPLICATIONS + 1)]) == 3
+    assert "--replications" in capsys.readouterr().out
+    assert not out.exists() and loads == []
+
+
 def test_simulate_failure_leaves_no_partial_out(config_file, cache_file, tmp_path, monkeypatch,
                                                 capsys):
     """A run that fails mid-way (here in the first episode's payments) writes

@@ -285,10 +285,10 @@ def _per_call_mc_tables(cfg, samples, seed, stage_fn):
         sampler, cont, w_rows = cfg.sampler(t), tables.continuation_fn(t), cfg.virtual_values[t - 1]
         tables.values[t], tables.stderrs[t] = {}, {}
         for idx, y in enumerate(states[t]):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, idx]))
+            u = np.random.default_rng(np.random.SeedSequence([seed, t, idx])).random
             vals = []
             for _ in range(samples):
-                drawn = [sampler.consumer(rng) for _ in range(sampler.arrival_count(rng))]
+                drawn = [sampler.consumer(u) for _ in range(sampler.arrival_count(u))]
                 summary = summarize([(b, w_rows[b - 1][i]) for b, i in drawn], k)
                 vals.append(stage_fn(t, summary, y, cont))
             tables.values[t][y] = float(np.mean(vals))

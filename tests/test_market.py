@@ -297,13 +297,13 @@ def test_period_sampler_follows_the_pmfs(example_cfg):
     sampler = example_cfg.sampler(1)
     assert sampler is example_cfg.sampler(1)  # CDFs tabulated once per config
     rng = np.random.default_rng(5)
-    draws = [sampler.consumer(rng) for _ in range(4000)]
+    draws = [sampler.consumer(rng.random) for _ in range(4000)]
     assert {b for b, _i in draws} == {1, 2}
     mean_level1 = np.mean([example_cfg.grid.points[i] for b, i in draws if b == 1])
     exact = float(example_cfg.types.binned_pmf[0, 0] @ example_cfg.grid.points)
     assert mean_level1 == pytest.approx(exact, abs=0.02)
-    assert {sampler.supply_arrivals(rng) for _ in range(20)} == {(1, 1)}
-    assert {sampler.arrival_count(rng) for _ in range(100)} == {0, 1}
+    assert {sampler.supply_arrivals(rng.random) for _ in range(20)} == {(1, 1)}
+    assert {sampler.arrival_count(rng.random) for _ in range(100)} == {0, 1}
 
 
 # perfbench's mc-market: k=3, T=3, G=201, arrivals uniform on {0..3}, supply uniform on {0, 1, 2}
@@ -315,17 +315,15 @@ MC_MARKET = {
 
 
 def _checked_report_sets(sampler, seed: int, count: int) -> list:
-    """`sampler.report_sets(default_rng(seed), count)`, checked against
-    `count` rounds of per-call draws from a same-seeded generator; the block
-    must end after ``count * (1 + 2 * n_max)`` uniforms."""
-    rng = np.random.default_rng(seed)
-    sets = sampler.report_sets(rng, count)
-    per_call = np.random.default_rng(seed)
+    """`sampler.report_sets` on a row of ``count * (1 + 2 * n_max)``
+    uniforms of ``default_rng(seed)``, checked against `count` rounds of
+    per-call draws from a same-seeded generator; the row must be wide
+    enough, and reading past its end raises."""
+    row = np.random.default_rng(seed).random(count * (1 + 2 * sampler.n_max)).tolist()
+    sets = sampler.report_sets(row, count)
+    per_call = np.random.default_rng(seed).random
     assert sets == [[sampler.consumer(per_call) for _ in range(sampler.arrival_count(per_call))]
                     for _ in range(count)]
-    past_block = np.random.default_rng(seed)
-    past_block.random(count * (2 * len(sampler.arrivals) - 1))
-    assert rng.random() == past_block.random()
     return sets
 
 

@@ -110,7 +110,7 @@ def test_flexibility_ordering_on_random_instances():
             for _ in range(15):
                 y = states[int(rng.integers(len(states)))]
                 n = int(rng.integers(0, 4))
-                reports = make_reports([mech.sample_type(rng, t) for _ in range(n)])
+                reports = make_reports([mech.sample_type(rng.random, t) for _ in range(n)])
                 res = mech.allocate(t, reports, y)
                 ws = [w_of(cfg, t, r) for r in reports]
                 for lo in range(1, k + 1):
@@ -139,7 +139,7 @@ def test_allocations_match_oracle_matrices():
             for _ in range(25):
                 y = states[int(rng.integers(len(states)))]
                 n = int(rng.integers(0, 4))
-                reports = make_reports([mech.sample_type(rng, t) for _ in range(n)])
+                reports = make_reports([mech.sample_type(rng.random, t) for _ in range(n)])
                 res = mech.allocate(t, reports, y)
                 flexibilities = [r.flexibility for r in reports]
                 assert res.varieties in oracle.enumerate_feasible_matrices(flexibilities, y)
