@@ -8,7 +8,6 @@ from .errors import (  # noqa: F401
     InconsistentAllocation,
     InfeasibleU,
     MalformedConfig,
-    NegativeSupply,
     NoNonnegativePoint,
     NoSolution,
     NotApplicable,

@@ -1,14 +1,17 @@
 """Operator command line: validate / solve / simulate / verify / example.
 
 Exit codes are fixed for CI gating: 0 success, 2 regularity failure,
-3 malformed config, unreadable input, unwritable output path, bad seed
-(missing, non-integer, negative, or 2**64 or more for an mc `solve`, whose
-cache stores it in 64 bits), invalid count or other usage error (the parser
-raises these too), 4 enumeration budget exceeded (exact backend or
-brute-force matrices), 5 stale (not what `solve` writes for the config) or
-inconsistent table cache, 6 failed verification check. Codes 2 and 6 are
-verdicts the commands return; every failure is raised and mapped to its code
-in one place, `main`'s `_FAILURES` table. Every output artifact embeds the
+3 malformed config, unreadable input, unwritable output (a path, or a
+closed stdout), bad seed (missing, non-integer, negative, or 2**64 or more
+for an mc `solve`, whose cache stores it in 64 bits), invalid count (one
+beyond numpy's index range too) or other usage error (the parser raises
+these too), 4 enumeration budget exceeded (exact backend or brute-force
+matrices) or an input too large to hold in memory, 5 stale (not what
+`solve` writes for the config) or inconsistent table cache, 6 failed
+verification check. Codes 2 and 6 are verdicts the commands return; every
+failure is raised and mapped to its code in one place, `main`'s `_FAILURES`
+table, except a closed stdout, which `main` can no longer report on: it
+exits 3 and prints nothing more. Every output artifact embeds the
 run manifest; re-running a manifest with the same seed reproduces outputs
 byte for byte. `simulate` moves its artifacts into `--out` only once all of
 them are written.
@@ -94,12 +97,12 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     samples, seed = (args.samples, seed) if args.backend == "mc" else (None, None)
-    dp.check_backend(args.backend, samples, seed, _BadArgument)
     if seed is not None and seed >= 2 ** 64:
         raise _BadArgument(f"an mc seed must be below 2**64 (the cache stores 64 bits), got {seed}")
     if args.budget < 1:
         raise _BadArgument(f"--budget must be at least 1, got {args.budget}")
     cfg = config_io.load_config(args.config)
+    dp.check_backend(cfg, args.backend, samples, seed, _BadArgument)
     report = validate_config(cfg)
     if not report.passed:
         print(f"warning: config fails regularity at {len(report.violations)} point(s); "
@@ -166,7 +169,7 @@ def cmd_simulate(args) -> int:
         simulate.write_traces_csv(staging / "traces.csv",
                                   tallied(simulate.run_episodes(mech, args.replications, seed)),
                                   manifest)
-        est = simulate.RevenueEstimate(revenues, surpluses, args.replications, seed)
+        est = simulate.RevenueEstimate(revenues, surpluses, seed)
 
         optimal = simulate.expected_virtual_surplus(tables)
         # the baseline is solved the way the cached tables were
@@ -337,6 +340,7 @@ _FAILURES = (
     (OSError, EXIT_MALFORMED, "cannot read or write file"),
     (StateSpaceTooLarge, EXIT_TOO_LARGE, "state space too large for the exact backend"),
     (BudgetExceeded, EXIT_TOO_LARGE, "brute-force matrix budget exceeded"),
+    (MemoryError, EXIT_TOO_LARGE, "input too large to hold in memory"),
     (TableMismatch, EXIT_STALE_CACHE, "stale table cache"),
     (InconsistentAllocation, EXIT_STALE_CACHE, "table cache inconsistent with the mechanism"),
 )
@@ -344,13 +348,22 @@ _FAILURES = (
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except tuple(exc_type for exc_type, _, _ in _FAILURES) as exc:
-        code, label = next((code, label) for exc_type, code, label in _FAILURES
-                           if isinstance(exc, exc_type))
-        print(f"{label}: {exc}")
-        return code
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except tuple(exc_type for exc_type, _, _ in _FAILURES) as exc:
+            code, label = next((code, label) for exc_type, code, label in _FAILURES
+                               if isinstance(exc, exc_type))
+            print(f"{label}: {exc}")
+            return code
+        finally:  # also after --help: a closed stdout raises here, not at the interpreter's exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is closed: print nothing more, and point it at os.devnull so
+        # that the interpreter's last flush cannot raise
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

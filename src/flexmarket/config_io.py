@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import MalformedConfig
 from .market import (
+    MAX_FLOATS,
     ArrivalDistribution,
     MarketConfig,
     SupplyDistribution,
@@ -71,7 +72,11 @@ def parse_config(doc: dict) -> MarketConfig:
         bounds = float(gspec["min"]), float(gspec["max"])
     except (TypeError, ValueError) as exc:
         raise MalformedConfig(f"grid bounds must be numbers: {exc}") from exc
-    grid = ValuationGrid.uniform(*bounds, _count(gspec["points"], "grid.points"))
+    points = _count(gspec["points"], "grid.points")
+    if horizon * varieties * points > MAX_FLOATS:
+        raise MalformedConfig(f"the type tables would hold horizon x varieties x grid.points = "
+                              f"{horizon * varieties * points} floats, more than numpy can shape")
+    grid = ValuationGrid.uniform(*bounds, points)
 
     try:
         arrivals = ArrivalDistribution.from_lists(doc["arrivals"])

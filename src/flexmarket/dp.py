@@ -55,7 +55,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
-from .market import MarketConfig, uniform_rows
+from .market import MAX_FLOATS, MarketConfig, uniform_rows
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
@@ -263,7 +263,7 @@ class ValueTables:
         `reachable_states`, with layer T + 1 and an exact cache's standard
         errors 0.0 by construction, it must pack back into the same bytes.
         What a round trip cannot see is refused first: a foreign, truncated or
-        other-version file, another config's fingerprint or (T, k), a backend
+        other-version file, another config's fingerprint, a backend
         `check_backend` refuses, and a value or standard error that is not
         finite or is below 0."""
         fp = cfg.fingerprint
@@ -294,10 +294,8 @@ class ValueTables:
         backend = read(f"<{blen}s")[0].decode("utf-8", errors="replace")
         samples, has_seed, seed = read("<QBQ")
         samples, seed = samples or None, seed if has_seed else None
-        check_backend(backend, samples, seed, TableMismatch)
+        check_backend(cfg, backend, samples, seed, TableMismatch)
         T, k = read("<II")
-        if (T, k) != (cfg.horizon, cfg.varieties):
-            raise TableMismatch("cache dimensions do not match config")
         record = struct.Struct(f"<{k}Idd")
         values, stderrs = {}, {}
         for t in range(1, T + 2):
@@ -478,11 +476,14 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     return layer, dict.fromkeys(states, 0.0)
 
 
-def check_backend(backend: str, samples: int | None, seed: int | None,
+def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: int | None,
                   error: type[Exception] = ValueError) -> None:
     """The one backend rule, raised as `error`: the backend is "exact", with
-    no samples and no seed, or "mc", with at least 2 samples and a seed.
-    `build_value_tables`, `ValueTables.load` and the `solve` command apply it."""
+    no samples and no seed, or "mc", with a seed and at least 2 samples, but
+    no more than numpy can shape into one of `cfg`'s layer arrays: a state's
+    ``samples * (1 + 2 * n_max)`` uniforms and the layer's (states, samples)
+    values. `build_value_tables`, `ValueTables.load` and the `solve` command
+    apply it."""
     if backend not in ("exact", "mc"):
         raise error(f"unknown backend {backend!r}")
     if backend == "mc":
@@ -490,6 +491,11 @@ def check_backend(backend: str, samples: int | None, seed: int | None,
             raise error("mc backend needs samples >= 2")
         if seed is None:
             raise error("mc backend needs a seed")
+        per_sample = max(max(1 + 2 * cfg.sampler(t).n_max, len(reachable_states(cfg, t)))
+                         for t in range(1, cfg.horizon + 1))
+        if samples > MAX_FLOATS // per_sample:
+            raise error(f"mc backend takes at most {MAX_FLOATS // per_sample} samples on this "
+                        f"config, the most numpy can shape into a layer's arrays, got {samples}")
     elif samples is not None or seed is not None:
         raise error("exact backend takes no samples or seed")
 
@@ -527,7 +533,7 @@ def build_value_tables(
     is non-decreasing in every variety, on any report with w <= 0; both
     backends leave both out of `w_sorted`.
     """
-    check_backend(backend, samples, seed)
+    check_backend(cfg, backend, samples, seed)
     stage_fn = stage_fn or _optimal_stage
 
     T = cfg.horizon

@@ -41,9 +41,5 @@ class InconsistentAllocation(FlexmarketError):
     """A served consumer's critical value exceeds its report (monotonicity bug)."""
 
 
-class NegativeSupply(FlexmarketError):
-    """Supply bookkeeping went negative; the allocation was infeasible."""
-
-
 class NotApplicable(FlexmarketError):
     """The variety-shift transformation has reached its fixed point."""

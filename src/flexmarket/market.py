@@ -33,6 +33,7 @@ from .errors import (
 PMF_TOL = 1e-9        # distribution normalization
 CDF_END_TOL = 1e-6    # CDF must start at 0 and reach 1 on the grid
 MONO_SLACK = 1e-12    # monotonicity slack separating modeling error from fp noise
+MAX_FLOATS = np.iinfo(np.intp).max // 8   # the most float64s numpy can shape into one array
 
 
 def _readonly(a) -> np.ndarray:

@@ -7,7 +7,10 @@ u*^j goods. An allocation is one variety per report, in arrival order: the
 1-based variety the consumer receives, or 0 if unserved (the row encoding
 `oracle.enumerate_feasible_matrices` uses). A served consumer pays its
 critical value: the highest grid report at or above the reserve price at
-which it would still have lost.
+which it would still have lost. A report that wins at no grid point has
+no critical value: `payment_threshold` answers `NOT_SERVED`, which is None.
+The period step spends the stage's v*, which never exceeds the supply:
+the stage takes a good only from a variety in stock.
 
 A report is a (valuation, flexibility level) pair, and its 1-based position
 in the period's report sequence is its arrival index. Ties between equal
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
-from .errors import InconsistentAllocation, NegativeSupply, TableMismatch
+from .errors import InconsistentAllocation, TableMismatch
 from .market import MarketConfig, _first_reaching, uniform_rows
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
@@ -36,16 +39,8 @@ from .market import MarketConfig, _first_reaching, uniform_rows
 MEMO_BOUND = 500_000
 
 
-class _NotServed:
-    """Sentinel: the probed consumer wins at no grid point."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NOT_SERVED"
-
-
-NOT_SERVED = _NotServed()
+# What `payment_threshold` answers when the probe wins at no grid point.
+NOT_SERVED = None
 
 
 class Report(NamedTuple):
@@ -153,7 +148,7 @@ class Mechanism:
         Scans the grid upward from the reserve price for the largest point at
         which the probe still loses. A probe that wins already at the reserve
         pays the reserve (the supremum over an empty set); one that never
-        wins, or whose level has no reserve, gets the NOT_SERVED sentinel.
+        wins, or whose level has no reserve, gets NOT_SERVED (None).
         """
         y, others = tuple(y), tuple(others)
         n = len(others) + 1
@@ -230,8 +225,6 @@ class Mechanism:
         alloc = self.allocate(t, reports, y)
         pays = self.payments(t, reports, y, alloc)
         left = tuple(a - b for a, b in zip(y, alloc.v_star))
-        if any(c < 0 for c in left):
-            raise NegativeSupply(f"allocation spent {alloc.v_star} from supply {y}")
         outcome = MechanismOutcome(
             varieties=alloc.varieties, payments=pays,
             u_star=alloc.u_star, v_star=alloc.v_star, next_supply=left,

@@ -28,7 +28,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -121,11 +121,9 @@ def run_episodes(mech: Mechanism, replications: int, seed: int):
 class RevenueEstimate:
     """Paired revenue / virtual-surplus estimates from one batch of episodes."""
 
-    def __init__(self, revenues: Sequence[float], surpluses: Sequence[float],
-                 replications: int, seed: int):
-        self.replications = replications
+    def __init__(self, revenues: Sequence[float], surpluses: Sequence[float], seed: int):
+        self.replications = n = len(revenues)
         self.seed = seed
-        n = len(revenues)
         self.mean, self.stderr = _env_stats([(1, r) for r in revenues], n)
         self.virtual_mean, self.virtual_stderr = _env_stats([(1, s) for s in surpluses], n)
         self.diff_mean, self.diff_stderr = _env_stats(
@@ -156,7 +154,7 @@ def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
     for trace in run_episodes(mech, replications, seed):
         revenues.append(trace.total_revenue)
         surpluses.append(trace.total_virtual_surplus)
-    return RevenueEstimate(revenues, surpluses, replications, seed)
+    return RevenueEstimate(revenues, surpluses, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +220,7 @@ class AuditEntry:
     samples: int
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "true_type": list(self.true_type),
-            "deviation": list(self.deviation) if self.deviation else None,
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 @dataclass

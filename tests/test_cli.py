@@ -345,6 +345,30 @@ def _kept_cache(cache_file, tmp_path):
     return str(path)
 
 
+def _family_grid(points):
+    """Edit to the truncated-exponential family on a grid of `points` points."""
+    def edit(doc):
+        _family_types([2.0, 3.0])(doc)
+        doc["grid"]["points"] = points
+    return edit
+
+
+def _cdf_dip(doc):
+    """The first CDF row falls by 0.01 between grid points 9 and 10."""
+    row = doc["types"]["cdf"][0][0]
+    row[10] = row[9] - 0.01
+
+
+def _cdf_row_times_0_9(doc):
+    """The first CDF row scaled by 0.9: still monotone, but it ends at 0.9."""
+    doc["types"]["cdf"][0][0] = [0.9 * c for c in doc["types"]["cdf"][0][0]]
+
+
+def _mc_samples(samples):
+    return lambda c, k, d: ["solve", "--config", c, "--cache", str(d / "mc.bin"),
+                            "--backend", "mc", "--samples", str(samples), "--seed", "1"]
+
+
 # case -> (exit code, FLEXMARKET_SEED or None, argv from (config, cache, tmp_path))
 BAD_INPUTS = {
     "truncated-cache": (5, None, lambda c, k, d: [
@@ -460,7 +484,51 @@ BAD_INPUTS = {
         _edited_config(c, d, _set("arrivals", value=[["a", "b"], [0.5, 0.5]]))]),
     "non-numeric-pdf": (3, None, lambda c, k, d: [
         "validate", "--config", _edited_config(c, d, _set("types", "pdf", value="x"))]),
+    # counts too large to hold in memory (8e17 bytes of floats, beyond any
+    # address space, so numpy refuses without touching memory) exit 4 ...
+    "grid-beyond-memory": (4, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_grid(10 ** 17))]),
+    "mc-samples-beyond-memory": (4, None, _mc_samples(10 ** 17)),
+    # ... and counts numpy cannot even shape exit 3
+    "grid-beyond-2-63": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_grid(2 ** 63))]),
+    "grid-beyond-1e30": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _family_grid(10 ** 30))]),
+    "mc-samples-beyond-2-64": (3, None, _mc_samples(2 ** 64)),
+    "mc-samples-beyond-1e20": (3, None, _mc_samples(10 ** 20)),
+    # structural refusals of `check_structure`; CONFIG_REFUSALS names each one's message
+    "arrivals-short-of-horizon": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("arrivals", value=[[0.5, 0.5]]))]),
+    "arrivals-without-consumers": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("arrivals", value=[[1.0], [1.0]]))]),
+    "supply-row-missing-variety": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("supply", 0, value=[[0.0, 1.0]]))]),
+    "supply-sums-to-0.9": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("supply", 0, 0, value=[0.0, 0.9]))]),
+    "cdf-dips": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _cdf_dip)]),
+    "cdf-ends-below-1": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _cdf_row_times_0_9)]),
+    "zero-pdf-inside-grid": (3, None, lambda c, k, d: [
+        "validate", "--config", _edited_config(c, d, _set("types", "pdf", 0, 0, 5, value=0.0))]),
+    "grid-not-increasing": (3, None, lambda c, k, d: [
+        "validate", "--config",
+        _edited_config(c, d, _set("grid", value={"min": 0.0, "max": 5e-324, "points": 3}))]),
 }
+
+CONFIG_REFUSALS = {
+    "arrivals-short-of-horizon": "arrival PMFs must cover every period",
+    "arrivals-without-consumers": "arrival support must allow at least one consumer",
+    "supply-row-missing-variety": "supply PMFs must cover every (period, variety)",
+    "supply-sums-to-0.9": "supply PMF at t=1, variety 1 does not sum to 1",
+    "cdf-dips": "CDF decreasing at t=1, level 1",
+    "cdf-ends-below-1": "CDF does not reach 1 at t=1, level 1",
+    "zero-pdf-inside-grid": "pdf not positive on grid interior at t=1, level 1",
+    "grid-not-increasing": "grid points not strictly increasing",
+}
+
+OVERSIZED_COUNTS = ["grid-beyond-memory", "mc-samples-beyond-memory", "grid-beyond-2-63",
+                    "grid-beyond-1e30", "mc-samples-beyond-2-64", "mc-samples-beyond-1e20"]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -472,6 +540,26 @@ def test_bad_input_exit_code(case, config_file, cache_file, tmp_path, monkeypatc
         monkeypatch.delenv("FLEXMARKET_SEED", raising=False)
     assert main(argv(config_file, cache_file, tmp_path)) == code
     assert capsys.readouterr().out.strip()  # a message, not a silent failure
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_config_refusal_reaches_its_check(case, config_file, cache_file, tmp_path, capsys):
+    """Each structural case exits 3 through its own check, not an earlier one."""
+    code, _env, argv = BAD_INPUTS[case]
+    assert main(argv(config_file, cache_file, tmp_path)) == code == 3
+    assert CONFIG_REFUSALS[case] in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", OVERSIZED_COUNTS)
+def test_oversized_count_is_one_line_and_no_cache(case, config_file, cache_file, tmp_path,
+                                                  monkeypatch, capsys):
+    """A count too large to hold (exit 4) or to shape (exit 3) is reported in
+    one line, and a refused solve leaves no file at --cache."""
+    monkeypatch.delenv("FLEXMARKET_SEED", raising=False)
+    code, _env, argv = BAD_INPUTS[case]
+    assert main(argv(config_file, cache_file, tmp_path)) == code
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1
+    assert not (tmp_path / "mc.bin").exists()
 
 
 @pytest.mark.parametrize("case", ["mc-seed-beyond-64-bits", "mc-env-seed-beyond-64-bits"])
@@ -586,6 +674,9 @@ UNSERVABLE_CACHES = {
     "mc-without-seed": lambda cfg, tab, k, d: _saved(
         dataclasses.replace(tab, backend="mc", samples=50, seed=None), d),
     "exact-with-samples": lambda cfg, tab, k, d: _saved(dataclasses.replace(tab, samples=7), d),
+    # more samples than numpy can shape: simulate's mc myopic baseline could not be built
+    "mc-samples-beyond-numpy": lambda cfg, tab, k, d: _saved(
+        dataclasses.replace(tab, backend="mc", samples=2 ** 63, seed=1), d),
     "exact-with-seed": lambda cfg, tab, k, d: _saved(dataclasses.replace(tab, seed=99), d),
     "seed-flag-2": lambda cfg, tab, k, d: _edited_cache(
         _saved(dataclasses.replace(tab, backend="mc", samples=50, seed=1), d), d,
@@ -650,3 +741,94 @@ def test_process_exit_status(edit, config_file, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr and proc.stdout.strip()
+
+
+def _module_env(**overrides):
+    """The environment of a `python -m flexmarket.cli` child that imports this
+    flexmarket; a None override removes the variable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(fm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    for name, value in overrides.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
+@pytest.mark.parametrize("unbuffered, version", [("1", False), (None, False), (None, True)],
+                         ids=["unbuffered", "buffered", "buffered-version"])
+def test_closed_stdout_exits_3_in_silence(unbuffered, version, config_file):
+    """With stdout on a pipe whose reader is gone, `validate` (and a buffered
+    `--version`, which argparse ends with SystemExit) exits 3, the code of an
+    unwritable output, and writes nothing to stderr, whether a print
+    (unbuffered) or the last flush (buffered) meets the closed pipe."""
+    argv = ["--version"] if version else ["validate", "--config", config_file]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexmarket.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_module_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+
+
+def test_solve_irregular_config_solves_anyway(config_file, tmp_path, capsys):
+    """A config that fails regularity is still solved, with a warning, into a
+    cache that loads."""
+    path = _edited_config(config_file, tmp_path, _family_types([3.0, 2.0]))
+    assert main(["validate", "--config", path]) == 2
+    cache = tmp_path / "irregular.bin"
+    assert main(["solve", "--config", path, "--cache", str(cache)]) == 0
+    assert "solving anyway" in capsys.readouterr().out
+    tables = dp.ValueTables.load(cache, config_io.load_config(path))
+    assert tables.backend == "exact"
+
+
+def test_verify_reports_failing_own_config_as_seed_minus_1(config_file, tmp_path, monkeypatch):
+    """`verify --config` whose own checks fail exits 6 and lists seed -1."""
+    real = oracle.feasible_service_set
+
+    def lying(*args):
+        out = real(*args)
+        return out[:-1] if len(out) > 1 else out
+
+    monkeypatch.setattr(oracle, "feasible_service_set", lying)
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--instances", "1", "--config", config_file,
+                 "--out", str(report_path)]) == 6
+    doc = json.loads(report_path.read_text())
+    assert not doc["passed"] and -1 in doc["failed_seeds"]
+    assert any(not c["passed"] for c in doc["checks"] if c["instance_seed"] == -1)
+
+
+def test_cache_charging_above_the_report_exits_5(tmp_path, capsys):
+    """A one-variety mc cache whose continuation rises as stock falls
+    (C_2((0,)) = 0.5, C_2((1,)) = 0.0, no supply at t=2) serves every report
+    at t=1, so one below the reserve would be charged the reserve, more than
+    its report: `simulate` exits 5 and writes no --out."""
+    cfg_path = tmp_path / "k1.json"
+    cfg_path.write_text(json.dumps({
+        "horizon": 2, "varieties": 1, "grid": {"min": 0.0, "max": 1.0, "points": 11},
+        "arrivals": [[0.0, 1.0], [0.0, 1.0]], "supply": [[[0.0, 1.0]], [[1.0]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0]},
+    }))
+    cfg = config_io.load_config(cfg_path)
+    states = {t: [(0,), (1,)] for t in (1, 2, 3)}
+    values = {1: {(0,): 0.0, (1,): 0.5}, 2: {(0,): 0.5, (1,): 0.0}, 3: {(0,): 0.0, (1,): 0.0}}
+    cache = tmp_path / "k1.bin"
+    dp.ValueTables(config=cfg, backend="mc", samples=2, seed=0, states=states, values=values,
+                   stderrs={t: dict.fromkeys(states[t], 0.0) for t in states}).save(cache)
+
+    mech = Mechanism(dp.ValueTables.load(cache, cfg))
+    with pytest.raises(InconsistentAllocation, match="critical value 0.4 exceeds the served "
+                                                     "report 0.0"):
+        mech.payments(1, fm.make_reports([(0.0, 1)]), (1,))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--cache", str(cache), "--out", str(out),
+                 "--replications", "10", "--seed", "7"]) == 5
+    assert "inconsistent" in capsys.readouterr().out
+    assert not out.exists()
