@@ -55,9 +55,6 @@ class RunManifest:
     replications: int | None
     version: str = __version__
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 class _BadArgument(Exception):
     """Unusable command-line input; reported with exit code 3."""
@@ -149,11 +146,11 @@ def cmd_simulate(args) -> int:
     tables = ValueTables.load(args.cache, cfg)
 
     outdir = Path(args.out)
-    manifest = RunManifest(
+    manifest = asdict(RunManifest(
         subcommand="simulate", config=str(args.config), cache=str(args.cache),
         seed=seed, backend=tables.backend, out=str(outdir),
         replications=args.replications,
-    ).to_json()
+    ))
 
     mech = Mechanism(tables)
     # one batch of episodes feeds both the trace file and the estimates
@@ -221,10 +218,10 @@ def cmd_verify(args) -> int:
     if not all(c.passed for c in own):
         report["passed"] = False
         report["failed_seeds"].append(-1)
-    manifest = RunManifest(
+    manifest = asdict(RunManifest(
         subcommand="verify", config=args.config, cache=None, seed=seed,
         backend="exact", out=args.out, replications=args.instances,
-    ).to_json()
+    ))
     if args.out:
         simulate.write_json_report(args.out, report, manifest)
     failed = [c for c in report["checks"] if not c["passed"]]
@@ -282,10 +279,16 @@ def cmd_example(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises its usage errors as `_BadArgument` (exit 3), since
-    its own exit 2 is the regularity verdict's code; `--help` still exits 0."""
+    its own exit 2 is the regularity verdict's code; `--help` still exits 0.
+    A failed write of its help or version text raises too (argparse would
+    swallow the OSError), so a closed stdout reaches `main`'s handler."""
 
     def error(self, message):
         raise _BadArgument(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -196,11 +196,6 @@ class ValueTables:
     def fingerprint(self) -> str:
         return self.config.fingerprint
 
-    def check_config(self, cfg: MarketConfig) -> None:
-        """Raise TableMismatch unless these tables were built for `cfg`."""
-        if cfg.fingerprint != self.fingerprint:
-            raise TableMismatch("tables were built for a different config")
-
     def continuation_fn(self, t: int) -> Callable[[Vector], float]:
         """Memoised m -> expected next-period value of carrying supply m out of period t.
 
@@ -482,7 +477,8 @@ def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: in
     no samples and no seed, or "mc", with a seed and at least 2 samples, but
     no more than numpy can shape into one of `cfg`'s layer arrays: a state's
     ``samples * (1 + 2 * n_max)`` uniforms and the layer's (states, samples)
-    values. `build_value_tables`, `ValueTables.load` and the `solve` command
+    values, its states counted as `reachable_states`' box without listing
+    them. `build_value_tables`, `ValueTables.load` and the `solve` command
     apply it."""
     if backend not in ("exact", "mc"):
         raise error(f"unknown backend {backend!r}")
@@ -491,7 +487,9 @@ def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: in
             raise error("mc backend needs samples >= 2")
         if seed is None:
             raise error("mc backend needs a seed")
-        per_sample = max(max(1 + 2 * cfg.sampler(t).n_max, len(reachable_states(cfg, t)))
+        per_sample = max(max(1 + 2 * cfg.sampler(t).n_max,
+                             math.prod(cfg.supply.cumulative_max(t, j) + 1
+                                       for j in range(1, cfg.varieties + 1)))
                          for t in range(1, cfg.horizon + 1))
         if samples > MAX_FLOATS // per_sample:
             raise error(f"mc backend takes at most {MAX_FLOATS // per_sample} samples on this "

@@ -391,28 +391,24 @@ def _dominates(y: tuple, z: tuple) -> bool:
     return True
 
 
-def check_monotonicity(tables: ValueTables, tol: float | None = None) -> list[MonotonicityViolation]:
+def check_monotonicity(tables: ValueTables, tol: float = 1e-12) -> list[MonotonicityViolation]:
     """Scan every table layer for supply-order monotonicity violations.
 
     One scan over cumulative dominance: y should be worth at least z
     wherever every prefix sum of y reaches z's. That order holds every
     single shift too (one good moved from a higher to a lower variety index),
-    so each violating pair is reported once. The slack is `tol` when given,
-    else 1e-12 plus three combined standard errors of the two entries: exact
-    tables store zero errors, so they are held to 1e-12, and every sampled
-    table, whatever its stage rule, gets its own errors' allowance.
+    so each violating pair is reported once. The slack is `tol` for every
+    table, exact or sampled; standard errors give no allowance.
     """
     out: list[MonotonicityViolation] = []
     for t, layer_states in tables.states.items():
         vals = tables.values[t]
-        errs = tables.stderrs[t]
         for yvec in layer_states:
             for z in layer_states:
                 if yvec == z or not _dominates(yvec, z):
                     continue
-                slack = tol if tol is not None else 1e-12 + 3.0 * math.hypot(errs[yvec], errs[z])
                 deficit = vals[z] - vals[yvec]
-                if deficit > slack:
+                if deficit > tol:
                     out.append(MonotonicityViolation(t, yvec, z, deficit))
     return out
 

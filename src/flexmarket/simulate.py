@@ -25,6 +25,7 @@ gain estimates sharp.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -63,7 +64,8 @@ class EpisodeTrace:
 def _session(cfg: MarketConfig, tables: ValueTables, mech: Mechanism | None) -> Mechanism:
     """`mech`, or a new Mechanism on `tables` when None. Raises TableMismatch
     unless the tables were built for `cfg` and `mech` runs on these tables."""
-    tables.check_config(cfg)
+    if cfg != tables.config:  # configs compare by fingerprint
+        raise TableMismatch("tables were built for a different config")
     if mech is None:
         return Mechanism(tables)
     if mech.tables is not tables:
@@ -219,9 +221,6 @@ class AuditEntry:
     stderr: float
     samples: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AuditReport:
@@ -249,19 +248,13 @@ class AuditReport:
         return min(self.entries, key=lambda e: e.value).stderr
 
     def to_json(self) -> dict:
-        head = {
-            "kind": self.kind,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+        """The fields, entries included, plus the kind's two summary keys."""
         if self.kind == "bic":
-            head["worst_gain"] = self.worst_gain
-            head["worst_gain_stderr"] = self.worst_gain_stderr
+            summary = {"worst_gain": self.worst_gain, "worst_gain_stderr": self.worst_gain_stderr}
         else:
-            head["min_utility"] = self.min_utility
-            head["min_utility_stderr"] = self.min_utility_stderr
-        head["entries"] = [e.to_json() for e in self.entries]
-        return head
+            summary = {"min_utility": self.min_utility,
+                       "min_utility_stderr": self.min_utility_stderr}
+        return {**asdict(self), **summary}
 
 
 def _env_stats(per_env_values: list[tuple[float, float]],
@@ -304,17 +297,17 @@ def _exact_law(cfg: MarketConfig, n_t: int) -> list | None:
     return law
 
 
-def _probe_table(mech: Mechanism, t: int, slot: int, law: Sequence, reports) -> dict:
-    """(served, payment) of each distinct report probed at `slot`, once per
-    environment of `law`, in the law's row order.
+def _probe_outcomes(mech: Mechanism, t: int, slot: int, law: Sequence):
+    """A function from a report to its (served, payment) probed at `slot`,
+    once per environment of `law`, in the law's row order.
 
-    Each report is evaluated over the whole law before the next, in order of
-    first appearance, so on tables that make the mechanism inconsistent the
-    first failing (report, environment) pair is the one a loop over reports
-    would meet first.
+    A report is evaluated over the whole law the first time it is asked for
+    and reused after, so on tables that make the mechanism inconsistent the
+    first failing (report, environment) pair is the one the caller's loop
+    over reports meets first.
     """
-    return {r: [mech._evaluate_probe(t, y, others, slot, r) for _, (y, others) in law]
-            for r in dict.fromkeys(reports)}
+    return functools.cache(
+        lambda report: [mech._evaluate_probe(t, y, others, slot, report) for _, (y, others) in law])
 
 
 def _utilities(law: Sequence, outcomes: list, true_val: float) -> list[tuple[float, float]]:
@@ -349,7 +342,7 @@ def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int,
         law = mech.environment_law(t, n_t, replications, seed)
     else:
         replications = None
-    outcomes = _probe_table(mech, t, i, law, [report])[report]
+    outcomes = _probe_outcomes(mech, t, i, law)(report)
     q, q_se = _env_stats([(w, served) for (w, _), (served, _) in zip(law, outcomes)], replications)
     p, p_se = _env_stats([(w, pay) for (w, _), (_, pay) in zip(law, outcomes)], replications)
     return InterimEstimate(q, p, q_se, p_se, replications)
@@ -367,17 +360,14 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
     if not probe.true_types or not probe.deviation_values:
         raise ValueError("a BIC probe needs at least one true type and one deviation value")
     law = mech.environment_law(probe.t, probe.n_t, replications, seed)
-    reports = []  # in the order the entries below read them
-    for v, b in probe.true_types:
-        reports += [(v, b), *((r, c) for c in range(1, b + 1) for r in probe.deviation_values)]
-    table = _probe_table(mech, probe.t, probe.slot, law, reports)
+    outcomes = _probe_outcomes(mech, probe.t, probe.slot, law)
     report = AuditReport(kind="bic", replications=replications, seed=seed)
 
     for true_val, true_lvl in probe.true_types:
-        truth = _utilities(law, table[(true_val, true_lvl)], true_val)
+        truth = _utilities(law, outcomes((true_val, true_lvl)), true_val)
         for dev_lvl in range(1, true_lvl + 1):
             for dev_val in probe.deviation_values:
-                lied = _utilities(law, table[(dev_val, dev_lvl)], true_val)
+                lied = _utilities(law, outcomes((dev_val, dev_lvl)), true_val)
                 gains = [(count, u - u_truth) for (count, u), (_, u_truth) in zip(lied, truth)]
                 mean, se = _env_stats(gains, replications)
                 report.entries.append(AuditEntry(
@@ -402,9 +392,9 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
     report = AuditReport(kind="ir", replications=replications, seed=seed)
     for probe in probes:
         law = mech.environment_law(probe.t, probe.n_t, replications, seed)
-        table = _probe_table(mech, probe.t, probe.slot, law, probe.true_types)
+        outcomes = _probe_outcomes(mech, probe.t, probe.slot, law)
         for true_val, true_lvl in probe.true_types:
-            utils = _utilities(law, table[(true_val, true_lvl)], true_val)
+            utils = _utilities(law, outcomes((true_val, true_lvl)), true_val)
             mean, se = _env_stats(utils, replications)
             report.entries.append(AuditEntry(
                 t=probe.t, true_type=(true_val, true_lvl), deviation=None,

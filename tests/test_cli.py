@@ -755,14 +755,18 @@ def _module_env(**overrides):
     return env
 
 
-@pytest.mark.parametrize("unbuffered, version", [("1", False), (None, False), (None, True)],
-                         ids=["unbuffered", "buffered", "buffered-version"])
-def test_closed_stdout_exits_3_in_silence(unbuffered, version, config_file):
-    """With stdout on a pipe whose reader is gone, `validate` (and a buffered
-    `--version`, which argparse ends with SystemExit) exits 3, the code of an
-    unwritable output, and writes nothing to stderr, whether a print
-    (unbuffered) or the last flush (buffered) meets the closed pipe."""
-    argv = ["--version"] if version else ["validate", "--config", config_file]
+@pytest.mark.parametrize("unbuffered, argv", [
+    ("1", None), (None, None), (None, ["--version"]),
+    ("1", ["--version"]), ("1", ["--help"]), ("1", ["validate", "--help"]),
+], ids=["unbuffered", "buffered", "buffered-version",
+        "unbuffered-version", "unbuffered-help", "unbuffered-validate-help"])
+def test_closed_stdout_exits_3_in_silence(unbuffered, argv, config_file):
+    """With stdout on a pipe whose reader is gone, `validate`, `--version` and
+    `--help` (which argparse ends with SystemExit) exit 3, the code of an
+    unwritable output, and write nothing to stderr, whether a print or
+    argparse's own write (unbuffered) or the last flush (buffered) meets the
+    closed pipe."""
+    argv = argv or ["validate", "--config", config_file]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

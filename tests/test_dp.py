@@ -326,6 +326,20 @@ def test_mc_requires_sampling_params(small_cfg):
         fm.build_value_tables(small_cfg, backend="mc", seed=1)
 
 
+def test_mc_build_lists_each_layer_once(small_cfg, monkeypatch):
+    """The backend rule counts a layer's states without listing them, so an mc
+    build calls `reachable_states` once per layer, T + 1 times in all."""
+    real, calls = dp.reachable_states, []
+
+    def counted(cfg, t):
+        calls.append(t)
+        return real(cfg, t)
+
+    monkeypatch.setattr(dp, "reachable_states", counted)
+    fm.build_value_tables(small_cfg, backend="mc", samples=2, seed=1)
+    assert sorted(calls) == list(range(1, small_cfg.horizon + 2))
+
+
 @pytest.mark.parametrize("params", [{"samples": 50, "seed": 1}, {"samples": 50}, {"seed": 1}])
 def test_exact_refuses_sampling_params(small_cfg, params):
     """An exact build never reads samples or a seed, so it refuses them, as

@@ -255,6 +255,37 @@ def test_arrival_pmf_not_normalized_is_malformed(small_cfg):
         validate_config(bad)
 
 
+def _with_grid(cfg, theta_min, theta_max, points):
+    return dataclasses.replace(cfg, grid=ValuationGrid(theta_min, theta_max, np.asarray(points)))
+
+
+# refusals a config file cannot reach (parsing builds grids with
+# `ValuationGrid.uniform`, which refuses first), each with its check's message
+_STRUCTURE_REFUSALS = {
+    "one-point-grid": (lambda c: market.check_structure(_with_grid(c, 0.0, 1.0, [0.0])),
+                       "valuation grid has fewer than 2 points"),
+    "reversed-bounds": (lambda c: market.check_structure(_with_grid(c, 1.0, 0.0, c.grid.points)),
+                        "grid bounds out of order"),
+    "endpoints-off-bounds": (
+        lambda c: market.check_structure(_with_grid(c, 0.0, 2.0, c.grid.points)),
+        "grid endpoints do not match declared bounds"),
+    "horizon-0": (lambda c: market.check_structure(dataclasses.replace(c, horizon=0)),
+                  "horizon and variety count must be positive"),
+    "varieties-0": (lambda c: market.check_structure(dataclasses.replace(c, varieties=0)),
+                    "horizon and variety count must be positive"),
+    "example-horizon-0": (lambda c: fm.build_example_config((2.0, 3.0), 0.5, horizon=0),
+                          "horizon must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRUCTURE_REFUSALS))
+def test_structure_refusal_names_its_check(small_cfg, case):
+    call, message = _STRUCTURE_REFUSALS[case]
+    with pytest.raises(MalformedConfig) as exc:
+        call(small_cfg)
+    assert str(exc.value) == message
+
+
 def test_decreasing_hazard_is_reported_not_raised():
     """A mid-grid hazard drop is a regularity finding, not an error."""
     cfg = tabulated_config([2.0, 0.5, 2.0], grid=(0.0, 1.0, 3))

@@ -291,6 +291,9 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
     "allocate-level-k+1": (lambda m: m.allocate(1, make_reports([(0.5, 3)]), (1, 1)),
                            OffGridValue),
     "environments-period-0": (lambda m: next(m.sample_environments(0, 1, 2, 0)), ValueError),
+    # without its check, t = 0 returns period 1's supply and t = T + 1 raises IndexError
+    "supply-state-period-0": (lambda m: m.sample_supply_state(lambda: 0.5, 0), ValueError),
+    "supply-state-period-T+1": (lambda m: m.sample_supply_state(lambda: 0.5, 3), ValueError),
     "environments-period-T+1": (lambda m: next(m.sample_environments(3, 1, 2, 0)), ValueError),
     "bic-audit-period-T+1": (lambda m: simulate.bic_audit(
         m.cfg, m.tables, simulate.AuditProbe.default(m.cfg, 3), 2, 0), ValueError),

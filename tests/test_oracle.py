@@ -178,8 +178,8 @@ def test_check_monotonicity_reports_each_pair_once(small_tables):
 
 
 def test_check_monotonicity_slack_reads_stderrs_not_backend():
-    """Sampled myopic tables get the same standard-error slack as sampled
-    optimal ones: the slack must not depend on the backend's label."""
+    """Sampled myopic tables get the same slack as sampled optimal ones: the
+    slack must not depend on the backend's label."""
     bern = [0.5, 0.5]
     cfg = config_io.parse_config({
         "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
@@ -283,6 +283,49 @@ def _serve_one_fewer(real):
     return broken
 
 
+def _refuse(real):
+    def broken(*args):
+        raise InfeasibleU("refused")
+    return broken
+
+
+def _drop_first(real):
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out[1:] if len(out) > 1 else out
+    return broken
+
+
+def _pad(real):
+    """The chain, then v* repeated sum(y) + 1 times: one step too many."""
+    def broken(v, u, y):
+        out = real(v, u, y)
+        return out + [out[-1]] * (sum(y) + 1)
+    return broken
+
+
+def _detour(real):
+    """The chain with its start replaced by a vector beyond the supply."""
+    def broken(v, u, y):
+        out = real(v, u, y)
+        return [tuple(b + 1 for b in y), *out[1:]] if len(out) > 1 else out
+    return broken
+
+
+def _backtrack(real):
+    """The chain from v, preceded by v*: its first step leaves the optimum."""
+    def broken(v, u, y):
+        out = real(v, u, y)
+        return [out[-1], *out] if len(out) > 1 else out
+    return broken
+
+
+def _spend_variety_1(real):
+    def broken(u, counts, y):
+        return tuple(1 if c else 0 for c in real(u, counts, y))
+    return broken
+
+
 @pytest.mark.parametrize("target, mutate, check", [
     ("feasible_service_set", _drop_last, "service_set_projection"),
     ("feasible_variety_set", _drop_last, "variety_set_projection"),
@@ -291,10 +334,21 @@ def _serve_one_fewer(real):
     ("constructive_allocation", _serve_one_fewer, "constructive_allocation"),
     ("enumerate_feasible_matrices", _drop_last, "service_set_projection"),
     ("enumerate_feasible_matrices", _drop_last, "master_equivalence"),
+    ("dp.vstar", _refuse, "vstar_optimality"),
+    # v* is the lexicographically smallest variety vector, so the first one
+    ("feasible_variety_set", _drop_first, "vstar_optimality"),
+    ("transform_chain", _drop_last, "transform_chain"),
+    ("transform_chain", _pad, "transform_chain"),
+    ("transform_chain", _detour, "transform_chain"),
+    ("transform_chain", _backtrack, "transform_chain"),
+    ("constructive_allocation", _spend_variety_1, "constructive_allocation"),
 ])
 def test_verify_catches_injected_oracle_bug(monkeypatch, target, mutate, check):
-    """Each brute-force routine the walk reads has a check that notices it lying."""
-    monkeypatch.setattr(oracle, target, mutate(getattr(oracle, target)))
+    """Each brute-force routine the walk reads, and the recursion under audit
+    (`dp.vstar`), has a check that notices it lying."""
+    module, _, name = target.rpartition(".")
+    owner = dp if module == "dp" else oracle
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     failed = set()
     for seed in range(10):
         failed |= {c.name for c in verify_instance(random_instance(seed), seed) if not c.passed}

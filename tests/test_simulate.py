@@ -351,6 +351,27 @@ def test_each_report_evaluated_once_per_environment(small_cfg, small_tables, mon
     assert len(calls) == len(set(mech.sample_environments(2, 2, 300, 9))) < 300
 
 
+def test_bic_audit_probes_in_entry_order(small_cfg, small_tables, monkeypatch):
+    """A BIC audit evaluates each distinct report over the whole law the first
+    time an entry reads it: per true type, the truth, then the deviations by
+    level, then by value. That order fixes which (report, environment) pair
+    fails first on tables that make the mechanism inconsistent."""
+    seen = []
+    evaluate = Mechanism._evaluate_probe
+
+    def recorded(self, t, y, others, i, report):
+        seen.append(report)
+        return evaluate(self, t, y, others, i, report)
+
+    monkeypatch.setattr(Mechanism, "_evaluate_probe", recorded)
+    mech = Mechanism(small_tables)
+    probe = AuditProbe(t=2, true_types=((0.5, 1), (0.8, 2)), deviation_values=(0.2, 0.5, 0.8))
+    simulate.bic_audit(small_cfg, small_tables, probe, 300, 9, mech=mech)
+    first_asked = [(0.5, 1), (0.2, 1), (0.8, 1), (0.8, 2), (0.2, 2), (0.5, 2)]
+    rows = len(mech.environment_law(2, 1, 300, 9))
+    assert seen == [report for report in first_asked for _ in range(rows)]
+
+
 def test_audits_on_one_mechanism_share_each_law(small_cfg, small_tables, monkeypatch):
     """A t=2 BIC audit, the IR audit and a sampled interim estimate on one
     Mechanism draw each (t, n_t, replications, seed) law once, and report
