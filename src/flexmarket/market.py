@@ -1,6 +1,15 @@
 """Market primitives: valuation grid, distributions, virtual valuations,
 canonical serialization (and the fingerprint hashed from it), regularity,
-the per-period samplers and the seeded replication streams they read.
+the per-period samplers, the seeded replication streams they read, and the
+draw plans of the batch sites.
+
+A `DrawPlan` writes down once the order in which one replication of a batch
+(an episode, or the environment a period-t probe meets) draws. A batch reads
+each block of rows of `uniform_blocks` by columns, one `np.searchsorted` per
+draw over every row, into histories: flat tuples of decoded ints. One stream
+reads per call instead, one uniform per draw through `PeriodSampler`: a
+standalone episode, `Mechanism.sample_supply_state`, and each Monte Carlo
+state's report sets. Either way the same uniforms give the same history.
 
 The market sells k varieties of durable goods over a finite horizon T.
 A consumer of flexibility level b accepts any variety in 1..b and reports a
@@ -300,13 +309,17 @@ class PeriodSampler:
     picks the index `np.searchsorted` would, without a numpy call per draw.
     """
 
-    __slots__ = ("arrivals", "levels", "values", "supply")
+    __slots__ = ("arrivals", "levels", "values", "supply", "cuts")
 
     def __init__(self, cfg: MarketConfig, t: int):
-        self.arrivals = np.cumsum(cfg.arrivals.pmf(t)).tolist()
-        self.levels = np.cumsum(cfg.types.flex_pmf[t - 1]).tolist()
-        self.values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1).tolist()
-        self.supply = tuple(np.cumsum(pmf).tolist() for pmf in cfg.supply.pmfs[t - 1])
+        arrivals = np.cumsum(cfg.arrivals.pmf(t))
+        levels = np.cumsum(cfg.types.flex_pmf[t - 1])
+        values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1)
+        supply = [np.cumsum(pmf) for pmf in cfg.supply.pmfs[t - 1]]
+        self.arrivals, self.levels, self.values = arrivals.tolist(), levels.tolist(), values.tolist()
+        self.supply = tuple(cum.tolist() for cum in supply)
+        # the same CDFs short of their last entry, for `_draw_column`
+        self.cuts = (arrivals[:-1], levels[:-1], values[:, :-1], [cum[:-1] for cum in supply])
 
     @property
     def n_max(self) -> int:
@@ -338,6 +351,121 @@ def _draw(cum: list, u: float) -> int:
     support: the search stops short of the last entry, so a `u` at or above
     it (a CDF that rounds to just below 1) draws the last index."""
     return bisect_right(cum, u, 0, len(cum) - 1)
+
+
+def _draw_column(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`_draw` of every uniform in `u`, where `cut` is the CDF short of its
+    last entry: the index `_draw`'s bounded `bisect_right` picks."""
+    return np.searchsorted(cut, u, side="right")
+
+
+class DrawPlan:
+    """The order in which one replication of a batch site draws, and the
+    two ways to read it off uniforms.
+
+    A step is ``("supply", s, None)``, period s's supply arrivals (one draw
+    per variety), or ``("consumers", s, m)``, m consumers of period s (a
+    level, then a grid index, each), where m None draws an arrival count
+    first and then that many. `width`, the most uniforms a replication can
+    take, follows from the steps. A replication's *history* is the flat
+    tuple of its decoded ints in draw order: supply counts, arrival counts,
+    and (level, grid index) per consumer. `read` draws one history per call
+    through `PeriodSampler`; `read_block` decodes a whole block of rows of
+    `uniform_blocks` one step at a time, a column per draw, with every
+    row's position in its own row held in an array. Both give the same
+    history from the same uniforms.
+    """
+
+    __slots__ = ("cfg", "steps", "width")
+
+    def __init__(self, cfg: MarketConfig, steps: Sequence[tuple]):
+        self.cfg = cfg
+        self.steps = tuple(steps)
+        k = cfg.varieties
+        self.width = sum(k if kind == "supply" else
+                         1 + 2 * cfg.sampler(s).n_max if m is None else 2 * m
+                         for kind, s, m in self.steps)
+
+    def read(self, u) -> tuple:
+        """One history, drawn per call off `u`, a zero-argument callable
+        returning the next uniform."""
+        out: list = []
+        for kind, s, m in self.steps:
+            sampler = self.cfg.sampler(s)
+            if kind == "supply":
+                out += sampler.supply_arrivals(u)
+                continue
+            if m is None:
+                m = sampler.arrival_count(u)
+                out.append(m)
+            for _ in range(m):
+                out += sampler.consumer(u)
+        return tuple(out)
+
+    def read_block(self, block: np.ndarray) -> list:
+        """The history of every row of the (rows, width) uniform `block`,
+        each the tuple `read` gives on that row."""
+        rows = np.arange(len(block))
+        out = np.zeros(block.shape, dtype=np.int64)
+        pos = np.zeros(len(block), dtype=np.intp)
+        for kind, s, m in self.steps:
+            sampler = self.cfg.sampler(s)
+            arrivals, levels, values, supply = sampler.cuts
+            if kind == "supply":
+                for cut in supply:
+                    out[rows, pos] = _draw_column(cut, block[rows, pos])
+                    pos += 1
+                continue
+            if m is None:
+                count = out[rows, pos] = _draw_column(arrivals, block[rows, pos])
+                pos += 1
+                m = sampler.n_max
+            else:
+                count = np.full(len(block), m)
+            for i in range(m):
+                live = rows[count > i]
+                at = pos[live]
+                level = _draw_column(levels, block[live, at])
+                out[live, at] = level + 1
+                at += 1
+                for b, cut in enumerate(values):
+                    pick = level == b
+                    out[live[pick], at[pick]] = _draw_column(cut, block[live[pick], at[pick]])
+                pos[live] += 2
+        return [tuple(row[:n]) for row, n in zip(out.tolist(), pos.tolist())]
+
+    def replicate(self, prefix: Sequence[int], count: int, derive):
+        """``derive(history)`` of replications 0..count-1, read by columns
+        off `uniform_blocks` (row r is replication r's stream). Within a
+        block each distinct history is derived once, and a repeat yields
+        the very object its first draw gave."""
+        for block in uniform_blocks(prefix, count, self.width):
+            derived: dict = {}
+            for history in self.read_block(block):
+                got = derived.get(history)
+                if got is None:
+                    got = derived[history] = derive(history)
+                yield got
+
+
+def _periods_before(t: int) -> list:
+    """The steps that fix the supply state of period t: period 1's supply,
+    then per period s < t its arrivals and period s + 1's supply."""
+    steps = [("supply", 1, None)]
+    for s in range(1, t):
+        steps += [("consumers", s, None), ("supply", s + 1, None)]
+    return steps
+
+
+def episode_plan(cfg: MarketConfig) -> DrawPlan:
+    """An episode: the draws before the last period, then its arrivals."""
+    return DrawPlan(cfg, _periods_before(cfg.horizon) + [("consumers", cfg.horizon, None)])
+
+
+def environment_plan(cfg: MarketConfig, t: int, n_t: int) -> DrawPlan:
+    """What a period-t probe among n_t arrivals meets: the draws an episode
+    makes before period t, then the n_t - 1 other consumers of period t."""
+    return DrawPlan(cfg, _periods_before(t) + [("consumers", t, n_t - 1)])
 
 
 _MASK32 = 0xFFFFFFFF
@@ -425,15 +553,18 @@ def _vectorized_fill(hi, lo, inc_hi, inc_lo, width: int) -> np.ndarray:
     return block.T
 
 
-def _row_fill(rng, hi, lo, inc_hi, inc_lo, width: int):
-    """The rows one by one: each row's PCG64 state set on `rng`, then
-    ``rng.random(width)``."""
+def _row_fill(rng, hi, lo, inc_hi, inc_lo, width: int) -> np.ndarray:
+    """(rows, width) uniforms made row by row: each row's PCG64 state set on
+    `rng`, then ``rng.random(width)``."""
     bit_generator = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+    block = np.empty((len(lo), width))
+    states = zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(block, states):
         bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
                                "has_uint32": 0, "uinteger": 0}
-        yield rng.random(width)
+        rng.random(out=row)
+    return block
 
 
 def _vectorize(rows: int, width: int) -> bool:
@@ -443,31 +574,31 @@ def _vectorize(rows: int, width: int) -> bool:
     return width * (45 + 0.05 * rows) < 6.5 * rows
 
 
-def uniform_rows(prefix: Sequence[int], count: int, width: int):
-    """Rows 0..count-1 of uniforms: row r is
+def uniform_blocks(prefix: Sequence[int], count: int, width: int):
+    """Rows 0..count-1 of uniforms, as (rows, width) arrays of at most
+    `_SEED_BLOCK` rows each: row r is
     ``default_rng(SeedSequence([*prefix, r])).random(width)`` bit for bit,
-    as a list of floats, so replication r of a batch reads its own stream.
+    so replication r of a batch reads its own stream.
 
-    Rows are made up to `_SEED_BLOCK` at a time. SeedSequence's pool mixing
-    and ``generate_state(4, uint64)`` run on uint32 arrays across the rows
-    (`_seed_states`), and so does PCG64's seeding (``inc = seq << 1 | 1``,
-    then ``state = inc``, plus the seed, stepped once), on (hi, lo) uint64
-    pairs. The block is then filled one of two ways, by its shape
-    (`_vectorize`): narrow blocks step every row's PCG64 together
-    (`_pcg64_step`, `_pcg64_uniform`); wider rows set each row's state on
-    one reused Generator and call ``random(width)``. Measured per block on
-    a 2-vCPU VM (Python 3.11, numpy 2.4), together against row by row:
-    2000 x 10 took 2.9 against 14.7 ms and 4096 x 100 25.6 against 39.1 ms;
-    100 x 12 and 100 x 13 were even (1.1 ms); 343 x 140 took 10.4 against
-    4.1 ms and 27 x 140 7.7 against 0.7 ms. So episode and audit rows of a
-    few varieties and arrivals (7-24 wide) step together in batches of a
-    few hundred replications or more, and Monte Carlo rows of 20 samples
-    (140 wide at n_max 3) are filled row by row.
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on
+    uint32 arrays across a block's rows (`_seed_states`), and so does PCG64's
+    seeding (``inc = seq << 1 | 1``, then ``state = inc``, plus the seed,
+    stepped once), on (hi, lo) uint64 pairs. The block is then filled one of
+    two ways, by its shape (`_vectorize`): narrow blocks step every row's
+    PCG64 together (`_pcg64_step`, `_pcg64_uniform`); wider rows set each
+    row's state on one reused Generator and call ``random``. Measured per
+    block on a 2-vCPU VM (Python 3.11, numpy 2.4), together against row by
+    row: 2000 x 10 took 2.9 against 14.7 ms and 4096 x 100 25.6 against
+    39.1 ms; 100 x 12 and 100 x 13 were even (1.1 ms); 343 x 140 took 10.4
+    against 4.1 ms and 27 x 140 7.7 against 0.7 ms. So episode and audit
+    rows of a few varieties and arrivals (7-24 wide) step together in
+    batches of a few hundred replications or more, and Monte Carlo rows of
+    20 samples (140 wide at n_max 3) are filled row by row.
 
     ``SeedSequence([*prefix, 0])`` is built once per batch: it raises
     numpy's own error for a bad key, and row 0 must equal its stream's
     first `width` uniforms, or RuntimeError is raised (a slip in the
-    arithmetic here, or a numpy whose PCG64 draws differently). Rows are
+    arithmetic here, or a numpy whose PCG64 draws differently). Blocks are
     handed out one by one, so a batch of any count holds one block at most.
     """
     if count <= 0:
@@ -487,14 +618,19 @@ def uniform_rows(prefix: Sequence[int], count: int, width: int):
         lo = inc_lo + s_lo
         hi, lo = _pcg64_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
         if _vectorize(len(lo), width):
-            rows = _vectorized_fill(hi, lo, inc_hi, inc_lo, width)
+            block = _vectorized_fill(hi, lo, inc_hi, inc_lo, width)
         else:
-            rows = _row_fill(rng, hi, lo, inc_hi, inc_lo, width)
-        for r, row in enumerate(rows, start):
-            row = row.tolist()
-            if r == 0 and row != first:
-                raise RuntimeError(f"bulk stream of {[*prefix, 0]} differs from SeedSequence")
-            yield row
+            block = _row_fill(rng, hi, lo, inc_hi, inc_lo, width)
+        if start == 0 and block[0].tolist() != first:
+            raise RuntimeError(f"bulk stream of {[*prefix, 0]} differs from SeedSequence")
+        yield block
+
+
+def uniform_rows(prefix: Sequence[int], count: int, width: int):
+    """The rows of `uniform_blocks`, one by one, each a list of floats."""
+    for block in uniform_blocks(prefix, count, width):
+        for row in block:
+            yield row.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,22 @@ pure function of its inputs. Besides allocation, payment and the period
 step, a `Mechanism` samples the market under truthful play: supply arrivals,
 consumer types, and the supply state and rival reports a period-t consumer
 faces. Each sampler takes `u`, a zero-argument callable returning the next
-uniform of a stream; a batch of environments reads replication r's stream
-as row r of `market.uniform_rows`. Expectations over those samples (interim
-quantities, audits, revenue) live in `simulate`.
+uniform of a stream, and reads it per call. A batch of environments reads
+replication r's stream as row r of `market.uniform_blocks`, a block at a
+time by columns (`market.environment_plan`), and plays each distinct draw
+history of a block through the mechanism once. Expectations over those
+samples (interim quantities, audits, revenue) live in `simulate`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, TableMismatch
-from .market import MarketConfig, _first_reaching, uniform_rows
+from .market import MarketConfig, _first_reaching, environment_plan
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -62,8 +64,7 @@ class AllocationResult(NamedTuple):
     v_star: tuple
 
 
-@dataclass(frozen=True)
-class MechanismOutcome:
+class MechanismOutcome(NamedTuple):
     """One period's allocation, payments and supply bookkeeping."""
 
     varieties: tuple     # per report: 1-based variety received, 0 if unserved
@@ -244,42 +245,51 @@ class Mechanism:
         return self.cfg.sampler(t).supply_arrivals(u)
 
     def sample_supply_state(self, u, t: int) -> tuple:
-        """Supply vector at period t under truthful play of periods 1..t-1.
-
-        Draw order per period: supply arrivals, then the arrival count, then
-        each consumer's (level, valuation).
-        """
+        """Supply vector at period t under truthful play of periods 1..t-1,
+        drawn per call off `u` in `market.environment_plan`'s order: per
+        period, supply arrivals, then the arrival count, then each
+        consumer's (level, valuation)."""
         if not 1 <= t <= self.cfg.horizon:
             raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
-        y = self.sample_supply_arrivals(u, 1)
+        return self._environment(t, environment_plan(self.cfg, t, 1).read(u))[0]
+
+    def _read_types(self, draws, n: int | None = None) -> tuple:
+        """The (valuation, level) of the next n consumers of the history
+        iterator `draws`, each held there as (level, grid index); every
+        consumer left when n is None."""
+        points = self.cfg.grid.point_list
+        return tuple((points[i], b) for b, i in islice(zip(draws, draws), n))
+
+    def _environment(self, t: int, history: tuple) -> tuple:
+        """(supply state, other consumers' types) of a period-t probe, from
+        one history of `market.environment_plan` at t."""
+        k = self.cfg.varieties
+        draws = iter(history)
+        y = tuple(islice(draws, k))
         for s in range(1, t):
-            n = self.sample_arrival_count(u, s)
-            reports = make_reports([self.sample_type(u, s) for _ in range(n)])
+            reports = make_reports(self._read_types(draws, next(draws)))
             spent = self.allocate(s, reports, y).v_star
-            x_next = self.sample_supply_arrivals(u, s + 1)
-            y = tuple(a - b + c for a, b, c in zip(y, spent, x_next))
-        return y
+            y = tuple(a - b + c for a, b, c in zip(y, spent, islice(draws, k)))
+        return y, self._read_types(draws)
 
     def sample_environments(self, t: int, n_t: int, replications: int, seed: int):
         """(supply state, other consumers' types) seen by a period-t probe among
         n_t >= 1 arrivals. Replication r reads the stream of
         ``default_rng(SeedSequence([seed, t, r]))``, bit for bit, as row r of
-        `market.uniform_rows`, which is as wide as the most uniforms an
-        environment takes: the supply arrivals of period 1, each earlier
-        period's arrival count, consumers and next supply, then n_t - 1
-        consumers. Raises ValueError for n_t < 1 or a period outside
-        1..T before any draw."""
+        `market.uniform_blocks`, whose width `market.environment_plan`
+        gives: the supply arrivals of period 1, each earlier period's
+        arrival count, consumers and next supply, then n_t - 1 consumers.
+        Histories are read by columns, and within a block each distinct one
+        is played through the mechanism once and yields one environment
+        object. Raises ValueError for n_t < 1 or a period outside 1..T
+        before any draw."""
         cfg = self.cfg
         if n_t < 1:
             raise ValueError(f"need n_t >= 1 arrivals, got {n_t}")
         if not 1 <= t <= cfg.horizon:
             raise ValueError(f"period {t} outside 1..{cfg.horizon}")
-        k = cfg.varieties
-        width = k + sum(1 + 2 * cfg.sampler(s).n_max + k for s in range(1, t)) + 2 * (n_t - 1)
-        for row in uniform_rows((seed, t), replications, width):
-            u = iter(row).__next__
-            y = self.sample_supply_state(u, t)
-            yield y, tuple(self.sample_type(u, t) for _ in range(n_t - 1))
+        yield from environment_plan(cfg, t, n_t).replicate(
+            (seed, t), replications, lambda history: self._environment(t, history))
 
     def environment_law(self, t: int, n_t: int, replications: int, seed: int) -> tuple:
         """The environments of `sample_environments` as (count, environment)

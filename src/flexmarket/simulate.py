@@ -5,10 +5,13 @@ Replications use independent seeded streams and are aggregated with exact
 (correctly rounded) summation, so results do not depend on evaluation order.
 Replication r of a batch reads the stream of
 ``default_rng(SeedSequence([seed, r]))`` (``[seed, t, r]`` for environments)
-bit for bit, as row r of `market.uniform_rows`, a row as wide as the most
-uniforms a replication can take; the samplers read one uniform per draw.
-A standalone `sample_episode` draws from its own ``SeedSequence([seed])``
-Generator.
+bit for bit, as row r of `market.uniform_blocks`, a row as wide as the most
+uniforms a replication can take. A batch reads each block's histories by
+columns (`market.DrawPlan.replicate`) and plays each distinct history of a
+block once: an episode that repeats an earlier one's draws is that
+episode's trace object, which is what the replay would give. A standalone
+`sample_episode` reads its history per call from its own
+``SeedSequence([seed])`` Generator.
 Interim quantities and audits are expectations over an environment law: the
 supply state a period-t consumer meets plus the other consumers' types. The
 law is either sampled (`Mechanism.environment_law`: the environments of
@@ -37,7 +40,7 @@ import numpy as np
 from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
-from .market import MarketConfig, uniform_rows, virtual_valuation
+from .market import MarketConfig, episode_plan, virtual_valuation
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
 
@@ -45,8 +48,7 @@ from .mechanism import Mechanism, MechanismOutcome, make_reports
 # Episodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodRecord:
+class PeriodRecord(NamedTuple):
     t: int
     supply_arrived: tuple
     supply_before: tuple
@@ -54,8 +56,7 @@ class PeriodRecord:
     outcome: MechanismOutcome
 
 
-@dataclass(frozen=True)
-class EpisodeTrace:
+class EpisodeTrace(NamedTuple):
     periods: tuple
     total_revenue: float
     total_virtual_surplus: float
@@ -73,20 +74,20 @@ def _session(cfg: MarketConfig, tables: ValueTables, mech: Mechanism | None) -> 
     return mech
 
 
-def _run_episode(mech: Mechanism, u) -> EpisodeTrace:
-    """One truthful episode drawn from `u`, which returns the next uniform."""
+def _run_episode(mech: Mechanism, history: tuple) -> EpisodeTrace:
+    """The truthful episode of one history of `market.episode_plan`."""
     cfg = mech.cfg
+    k = cfg.varieties
+    draws = iter(history)
     periods = []
     payments: list[float] = []
     surplus: list[float] = []
-    x = mech.sample_supply_arrivals(u, 1)
+    x = tuple(itertools.islice(draws, k))
     y = x
     for t in range(1, cfg.horizon + 1):
-        n = mech.sample_arrival_count(u, t)
-        types = tuple(mech.sample_type(u, t) for _ in range(n))
-        reports = make_reports(types)
-        x_next = mech.sample_supply_arrivals(u, t + 1) if t < cfg.horizon else (0,) * cfg.varieties
-        outcome, y_next = mech.step(t, y, reports, x_next)
+        types = mech._read_types(draws, next(draws))
+        x_next = tuple(itertools.islice(draws, k)) if t < cfg.horizon else (0,) * k
+        outcome, y_next = mech.step(t, y, make_reports(types), x_next)
         payments.extend(outcome.payments)
         for (val, lvl), variety in zip(types, outcome.varieties):
             if variety:
@@ -102,22 +103,22 @@ def _run_episode(mech: Mechanism, u) -> EpisodeTrace:
 
 def sample_episode(cfg: MarketConfig, tables: ValueTables, seed: int,
                    mech: Mechanism | None = None) -> EpisodeTrace:
-    """One truthful market episode, deterministic in the seed."""
+    """One truthful market episode, deterministic in the seed: its history
+    drawn per call from ``default_rng(SeedSequence([seed]))``."""
     mech = _session(cfg, tables, mech)
-    return _run_episode(mech, np.random.default_rng(np.random.SeedSequence([seed])).random)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return _run_episode(mech, episode_plan(cfg).read(rng.random))
 
 
 def run_episodes(mech: Mechanism, replications: int, seed: int):
     """Episodes 0..replications-1. Episode r reads the stream of
     ``default_rng(SeedSequence([seed, r]))``, bit for bit, as row r of
-    `market.uniform_rows`, so a batch can run in any order or in parallel
-    without changing any episode. A row is as wide as the most uniforms an
-    episode takes: per period, one supply vector, the arrival count and two
-    per consumer."""
-    cfg = mech.cfg
-    width = sum(cfg.varieties + 1 + 2 * cfg.sampler(t).n_max for t in range(1, cfg.horizon + 1))
-    for row in uniform_rows((seed,), replications, width):
-        yield _run_episode(mech, iter(row).__next__)
+    `market.uniform_blocks`, so a batch can run in any order or in parallel
+    without changing any episode. Histories are read by columns, and an
+    episode whose history an earlier one of its block drew is that
+    episode's very trace, not a replay."""
+    yield from episode_plan(mech.cfg).replicate((seed,), replications,
+                                                lambda history: _run_episode(mech, history))
 
 
 class RevenueEstimate:

@@ -178,8 +178,10 @@ def test_check_monotonicity_reports_each_pair_once(small_tables):
 
 
 def test_check_monotonicity_slack_reads_stderrs_not_backend():
-    """Sampled myopic tables get the same slack as sampled optimal ones: the
-    slack must not depend on the backend's label."""
+    """The slack is `tol` alone: it reads neither the backend's label nor the
+    standard errors. Sampled myopic tables get what the same tables labelled
+    "mc" get, and a 1e-6 deficit is a violation at the default `tol` even
+    where every standard error is 1.0."""
     bern = [0.5, 0.5]
     cfg = config_io.parse_config({
         "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
@@ -190,6 +192,13 @@ def test_check_monotonicity_slack_reads_stderrs_not_backend():
     assert myopic.backend == "mc-myopic"
     relabelled = dataclasses.replace(myopic, backend="mc")
     assert check_monotonicity(myopic) == check_monotonicity(relabelled)
+
+    values = {t: dict(layer) for t, layer in myopic.values.items()}
+    values[2][(1, 0)] = values[2][(0, 1)] - 1e-6
+    noisy = dataclasses.replace(myopic, values=values, stderrs={
+        t: dict.fromkeys(layer, 1.0) for t, layer in myopic.stderrs.items()})
+    found = {(v.t, v.better, v.worse): v.deficit for v in check_monotonicity(noisy)}
+    assert found[2, (1, 0), (0, 1)] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_check_monotonicity_trivial_on_terminal_layer(small_tables):

@@ -42,6 +42,17 @@ EPISODE_0_VIRTUAL_SURPLUS = "0x1.d62717c302c50p-4"
 REVENUE_MEAN_200 = "0x1.fd859c8c9320dp-4"          # estimate_revenue, 200 episodes, seed 0
 VIRTUAL_SURPLUS_MEAN_200 = "0x1.c2ea0d9ef2bd3p-4"
 
+REVENUE_5000 = {  # estimate_revenue, 5000 episodes (two blocks of streams), seed 0
+    "revenue_mean": "0x1.f9cbd3a88920bp-4",
+    "revenue_stderr": "0x1.4f2f6d2efda99p-9",
+    "virtual_surplus_mean": "0x1.fcf0f735a00c3p-4",
+    "virtual_surplus_stderr": "0x1.bdaaadacd7d34p-9",
+}
+LAW_5000_SHA256 = (  # environment_law(2, 2, 5000, 0) of the worked example, see _law_sha256
+    "5fe4cc7865ec6a913394ef1add310459f5a2caeb0595e6387dc15c1044a14853"
+)
+LAW_5000_ROWS = 2317
+
 BIC_WORST_GAIN = "0x0.0p+0"                          # t=2 default probe, 500 reps, seed 0
 BIC_GAIN_SUM = "-0x1.5cc161e4f7660p+7"               # fsum of every entry's gain
 BIC_STDERR_SUM = "0x1.c330f2a1fa08fp+0"
@@ -129,6 +140,24 @@ def test_episodes_pinned(example_cfg, example_tables):
     est = fm.estimate_revenue(example_cfg, example_tables, 200, 0)
     assert est.mean == float.fromhex(REVENUE_MEAN_200)
     assert est.virtual_mean == float.fromhex(VIRTUAL_SURPLUS_MEAN_200)
+
+
+def _law_sha256(law) -> str:
+    """sha256 over one line per row: count, supply state, then each rival's
+    valuation as float.hex and level."""
+    h = hashlib.sha256()
+    for count, (y, others) in law:
+        h.update((f"{count} {y} " + " ".join(f"{v.hex()} {b}" for v, b in others) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_batches_across_stream_blocks_pinned(example_cfg, example_tables, example_mech):
+    """5000 replications span two blocks of `market.uniform_blocks`."""
+    est = fm.estimate_revenue(example_cfg, example_tables, 5000, 0).to_json()
+    assert {key: est[key] for key in REVENUE_5000} == {
+        key: float.fromhex(v) for key, v in REVENUE_5000.items()}
+    law = example_mech.environment_law(2, 2, 5000, 0)
+    assert (len(law), _law_sha256(law)) == (LAW_5000_ROWS, LAW_5000_SHA256)
 
 
 def test_bic_audit_pinned(example_cfg, example_tables):

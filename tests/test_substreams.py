@@ -1,9 +1,12 @@
 """Bulk-seeded replication streams against numpy's SeedSequence.
 
-`market.uniform_rows(prefix, count, width)` must hand replication r the
-first `width` uniforms of ``default_rng(SeedSequence([*prefix, r]))`` bit for
-bit, and every batch site (Monte Carlo tables, episodes, audit environments)
-must read it, through rows wide enough for every draw the site makes.
+`market.uniform_rows(prefix, count, width)` (and `uniform_blocks`, the same
+rows a block at a time) must hand replication r the first `width` uniforms
+of ``default_rng(SeedSequence([*prefix, r]))`` bit for bit, and every batch
+site (Monte Carlo tables, episodes, audit environments) must read it,
+through rows wide enough for every draw the site makes. A draw plan's
+column reader must decode every row as its per-call reader does, and a
+batch must play each distinct history of a block once.
 """
 
 from collections import Counter
@@ -12,9 +15,10 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
-from flexmarket import config_io, dp, market, mechanism, simulate
+from flexmarket import config_io, market, oracle, simulate
 from flexmarket.market import uniform_rows
 from flexmarket.mechanism import Mechanism
+from flexmarket.simulate import AuditProbe
 
 PREFIXES = [(), (0,), (7,), (2024, 2), (2**32 - 1, 1), (2**32, 3), (2**64 + 5,),
             (1, 2, 3, 4, 5), (np.int64(11), 2)]
@@ -79,16 +83,17 @@ def test_bad_keys_raise_as_seed_sequence_does(key):
 
 @pytest.fixture
 def reference_streams(monkeypatch):
-    """Every batch site on per-replication SeedSequence streams; returns the
-    list that records the (prefix, count, width) of each batch drawn."""
+    """Every batch site on per-replication SeedSequence streams, handed out
+    as one block; returns the list that records the (prefix, count, width)
+    of each batch drawn."""
     calls = []
 
     def reference(prefix, count, width):
         calls.append((tuple(prefix), count, width))
-        return _reference(prefix, count, width)
+        if count > 0:
+            yield np.array(list(_reference(prefix, count, width))).reshape(count, width)
 
-    for module in (dp, mechanism, simulate):
-        monkeypatch.setattr(module, "uniform_rows", reference)
+    monkeypatch.setattr(market, "uniform_blocks", reference)
     return calls
 
 
@@ -135,8 +140,9 @@ def _per_call(prefix):
 def test_episode_and_environment_rows_are_wide_enough(full_rows_mech, replications):
     mech, seed = full_rows_mech, 2**64 + 5
     cfg = mech.cfg
+    plan = market.episode_plan(cfg)
     assert list(simulate.run_episodes(mech, replications, seed)) == [
-        simulate._run_episode(mech, _per_call([seed, r])) for r in range(replications)]
+        simulate._run_episode(mech, plan.read(_per_call([seed, r]))) for r in range(replications)]
     for t in range(1, cfg.horizon + 1):
         for n_t in range(1, cfg.arrivals.n_max + 2):
             envs = Counter()
@@ -170,3 +176,135 @@ def test_mc_rows_are_wide_enough(full_rows_mech, samples, monkeypatch):
             want.append([[sampler.consumer(u) for _ in range(sampler.arrival_count(u))]
                          for _ in range(samples)])
     assert drawn == want
+
+
+# -- draw plans: the column reader against the per-call one ---------------------------
+
+def _clamp_market():
+    """Arrival, supply and level CDFs whose last entry rounds to just below 1,
+    so `_draw`'s bound clamps a uniform at or above it to the last index."""
+    below = [0.7, 0.2, 0.1]   # np.cumsum ends at 0.9999999999999999
+    grid = market.ValuationGrid.uniform(0.0, 1.0, 11)
+    return fm.MarketConfig(
+        horizon=2, varieties=3, grid=grid,
+        types=market.truncated_exponential([1.0, 2.0, 3.0], grid, 2, np.array([below] * 2)),
+        arrivals=market.ArrivalDistribution.from_lists([below] * 2),
+        supply=market.SupplyDistribution.from_lists([[[0.6, 0.3, 0.1], [1.0], below]] * 2))
+
+
+READER_MARKETS = {
+    **{f"family-{i}": lambda i=i: oracle.random_instance(i) for i in range(40)},
+    "full-rows": lambda: config_io.parse_config(FULL_ROWS),
+    # one level, and single-entry supply (and period-2 arrival) PMFs: draws
+    # with nothing to search
+    "deterministic": lambda: config_io.parse_config({
+        "horizon": 2, "varieties": 1, "grid": {"min": 0.0, "max": 1.0, "points": 5},
+        "arrivals": [[0.0, 1.0], [1.0]], "supply": [[[1.0]], [[1.0]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0]}}),
+    "clamp": _clamp_market,
+}
+
+
+def _plans(cfg):
+    """The episode plan and the environment plan of every (t, n_t)."""
+    return [market.episode_plan(cfg)] + [
+        market.environment_plan(cfg, t, n_t)
+        for t in range(1, cfg.horizon + 1) for n_t in range(1, cfg.arrivals.n_max + 2)]
+
+
+def _column_reads(plan, prefix, count):
+    return [h for block in market.uniform_blocks(prefix, count, plan.width)
+            for h in plan.read_block(block)]
+
+
+# 4,097 rows cross `_SEED_BLOCK`; the per-call reference costs about 10 us a
+# row, so that count runs on the hand-made markets and four of the family
+@pytest.mark.parametrize("name", sorted(READER_MARKETS))
+def test_column_reader_matches_per_call_reader(name, monkeypatch):
+    """Every plan's column reader gives, row for row, the history the
+    per-call reader draws off the same row, under either fill."""
+    cfg = READER_MARKETS[name]()
+    counts = [1, 5, 300]
+    if not name.startswith("family-") or name in {f"family-{i}" for i in range(4)}:
+        counts.append(market._SEED_BLOCK + 1)
+    prefix = (2**64 + 5, 3)
+    for plan in _plans(cfg):
+        for count in counts:
+            want = [plan.read(iter(row).__next__) for row in uniform_rows(prefix, count, plan.width)]
+            for vectorized in (True, False):
+                monkeypatch.setattr(market, "_vectorize", lambda rows, width, v=vectorized: v)
+                assert _column_reads(plan, prefix, count) == want, (plan.steps, count, vectorized)
+
+
+@pytest.mark.parametrize("name", ["full-rows", "deterministic", "clamp", "family-1"])
+def test_column_reader_on_cdf_entries(name):
+    """Uniforms equal to a CDF entry, one ulp either side of it, 0 and the
+    largest double below 1: ties and the clamp decode as `_draw` decodes."""
+    cfg = READER_MARKETS[name]()
+    edges = {0.0, np.nextafter(1.0, 0.0)}
+    for t in range(1, cfg.horizon + 1):
+        sampler = cfg.sampler(t)
+        for cum in (sampler.arrivals, sampler.levels, *sampler.values, *sampler.supply):
+            for c in cum:
+                edges |= {c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)}
+    pool = np.array(sorted(e for e in edges if 0.0 <= e < 1.0))
+    rng = np.random.default_rng(5)
+    for plan in _plans(cfg):
+        block = rng.choice(pool, size=(300, plan.width))
+        assert plan.read_block(block) == [plan.read(iter(row).__next__) for row in block.tolist()]
+
+
+# -- the block memo --------------------------------------------------------------------
+
+def _histories(plan, prefix, count):
+    return [plan.read(iter(row).__next__) for row in uniform_rows(prefix, count, plan.width)]
+
+
+def test_a_repeated_history_is_one_trace(small_tables, monkeypatch):
+    """An episode whose history an earlier one drew is that episode's very
+    trace object, and each distinct history is played once."""
+    played = []
+    run_episode = simulate._run_episode
+
+    def counted(mech, history):
+        played.append(history)
+        return run_episode(mech, history)
+
+    monkeypatch.setattr(simulate, "_run_episode", counted)
+    mech = Mechanism(small_tables)
+    traces = list(simulate.run_episodes(mech, 300, 7))
+    first = {}
+    for history, trace in zip(_histories(market.episode_plan(mech.cfg), (7,), 300), traces):
+        assert trace is first.setdefault(history, trace)
+        assert trace == run_episode(mech, history)
+    assert played == list(first) and len(first) < 300
+
+
+def test_block_memo_holds_one_block(small_tables, monkeypatch):
+    """Episodes and laws do not depend on the block size; with blocks of 3
+    rows each block plays its own distinct histories."""
+    probe = AuditProbe.default(small_tables.config, 2, points=5)
+    mech = Mechanism(small_tables)
+    want = (list(simulate.run_episodes(mech, 50, 7)), mech.environment_law(2, 2, 50, 7),
+            simulate.bic_audit(small_tables.config, small_tables, probe, 50, 7).to_json())
+    monkeypatch.setattr(market, "_SEED_BLOCK", 3)
+    played = []
+    run_episode = simulate._run_episode
+    monkeypatch.setattr(simulate, "_run_episode",
+                        lambda mech, history: played.append(history) or run_episode(mech, history))
+    mech = Mechanism(small_tables)
+    assert (list(simulate.run_episodes(mech, 50, 7)), mech.environment_law(2, 2, 50, 7),
+            simulate.bic_audit(small_tables.config, small_tables, probe, 50, 7).to_json()) == want
+    histories = _histories(market.episode_plan(mech.cfg), (7,), 50)
+    assert played == [h for start in range(0, 50, 3) for h in dict.fromkeys(histories[start:start + 3])]
+
+
+def test_histories_with_one_environment_share_its_row(small_tables):
+    """Different histories that leave the same supply state and rivals are
+    one row of the law, at its first draw, with their counts summed."""
+    mech = Mechanism(small_tables)
+    histories = _histories(market.environment_plan(mech.cfg, 2, 1), (9, 2), 300)
+    envs = [mech._environment(2, h) for h in histories]
+    assert len(set(envs)) < len(set(histories))
+    assert mech.environment_law(2, 1, 300, 9) == tuple(
+        (count, env) for env, count in Counter(envs).items())
