@@ -19,8 +19,9 @@ per layer; the final one is all zeros), without its reports of virtual value
 w <= 0, since against a non-decreasing continuation serving one cannot raise
 a correctly rounded sum. Exact expectations enumerate ordered consumer
 profiles in lexicographic (level, grid index) order, once per period for the
-whole layer (the report law does not depend on the supply state), with
-compensated accumulation, which makes table values reproducible bit for bit.
+whole layer (the report law does not depend on the supply state), and each
+entry is the correctly rounded sum (``math.fsum``) of its profile terms, so
+it does not depend on the order in which profiles are enumerated.
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream (`market.uniform_rows`, read by
 `PeriodSampler.report_sets`), and reduce the layer's (states, samples) array
@@ -28,9 +29,9 @@ of stage values once: one mean and one standard error per row, the same
 floats as 1-D numpy calls per state give.
 None of these shortcuts moves a bit of any table
 (``oracle.reference_expected_stage``, one unmemoised enumeration per state,
-is the exact reference). Per-profile sums use ``math.fsum`` (correctly
-rounded), so two pipelines that agree on the served multiset and
-continuation value produce identical floats.
+is the exact reference). Stage values and exact expectations are
+``math.fsum`` sums (correctly rounded), so two pipelines that agree on the
+terms produce identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
@@ -378,14 +379,15 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
 
     Exact (`samples` None): one walk records each ordered profile's weight
     ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and its key's
-    slot, 12 bytes per profile; every state adds weight times value with a
-    compensated update in enumeration order, bit for bit the sum of
-    `oracle.reference_expected_stage`. Monte Carlo: state number idx draws
-    its `samples` report sets (arrival count, then each consumer) in one
-    `PeriodSampler.report_sets` call from row idx of `market.uniform_rows`:
-    the stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for
-    bit, ``samples * (1 + 2 * n_max)`` uniforms wide, enough for the
-    largest arrival count n_max in every sample. Its per-sample values, in
+    slot, 12 bytes per profile; every state's entry is ``math.fsum`` of
+    weight times value over the profiles, the correctly rounded sum of those
+    terms in any order, bit for bit `oracle.reference_expected_stage`.
+    Monte Carlo: state number idx draws its `samples` report sets (arrival
+    count, then each consumer) in one `PeriodSampler.report_sets` call from
+    row idx of `market.uniform_rows`: the stream of
+    ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
+    ``samples * (1 + 2 * n_max)`` uniforms wide, enough for the largest
+    arrival count n_max in every sample. Its per-sample values, in
     draw order, fill row idx of one (states, samples) array, and the layer
     takes the numpy mean and standard error along the rows once: a
     reduction along the contiguous last axis sums each row pairwise as the
@@ -461,13 +463,7 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     layer = {}
     for y in states:
         values = evaluate(y, multisets)
-        total = comp = 0.0  # compensated sum: the Kahan accumulator of oracle, inlined
-        for prob, slot in zip(weights, slots):
-            x = prob * values[slot] - comp
-            acc = total + x
-            comp = (acc - total) - x
-            total = acc
-        layer[y] = total
+        layer[y] = math.fsum(prob * values[slot] for prob, slot in zip(weights, slots))
     return layer, dict.fromkeys(states, 0.0)
 
 

@@ -227,18 +227,23 @@ class MarketConfig:
         """Level b's virtual valuations at period t, both indices 1-based and checked."""
         if not 1 <= b <= self.varieties:
             raise OffGridValue(f"flexibility level {b} outside 1..{self.varieties}")
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"period {t} outside 1..{self.horizon}")
-        return self.virtual_values[t - 1][b - 1]
+        return self.virtual_values[self._period_index(t)][b - 1]
 
     def consumer_atoms(self, t: int) -> tuple:
         """Positive-probability consumer types (level, grid_index, prob, w) of
         period t in (level, grid index) order."""
-        return self._atoms_by_period[t - 1]
+        return self._atoms_by_period[self._period_index(t)]
 
     def sampler(self, t: int) -> "PeriodSampler":
         """Seeded draws of period t's arrival count, consumer types and supply."""
-        return self._samplers_by_period[t - 1]
+        return self._samplers_by_period[self._period_index(t)]
+
+    def _period_index(self, t: int) -> int:
+        """t - 1 for a period t in 1..T; ValueError otherwise, never a wrapped
+        or out-of-range tuple index."""
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"period {t} outside 1..{self.horizon}")
+        return t - 1
 
     @cached_property
     def _atoms_by_period(self) -> tuple:

@@ -40,22 +40,6 @@ from .market import (
 DEFAULT_MATRIX_BUDGET = 1_000_000
 
 
-class KahanSum:
-    """Compensated accumulator; deterministic for a fixed addition order."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 # ---------------------------------------------------------------------------
 # Feasible service and variety sets
 # ---------------------------------------------------------------------------
@@ -219,9 +203,9 @@ def build_brute_tables(
     """Value tables from the unsimplified full-matrix recursion.
 
     Shares the solver build's profile enumeration (one per period, read by
-    every state of the layer in the same summation order), its
-    per-servable-multiset stage memo and its accumulation, so any difference
-    from the solver's tables is a stage-maximization bug. The memo is exact
+    every state of the layer), its per-servable-multiset stage memo and its
+    correctly rounded sum, so any difference from the solver's tables is a
+    stage-maximization bug. The memo is exact
     here too: a level-j consumer only takes varieties 1..j, so swapping a
     served report for a better unserved one of its level keeps the goods
     spent and cannot lower the correctly rounded sum.
@@ -270,15 +254,15 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
     """Report-set expectation of one stage, calling `stage_fn` on every ordered profile.
 
     The slow path behind the exact backend: the same profiles, products and
-    compensated sum as `build_value_tables`, but enumerated afresh for this
-    one state rather than once per period for the whole layer, and without
-    its per-multiset memo. Each stage gets the whole profile's summary, not
+    correctly rounded sum (``math.fsum``) as `build_value_tables`, but
+    enumerated afresh for this one state rather than once per period for the
+    whole layer, and without its per-multiset memo. Each stage gets the whole profile's summary, not
     clipped to the servable reports, so this also checks the clipping and the
     shared enumeration: an exact table entry must equal this value bit for bit.
     """
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
-    acc = KahanSum()
+    terms = []
     for n in range(len(lam)):
         lam_n = float(lam[n])
         if lam_n == 0.0:
@@ -288,8 +272,8 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
             for _b, _i, p, _w in combo:
                 prob *= p
             w_sorted = dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties)
-            acc.add(prob * stage_fn(t, w_sorted, y, cont))
-    return acc.total
+            terms.append(prob * stage_fn(t, w_sorted, y, cont))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

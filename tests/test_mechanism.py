@@ -291,6 +291,16 @@ _BAD_INDEX = {  # each call names a level, period or probe slot outside its rang
     "allocate-level-k+1": (lambda m: m.allocate(1, make_reports([(0.5, 3)]), (1, 1)),
                            OffGridValue),
     "environments-period-0": (lambda m: next(m.sample_environments(0, 1, 2, 0)), ValueError),
+    # without the accessors' check, t = 0 draws from period T and t = T + 1 raises IndexError
+    "arrival-count-period-0": (lambda m: m.sample_arrival_count(lambda: 0.5, 0), ValueError),
+    "arrival-count-period-T+1": (lambda m: m.sample_arrival_count(lambda: 0.5, 3), ValueError),
+    "type-period-0": (lambda m: m.sample_type(lambda: 0.5, 0), ValueError),
+    "type-period-T+1": (lambda m: m.sample_type(lambda: 0.5, 3), ValueError),
+    "supply-arrivals-period-0": (lambda m: m.sample_supply_arrivals(lambda: 0.5, 0), ValueError),
+    "supply-arrivals-period-T+1": (lambda m: m.sample_supply_arrivals(lambda: 0.5, 3),
+                                   ValueError),
+    "atoms-period-0": (lambda m: m.cfg.consumer_atoms(0), ValueError),
+    "atoms-period-T+1": (lambda m: m.cfg.consumer_atoms(3), ValueError),
     # without its check, t = 0 returns period 1's supply and t = T + 1 raises IndexError
     "supply-state-period-0": (lambda m: m.sample_supply_state(lambda: 0.5, 0), ValueError),
     "supply-state-period-T+1": (lambda m: m.sample_supply_state(lambda: 0.5, 3), ValueError),

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -473,6 +474,31 @@ def test_zero_probability_atoms_match_reference_expectation():
         _assert_matches_reference(tables, stage_fn)
     checks = verify_instance(cfg, seed=0)
     assert len(checks) == 7 and all(c.passed for c in checks)
+
+
+def test_exact_entries_do_not_depend_on_term_order():
+    """Every exact entry is the correctly rounded sum of its profile terms, so
+    the order in which profiles are enumerated cannot move a bit: on the first
+    40 instances, each state's terms, built as `oracle.reference_expected_stage`
+    builds them and then shuffled, sum to the table entry."""
+    rng = random.Random(0)
+    for i in range(40):
+        cfg = random_instance(i, master_seed=0)
+        tables = dp.build_value_tables(cfg)
+        for t in range(1, cfg.horizon + 1):
+            cont = tables.continuation_fn(t)
+            lam = cfg.arrivals.pmf(t)
+            profiles = []  # (lam_n * p_1 * ... * p_n, summary) per ordered profile
+            for n in range(len(lam)):
+                if lam[n] > 0.0:
+                    for combo in itertools.product(cfg.consumer_atoms(t), repeat=n):
+                        prob = math.prod([float(lam[n]), *(p for _b, _i, p, _w in combo)])
+                        summary = dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties)
+                        profiles.append((prob, summary))
+            for y in tables.states[t]:
+                terms = [prob * dp._optimal_stage(t, summary, y, cont) for prob, summary in profiles]
+                rng.shuffle(terms)
+                assert math.fsum(terms).hex() == tables.values[t][y].hex(), (i, t, y)
 
 
 # -- threshold-form stage against the enumerating reference ------------------------

@@ -52,6 +52,10 @@ LAW_5000_SHA256 = (  # environment_law(2, 2, 5000, 0) of the worked example, see
     "5fe4cc7865ec6a913394ef1add310459f5a2caeb0595e6387dc15c1044a14853"
 )
 LAW_5000_ROWS = 2317
+LAW_T2_N1_SHA256 = (  # environment_law(2, 1, 500, 0) of the worked example, the audits' law
+    "c15629af73c958f3b1597fe15483413a51eda1492f05670a58e809b648d4a6bc"
+)
+LAW_T2_N1_COUNTS = [407, 50, 43]
 
 BIC_WORST_GAIN = "0x0.0p+0"                          # t=2 default probe, 500 reps, seed 0
 BIC_GAIN_SUM = "-0x1.5cc161e4f7660p+7"               # fsum of every entry's gain
@@ -69,7 +73,7 @@ INTERIM_T1 = {  # report: exact (Q, P) at t=1, n_t=2, probe in slot 1, worked ex
 TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha256)
     "exact-solve": "bcff3a683d43d6ee3d71c2856150008ba02597c20199b14aaa84131a7ab2e670",
     "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
-    "family-20": "cf38645f703c72ae1119dab3b5d6062faec9ea60483566cbb47d958a77251551",
+    "family-20": "2483c73f84dcad1af9f2ccd284d242b9a65c283949e942abad9ecd4b58aa4565",
 }
 
 MC_TABLE_SHA256 = {  # Monte Carlo tables of the k=3, T=3, G=201 market, 20 samples, seed 1
@@ -158,6 +162,15 @@ def test_batches_across_stream_blocks_pinned(example_cfg, example_tables, exampl
         key: float.fromhex(v) for key, v in REVENUE_5000.items()}
     law = example_mech.environment_law(2, 2, 5000, 0)
     assert (len(law), _law_sha256(law)) == (LAW_5000_ROWS, LAW_5000_SHA256)
+
+
+def test_audit_environment_law_pinned(example_mech):
+    """The law the t=2 BIC and IR audits at 500 replications, seed 0, read:
+    their pins see only how often the supply state is (0, 1), this one sees
+    every row."""
+    law = example_mech.environment_law(2, 1, 500, 0)
+    assert ([count for count, _env in law], _law_sha256(law)) == (LAW_T2_N1_COUNTS,
+                                                                   LAW_T2_N1_SHA256)
 
 
 def test_bic_audit_pinned(example_cfg, example_tables):
