@@ -17,11 +17,14 @@ servable reports, solved once per state and distinct key, and, when the
 next layer's table is non-decreasing in every variety, bit for bit (checked
 per layer; the final one is all zeros), without its reports of virtual value
 w <= 0, since against a non-decreasing continuation serving one cannot raise
-a correctly rounded sum. Exact expectations enumerate ordered consumer
-profiles in lexicographic (level, grid index) order, once per period for the
-whole layer (the report law does not depend on the supply state), and each
-entry is the correctly rounded sum (``math.fsum``) of its profile terms, so
-it does not depend on the order in which profiles are enumerated.
+a correctly rounded sum. In the final period, which has no continuation, a
+clipped key with no more reports than y_1 is solved once per layer instead:
+variety 1 alone could serve each of its reports, so the stage only picks
+which to serve, whatever else y holds. Exact expectations enumerate ordered
+consumer profiles in lexicographic (level, grid index) order, once per period
+for the whole layer (the report law does not depend on the supply state), and
+each entry is the correctly rounded sum (``math.fsum``) of its profile terms,
+so it does not depend on the order in which profiles are enumerated.
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream (`market.uniform_rows`, read by
 `PeriodSampler.report_sets`), and reduce the layer's (states, samples) array
@@ -140,8 +143,12 @@ def stage_value(
     (v* for one good), and keeps the candidate with the strictly largest
     correctly rounded total; on a tie the higher level wins, which is the
     lexicographically smaller u. It stops when no candidate beats the current
-    value. This is exact for continuations built by this DP; for an arbitrary
-    `cont`, use `oracle.reference_stage_value`, which enumerates.
+    value. The first round, with nothing served yet, adds w and the
+    continuation with one ``+``: for two finite floats with a finite sum that
+    is the correctly rounded sum ``math.fsum`` gives, and ``or 0.0`` turns a
+    zero total into +0.0, as ``math.fsum`` returns it. This is exact for
+    continuations built by this DP; for an arbitrary `cont`, use
+    `oracle.reference_stage_value`, which enumerates.
     """
     k = len(y)
     u = [0] * k
@@ -160,7 +167,8 @@ def stage_value(
                 break  # no good left that level j, or any lower level, accepts
             m[i] -= 1
             w = w_sorted[j][u[j]]
-            candidate = math.fsum((*served, w, cont(tuple(m))))
+            rest = cont(tuple(m))
+            candidate = math.fsum((*served, w, rest)) if served else (w + rest) or 0.0
             m[i] += 1
             if candidate > value:
                 value, best = candidate, (j, i, w)
@@ -375,7 +383,11 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     cannot raise a correctly rounded sum, and such a report is the lowest of
     its level. Per state, each key is clipped to the servable reports (per
     level j, the top ``y_1 + ... + y_j``), the stage is solved once per
-    distinct clipped key, and every state shares the summaries.
+    distinct clipped key, and every state shares the summaries. In the final
+    period (`cont` is `_no_continuation`), a clipped key of at most y_1
+    reports is solved once for the whole layer: variety 1 alone could serve
+    all of it, so by `build_value_tables`' contract its value is the same at
+    every state that reaches it.
 
     Exact (`samples` None): one walk records each ordered profile's weight
     ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and its key's
@@ -403,15 +415,18 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         pair_of.append((b + 1, w_rows[b][i]))
     keep = [not drop_unserved or w > 0.0 for _b, w in pair_of]
     summaries: dict[tuple, tuple] = {}
+    final = cont is _no_continuation
+    shared: dict[tuple, float] = {}   # final period: keys variety 1 alone can serve
 
     def evaluate(y, keys) -> list:
         """Stage value of every key at state y, in order."""
         reach = list(itertools.accumulate(y))
-        memo: dict[tuple, float] = {}
+        own: dict[tuple, float] = {}
         values = []
         for key in keys:
             if len(key) > reach[0]:  # otherwise every level can serve every report
                 key = _servable(key, level_of, reach)
+            memo = shared if final and len(key) <= reach[0] else own
             value = memo.get(key)
             if value is None:
                 summary = summaries.get(key)
@@ -505,7 +520,8 @@ def build_value_tables(
     """Backward induction over every reachable supply vector.
 
     Both backends key report sets one way and call the stage once per state
-    and distinct servable report set (`_expected_layer`); where layer t + 1
+    and distinct servable report set (`_expected_layer`; in the final period,
+    once per layer for a set variety 1 alone could serve); where layer t + 1
     is non-decreasing in every variety, bit for bit, the report sets of
     layer t also leave out every report with w <= 0. The exact backend
     enumerates all (arrival count, type profile) combinations once per
@@ -525,7 +541,10 @@ def build_value_tables(
     summation-order effects. Contract: the value must not depend on any
     level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
     is non-decreasing in every variety, on any report with w <= 0; both
-    backends leave both out of `w_sorted`.
+    backends leave both out of `w_sorted`. At the final period (`cont`
+    identically zero) the value may depend on y only through which reports
+    y can serve: both backends solve a report set that variety 1 alone
+    could serve once per layer, at the first state that reaches it.
     """
     check_backend(cfg, backend, samples, seed)
     stage_fn = stage_fn or _optimal_stage

@@ -45,6 +45,14 @@ MONO_SLACK = 1e-12    # monotonicity slack separating modeling error from fp noi
 MAX_FLOATS = np.iinfo(np.intp).max // 8   # the most float64s numpy can shape into one array
 
 
+def _index(value: int, count: int, name: str) -> int:
+    """value - 1 for a 1-based `name` (period, variety) in 1..count; ValueError
+    otherwise, never a wrapped or out-of-range tuple index."""
+    if not 1 <= value <= count:
+        raise ValueError(f"{name} {value} outside 1..{count}")
+    return value - 1
+
+
 def _readonly(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     arr.setflags(write=False)
@@ -150,7 +158,7 @@ class ArrivalDistribution:
         return max(len(p) - 1 for p in self.pmfs)
 
     def pmf(self, t: int) -> np.ndarray:
-        return self.pmfs[t - 1]
+        return self.pmfs[_index(t, len(self.pmfs), "period")]
 
 
 @dataclass(frozen=True)
@@ -164,12 +172,13 @@ class SupplyDistribution:
         return cls(pmfs=tuple(tuple(_readonly(p) for p in row) for row in rows))
 
     def pmf(self, t: int, j: int) -> np.ndarray:
-        return self.pmfs[t - 1][j - 1]
+        row = self.pmfs[_index(t, len(self.pmfs), "period")]
+        return row[_index(j, len(row), "variety")]
 
     def outcomes(self, t: int) -> tuple:
         """Joint arrival outcomes (prob, x) of period t in lexicographic order,
         zero-probability outcomes skipped."""
-        return self._outcomes_by_period[t - 1]
+        return self._outcomes_by_period[_index(t, len(self.pmfs), "period")]
 
     @cached_property
     def _outcomes_by_period(self) -> tuple:
@@ -181,10 +190,11 @@ class SupplyDistribution:
         return tuple(out)
 
     def x_max(self, t: int, j: int) -> int:
-        return len(self.pmfs[t - 1][j - 1]) - 1
+        return len(self.pmf(t, j)) - 1
 
     def cumulative_max(self, t: int, j: int) -> int:
         """Largest possible unallocated stock of variety j at time t."""
+        _index(t, len(self.pmfs), "period")
         return sum(self.x_max(s, j) for s in range(1, t + 1))
 
 
@@ -227,23 +237,16 @@ class MarketConfig:
         """Level b's virtual valuations at period t, both indices 1-based and checked."""
         if not 1 <= b <= self.varieties:
             raise OffGridValue(f"flexibility level {b} outside 1..{self.varieties}")
-        return self.virtual_values[self._period_index(t)][b - 1]
+        return self.virtual_values[_index(t, self.horizon, "period")][b - 1]
 
     def consumer_atoms(self, t: int) -> tuple:
         """Positive-probability consumer types (level, grid_index, prob, w) of
         period t in (level, grid index) order."""
-        return self._atoms_by_period[self._period_index(t)]
+        return self._atoms_by_period[_index(t, self.horizon, "period")]
 
     def sampler(self, t: int) -> "PeriodSampler":
         """Seeded draws of period t's arrival count, consumer types and supply."""
-        return self._samplers_by_period[self._period_index(t)]
-
-    def _period_index(self, t: int) -> int:
-        """t - 1 for a period t in 1..T; ValueError otherwise, never a wrapped
-        or out-of-range tuple index."""
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"period {t} outside 1..{self.horizon}")
-        return t - 1
+        return self._samplers_by_period[_index(t, self.horizon, "period")]
 
     @cached_property
     def _atoms_by_period(self) -> tuple:

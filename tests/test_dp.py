@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -85,6 +86,40 @@ def test_stage_zero_gain_consumer_not_served():
     # serving: 0.5 + cont((0,)) = 1.5 ; not serving: cont((1,)) = 1.5
     assert res.value == 1.5
     assert res.u_star == (0,)
+
+
+_TINY = 5e-324            # the smallest subnormal
+_MIN_NORMAL = 2.2250738585072014e-308
+# signed zeros, subnormals, ulp-apart pairs and values that nearly cancel
+_FIRST_ROUND_VALUES = (
+    0.0, -0.0, _TINY, -_TINY, 3 * _TINY, math.nextafter(_MIN_NORMAL, 0.0), -_MIN_NORMAL,
+    1.0, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 0.0), 0.1, -0.1,
+    -math.nextafter(0.1, 1.0), 1e16, -1e16 - 2.0, 0.5, -0.75,
+)
+
+
+@pytest.mark.parametrize("shape", ["level-1", "level-2"])
+def test_first_round_sum_is_exact(shape):
+    """Serving one report sums its w and the continuation after it without
+    `math.fsum`; on every (w, c) pair of the table the stage's value is
+    still ``math.fsum((w, c))`` to the bit (so +0.0 for a zero total), and
+    its u* and v* are the enumerating reference's. The continuation with the
+    good kept is the float just below that sum, so the report is served."""
+    for w, c in itertools.product(_FIRST_ROUND_VALUES, repeat=2):
+        want = math.fsum((w, c))
+        if shape == "level-1":
+            w_sorted, y = ((w,),), (1,)
+        else:
+            w_sorted, y = ((), (w,)), (1, 1)
+
+        def cont(m):
+            return math.nextafter(want, -math.inf) if m == y else c
+
+        got = stage_value(1, w_sorted, y, cont)
+        ref = oracle.reference_stage_value(1, w_sorted, y, cont)
+        assert got.value.hex() == want.hex(), (w, c)
+        assert (got.u_star, got.v_star) == (ref.u_star, ref.v_star), (w, c)
+        assert got.u_star != (0,) * len(y)
 
 
 def test_summarize_sorts_each_level():
@@ -190,12 +225,13 @@ def test_monotone_under_supply_shift(small_tables):
     assert not oracle.check_monotonicity(small_tables)
 
 
-def _exact_solve_market():
-    """k=2, T=2, G=21 market, arrivals uniform on {0, 1, 2}, Bernoulli(0.5) supply."""
+def _exact_solve_market(horizon: int = 2):
+    """k=2, G=21 market, arrivals uniform on {0, 1, 2}, Bernoulli(0.5) supply
+    in every period; T=2 is the benchmark's exact-solve market."""
     bern = [0.5, 0.5]
     return config_io.parse_config({
-        "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
-        "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
+        "horizon": horizon, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
+        "arrivals": [[1 / 3] * 3] * horizon, "supply": [[bern, bern]] * horizon,
         "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
     })
 
@@ -203,16 +239,18 @@ def _exact_solve_market():
 @pytest.mark.parametrize("backend", ["exact", "mc"])
 def test_stage_called_once_per_servable_multiset(backend, small_cfg):
     """One stage solve per state and distinct servable multiset of reports,
-    for both backends. Exact, on `_exact_solve_market`: 23,491 ordered
-    (profile, state) pairs need at most 2,955 solves, since the tables are
-    monotone and a report with w <= 0 is never served, so it leaves the keys.
-    Monte Carlo, on the inputs of `test_mc_tables_pinned`: 1,600 drawn
-    (report set, state) pairs need at most 143. A state with no supply serves
+    and in the final period one per layer for a multiset variety 1 alone can
+    serve, for both backends. Exact, on `_exact_solve_market`: 23,491 ordered
+    (profile, state) pairs need at most 1,995 solves, 1,410 of them in the
+    final period, since the tables are monotone and a report with w <= 0 is
+    never served, so it leaves the keys. Monte Carlo, on the inputs of
+    `test_mc_tables_pinned`: 1,600 drawn (report set, state) pairs need at
+    most 126, 52 of them in the final period. A state with no supply serves
     nobody, so it needs one solve per period."""
     if backend == "exact":
-        cfg, kwargs, bound = _exact_solve_market(), {}, 2955
+        cfg, kwargs, bound, final = _exact_solve_market(), {}, 1995, 1410
     else:
-        cfg, kwargs, bound = small_cfg, {"backend": "mc", "samples": 200, "seed": 3}, 143
+        cfg, kwargs, bound, final = small_cfg, {"backend": "mc", "samples": 200, "seed": 3}, 126, 52
     calls = []
 
     def counted(t, summary, y, cont):
@@ -221,22 +259,27 @@ def test_stage_called_once_per_servable_multiset(backend, small_cfg):
 
     tables = fm.build_value_tables(cfg, stage_fn=counted, **kwargs)
     assert len(calls) <= bound
+    assert sum(t == cfg.horizon for t, _y in calls) <= final
     assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
     assert tables.values == fm.build_value_tables(cfg, **kwargs).values
 
 
 def test_non_monotone_layer_keeps_never_served_reports():
-    """A stage that keeps the contract but charges 0.25 per good held makes
-    layers 1 and 2 non-monotone, so a report with w <= 0 may matter there; the
-    tables still equal the unmemoised reference expectation bit for bit."""
-    cfg = _exact_solve_market()
+    """A stage that keeps the contract but charges 0.25 per good held before
+    the final period makes layers 1 and 2 of a three-period market
+    non-monotone, so a report with w <= 0 may matter there; the tables still
+    equal the unmemoised reference expectation bit for bit. The final period
+    is not charged: there the contract lets a value depend on y only through
+    which reports y can serve."""
+    cfg = _exact_solve_market(horizon=3)
 
     def charged(t, summary, y, cont):
-        return dp._optimal_stage(t, summary, y, cont) - 0.25 * sum(y)
+        value = dp._optimal_stage(t, summary, y, cont)
+        return value - 0.25 * sum(y) if t < cfg.horizon else value
 
     tables = fm.build_value_tables(cfg, stage_fn=charged)
     assert not dp._non_decreasing(tables.values[1]) and not dp._non_decreasing(tables.values[2])
-    for t in (1, 2):
+    for t in (1, 2, 3):
         cont = tables.continuation_fn(t)
         for y in tables.states[t]:
             ref = oracle.reference_expected_stage(cfg, t, y, cont, charged)

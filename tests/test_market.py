@@ -324,6 +324,36 @@ def test_supply_outcomes_and_consumer_atoms(example_cfg):
     assert w == fm.virtual_valuation(example_cfg, 1, float(example_cfg.grid.points[i]), b)
 
 
+_BAD_ACCESS = {  # (call on the worked example at T = 2, k = 2, the message it must raise)
+    "arrivals-pmf-period-0": (lambda c: c.arrivals.pmf(0), "period 0 outside 1..2"),
+    "arrivals-pmf-period-T+1": (lambda c: c.arrivals.pmf(3), "period 3 outside 1..2"),
+    "supply-pmf-period-0": (lambda c: c.supply.pmf(0, 1), "period 0 outside 1..2"),
+    "supply-pmf-period-T+1": (lambda c: c.supply.pmf(3, 1), "period 3 outside 1..2"),
+    "supply-pmf-variety-0": (lambda c: c.supply.pmf(1, 0), "variety 0 outside 1..2"),
+    "supply-pmf-variety-k+1": (lambda c: c.supply.pmf(1, 3), "variety 3 outside 1..2"),
+    "outcomes-period-0": (lambda c: c.supply.outcomes(0), "period 0 outside 1..2"),
+    "outcomes-period-T+1": (lambda c: c.supply.outcomes(3), "period 3 outside 1..2"),
+    "x-max-period-0": (lambda c: c.supply.x_max(0, 1), "period 0 outside 1..2"),
+    "x-max-variety-0": (lambda c: c.supply.x_max(1, 0), "variety 0 outside 1..2"),
+    "x-max-variety-k+1": (lambda c: c.supply.x_max(2, 3), "variety 3 outside 1..2"),
+    "cumulative-max-period-0": (lambda c: c.supply.cumulative_max(0, 1), "period 0 outside 1..2"),
+    "cumulative-max-period-T+1": (lambda c: c.supply.cumulative_max(3, 1),
+                                  "period 3 outside 1..2"),
+    "cumulative-max-variety-0": (lambda c: c.supply.cumulative_max(2, 0),
+                                 "variety 0 outside 1..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ACCESS))
+def test_distribution_accessors_check_their_indices(case, small_cfg):
+    """A period or variety outside its range raises ValueError, never reads
+    another period's or variety's entry by a wrapped index (0 reads the last)
+    nor fails with a bare IndexError."""
+    call, message = _BAD_ACCESS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(small_cfg)
+
+
 def test_period_sampler_follows_the_pmfs(example_cfg):
     sampler = example_cfg.sampler(1)
     assert sampler is example_cfg.sampler(1)  # CDFs tabulated once per config

@@ -533,13 +533,16 @@ def test_stage_matches_reference_on_family():
 
 def test_stage_matches_reference_beyond_family():
     """Inputs the family never reaches: non-monotone Monte Carlo tables, and an
-    exact k=3 market with two goods per variety per draw and three arrivals."""
+    exact k=3 market with two goods per variety per draw and three arrivals.
+    The final period solves each set that variety 1 alone can serve once per
+    layer, so the inputs are sized to keep more than 5,000 solves each
+    (5,334 and 7,161)."""
     calls = []
-    dp.build_value_tables(_k3_market(horizon=3, points=201), backend="mc", samples=20, seed=1,
+    dp.build_value_tables(_k3_market(horizon=3, points=201), backend="mc", samples=30, seed=1,
                           stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
     calls.clear()
-    dp.build_value_tables(_k3_market(horizon=2, points=3), stage_fn=_checked_stage(calls))
+    dp.build_value_tables(_k3_market(horizon=2, points=4), stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
 
 
