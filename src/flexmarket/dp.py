@@ -22,19 +22,17 @@ clipped key with no more reports than y_1 is solved once per layer instead:
 variety 1 alone could serve each of its reports, so the stage only picks
 which to serve, whatever else y holds. Exact expectations enumerate ordered
 consumer profiles in lexicographic (level, grid index) order, once per period
-for the whole layer (the report law does not depend on the supply state), and
-each entry is the correctly rounded sum (``math.fsum``) of its profile terms,
-so it does not depend on the order in which profiles are enumerated.
+for the whole layer (the report law does not depend on the supply state).
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream (`market.uniform_rows`, read by
-`PeriodSampler.report_sets`), and reduce the layer's (states, samples) array
-of stage values once: one mean and one standard error per row, the same
-floats as 1-D numpy calls per state give.
+`PeriodSampler.report_sets`). Every expectation in the package, these two
+and the continuation here and the episode revenue, interim quantities and
+audits in `simulate`, is computed by `estimate`, whose ``math.fsum`` sums
+are correctly rounded and so do not depend on the order of their terms.
 None of these shortcuts moves a bit of any table
 (``oracle.reference_expected_stage``, one unmemoised enumeration per state,
-is the exact reference). Stage values and exact expectations are
-``math.fsum`` sums (correctly rounded), so two pipelines that agree on the
-terms produce identical floats.
+is the exact reference). Stage values are ``math.fsum`` sums too, so two
+pipelines that agree on the terms produce identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
@@ -51,15 +49,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
-from .market import MAX_FLOATS, MarketConfig, uniform_rows
+from .market import MAX_FLOATS, MarketConfig, _index, uniform_rows
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
@@ -188,6 +185,32 @@ def _optimal_stage(t: int, w_sorted: tuple, y: Vector, cont) -> float:
 # Value tables
 # ---------------------------------------------------------------------------
 
+def estimate(values: Iterable[float], weights: Sequence[float] | None = None,
+             draws: int | None = None) -> tuple[float, float]:
+    """Mean and standard error of `values`: the one estimator of every
+    expectation in the package.
+
+    An exact law (`draws` None) weighs value i by its probability
+    ``weights[i]``: the mean is ``fsum(w * v)``, the standard error 0.0. A
+    sample of `draws` draws weighs it by its draw count ``weights[i]``, or
+    by 1 when `weights` is None, and must be a sequence: the mean is
+    ``fsum(w * v) / draws`` and the standard error
+    ``sqrt(fsum(w * (v - mean) ** 2) / (draws - 1) / draws)``. Each fsum is
+    correctly rounded, so no order of the values moves a bit. A sample of
+    equal values has standard error 0.0 wherever its mean rounds back to
+    that value.
+    """
+    if draws is None:
+        return math.fsum(map(operator.mul, weights, values)), 0.0
+    if weights is None:
+        mean = math.fsum(values) / draws
+        spread = math.fsum((v - mean) ** 2 for v in values)
+    else:
+        mean = math.fsum(map(operator.mul, weights, values)) / draws
+        spread = math.fsum(c * (v - mean) ** 2 for c, v in zip(weights, values))
+    return mean, math.sqrt(spread / (draws - 1) / draws)
+
+
 @dataclass
 class ValueTables:
     """Report-expected value functions C_t(y), frozen after construction."""
@@ -219,13 +242,15 @@ class ValueTables:
             else:
                 nxt = self.values[t + 1]
                 outcomes = self.config.supply.outcomes(t + 1)
+                probs = [p for p, _xs in outcomes]
                 memo: dict[Vector, float] = {}
 
                 def cont(m):
                     got = memo.get(m)
                     if got is None:
-                        got = memo[m] = math.fsum(
-                            p * nxt[tuple(a + b for a, b in zip(m, xs))] for p, xs in outcomes)
+                        got = memo[m] = estimate(
+                            [nxt[tuple(a + b for a, b in zip(m, xs))] for _p, xs in outcomes],
+                            probs)[0]
                     return got
             self._conts[t] = cont
         return cont
@@ -391,19 +416,16 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
 
     Exact (`samples` None): one walk records each ordered profile's weight
     ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and its key's
-    slot, 12 bytes per profile; every state's entry is ``math.fsum`` of
-    weight times value over the profiles, the correctly rounded sum of those
-    terms in any order, bit for bit `oracle.reference_expected_stage`.
+    slot, 12 bytes per profile; every state's entry is the `estimate` of
+    that exact law, ``math.fsum`` of weight times value over the profiles,
+    bit for bit `oracle.reference_expected_stage`.
     Monte Carlo: state number idx draws its `samples` report sets (arrival
     count, then each consumer) in one `PeriodSampler.report_sets` call from
     row idx of `market.uniform_rows`: the stream of
     ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
     ``samples * (1 + 2 * n_max)`` uniforms wide, enough for the largest
-    arrival count n_max in every sample. Its per-sample values, in
-    draw order, fill row idx of one (states, samples) array, and the layer
-    takes the numpy mean and standard error along the rows once: a
-    reduction along the contiguous last axis sums each row pairwise as the
-    1-D call does, so every entry is the float the per-state calls give.
+    arrival count n_max in every sample. The entry and its standard error
+    are the `estimate` of its per-sample values, each one draw.
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -436,19 +458,17 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
             values.append(value)
         return values
 
+    layer, errs = {}, {}
     if samples is not None:
         sampler = cfg.sampler(t)
-        vals = np.empty((len(states), samples))
         rows = uniform_rows((seed, t), len(states), samples * (1 + 2 * sampler.n_max))
-        for idx, (y, row) in enumerate(zip(states, rows)):
+        for y, row in zip(states, rows):
             keys = []
             for drawn in sampler.report_sets(row, samples):
                 ranks = [rank[b - 1][i] for b, i in drawn]
                 keys.append(tuple(sorted([r for r in ranks if keep[r]])))
-            vals[idx] = evaluate(y, keys)
-        means = vals.mean(axis=1).tolist()
-        errs = (vals.std(axis=1, ddof=1) / math.sqrt(samples)).tolist()
-        return dict(zip(states, means)), dict(zip(states, errs))
+            layer[y], errs[y] = estimate(evaluate(y, keys), draws=samples)
+        return layer, errs
 
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
@@ -475,22 +495,19 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
             weights.append(prob)
             slots.append(slot)
     del slot_of
-    layer = {}
     for y in states:
         values = evaluate(y, multisets)
-        layer[y] = math.fsum(prob * values[slot] for prob, slot in zip(weights, slots))
-    return layer, dict.fromkeys(states, 0.0)
+        layer[y], errs[y] = estimate(map(values.__getitem__, slots), weights)
+    return layer, errs
 
 
 def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: int | None,
                   error: type[Exception] = ValueError) -> None:
     """The one backend rule, raised as `error`: the backend is "exact", with
     no samples and no seed, or "mc", with a seed and at least 2 samples, but
-    no more than numpy can shape into one of `cfg`'s layer arrays: a state's
-    ``samples * (1 + 2 * n_max)`` uniforms and the layer's (states, samples)
-    values, its states counted as `reachable_states`' box without listing
-    them. `build_value_tables`, `ValueTables.load` and the `solve` command
-    apply it."""
+    no more than numpy can shape into one state's row of
+    ``samples * (1 + 2 * n_max)`` uniforms. `build_value_tables`,
+    `ValueTables.load` and the `solve` command apply it."""
     if backend not in ("exact", "mc"):
         raise error(f"unknown backend {backend!r}")
     if backend == "mc":
@@ -498,13 +515,10 @@ def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: in
             raise error("mc backend needs samples >= 2")
         if seed is None:
             raise error("mc backend needs a seed")
-        per_sample = max(max(1 + 2 * cfg.sampler(t).n_max,
-                             math.prod(cfg.supply.cumulative_max(t, j) + 1
-                                       for j in range(1, cfg.varieties + 1)))
-                         for t in range(1, cfg.horizon + 1))
+        per_sample = max(1 + 2 * cfg.sampler(t).n_max for t in range(1, cfg.horizon + 1))
         if samples > MAX_FLOATS // per_sample:
             raise error(f"mc backend takes at most {MAX_FLOATS // per_sample} samples on this "
-                        f"config, the most numpy can shape into a layer's arrays, got {samples}")
+                        f"config, the most numpy can shape into a row of uniforms, got {samples}")
     elif samples is not None or seed is not None:
         raise error("exact backend takes no samples or seed")
 
@@ -530,8 +544,7 @@ def build_value_tables(
     seeded draws per entry, with an independent stream per (period, state)
     so results do not depend on evaluation order, and records each entry's
     standard error. Each state draws its report sets from one row of
-    uniforms, and each layer takes one mean/std reduction over all its
-    states, the same floats as 1-D numpy calls per state give.
+    uniforms. Both backends' entries are `estimate`s, exact or sampled.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing
@@ -581,8 +594,7 @@ def continuation_gap(tables: ValueTables, t: int, y: Sequence[int], j: int) -> f
     spending a good via the variety recursion; zero in the final period.
     """
     cfg = tables.config
-    if not 1 <= t <= cfg.horizon:
-        raise ValueError(f"period {t} outside 1..{cfg.horizon}")
+    _index(t, cfg.horizon, "period")
     k = cfg.varieties
     if not 1 <= j <= k:
         raise OffGridValue(f"flexibility level {j} outside 1..{k}")

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, TableMismatch
-from .market import MarketConfig, _first_reaching, environment_plan
+from .market import MarketConfig, _first_reaching, _index, environment_plan
 
 # Entries the allocation memo and the threshold memo may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -112,8 +112,7 @@ class Mechanism:
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
         """Optimal allocation for one period: the variety each report receives."""
-        if not 1 <= t <= self.cfg.horizon:
-            raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
+        _index(t, self.cfg.horizon, "period")
         y = tuple(y)
         if y not in self.tables.values[t]:
             raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
@@ -249,8 +248,7 @@ class Mechanism:
         drawn per call off `u` in `market.environment_plan`'s order: per
         period, supply arrivals, then the arrival count, then each
         consumer's (level, valuation)."""
-        if not 1 <= t <= self.cfg.horizon:
-            raise ValueError(f"period {t} outside 1..{self.cfg.horizon}")
+        _index(t, self.cfg.horizon, "period")
         return self._environment(t, environment_plan(self.cfg, t, 1).read(u))[0]
 
     def _read_types(self, draws, n: int | None = None) -> tuple:
@@ -286,8 +284,7 @@ class Mechanism:
         cfg = self.cfg
         if n_t < 1:
             raise ValueError(f"need n_t >= 1 arrivals, got {n_t}")
-        if not 1 <= t <= cfg.horizon:
-            raise ValueError(f"period {t} outside 1..{cfg.horizon}")
+        _index(t, cfg.horizon, "period")
         yield from environment_plan(cfg, t, n_t).replicate(
             (seed, t), replications, lambda history: self._environment(t, history))
 

@@ -19,10 +19,10 @@ law is either sampled (`Mechanism.environment_law`: the environments of
 repeat heavily at desk scale, and drawn once per Mechanism and key, so audits
 on one Mechanism share it) or, for interim quantities at t = 1, enumerated
 exactly. One evaluator probes each distinct report once per environment of
-the law, and every interim quantity and audit entry is a weighted mean over
-those evaluations. Deviation audits thereby couple the truthful and
-deviating reports on common random environments, which makes the paired
-gain estimates sharp.
+the law, and every interim quantity and audit entry is the `dp.estimate` of
+those evaluations under the law. Deviation audits thereby couple the
+truthful and deviating reports on common random environments, which makes
+the paired gain estimates sharp.
 """
 
 from __future__ import annotations
@@ -127,11 +127,10 @@ class RevenueEstimate:
     def __init__(self, revenues: Sequence[float], surpluses: Sequence[float], seed: int):
         self.replications = n = len(revenues)
         self.seed = seed
-        self.mean, self.stderr = _env_stats([(1, r) for r in revenues], n)
-        self.virtual_mean, self.virtual_stderr = _env_stats([(1, s) for s in surpluses], n)
-        self.diff_mean, self.diff_stderr = _env_stats(
-            [(1, r - s) for r, s in zip(revenues, surpluses)], n
-        )
+        self.mean, self.stderr = dp.estimate(revenues, draws=n)
+        self.virtual_mean, self.virtual_stderr = dp.estimate(surpluses, draws=n)
+        self.diff_mean, self.diff_stderr = dp.estimate(
+            [r - s for r, s in zip(revenues, surpluses)], draws=n)
 
     def to_json(self) -> dict:
         return {
@@ -258,21 +257,6 @@ class AuditReport:
         return {**asdict(self), **summary}
 
 
-def _env_stats(per_env_values: list[tuple[float, float]],
-               replications: int | None) -> tuple[float, float]:
-    """Weighted mean and standard error of per-environment values.
-
-    The weights are replication counts summing to `replications`, or, with
-    `replications` None, the probabilities of an exact law, whose mean has no
-    sampling error.
-    """
-    if replications is None:
-        return math.fsum(c * v for c, v in per_env_values), 0.0
-    mean = math.fsum(c * v for c, v in per_env_values) / replications
-    var = math.fsum(c * (v - mean) ** 2 for c, v in per_env_values) / (replications - 1)
-    return mean, math.sqrt(var / replications)
-
-
 def _check_slot(n_t: int, slot: int) -> None:
     """Raise unless `slot` names one of n_t >= 1 arrivals; run before any law is drawn."""
     if n_t < 1 or not 1 <= slot <= n_t:
@@ -311,10 +295,10 @@ def _probe_outcomes(mech: Mechanism, t: int, slot: int, law: Sequence):
         lambda report: [mech._evaluate_probe(t, y, others, slot, report) for _, (y, others) in law])
 
 
-def _utilities(law: Sequence, outcomes: list, true_val: float) -> list[tuple[float, float]]:
-    """(weight, realized utility) per environment of a consumer whose true value
-    is true_val and whose report met `outcomes`."""
-    return [(w, true_val * served - pay) for (w, _), (served, pay) in zip(law, outcomes)]
+def _utilities(outcomes: list, true_val: float) -> list[float]:
+    """Realized utility per environment of a consumer whose true value is
+    true_val and whose report met `outcomes`."""
+    return [true_val * served - pay for served, pay in outcomes]
 
 
 class InterimEstimate(NamedTuple):
@@ -344,8 +328,9 @@ def interim_quantities(cfg: MarketConfig, tables: ValueTables, t: int, n_t: int,
     else:
         replications = None
     outcomes = _probe_outcomes(mech, t, i, law)(report)
-    q, q_se = _env_stats([(w, served) for (w, _), (served, _) in zip(law, outcomes)], replications)
-    p, p_se = _env_stats([(w, pay) for (w, _), (_, pay) in zip(law, outcomes)], replications)
+    weights = [w for w, _ in law]
+    q, q_se = dp.estimate([served for served, _ in outcomes], weights, replications)
+    p, p_se = dp.estimate([pay for _, pay in outcomes], weights, replications)
     return InterimEstimate(q, p, q_se, p_se, replications)
 
 
@@ -362,15 +347,16 @@ def bic_audit(cfg: MarketConfig, tables: ValueTables, probe: AuditProbe,
         raise ValueError("a BIC probe needs at least one true type and one deviation value")
     law = mech.environment_law(probe.t, probe.n_t, replications, seed)
     outcomes = _probe_outcomes(mech, probe.t, probe.slot, law)
+    counts = [count for count, _ in law]
     report = AuditReport(kind="bic", replications=replications, seed=seed)
 
     for true_val, true_lvl in probe.true_types:
-        truth = _utilities(law, outcomes((true_val, true_lvl)), true_val)
+        truth = _utilities(outcomes((true_val, true_lvl)), true_val)
         for dev_lvl in range(1, true_lvl + 1):
             for dev_val in probe.deviation_values:
-                lied = _utilities(law, outcomes((dev_val, dev_lvl)), true_val)
-                gains = [(count, u - u_truth) for (count, u), (_, u_truth) in zip(lied, truth)]
-                mean, se = _env_stats(gains, replications)
+                lied = _utilities(outcomes((dev_val, dev_lvl)), true_val)
+                gains = [u - u_truth for u, u_truth in zip(lied, truth)]
+                mean, se = dp.estimate(gains, counts, replications)
                 report.entries.append(AuditEntry(
                     t=probe.t, true_type=(true_val, true_lvl),
                     deviation=(dev_val, dev_lvl),
@@ -394,9 +380,10 @@ def ir_audit(cfg: MarketConfig, tables: ValueTables, replications: int, seed: in
     for probe in probes:
         law = mech.environment_law(probe.t, probe.n_t, replications, seed)
         outcomes = _probe_outcomes(mech, probe.t, probe.slot, law)
+        counts = [count for count, _ in law]
         for true_val, true_lvl in probe.true_types:
-            utils = _utilities(law, outcomes((true_val, true_lvl)), true_val)
-            mean, se = _env_stats(utils, replications)
+            utils = _utilities(outcomes((true_val, true_lvl)), true_val)
+            mean, se = dp.estimate(utils, counts, replications)
             report.entries.append(AuditEntry(
                 t=probe.t, true_type=(true_val, true_lvl), deviation=None,
                 value=mean, stderr=se, samples=replications,

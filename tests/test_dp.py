@@ -13,6 +13,7 @@ from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
 from conftest import tabulated_config
+from test_oracle import _k3_market
 
 
 # -- feasible sets ---------------------------------------------------------------
@@ -317,8 +318,11 @@ def _per_call_mc_tables(cfg, samples, seed, stage_fn):
     """Monte Carlo tables drawn the plain way. State number idx of period t
     draws each of its `samples` report sets with per-call `arrival_count` and
     `consumer` draws on ``default_rng(SeedSequence([seed, t, idx]))``, sums
-    up every report (no clipping, no memo, no w <= 0 rule), and takes the
-    1-D numpy mean and standard error of its stage values."""
+    up every report (no clipping, no memo, no w <= 0 rule), and writes out
+    the stated estimator on its stage values in reverse draw order: the mean
+    ``fsum(v) / n`` and the standard error
+    ``sqrt(fsum((v - mean) ** 2) / (n - 1) / n)``. An entry that equals it
+    does not depend on the order of its samples."""
     T, k = cfg.horizon, cfg.varieties
     states = {t: dp.reachable_states(cfg, t) for t in range(1, T + 2)}
     tables = ValueTables(config=cfg, backend="mc", samples=samples, seed=seed, states=states,
@@ -334,8 +338,10 @@ def _per_call_mc_tables(cfg, samples, seed, stage_fn):
                 drawn = [sampler.consumer(u) for _ in range(sampler.arrival_count(u))]
                 summary = summarize([(b, w_rows[b - 1][i]) for b, i in drawn], k)
                 vals.append(stage_fn(t, summary, y, cont))
-            tables.values[t][y] = float(np.mean(vals))
-            tables.stderrs[t][y] = float(np.std(vals, ddof=1) / math.sqrt(samples))
+            vals.reverse()
+            mean = tables.values[t][y] = math.fsum(vals) / samples
+            spread = math.fsum((v - mean) ** 2 for v in vals)
+            tables.stderrs[t][y] = math.sqrt(spread / (samples - 1) / samples)
     return tables
 
 
@@ -344,14 +350,15 @@ def _hex_entries(tables):
             for t in tables.states for y in tables.states[t]}
 
 
-# 2, 3, 9 and 20 samples sit on both sides of numpy's 8-wide unrolled sum, 129 past its 128 block
+# 2 samples is the smallest mc build; at 3, 9, 20 (mc-market's) and 129 an order-dependent
+# sum, such as numpy's `mean` and `std`, reads the reversed values differently
 @pytest.mark.parametrize("seed", [1, 2 ** 64 + 5])
 @pytest.mark.parametrize("samples", [2, 3, 9, 20, 129])
 def test_mc_tables_match_per_call_draws(samples, seed):
     """The mc backend (one block of uniforms per state, clipped memoised
-    keys, one mean/std reduction per layer) equals the plain per-call
-    reference bit for bit, for the optimal and the myopic stage, on the
-    first 40 family instances."""
+    keys, `dp.estimate` in draw order) equals the plain per-call reference,
+    summed in reverse draw order, bit for bit, for the optimal and the
+    myopic stage, on the first 40 family instances."""
     for instance in range(40):
         cfg = oracle.random_instance(instance)
         kwargs = {"backend": "mc", "samples": samples, "seed": seed}
@@ -362,6 +369,28 @@ def test_mc_tables_match_per_call_draws(samples, seed):
             assert _hex_entries(built) == _hex_entries(reference), (instance, built.backend)
 
 
+def test_mc_constant_sample_has_zero_stderr():
+    """An mc entry whose drawn stage values are all equal is that value with
+    standard error 0.0, not a rounding residue. On the mc-market market
+    (`test_oracle._k3_market(3, 201)`, 20 samples), y=(0, 0, 0) is such an
+    entry at every period, and at seed 2 so is t=2, y=(0, 0, 3)."""
+    cfg = _k3_market(3, 201)
+    for seed in (1, 2):
+        drawn = {}
+
+        def recorded(t, summary, y, cont):
+            value = dp._optimal_stage(t, summary, y, cont)
+            drawn.setdefault((t, y), []).append(value)
+            return value
+
+        _per_call_mc_tables(cfg, 20, seed, recorded)
+        built = fm.build_value_tables(cfg, backend="mc", samples=20, seed=seed)
+        constant = {key: vals[0] for key, vals in drawn.items() if len(set(vals)) == 1}
+        assert len(constant) == {1: 3, 2: 4}[seed]
+        for (t, y), value in constant.items():
+            assert (built.values[t][y], built.stderrs[t][y]) == (value, 0.0), (seed, t, y)
+
+
 def test_mc_requires_sampling_params(small_cfg):
     with pytest.raises(ValueError):
         fm.build_value_tables(small_cfg, backend="mc", samples=500)
@@ -370,8 +399,8 @@ def test_mc_requires_sampling_params(small_cfg):
 
 
 def test_mc_build_lists_each_layer_once(small_cfg, monkeypatch):
-    """The backend rule counts a layer's states without listing them, so an mc
-    build calls `reachable_states` once per layer, T + 1 times in all."""
+    """An mc build lists each layer's states once: it calls
+    `reachable_states` T + 1 times in all."""
     real, calls = dp.reachable_states, []
 
     def counted(cfg, t):
