@@ -24,8 +24,9 @@ which to serve, whatever else y holds. Exact expectations enumerate ordered
 consumer profiles in lexicographic (level, grid index) order, once per period
 for the whole layer (the report law does not depend on the supply state).
 Monte Carlo expectations draw each state's report sets from one row of
-uniforms, the state's own stream (`market.uniform_rows`, read by
-`PeriodSampler.report_sets`). Every expectation in the package, these two
+uniforms, the state's own stream; `PeriodSampler.rank_keys` decodes a
+layer's rows a block at a time with numpy and hands back each set's key, so
+this module imports no numpy. Every expectation in the package, these two
 and the continuation here and the episode revenue, interim quantities and
 audits in `simulate`, is computed by `estimate`, whose ``math.fsum`` sums
 are correctly rounded and so do not depend on the order of their terms.
@@ -52,11 +53,12 @@ import math
 import operator
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
-from .market import MAX_FLOATS, MarketConfig, _index, uniform_rows
+from .market import MAX_FLOATS, MarketConfig, _index
 
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
@@ -170,7 +172,7 @@ def stage_value(
             if candidate > value:
                 value, best = candidate, (j, i, w)
         if best is None:
-            return StageResult(value, tuple(u), tuple(a - b for a, b in zip(y, m)))
+            return StageResult(value, tuple(u), tuple(map(operator.sub, y, m)))
         j, i, w = best
         u[j] += 1
         m[i] -= 1
@@ -249,7 +251,7 @@ class ValueTables:
                     got = memo.get(m)
                     if got is None:
                         got = memo[m] = estimate(
-                            [nxt[tuple(a + b for a, b in zip(m, xs))] for _p, xs in outcomes],
+                            [nxt[tuple(map(operator.add, m, xs))] for _p, xs in outcomes],
                             probs)[0]
                     return got
             self._conts[t] = cont
@@ -420,25 +422,39 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     that exact law, ``math.fsum`` of weight times value over the profiles,
     bit for bit `oracle.reference_expected_stage`.
     Monte Carlo: state number idx draws its `samples` report sets (arrival
-    count, then each consumer) in one `PeriodSampler.report_sets` call from
-    row idx of `market.uniform_rows`: the stream of
-    ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
+    count, then each consumer) from row idx of `market.uniform_blocks`: the
+    stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
     ``samples * (1 + 2 * n_max)`` uniforms wide, enough for the largest
-    arrival count n_max in every sample. The entry and its standard error
-    are the `estimate` of its per-sample values, each one draw.
+    arrival count n_max in every sample. `PeriodSampler.rank_keys` reads the
+    layer's rows a block at a time and yields each row's keys, ranked by
+    `rank` (-1 for a report the key leaves out). The entry and its standard
+    error are the `estimate` of its per-sample values, each one draw.
+
+    A key's ranks are sorted, so each level's reports are one contiguous
+    run, best first: a key's summary is its runs' virtual values, the very
+    tuples `summarize` would sort them into (its sort is stable, so equal
+    values, signed zeros included, keep rank order).
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
-    rank = [[0] * len(row) for row in w_rows]   # rank[level - 1][grid index]
-    level_of, pair_of = [], []                  # per rank: 0-based level, (level, w)
+    rank = [[0] * len(row) for row in w_rows]   # rank[level - 1][grid index], -1 if left out
+    level_of, w_of = [], []                     # per rank: 0-based level, w
     for r, (b, _w, i) in enumerate(cells):
-        rank[b][i] = r
+        w = w_rows[b][i]
+        rank[b][i] = r if not drop_unserved or w > 0.0 else -1
         level_of.append(b)
-        pair_of.append((b + 1, w_rows[b][i]))
-    keep = [not drop_unserved or w > 0.0 for _b, w in pair_of]
+        w_of.append(w)
+    starts = [level_of.index(b) for b in range(1, cfg.varieties)]   # each level's first rank
     summaries: dict[tuple, tuple] = {}
     final = cont is _no_continuation
     shared: dict[tuple, float] = {}   # final period: keys variety 1 alone can serve
+
+    def summarize_key(key: tuple) -> tuple:
+        """`summarize` of a key's reports without a sort: each level's
+        ranks are one contiguous run of the key, best first."""
+        ws = tuple(map(w_of.__getitem__, key))
+        ends = [*map(bisect_left, itertools.repeat(key), starts), len(key)]
+        return tuple(map(ws.__getitem__, map(slice, [0, *ends], ends)))
 
     def evaluate(y, keys) -> list:
         """Stage value of every key at state y, in order."""
@@ -453,27 +469,22 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
             if value is None:
                 summary = summaries.get(key)
                 if summary is None:
-                    summary = summaries[key] = summarize([pair_of[r] for r in key], cfg.varieties)
+                    summary = summaries[key] = summarize_key(key)
                 value = memo[key] = stage_fn(t, summary, y, cont)
             values.append(value)
         return values
 
     layer, errs = {}, {}
     if samples is not None:
-        sampler = cfg.sampler(t)
-        rows = uniform_rows((seed, t), len(states), samples * (1 + 2 * sampler.n_max))
-        for y, row in zip(states, rows):
-            keys = []
-            for drawn in sampler.report_sets(row, samples):
-                ranks = [rank[b - 1][i] for b, i in drawn]
-                keys.append(tuple(sorted([r for r in ranks if keep[r]])))
+        keyed = cfg.sampler(t).rank_keys((seed, t), len(states), samples, rank)
+        for y, keys in zip(states, keyed):
             layer[y], errs[y] = estimate(evaluate(y, keys), draws=samples)
         return layer, errs
 
     atoms = cfg.consumer_atoms(t)
     lam = cfg.arrivals.pmf(t)
     atom_rank = [rank[b - 1][i] for b, i, _p, _w in atoms]
-    atom_kept = [keep[r] for r in atom_rank]
+    atom_kept = [r >= 0 for r in atom_rank]
     probs = [p for _b, _i, p, _w in atoms]
     weights = array("d")
     slots = array("I")
@@ -543,8 +554,9 @@ def build_value_tables(
     exceeds `profile_budget`. The Monte Carlo backend averages `samples`
     seeded draws per entry, with an independent stream per (period, state)
     so results do not depend on evaluation order, and records each entry's
-    standard error. Each state draws its report sets from one row of
-    uniforms. Both backends' entries are `estimate`s, exact or sampled.
+    standard error. A layer's report sets are drawn a block of states'
+    rows at a time, and each state's from its own row of uniforms. Both
+    backends' entries are `estimate`s, exact or sampled.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing

@@ -6,10 +6,12 @@ draw plans of the batch sites.
 A `DrawPlan` writes down once the order in which one replication of a batch
 (an episode, or the environment a period-t probe meets) draws. A batch reads
 each block of rows of `uniform_blocks` by columns, one `np.searchsorted` per
-draw over every row, into histories: flat tuples of decoded ints. One stream
-reads per call instead, one uniform per draw through `PeriodSampler`: a
-standalone episode, `Mechanism.sample_supply_state`, and each Monte Carlo
-state's report sets. Either way the same uniforms give the same history.
+draw over every row, into histories: flat tuples of decoded ints. A Monte
+Carlo layer reads its states' rows a block at a time too
+(`PeriodSampler.rank_keys`). One stream reads per call instead, one uniform
+per draw through `PeriodSampler`: a standalone episode and
+`Mechanism.sample_supply_state`. Either way the same uniforms give the same
+draws.
 
 The market sells k varieties of durable goods over a finite horizon T.
 A consumer of flexibility level b accepts any variety in 1..b and reports a
@@ -25,6 +27,7 @@ import hashlib
 import itertools
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -315,6 +318,8 @@ class PeriodSampler:
     gives the same draws whichever way it is held. The CDFs are held as
     lists of the very floats `np.cumsum` gives, so a `bisect` over them
     picks the index `np.searchsorted` would, without a numpy call per draw.
+    `rank_keys` makes the same draws off whole blocks of rows, searching
+    `cuts`, the same CDFs as arrays.
     """
 
     __slots__ = ("arrivals", "levels", "values", "supply", "cuts")
@@ -345,13 +350,59 @@ class PeriodSampler:
     def supply_arrivals(self, u) -> tuple:
         return tuple(_draw(cum, u()) for cum in self.supply)
 
-    def report_sets(self, row, count: int) -> list:
-        """`count` report sets, each a list of consumers' (level, grid index):
-        `count` rounds of `arrival_count`, then that many `consumer` calls,
-        read in order off `row`, which must hold ``count * (1 + 2 * n_max)``
-        uniforms, enough for the largest arrival count in every round."""
-        u = iter(row).__next__
-        return [[self.consumer(u) for _ in range(self.arrival_count(u))] for _ in range(count)]
+    def rank_keys(self, prefix: Sequence[int], rows: int, samples: int, rank: list):
+        """Each of rows 0..rows-1 of `uniform_blocks` (`prefix`,
+        ``samples * (1 + 2 * n_max)`` uniforms wide) read as `samples`
+        report sets, yielded as a list of `samples` keys. A set is drawn as
+        `arrival_count` and that many `consumer` calls would draw it off the
+        row in order; its key is the ascending tuple of its consumers'
+        ``rank[level - 1][grid index]``, where `rank` is a (k, G) list of
+        ints and a cell ranked -1 is left out.
+
+        A block is decoded at once, without a call per uniform: one
+        `_draw_column` over the block gives the arrival count every
+        position would draw; a chase per row over those ints finds each
+        set's count and consumers; then one search decodes the consumers'
+        levels and one per level their grid indices. Each set's ranks are
+        then sorted in one numpy sort over the block, keyed by set first.
+        """
+        table = np.array(rank, dtype=np.int64)
+        for block in uniform_blocks(prefix, rows, samples * (1 + 2 * self.n_max)):
+            keys = self._block_keys(block, samples, table)
+            for r in range(len(block)):
+                yield keys[r * samples:(r + 1) * samples]
+
+    def _block_keys(self, block: np.ndarray, samples: int, table: np.ndarray) -> list:
+        """The key of every report set of `block`, row by row (see
+        `rank_keys`); `table` is the rank table as an array. Its temporaries
+        go when it returns, before any key is handed out."""
+        arrivals, levels, values, _supply = self.cuts
+        width = block.shape[1]
+        consumers = array("q")   # flat position of each consumer's level uniform
+        sizes: list = []         # arrival count of each set
+        for r, counts in enumerate(_draw_column(arrivals, block)):
+            counts = counts.tolist()
+            base, p = r * width, 0
+            for _ in range(samples):
+                n = counts[p]
+                sizes.append(n)
+                if n:
+                    consumers.extend(range(base + p + 1, base + p + 2 * n, 2))
+                p += 1 + 2 * n
+        flat = block.ravel()
+        at = np.array(consumers, dtype=np.intp)
+        level = _draw_column(levels, flat[at])
+        index = np.empty_like(level)
+        for b, cut in enumerate(values):
+            pick = np.flatnonzero(level == b)
+            index[pick] = _draw_column(cut, flat[at[pick] + 1])
+        codes = table[level, index]
+        kept = codes >= 0
+        owner = np.repeat(np.arange(len(sizes)), sizes)[kept]
+        spread = table.size   # above every rank, so owner * spread + rank sorts by set
+        ordered = (np.sort(owner * spread + codes[kept]) - owner * spread).tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=len(sizes))).tolist()
+        return list(map(tuple, map(ordered.__getitem__, map(slice, [0, *ends[:-1]], ends))))
 
 
 def _draw(cum: list, u: float) -> int:
@@ -479,7 +530,11 @@ def environment_plan(cfg: MarketConfig, t: int, n_t: int) -> DrawPlan:
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MAX_REPLICATIONS = 1 << 32   # a replication index is one 32-bit SeedSequence word
-_SEED_BLOCK = 4096   # rows per numpy pass, so the arrays stay small at any count
+# Rows per numpy pass: at most _SEED_BLOCK, and at most _BLOCK_FLOATS uniforms
+# (2 MB) in all, so a block and its temporaries stay small at any count and
+# any width; a row wider than that is a block of its own.
+_SEED_BLOCK = 4096
+_BLOCK_FLOATS = 1 << 18
 
 
 def _seed_states(words: list, start: int, stop: int) -> np.ndarray:
@@ -584,7 +639,8 @@ def _vectorize(rows: int, width: int) -> bool:
 
 def uniform_blocks(prefix: Sequence[int], count: int, width: int):
     """Rows 0..count-1 of uniforms, as (rows, width) arrays of at most
-    `_SEED_BLOCK` rows each: row r is
+    `_SEED_BLOCK` rows and `_BLOCK_FLOATS` uniforms each (one row, where a
+    row alone is wider): row r is
     ``default_rng(SeedSequence([*prefix, r])).random(width)`` bit for bit,
     so replication r of a batch reads its own stream.
 
@@ -607,7 +663,8 @@ def uniform_blocks(prefix: Sequence[int], count: int, width: int):
     numpy's own error for a bad key, and row 0 must equal its stream's
     first `width` uniforms, or RuntimeError is raised (a slip in the
     arithmetic here, or a numpy whose PCG64 draws differently). Blocks are
-    handed out one by one, so a batch of any count holds one block at most.
+    handed out one by one, so a batch of any count and width holds one
+    block at most, and a row's uniforms do not depend on the block it is in.
     """
     if count <= 0:
         return
@@ -619,8 +676,9 @@ def uniform_blocks(prefix: Sequence[int], count: int, width: int):
              for s in range(0, max(int(key).bit_length(), 1), 32)]
     rng = np.random.default_rng(check)
     first = rng.random(width).tolist()
-    for start in range(0, count, _SEED_BLOCK):
-        s_hi, s_lo, seq_hi, seq_lo = _seed_states(words, start, min(count, start + _SEED_BLOCK)).T
+    step = min(_SEED_BLOCK, max(1, _BLOCK_FLOATS // max(width, 1)))
+    for start in range(0, count, step):
+        s_hi, s_lo, seq_hi, seq_lo = _seed_states(words, start, min(count, start + step)).T
         inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
         inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
         lo = inc_lo + s_lo

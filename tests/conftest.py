@@ -56,3 +56,12 @@ def tabulated_config(pdf_rows, T=1, k=1, grid=(0.0, 1.0, 11), n_max=1, p_arrive=
         types=types, arrivals=arrivals,
         supply=SupplyDistribution.from_lists(supply),
     )
+
+
+def per_call_keys(sampler, u, count: int, rank) -> list:
+    """`count` report sets drawn per call off `u` (`arrival_count`, then that
+    many `consumer` calls), each keyed as `PeriodSampler.rank_keys` keys it:
+    its reports' ranks in ascending order, cells ranked -1 left out."""
+    sets = [[sampler.consumer(u) for _ in range(sampler.arrival_count(u))] for _ in range(count)]
+    return [tuple(sorted(rank[b - 1][i] for b, i in drawn if rank[b - 1][i] >= 0))
+            for drawn in sets]

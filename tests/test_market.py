@@ -9,7 +9,7 @@ from flexmarket import (MalformedConfig, NoNonnegativePoint, NoSolution, OffGrid
                         market, oracle)
 from flexmarket.market import ArrivalDistribution, ValuationGrid, validate_config
 
-from conftest import tabulated_config
+from conftest import per_call_keys, tabulated_config
 
 
 def analytic_w(x, a):
@@ -375,42 +375,58 @@ MC_MARKET = {
 }
 
 
-def _checked_report_sets(sampler, seed: int, count: int) -> list:
-    """`sampler.report_sets` on a row of ``count * (1 + 2 * n_max)``
-    uniforms of ``default_rng(seed)``, checked against `count` rounds of
-    per-call draws from a same-seeded generator; the row must be wide
-    enough, and reading past its end raises."""
-    row = np.random.default_rng(seed).random(count * (1 + 2 * sampler.n_max)).tolist()
-    sets = sampler.report_sets(row, count)
-    per_call = np.random.default_rng(seed).random
-    assert sets == [[sampler.consumer(per_call) for _ in range(sampler.arrival_count(per_call))]
-                    for _ in range(count)]
-    return sets
+def _rank_tables(cfg) -> list:
+    """Two rank tables for `PeriodSampler.rank_keys`: one ranks every cell by
+    (level, grid index), so a key decodes back to its set's reports, and one
+    leaves out every cell of odd grid index."""
+    G = cfg.grid.size
+    ordered = [[b * G + i for i in range(G)] for b in range(cfg.varieties)]
+    return [ordered, [[-1 if i % 2 else r for i, r in enumerate(row)] for row in ordered]]
+
+
+def _checked_report_sets(sampler, prefix: tuple, count: int, rank, rows: int = 2) -> list:
+    """`sampler.rank_keys` on rows 0..rows-1 of `prefix`, ``count * (1 + 2 *
+    n_max)`` uniforms each, checked row by row against `count` rounds of
+    per-call draws from the row's own generator,
+    ``default_rng(SeedSequence([*prefix, r]))``; returns row 0's keys."""
+    got = list(sampler.rank_keys(prefix, rows, count, rank))
+    assert len(got) == rows
+    for r, keys in enumerate(got):
+        u = np.random.default_rng(np.random.SeedSequence([*prefix, r])).random
+        assert keys == per_call_keys(sampler, u, count, rank), r
+    return got[0]
 
 
 @pytest.mark.parametrize("count", [0, 1, 20, 500])
 def test_report_sets_are_the_per_call_draws(count, example_cfg):
     for cfg in (config_io.parse_config(MC_MARKET), example_cfg):
         for t in range(1, cfg.horizon + 1):
-            _checked_report_sets(cfg.sampler(t), t, count)
+            for rank in _rank_tables(cfg):
+                _checked_report_sets(cfg.sampler(t), (t,), count, rank)
 
 
 def test_report_sets_with_no_arrivals(small_cfg):
     """Arrivals [1.0]: n_max = 0, so each set is empty and takes one uniform."""
     cfg = dataclasses.replace(small_cfg, arrivals=ArrivalDistribution.from_lists([[1.0], [1.0]]))
-    assert _checked_report_sets(market.PeriodSampler(cfg, 1), 3, 50) == [[]] * 50
+    for rank in _rank_tables(cfg):
+        assert _checked_report_sets(market.PeriodSampler(cfg, 1), (3,), 50, rank) == [()] * 50
 
 
 def test_report_sets_clamp_a_cdf_below_1(small_cfg):
     """CDFs ending at 0.5: a uniform at or above 0.5 draws the last index
-    only through `_draw`'s clamp, so every set of one report and every
-    level-2 report here is the clamp's."""
+    only through the clamp (`_draw`'s bound, and the cut that stops short of
+    the last entry), so every set of one report and every level-2 report
+    here is the clamp's."""
     sampler = market.PeriodSampler(small_cfg, 1)
     sampler.arrivals = [0.5, 0.5]
     sampler.levels = [0.5, 0.5]
-    sets = _checked_report_sets(sampler, 9, 200)
-    assert {len(s) for s in sets} == {0, 1}
-    assert {b for s in sets for b, _i in s} == {1, 2}
+    _arrivals, _levels, values, supply = sampler.cuts
+    sampler.cuts = (np.array([0.5]), np.array([0.5]), values, supply)
+    ordered, dropped = _rank_tables(small_cfg)
+    keys = _checked_report_sets(sampler, (9,), 200, ordered)
+    assert {len(key) for key in keys} == {0, 1}
+    assert {r // small_cfg.grid.size + 1 for key in keys for r in key} == {1, 2}
+    _checked_report_sets(sampler, (9,), 200, dropped)
 
 
 def test_truncated_exponential_rescales_to_the_grid():

@@ -178,7 +178,7 @@ def test_check_monotonicity_reports_each_pair_once(small_tables):
     assert len(pairs) == len(set(pairs))
 
 
-def test_check_monotonicity_slack_reads_stderrs_not_backend():
+def test_check_monotonicity_slack_is_tol_alone():
     """The slack is `tol` alone: it reads neither the backend's label nor the
     standard errors. Sampled myopic tables get what the same tables labelled
     "mc" get, and a 1e-6 deficit is a violation at the default `tol` even

@@ -20,6 +20,8 @@ from flexmarket.market import uniform_rows
 from flexmarket.mechanism import Mechanism
 from flexmarket.simulate import AuditProbe
 
+from conftest import per_call_keys
+
 PREFIXES = [(), (0,), (7,), (2024, 2), (2**32 - 1, 1), (2**32, 3), (2**64 + 5,),
             (1, 2, 3, 4, 5), (np.int64(11), 2)]
 
@@ -41,6 +43,23 @@ def test_substreams_span_seed_blocks():
     count = 2 * market._SEED_BLOCK + 3
     got = list(uniform_rows((2**64 + 5, 2), count, 2))
     assert len(got) == count and got == list(_reference((2**64 + 5, 2), count, 2))
+
+
+@pytest.mark.parametrize("width, cap", [(14_000, None), (40, 100), (150, 100), (0, None)])
+def test_wide_batches_arrive_in_capped_blocks(width, cap, monkeypatch):
+    """A block holds at most `_SEED_BLOCK` rows and `_BLOCK_FLOATS` uniforms,
+    or one row where a row is wider; the blocks together are the
+    SeedSequence rows."""
+    if cap is not None:
+        monkeypatch.setattr(market, "_BLOCK_FLOATS", cap)
+    count, prefix = 40, (2024, 3)
+    blocks = list(market.uniform_blocks(prefix, count, width))
+    step = min(market._SEED_BLOCK, max(1, market._BLOCK_FLOATS // max(width, 1)))
+    assert [len(b) for b in blocks] == [min(step, count - s) for s in range(0, count, step)]
+    assert all(b.size <= max(market._BLOCK_FLOATS, width) for b in blocks)
+    want = np.array(list(_reference(prefix, count, width))).reshape(count, width)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert list(uniform_rows(prefix, count, width)) == want.tolist()
 
 
 # 100 x 12 and 100 x 13 sit on either side of the crossover, the others well inside
@@ -158,24 +177,41 @@ def test_episode_and_environment_rows_are_wide_enough(full_rows_mech, replicatio
 def test_mc_rows_are_wide_enough(full_rows_mech, samples, monkeypatch):
     """Each mc state's report sets are its own Generator's per-call draws."""
     cfg, seed = full_rows_mech.cfg, 3
-    drawn = []
-    report_sets = market.PeriodSampler.report_sets
+    drawn, ranks = [], {}
+    rank_keys = market.PeriodSampler.rank_keys
 
-    def recorded(sampler, row, count):
-        sets = report_sets(sampler, row, count)
-        drawn.append(sets)
-        return sets
+    def recorded(sampler, prefix, rows, count, rank):
+        ranks[prefix[1]] = rank
+        for keys in rank_keys(sampler, prefix, rows, count, rank):
+            drawn.append(keys)
+            yield keys
 
-    monkeypatch.setattr(market.PeriodSampler, "report_sets", recorded)
+    monkeypatch.setattr(market.PeriodSampler, "rank_keys", recorded)
     tables = fm.build_value_tables(cfg, backend="mc", samples=samples, seed=seed)
     want = []
     for t in range(cfg.horizon, 0, -1):
-        sampler = cfg.sampler(t)
         for idx in range(len(tables.states[t])):
-            u = _per_call([seed, t, idx])
-            want.append([[sampler.consumer(u) for _ in range(sampler.arrival_count(u))]
-                         for _ in range(samples)])
+            want.append(per_call_keys(cfg.sampler(t), _per_call([seed, t, idx]), samples, ranks[t]))
     assert drawn == want
+
+
+def test_mc_tables_do_not_depend_on_the_block_cap(small_cfg, monkeypatch):
+    """Monte Carlo tables are the same bits when every block holds one row."""
+    def build():
+        out = []
+        for cfg in (small_cfg, config_io.parse_config(FULL_ROWS)):
+            tables = fm.build_value_tables(cfg, backend="mc", samples=9, seed=2**64 + 5)
+            out.append((tables.values, tables.stderrs))
+        return out
+
+    want = build()
+    monkeypatch.setattr(market, "_BLOCK_FLOATS", 1)
+    rows = []
+    blocks = market.uniform_blocks
+    monkeypatch.setattr(market, "uniform_blocks", lambda *args: (
+        rows.append(len(b)) or b for b in blocks(*args)))
+    assert build() == want
+    assert rows and set(rows) == {1}
 
 
 # -- draw plans: the column reader against the per-call one ---------------------------
@@ -252,6 +288,30 @@ def test_column_reader_on_cdf_entries(name):
     for plan in _plans(cfg):
         block = rng.choice(pool, size=(300, plan.width))
         assert plan.read_block(block) == [plan.read(iter(row).__next__) for row in block.tolist()]
+
+
+@pytest.mark.parametrize("name", ["full-rows", "deterministic", "clamp", "family-1"])
+def test_report_set_reader_on_cdf_entries(name, monkeypatch):
+    """`PeriodSampler.rank_keys` on uniforms equal to a CDF entry, one ulp
+    either side of it, 0 and the largest double below 1: ties and the clamp
+    decode as the per-call draws off the same row decode them."""
+    cfg = READER_MARKETS[name]()
+    G = cfg.grid.size
+    rank = [[b * G + i for i in range(G)] for b in range(cfg.varieties)]
+    rng = np.random.default_rng(5)
+    for t in range(1, cfg.horizon + 1):
+        sampler = cfg.sampler(t)
+        edges = {0.0, np.nextafter(1.0, 0.0)}
+        for cum in (sampler.arrivals, sampler.levels, *sampler.values):
+            for c in cum:
+                edges |= {c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)}
+        pool = np.array(sorted(e for e in edges if 0.0 <= e < 1.0))
+        for samples in (1, 20):
+            block = rng.choice(pool, size=(300, samples * (1 + 2 * sampler.n_max)))
+            monkeypatch.setattr(market, "uniform_blocks", lambda prefix, count, width: [block])
+            got = list(sampler.rank_keys((1, t), len(block), samples, rank))
+            assert got == [per_call_keys(sampler, iter(row).__next__, samples, rank)
+                           for row in block.tolist()], (t, samples)
 
 
 # -- the block memo --------------------------------------------------------------------
