@@ -53,7 +53,6 @@ import math
 import operator
 import struct
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -145,7 +144,9 @@ def stage_value(
     value. The first round, with nothing served yet, adds w and the
     continuation with one ``+``: for two finite floats with a finite sum that
     is the correctly rounded sum ``math.fsum`` gives, and ``or 0.0`` turns a
-    zero total into +0.0, as ``math.fsum`` returns it. This is exact for
+    zero total into +0.0, as ``math.fsum`` returns it. When `cont` is
+    `_no_continuation` (the final period) every continuation is 0.0, so none
+    is looked up and no stock tuple is built. This is exact for
     continuations built by this DP; for an arbitrary `cont`, use
     `oracle.reference_stage_value`, which enumerates.
     """
@@ -153,7 +154,8 @@ def stage_value(
     u = [0] * k
     m = list(y)
     served: list[float] = []
-    value = cont(tuple(y))
+    final = cont is _no_continuation   # the final period: no stock to look up
+    value = 0.0 if final else cont(tuple(y))
     while True:
         best = None
         for j in range(k - 1, -1, -1):
@@ -166,7 +168,7 @@ def stage_value(
                 break  # no good left that level j, or any lower level, accepts
             m[i] -= 1
             w = w_sorted[j][u[j]]
-            rest = cont(tuple(m))
+            rest = 0.0 if final else cont(tuple(m))
             candidate = math.fsum((*served, w, rest)) if served else (w + rest) or 0.0
             m[i] += 1
             if candidate > value:
@@ -430,10 +432,11 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     `rank` (-1 for a report the key leaves out). The entry and its standard
     error are the `estimate` of its per-sample values, each one draw.
 
-    A key's ranks are sorted, so each level's reports are one contiguous
-    run, best first: a key's summary is its runs' virtual values, the very
-    tuples `summarize` would sort them into (its sort is stable, so equal
-    values, signed zeros included, keep rank order).
+    A key's ranks are sorted, so each level's reports come best first: a
+    key's summary is each level's virtual values in key order, read in one
+    pass over the key, the very tuples `summarize` would sort them into (its
+    sort is stable, so equal values, signed zeros included, keep rank
+    order).
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -444,17 +447,19 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         rank[b][i] = r if not drop_unserved or w > 0.0 else -1
         level_of.append(b)
         w_of.append(w)
-    starts = [level_of.index(b) for b in range(1, cfg.varieties)]   # each level's first rank
+    k = cfg.varieties
     summaries: dict[tuple, tuple] = {}
     final = cont is _no_continuation
     shared: dict[tuple, float] = {}   # final period: keys variety 1 alone can serve
 
     def summarize_key(key: tuple) -> tuple:
-        """`summarize` of a key's reports without a sort: each level's
-        ranks are one contiguous run of the key, best first."""
-        ws = tuple(map(w_of.__getitem__, key))
-        ends = [*map(bisect_left, itertools.repeat(key), starts), len(key)]
-        return tuple(map(ws.__getitem__, map(slice, [0, *ends], ends)))
+        """`summarize` of a key's reports without a sort, in one pass: the
+        key lists each level's reports best first, so appending each rank's
+        w to its level's list keeps that order."""
+        per_level: list[list[float]] = [[] for _ in range(k)]
+        for r in key:
+            per_level[level_of[r]].append(w_of[r])
+        return tuple(map(tuple, per_level))
 
     def evaluate(y, keys) -> list:
         """Stage value of every key at state y, in order."""

@@ -27,7 +27,6 @@ import hashlib
 import itertools
 import json
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -311,9 +310,9 @@ class PeriodSampler:
 
     Each draw reads one uniform from `u`, a zero-argument callable returning
     the next uniform of a stream (``rng.random`` of a Generator, or
-    ``iter(row).__next__`` of a row of `uniform_rows`), in call order: an
-    arrival count one, a consumer two (its level, then its grid index), a
-    supply vector one per variety. So one report set takes at most
+    ``iter(row).__next__`` of a row of `uniform_blocks` as a list), in call
+    order: an arrival count one, a consumer two (its level, then its grid
+    index), a supply vector one per variety. So one report set takes at most
     ``1 + 2 * n_max`` uniforms, and a stream read through these methods
     gives the same draws whichever way it is held. The CDFs are held as
     lists of the very floats `np.cumsum` gives, so a `bisect` over them
@@ -361,10 +360,12 @@ class PeriodSampler:
 
         A block is decoded at once, without a call per uniform: one
         `_draw_column` over the block gives the arrival count every
-        position would draw; a chase per row over those ints finds each
-        set's count and consumers; then one search decodes the consumers'
-        levels and one per level their grid indices. Each set's ranks are
-        then sorted in one numpy sort over the block, keyed by set first.
+        position would draw; a chase by columns, one step per sample
+        across every row of the block, finds where each set starts and so
+        its count, and each consumer's position follows from its set's
+        start; then one search decodes the consumers' levels and one per
+        level their grid indices. Each set's ranks are then sorted in one
+        numpy sort over the block, keyed by set first.
         """
         table = np.array(rank, dtype=np.int64)
         for block in uniform_blocks(prefix, rows, samples * (1 + 2 * self.n_max)):
@@ -373,24 +374,25 @@ class PeriodSampler:
                 yield keys[r * samples:(r + 1) * samples]
 
     def _block_keys(self, block: np.ndarray, samples: int, table: np.ndarray) -> list:
-        """The key of every report set of `block`, row by row (see
-        `rank_keys`); `table` is the rank table as an array. Its temporaries
-        go when it returns, before any key is handed out."""
+        """The key of every report set of `block`, row by row and each row's
+        sets in order (see `rank_keys`); `table` is the rank table as an
+        array. Set s of a row starts ``1 + 2 * n`` uniforms after set s - 1,
+        whose arrival count is n, so the chase steps every row's position
+        at once. Its temporaries go when it returns, before any key is
+        handed out."""
         arrivals, levels, values, _supply = self.cuts
-        width = block.shape[1]
-        consumers = array("q")   # flat position of each consumer's level uniform
-        sizes: list = []         # arrival count of each set
-        for r, counts in enumerate(_draw_column(arrivals, block)):
-            counts = counts.tolist()
-            base, p = r * width, 0
-            for _ in range(samples):
-                n = counts[p]
-                sizes.append(n)
-                if n:
-                    consumers.extend(range(base + p + 1, base + p + 2 * n, 2))
-                p += 1 + 2 * n
+        counts = _draw_column(arrivals, block).ravel()
+        starts = np.empty((len(block), samples), dtype=np.intp)   # flat position of each set
+        pos = np.arange(len(block)) * block.shape[1]
+        for s in range(samples):
+            starts[:, s] = pos
+            pos += 1 + 2 * counts[pos]
+        starts = starts.ravel()
+        sizes = counts[starts]                      # arrival count of each set
+        owner = np.repeat(np.arange(len(sizes)), sizes)   # the set of each consumer
+        nth = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+        at = starts[owner] + 1 + 2 * nth            # flat position of its level uniform
         flat = block.ravel()
-        at = np.array(consumers, dtype=np.intp)
         level = _draw_column(levels, flat[at])
         index = np.empty_like(level)
         for b, cut in enumerate(values):
@@ -398,7 +400,7 @@ class PeriodSampler:
             index[pick] = _draw_column(cut, flat[at[pick] + 1])
         codes = table[level, index]
         kept = codes >= 0
-        owner = np.repeat(np.arange(len(sizes)), sizes)[kept]
+        owner = owner[kept]
         spread = table.size   # above every rank, so owner * spread + rank sorts by set
         ordered = (np.sort(owner * spread + codes[kept]) - owner * spread).tolist()
         ends = np.cumsum(np.bincount(owner, minlength=len(sizes))).tolist()
@@ -690,13 +692,6 @@ def uniform_blocks(prefix: Sequence[int], count: int, width: int):
         if start == 0 and block[0].tolist() != first:
             raise RuntimeError(f"bulk stream of {[*prefix, 0]} differs from SeedSequence")
         yield block
-
-
-def uniform_rows(prefix: Sequence[int], count: int, width: int):
-    """The rows of `uniform_blocks`, one by one, each a list of floats."""
-    for block in uniform_blocks(prefix, count, width):
-        for row in block:
-            yield row.tolist()
 
 
 # ---------------------------------------------------------------------------

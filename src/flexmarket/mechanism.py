@@ -30,19 +30,23 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, TableMismatch
 from .market import MarketConfig, _first_reaching, _index, environment_plan
 
-# Entries the allocation memo and the threshold memo may each hold; a memo
-# that is full is cleared before its next entry goes in.
+# Entries the read, allocation, payment and threshold memos may each hold; a
+# memo that is full is cleared before its next entry goes in.
 MEMO_BOUND = 500_000
 
 
 # What `payment_threshold` answers when the probe wins at no grid point.
 NOT_SERVED = None
+
+# The fields of a `_ranked_rows` item, (-w, row, w).
+_ROW, _W = itemgetter(1), itemgetter(2)
 
 
 class Report(NamedTuple):
@@ -80,9 +84,13 @@ class Mechanism:
     Ties between equal virtual valuations go to the lowest arrival index, so
     allocations and thresholds are pure functions of their inputs and are
     memoized; the critical-value payments rely on this, since the threshold
-    scan must reproduce the allocation's knife-edge choices. Three memos:
-    `_alloc_memo` per (t, y, reports) and `_threshold_memo` per (t, y, level,
-    slot, others), each cleared once it holds MEMO_BOUND entries, and
+    scan must reproduce the allocation's knife-edge choices. Five memos, the
+    first four each cleared once it holds MEMO_BOUND entries: `_read_memo`,
+    each report's (w, grid point) per (t, report), stored only once the
+    report has been read off the grid, so a bad report raises every time;
+    `_alloc_memo` per (t, y, reports); `_pay_memo`, the payments `step`
+    charged per (t, y, reports), stored only once every served report has
+    been priced; `_threshold_memo` per (t, y, level, slot, others); and
     `_law_memo`, the tallied environment law per (t, n_t, replications,
     seed), so every audit and interim estimate on one session that asks for
     the same law shares one draw of it.
@@ -91,24 +99,44 @@ class Mechanism:
     def __init__(self, tables: ValueTables):
         self.tables = tables
         self.cfg: MarketConfig = tables.config
+        self._read_memo: dict = {}
         self._alloc_memo: dict = {}
+        self._pay_memo: dict = {}
         self._threshold_memo: dict = {}
         self._law_memo: dict = {}
 
     # -- allocation ----------------------------------------------------------
 
+    def _read(self, t: int, report: Report) -> tuple[float, float]:
+        """(virtual valuation, grid point) of `report` at period t: the
+        level's `virtual_value_row` at the report's grid index. A level
+        outside 1..k or a valuation off the grid raises OffGridValue."""
+        key = (t, report)
+        got = self._read_memo.get(key)
+        if got is None:
+            w_row = self.cfg.virtual_value_row(t, report.flexibility)
+            i = self.cfg.grid.index_of(report.valuation)
+            got = (w_row[i], self.cfg.grid.point_list[i])
+            if len(self._read_memo) >= MEMO_BOUND:
+                self._read_memo.clear()
+            self._read_memo[key] = got
+        return got
+
     def _ranked_rows(self, t: int, reports: Sequence[Report]) -> tuple[tuple, list]:
         """Per-level virtual values, best first, plus per-level row order
         (virtual valuation desc, then arrival)."""
         per_level: list[list[tuple]] = [[] for _ in range(self.cfg.varieties)]
-        row_of, index_of = self.cfg.virtual_value_row, self.cfg.grid.index_of
+        read = self._read
         for row, r in enumerate(reports):
-            w = row_of(t, r.flexibility)[index_of(r.valuation)]
+            w = read(t, r)[0]
             per_level[r.flexibility - 1].append((-w, row, w))
+        w_sorted, ranked = [], []
         for bucket in per_level:
-            bucket.sort()
-        return (tuple(tuple(item[2] for item in b) for b in per_level),
-                [[item[1] for item in b] for b in per_level])
+            if len(bucket) > 1:
+                bucket.sort()
+            w_sorted.append(tuple(map(_W, bucket)))
+            ranked.append(list(map(_ROW, bucket)))
+        return tuple(w_sorted), ranked
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
         """Optimal allocation for one period: the variety each report receives."""
@@ -198,7 +226,7 @@ class Mechanism:
             raise InconsistentAllocation(
                 f"consumer {row + 1} is served but wins at no grid point"
             )
-        if tau > self.cfg.grid.snap(r.valuation):
+        if tau > self._read(t, r)[1]:
             raise InconsistentAllocation(
                 f"critical value {tau} exceeds the served report {r.valuation}"
             )
@@ -220,10 +248,17 @@ class Mechanism:
         reports: Sequence[Report],
         x_next: Sequence[int],
     ) -> tuple[MechanismOutcome, tuple]:
-        """Run one period and advance the supply dynamics."""
+        """Run one period and advance the supply dynamics. A period whose
+        (t, y, reports) an earlier step paid reuses those payments."""
         y = tuple(y)
         alloc = self.allocate(t, reports, y)
-        pays = self.payments(t, reports, y, alloc)
+        key = (t, y, tuple(reports))
+        pays = self._pay_memo.get(key)
+        if pays is None:
+            pays = self.payments(t, reports, y, alloc)
+            if len(self._pay_memo) >= MEMO_BOUND:
+                self._pay_memo.clear()
+            self._pay_memo[key] = pays
         left = tuple(a - b for a, b in zip(y, alloc.v_star))
         outcome = MechanismOutcome(
             varieties=alloc.varieties, payments=pays,

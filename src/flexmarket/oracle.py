@@ -397,6 +397,73 @@ def check_monotonicity(tables: ValueTables, tol: float = 1e-12) -> list[Monotoni
     return out
 
 
+@dataclass(frozen=True)
+class OpportunityCostViolation:
+    kind: str       # "level" | "supply" | "diminishing"
+    t: int
+    y: tuple        # supply vector the comparison starts from
+    i: int | None   # variety added ("supply") or taken away ("diminishing"); None for "level"
+    j: int          # flexibility level ("level", "supply") or variety added ("diminishing")
+    excess: float   # left side minus right side of the ordering, beyond tolerance
+
+
+def _shift(y: tuple, i: int, by: int) -> tuple:
+    """y with `by` added to variety i (1-based)."""
+    return (*y[:i - 1], y[i - 1] + by, *y[i:])
+
+
+def check_opportunity_costs(tables: ValueTables,
+                            tol: float = 1e-12) -> list[OpportunityCostViolation]:
+    """Scan every period's opportunity costs for the paper's three threshold
+    orderings, with gap(y, j) = `dp.continuation_gap(tables, t, y, j)` and
+    C = `tables.continuation_fn(t)`:
+
+    - level: gap(y, j + 1) <= gap(y, j), so a more flexible consumer's cost
+      is never above a less flexible one's;
+    - supply: gap(y + e_i, j) <= gap(y, j), so one more good of any variety
+      never raises a cost;
+    - diminishing: C(y + e_j) - C(y + e_j - e_i) <= C(y) - C(y - e_i), so a
+      good is worth no more on top of a larger stock.
+
+    Every pair is taken inside the period's reachable box, and a gap with
+    no good a level-j consumer accepts (y_1 = ... = y_j = 0) is skipped. A
+    comparison whose left side exceeds its right by more than `tol` is a
+    violation; standard errors give no allowance.
+    """
+    out: list[OpportunityCostViolation] = []
+    k = tables.config.varieties
+    for t in range(1, tables.config.horizon + 1):
+        box = set(tables.states[t])
+        cont = tables.continuation_fn(t)
+
+        def gap(y: tuple, j: int) -> float:
+            return dp.continuation_gap(tables, t, y, j)
+
+        def record(kind: str, y: tuple, i: int | None, j: int, excess: float) -> None:
+            if excess > tol:
+                out.append(OpportunityCostViolation(kind, t, y, i, j, excess))
+
+        for y in tables.states[t]:
+            for j in range(1, k):
+                if any(y[:j]):
+                    record("level", y, None, j, gap(y, j + 1) - gap(y, j))
+            for i in range(1, k + 1):
+                up = _shift(y, i, 1)
+                if up in box:
+                    for j in range(1, k + 1):
+                        if any(y[:j]):
+                            record("supply", y, i, j, gap(up, j) - gap(y, j))
+            for i in range(1, k + 1):
+                if not y[i - 1]:
+                    continue
+                cost = cont(y) - cont(_shift(y, i, -1))
+                for j in range(1, k + 1):
+                    up = _shift(y, j, 1)
+                    if up in box:
+                        record("diminishing", y, i, j, cont(up) - cont(_shift(up, i, -1)) - cost)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random desk-scale instances and the verification suite
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
-from .market import MarketConfig, episode_plan, virtual_valuation
+from .market import MarketConfig, episode_plan
 from .mechanism import Mechanism, MechanismOutcome, make_reports
 
 
@@ -87,11 +87,12 @@ def _run_episode(mech: Mechanism, history: tuple) -> EpisodeTrace:
     for t in range(1, cfg.horizon + 1):
         types = mech._read_types(draws, next(draws))
         x_next = tuple(itertools.islice(draws, k)) if t < cfg.horizon else (0,) * k
-        outcome, y_next = mech.step(t, y, make_reports(types), x_next)
+        reports = make_reports(types)
+        outcome, y_next = mech.step(t, y, reports, x_next)
         payments.extend(outcome.payments)
-        for (val, lvl), variety in zip(types, outcome.varieties):
+        for report, variety in zip(reports, outcome.varieties):
             if variety:
-                surplus.append(virtual_valuation(cfg, t, val, lvl))
+                surplus.append(mech._read(t, report)[0])
         periods.append(PeriodRecord(t, x, y, types, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flexmarket as fm
+from flexmarket import market
 from flexmarket.market import TypeDistribution, ArrivalDistribution, SupplyDistribution, ValuationGrid
 from flexmarket.mechanism import Mechanism
 
@@ -65,3 +66,10 @@ def per_call_keys(sampler, u, count: int, rank) -> list:
     sets = [[sampler.consumer(u) for _ in range(sampler.arrival_count(u))] for _ in range(count)]
     return [tuple(sorted(rank[b - 1][i] for b, i in drawn if rank[b - 1][i] >= 0))
             for drawn in sets]
+
+
+def uniform_rows(prefix, count: int, width: int):
+    """The rows of `market.uniform_blocks`, one by one, each a list of floats."""
+    for block in market.uniform_blocks(prefix, count, width):
+        for row in block:
+            yield row.tolist()

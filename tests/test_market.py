@@ -429,6 +429,48 @@ def test_report_sets_clamp_a_cdf_below_1(small_cfg):
     _checked_report_sets(sampler, (9,), 200, dropped)
 
 
+@pytest.mark.parametrize("count", ["none", "n_max"])
+def test_report_sets_where_every_row_draws_alike(count, monkeypatch):
+    """Blocks in which every set of every row draws 0 arrivals, or n_max:
+    the column chase steps every row by one width per sample, and each
+    row's keys are still the per-call draws off that row."""
+    cfg = config_io.parse_config(MC_MARKET)
+    rng = np.random.default_rng(8)
+    samples = 20
+    for t in range(1, cfg.horizon + 1):
+        sampler = cfg.sampler(t)
+        per_set = 1 + 2 * sampler.n_max
+        block = rng.random((50, samples * per_set))
+        if count == "none":   # every set is its arrival uniform alone
+            block[:, :samples] = 0.0
+        else:
+            block[:, ::per_set] = np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(market, "uniform_blocks", lambda prefix, rows, width: [block])
+        ordered, dropped = _rank_tables(cfg)
+        for rank in (ordered, dropped):
+            got = list(sampler.rank_keys((1, t), len(block), samples, rank))
+            assert got == [per_call_keys(sampler, iter(row).__next__, samples, rank)
+                           for row in block.tolist()], t
+            if rank is ordered:
+                sizes = {len(key) for keys in got for key in keys}
+                assert sizes == {0 if count == "none" else sampler.n_max}
+
+
+def test_report_sets_across_block_splits(monkeypatch):
+    """A `_BLOCK_FLOATS` cap of three rows splits eight rows into blocks of
+    3, 3 and 2: every row's keys are still its own stream's per-call draws."""
+    cfg = config_io.parse_config(MC_MARKET)
+    sampler, samples = cfg.sampler(2), 7
+    monkeypatch.setattr(market, "_BLOCK_FLOATS", 3 * samples * (1 + 2 * sampler.n_max))
+    sizes = []
+    blocks = market.uniform_blocks
+    monkeypatch.setattr(market, "uniform_blocks", lambda *args: (
+        sizes.append(len(b)) or b for b in blocks(*args)))
+    for rank in _rank_tables(cfg):
+        _checked_report_sets(sampler, (5, 2), samples, rank, rows=8)
+    assert sizes == [3, 3, 2] * 2
+
+
 def test_truncated_exponential_rescales_to_the_grid():
     unit = fm.market.truncated_exponential((2.0, 3.0), ValuationGrid.uniform(0.0, 1.0, 11), 1)
     wide = fm.market.truncated_exponential((2.0, 3.0), ValuationGrid.uniform(2.0, 6.0, 11), 1)

@@ -446,6 +446,79 @@ def test_step_arithmetic(example_mech):
     assert y_next == (1, 0)
 
 
+def test_step_reuses_the_payments_it_charged(small_tables):
+    """A period whose (t, y, reports) an earlier step paid is charged those
+    very payments, equal to what `payments` prices afresh on a new session."""
+    mech, fresh = Mechanism(small_tables), Mechanism(small_tables)
+    rng = np.random.default_rng(11)
+    grid = small_tables.config.grid
+    for _ in range(30):
+        reports = make_reports([(grid.snap(rng.uniform()), int(rng.integers(1, 3)))
+                                for _ in range(int(rng.integers(0, 4)))])
+        paid = {y: mech.step(1, y, reports, (0, 0))[0].payments for y in small_tables.states[1]}
+        for y, pays in paid.items():
+            again, _ = mech.step(1, y, reports, (1, 0))
+            assert again.payments is pays
+            assert pays == fresh.payments(1, reports, y), (reports, y)
+
+
+def _inconsistent_tables():
+    """One variety, T = 2, and a continuation that rises as stock falls
+    (C_2((0,)) = 0.5, C_2((1,)) = 0.0): every report is served at t = 1, so
+    one below the reserve is charged more than its report."""
+    cfg = fm.config_io.parse_config({
+        "horizon": 2, "varieties": 1, "grid": {"min": 0.0, "max": 1.0, "points": 11},
+        "arrivals": [[0.0, 1.0], [0.0, 1.0]], "supply": [[[0.0, 1.0]], [[1.0]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0]},
+    })
+    states = {t: [(0,), (1,)] for t in (1, 2, 3)}
+    values = {1: {(0,): 0.0, (1,): 0.5}, 2: {(0,): 0.5, (1,): 0.0}, 3: {(0,): 0.0, (1,): 0.0}}
+    return fm.ValueTables(config=cfg, backend="mc", samples=2, seed=0, states=states,
+                          values=values, stderrs={t: dict.fromkeys(states[t], 0.0) for t in states})
+
+
+def test_step_caches_no_failed_payment():
+    """`InconsistentAllocation` raises on every repeat of the period, and
+    leaves no payment behind."""
+    mech = Mechanism(_inconsistent_tables())
+    reports = make_reports([(0.0, 1)])
+    for _ in range(3):
+        with pytest.raises(InconsistentAllocation, match="exceeds the served report 0.0"):
+            mech.step(1, (1,), reports, (0,))
+    assert mech._pay_memo == {}
+
+
+def test_bad_reports_raise_after_valid_reads(small_tables):
+    """A session that has read valid reports still refuses, every time, a
+    valuation off the grid and a level outside 1..k, alone or beside a
+    report it has read."""
+    mech = Mechanism(small_tables)
+    good = make_reports([(0.5, 1), (0.75, 2), (0.5, 2)])
+    want = mech.allocate(1, good, (1, 1))
+    assert mech._read_memo
+    for bad in ([(0.5001, 1)], [(0.5, 3)], [(0.5, 0)], [(0.5, 1), (0.5, 3)],
+                [(0.75, 2), (0.7501, 2)]):
+        for _ in range(2):
+            with pytest.raises(OffGridValue):
+                mech.allocate(1, make_reports(bad), (1, 1))
+    assert mech.allocate(1, good, (1, 1)) == want
+
+
+def test_read_and_payment_memos_stay_bounded(small_cfg, small_tables, monkeypatch):
+    """Under a tiny bound the read and payment memos are cleared over and
+    over, yet episodes come out identical."""
+    def run():
+        mech = Mechanism(small_tables)
+        traces = [fm.sample_episode(small_cfg, small_tables, s, mech=mech) for s in range(40)]
+        return traces, mech
+
+    unbounded, _ = run()
+    monkeypatch.setattr(mechanism, "MEMO_BOUND", 2)
+    bounded, mech = run()
+    assert bounded == unbounded
+    assert len(mech._read_memo) <= 2 and len(mech._pay_memo) <= 2
+
+
 # -- memos -------------------------------------------------------------------------
 
 def test_memo_bound_keeps_results(small_cfg, small_tables, monkeypatch):

@@ -14,7 +14,9 @@ from flexmarket import (
 )
 from flexmarket.market import truncated_exponential
 from flexmarket.oracle import (
+    OpportunityCostViolation,
     check_monotonicity,
+    check_opportunity_costs,
     constructive_allocation,
     enumerate_feasible_matrices,
     random_instance,
@@ -176,6 +178,47 @@ def test_check_monotonicity_reports_each_pair_once(small_tables):
     pairs = [(v.t, v.better, v.worse) for v in check_monotonicity(corrupted)]
     assert pairs.count((2, (1, 0), (0, 1))) == 1
     assert len(pairs) == len(set(pairs))
+
+
+def test_opportunity_costs_ordered_on_family():
+    """The level, supply and diminishing-cost orderings hold on the exact
+    tables of family instances 0-39."""
+    for seed in range(40):
+        assert check_opportunity_costs(fm.build_value_tables(random_instance(seed))) == [], seed
+
+
+def test_opportunity_costs_ordered_on_a_k3_market():
+    """And on an exact three-variety, three-period market with supply
+    arriving every period: perfbench's mc-market model at G=5."""
+    cfg = config_io.parse_config({
+        "horizon": 3, "varieties": 3, "grid": {"min": 0.0, "max": 1.0, "points": 5},
+        "arrivals": [[0.25] * 4] * 3, "supply": [[[1 / 3] * 3] * 3] * 3,
+        "types": {"family": "truncated_exponential", "alpha": [1.0, 2.0, 3.0]},
+    })
+    assert check_opportunity_costs(fm.build_value_tables(cfg)) == []
+
+
+def _perturbed(tables, y, by):
+    """`tables` with C_2(y) moved by `by`, and no continuation memoised yet."""
+    values = {t: dict(layer) for t, layer in tables.values.items()}
+    values[2][y] += by
+    return dataclasses.replace(tables, values=values, _conts={})
+
+
+def test_opportunity_cost_check_catches_a_perturbed_entry(small_tables):
+    """One entry moved breaks the orderings it enters: C_2((0, 1)) raised
+    above C_2((1, 0)) makes a level-2 consumer's cost at y = (1, 1) exceed a
+    level-1 consumer's, and C_2((1, 0)) lowered breaks all three."""
+    assert check_opportunity_costs(small_tables) == []
+    raised = _perturbed(small_tables, (0, 1), 0.05)
+    cont = raised.continuation_fn(1)
+    excess = (cont((1, 1)) - cont((1, 0))) - (cont((1, 1)) - cont((0, 1)))
+    assert excess > 0.01
+    assert check_opportunity_costs(raised) == [
+        OpportunityCostViolation("level", 1, (1, 1), None, 1, excess)]
+    lowered = check_opportunity_costs(_perturbed(small_tables, (1, 0), -0.05))
+    assert {v.kind for v in lowered} == {"level", "supply", "diminishing"}
+    assert all(v.t == 1 and v.excess > 1e-12 for v in lowered)
 
 
 def test_check_monotonicity_slack_is_tol_alone():

@@ -1,7 +1,7 @@
 """Bulk-seeded replication streams against numpy's SeedSequence.
 
-`market.uniform_rows(prefix, count, width)` (and `uniform_blocks`, the same
-rows a block at a time) must hand replication r the first `width` uniforms
+`market.uniform_blocks(prefix, count, width)` (read row by row through
+conftest's `uniform_rows`) must hand replication r the first `width` uniforms
 of ``default_rng(SeedSequence([*prefix, r]))`` bit for bit, and every batch
 site (Monte Carlo tables, episodes, audit environments) must read it,
 through rows wide enough for every draw the site makes. A draw plan's
@@ -16,11 +16,10 @@ import pytest
 
 import flexmarket as fm
 from flexmarket import config_io, market, oracle, simulate
-from flexmarket.market import uniform_rows
 from flexmarket.mechanism import Mechanism
 from flexmarket.simulate import AuditProbe
 
-from conftest import per_call_keys
+from conftest import per_call_keys, uniform_rows
 
 PREFIXES = [(), (0,), (7,), (2024, 2), (2**32 - 1, 1), (2**32, 3), (2**64 + 5,),
             (1, 2, 3, 4, 5), (np.int64(11), 2)]
