@@ -27,6 +27,7 @@ import hashlib
 import itertools
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -360,12 +361,10 @@ class PeriodSampler:
 
         A block is decoded at once, without a call per uniform: one
         `_draw_column` over the block gives the arrival count every
-        position would draw; a chase by columns, one step per sample
-        across every row of the block, finds where each set starts and so
-        its count, and each consumer's position follows from its set's
-        start; then one search decodes the consumers' levels and one per
-        level their grid indices. Each set's ranks are then sorted in one
-        numpy sort over the block, keyed by set first.
+        position would draw; a chase per row over those ints finds each
+        set's count and consumers; then one search decodes the consumers'
+        levels and one per level their grid indices. Each set's ranks are
+        then sorted in one numpy sort over the block, keyed by set first.
         """
         table = np.array(rank, dtype=np.int64)
         for block in uniform_blocks(prefix, rows, samples * (1 + 2 * self.n_max)):
@@ -374,25 +373,24 @@ class PeriodSampler:
                 yield keys[r * samples:(r + 1) * samples]
 
     def _block_keys(self, block: np.ndarray, samples: int, table: np.ndarray) -> list:
-        """The key of every report set of `block`, row by row and each row's
-        sets in order (see `rank_keys`); `table` is the rank table as an
-        array. Set s of a row starts ``1 + 2 * n`` uniforms after set s - 1,
-        whose arrival count is n, so the chase steps every row's position
-        at once. Its temporaries go when it returns, before any key is
-        handed out."""
+        """The key of every report set of `block`, row by row (see
+        `rank_keys`); `table` is the rank table as an array. Its temporaries
+        go when it returns, before any key is handed out."""
         arrivals, levels, values, _supply = self.cuts
-        counts = _draw_column(arrivals, block).ravel()
-        starts = np.empty((len(block), samples), dtype=np.intp)   # flat position of each set
-        pos = np.arange(len(block)) * block.shape[1]
-        for s in range(samples):
-            starts[:, s] = pos
-            pos += 1 + 2 * counts[pos]
-        starts = starts.ravel()
-        sizes = counts[starts]                      # arrival count of each set
-        owner = np.repeat(np.arange(len(sizes)), sizes)   # the set of each consumer
-        nth = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
-        at = starts[owner] + 1 + 2 * nth            # flat position of its level uniform
+        width = block.shape[1]
+        consumers = array("q")   # flat position of each consumer's level uniform
+        sizes: list = []         # arrival count of each set
+        for r, counts in enumerate(_draw_column(arrivals, block)):
+            counts = counts.tolist()
+            base, p = r * width, 0
+            for _ in range(samples):
+                n = counts[p]
+                sizes.append(n)
+                if n:
+                    consumers.extend(range(base + p + 1, base + p + 2 * n, 2))
+                p += 1 + 2 * n
         flat = block.ravel()
+        at = np.array(consumers, dtype=np.intp)
         level = _draw_column(levels, flat[at])
         index = np.empty_like(level)
         for b, cut in enumerate(values):
@@ -400,7 +398,7 @@ class PeriodSampler:
             index[pick] = _draw_column(cut, flat[at[pick] + 1])
         codes = table[level, index]
         kept = codes >= 0
-        owner = owner[kept]
+        owner = np.repeat(np.arange(len(sizes)), sizes)[kept]
         spread = table.size   # above every rank, so owner * spread + rank sorts by set
         ordered = (np.sort(owner * spread + codes[kept]) - owner * spread).tolist()
         ends = np.cumsum(np.bincount(owner, minlength=len(sizes))).tolist()

@@ -37,8 +37,8 @@ from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, TableMismatch
 from .market import MarketConfig, _first_reaching, _index, environment_plan
 
-# Entries the read, allocation, payment and threshold memos may each hold; a
-# memo that is full is cleared before its next entry goes in.
+# Entries the read, allocation and threshold memos may each hold; a memo
+# that is full is cleared before its next entry goes in.
 MEMO_BOUND = 500_000
 
 
@@ -84,16 +84,14 @@ class Mechanism:
     Ties between equal virtual valuations go to the lowest arrival index, so
     allocations and thresholds are pure functions of their inputs and are
     memoized; the critical-value payments rely on this, since the threshold
-    scan must reproduce the allocation's knife-edge choices. Five memos, the
-    first four each cleared once it holds MEMO_BOUND entries: `_read_memo`,
+    scan must reproduce the allocation's knife-edge choices. Four memos, the
+    first three each cleared once it holds MEMO_BOUND entries: `_read_memo`,
     each report's (w, grid point) per (t, report), stored only once the
     report has been read off the grid, so a bad report raises every time;
-    `_alloc_memo` per (t, y, reports); `_pay_memo`, the payments `step`
-    charged per (t, y, reports), stored only once every served report has
-    been priced; `_threshold_memo` per (t, y, level, slot, others); and
-    `_law_memo`, the tallied environment law per (t, n_t, replications,
-    seed), so every audit and interim estimate on one session that asks for
-    the same law shares one draw of it.
+    `_alloc_memo` per (t, y, reports); `_threshold_memo` per (t, y, level,
+    slot, others); and `_law_memo`, the tallied environment law per (t, n_t,
+    replications, seed), so every audit and interim estimate on one session
+    that asks for the same law shares one draw of it.
     """
 
     def __init__(self, tables: ValueTables):
@@ -101,7 +99,6 @@ class Mechanism:
         self.cfg: MarketConfig = tables.config
         self._read_memo: dict = {}
         self._alloc_memo: dict = {}
-        self._pay_memo: dict = {}
         self._threshold_memo: dict = {}
         self._law_memo: dict = {}
 
@@ -248,17 +245,10 @@ class Mechanism:
         reports: Sequence[Report],
         x_next: Sequence[int],
     ) -> tuple[MechanismOutcome, tuple]:
-        """Run one period and advance the supply dynamics. A period whose
-        (t, y, reports) an earlier step paid reuses those payments."""
+        """Run one period and advance the supply dynamics."""
         y = tuple(y)
         alloc = self.allocate(t, reports, y)
-        key = (t, y, tuple(reports))
-        pays = self._pay_memo.get(key)
-        if pays is None:
-            pays = self.payments(t, reports, y, alloc)
-            if len(self._pay_memo) >= MEMO_BOUND:
-                self._pay_memo.clear()
-            self._pay_memo[key] = pays
+        pays = self.payments(t, reports, y, alloc)
         left = tuple(a - b for a, b in zip(y, alloc.v_star))
         outcome = MechanismOutcome(
             varieties=alloc.varieties, payments=pays,

@@ -446,22 +446,6 @@ def test_step_arithmetic(example_mech):
     assert y_next == (1, 0)
 
 
-def test_step_reuses_the_payments_it_charged(small_tables):
-    """A period whose (t, y, reports) an earlier step paid is charged those
-    very payments, equal to what `payments` prices afresh on a new session."""
-    mech, fresh = Mechanism(small_tables), Mechanism(small_tables)
-    rng = np.random.default_rng(11)
-    grid = small_tables.config.grid
-    for _ in range(30):
-        reports = make_reports([(grid.snap(rng.uniform()), int(rng.integers(1, 3)))
-                                for _ in range(int(rng.integers(0, 4)))])
-        paid = {y: mech.step(1, y, reports, (0, 0))[0].payments for y in small_tables.states[1]}
-        for y, pays in paid.items():
-            again, _ = mech.step(1, y, reports, (1, 0))
-            assert again.payments is pays
-            assert pays == fresh.payments(1, reports, y), (reports, y)
-
-
 def _inconsistent_tables():
     """One variety, T = 2, and a continuation that rises as stock falls
     (C_2((0,)) = 0.5, C_2((1,)) = 0.0): every report is served at t = 1, so
@@ -477,15 +461,14 @@ def _inconsistent_tables():
                           values=values, stderrs={t: dict.fromkeys(states[t], 0.0) for t in states})
 
 
-def test_step_caches_no_failed_payment():
-    """`InconsistentAllocation` raises on every repeat of the period, and
-    leaves no payment behind."""
+def test_inconsistent_allocation_raises_on_every_repeat():
+    """`InconsistentAllocation` raises on every repeat of the period on one
+    session."""
     mech = Mechanism(_inconsistent_tables())
     reports = make_reports([(0.0, 1)])
     for _ in range(3):
         with pytest.raises(InconsistentAllocation, match="exceeds the served report 0.0"):
             mech.step(1, (1,), reports, (0,))
-    assert mech._pay_memo == {}
 
 
 def test_bad_reports_raise_after_valid_reads(small_tables):
@@ -504,9 +487,9 @@ def test_bad_reports_raise_after_valid_reads(small_tables):
     assert mech.allocate(1, good, (1, 1)) == want
 
 
-def test_read_and_payment_memos_stay_bounded(small_cfg, small_tables, monkeypatch):
-    """Under a tiny bound the read and payment memos are cleared over and
-    over, yet episodes come out identical."""
+def test_read_memo_stays_bounded(small_cfg, small_tables, monkeypatch):
+    """Under a tiny bound the read memo is cleared over and over, yet
+    episodes come out identical."""
     def run():
         mech = Mechanism(small_tables)
         traces = [fm.sample_episode(small_cfg, small_tables, s, mech=mech) for s in range(40)]
@@ -516,7 +499,7 @@ def test_read_and_payment_memos_stay_bounded(small_cfg, small_tables, monkeypatc
     monkeypatch.setattr(mechanism, "MEMO_BOUND", 2)
     bounded, mech = run()
     assert bounded == unbounded
-    assert len(mech._read_memo) <= 2 and len(mech._pay_memo) <= 2
+    assert len(mech._read_memo) <= 2
 
 
 # -- memos -------------------------------------------------------------------------
