@@ -18,11 +18,14 @@ next layer's table is non-decreasing in every variety, bit for bit (checked
 per layer; the final one is all zeros), without its reports of virtual value
 w <= 0, since against a non-decreasing continuation serving one cannot raise
 a correctly rounded sum. In the final period, which has no continuation, a
-clipped key with no more reports than y_1 is solved once per layer instead:
-variety 1 alone could serve each of its reports, so the stage only picks
-which to serve, whatever else y holds. Exact expectations enumerate ordered
-consumer profiles in lexicographic (level, grid index) order, once per period
-for the whole layer (the report law does not depend on the supply state).
+clipped key that y can serve whole (for every level j, its reports of levels
+1..j number at most ``y_1 + ... + y_j``: Hall's condition on cumulative
+supply) is solved once per layer instead: every subset of it is servable,
+so the stage only picks which reports to serve, whatever else y holds.
+Exact expectations enumerate ordered consumer profiles in lexicographic
+(level, grid index) order, once per period for the whole layer (the report
+law does not depend on the supply state), each profile's weight from its
+prefix's product and each distinct prefix's keys once.
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream; `PeriodSampler.rank_keys` decodes a
 layer's rows a block at a time with numpy and hands back each set's key, so
@@ -66,7 +69,11 @@ _VERSION = 1
 # Ordered report profiles the exact backend may enumerate in one period. It
 # holds one period's profile columns at a time, 12 bytes per profile (a
 # float64 weight and a uint32 multiset index), so at most 120 MB at this
-# default, plus one rank tuple and one shared summary per distinct multiset.
+# default. Beside them: one rank tuple and one shared summary per distinct
+# multiset; the prefix list, the uint32 slots and float64 weight prefixes of
+# the profiles one report shorter (profiles / atoms entries each); and one
+# uint32 slot list over the atoms per distinct sorted prefix, at most 4 bytes
+# per profile.
 DEFAULT_PROFILE_BUDGET = 10_000_000
 
 
@@ -226,7 +233,7 @@ class ValueTables:
     states: dict                   # t -> sorted list of supply vectors
     values: dict                   # t -> {y: C_t(y)}
     stderrs: dict                  # t -> {y: standard error} (zero for exact)
-    _conts: dict = field(default_factory=dict, repr=False, compare=False)
+    _conts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def fingerprint(self) -> str:
@@ -389,6 +396,18 @@ def _servable(key: tuple, level_of: list, reach: list) -> tuple:
     return tuple(out)
 
 
+def _whole(key: tuple, level_of: list, reach: list) -> bool:
+    """Whether the supply of cumulative reach `reach` serves every report of
+    a sorted rank tuple at once: by Hall's condition, when for every level j
+    the reports of levels 1..j number at most ``reach[j] = y_1 + ... + y_j``.
+    A key lists its levels in order, so its count-th report is preceded only
+    by reports of its own level or lower."""
+    for count, r in enumerate(key, 1):
+        if count > reach[level_of[r]]:
+            return False
+    return True
+
+
 def _non_decreasing(layer: dict) -> bool:
     """Whether every entry is at least the entry one good lower in each
     variety, bit for bit: values[y - e_i] <= values[y] wherever y_i > 0."""
@@ -413,16 +432,25 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     its level. Per state, each key is clipped to the servable reports (per
     level j, the top ``y_1 + ... + y_j``), the stage is solved once per
     distinct clipped key, and every state shares the summaries. In the final
-    period (`cont` is `_no_continuation`), a clipped key of at most y_1
-    reports is solved once for the whole layer: variety 1 alone could serve
-    all of it, so by `build_value_tables`' contract its value is the same at
-    every state that reaches it.
+    period (`cont` is `_no_continuation`), a clipped key the state serves
+    whole (`_whole`; a raw key that passes needs no clipping, so it is tested
+    first) is solved once for the whole layer: by `build_value_tables`'
+    contract its value is the same at every state that serves it whole.
+    That holds for the greedy stage too: serving a report from the highest
+    in-stock variety at most its level keeps Hall's condition for the rest,
+    so every candidate stays feasible in every round, and with no
+    continuation its rounds and value are the same at every such state.
 
     Exact (`samples` None): one walk records each ordered profile's weight
-    ``lam_n * p_1 * ... * p_n`` (multiplied in profile order) and its key's
-    slot, 12 bytes per profile; every state's entry is the `estimate` of
-    that exact law, ``math.fsum`` of weight times value over the profiles,
-    bit for bit `oracle.reference_expected_stage`.
+    ``lam_n * p_1 * ... * p_n`` and its key's slot, 12 bytes per profile.
+    The weight is ``(lam_n * p_1 * ... * p_(n-1)) * p_n``: the same products
+    in the same order as multiplying along the profile, with each prefix's
+    product computed once. A key's slots with one more report, per atom,
+    are computed once per distinct key (`extension`), so the slots of the
+    profiles of length n are the extensions of the slots of length n - 1, in
+    profile order. Every state's entry is the `estimate` of that exact law,
+    ``math.fsum`` of weight times value over the profiles, bit for bit
+    `oracle.reference_expected_stage`.
     Monte Carlo: state number idx draws its `samples` report sets (arrival
     count, then each consumer) from row idx of `market.uniform_blocks`: the
     stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
@@ -450,7 +478,7 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     k = cfg.varieties
     summaries: dict[tuple, tuple] = {}
     final = cont is _no_continuation
-    shared: dict[tuple, float] = {}   # final period: keys variety 1 alone can serve
+    shared: dict[tuple, float] = {}   # final period: keys a state serves whole
 
     def summarize_key(key: tuple) -> tuple:
         """`summarize` of a key's reports without a sort, in one pass: the
@@ -467,9 +495,13 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         own: dict[tuple, float] = {}
         values = []
         for key in keys:
-            if len(key) > reach[0]:  # otherwise every level can serve every report
+            if len(key) <= reach[0]:   # variety 1 alone could serve the whole key
+                memo = shared if final else own
+            elif final and _whole(key, level_of, reach):
+                memo = shared
+            else:
                 key = _servable(key, level_of, reach)
-            memo = shared if final and len(key) <= reach[0] else own
+                memo = shared if final and _whole(key, level_of, reach) else own
             value = memo.get(key)
             if value is None:
                 summary = summaries.get(key)
@@ -487,30 +519,54 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         return layer, errs
 
     atoms = cfg.consumer_atoms(t)
-    lam = cfg.arrivals.pmf(t)
+    lam = [float(p) for p in cfg.arrivals.pmf(t)]
     atom_rank = [rank[b - 1][i] for b, i, _p, _w in atoms]
-    atom_kept = [r >= 0 for r in atom_rank]
     probs = [p for _b, _i, p, _w in atoms]
+    multisets: list[tuple] = [()]   # distinct keys, by slot
+    slot_of: dict[tuple, int] = {(): 0}
+    extensions: list = [None]       # per slot: the slot of its key plus each atom
+
+    def extension(slot: int) -> array:
+        """The slots of `multisets[slot]` with one more report, per atom."""
+        key = multisets[slot]
+        ext = array("I")
+        for r in atom_rank:
+            longer = key if r < 0 else tuple(sorted((*key, r)))
+            got = slot_of.get(longer)
+            if got is None:
+                got = slot_of[longer] = len(multisets)
+                multisets.append(longer)
+                extensions.append(None)
+            ext.append(got)
+        extensions[slot] = ext
+        return ext
+
+    top = max(n for n, lam_n in enumerate(lam) if lam_n > 0.0)
     weights = array("d")
     slots = array("I")
-    multisets: list[tuple] = []   # distinct keys, first seen first
-    slot_of: dict[tuple, int] = {}
-    for n in range(len(lam)):
-        lam_n = float(lam[n])
+    level = array("I", [0])   # the slot of every profile of length n, in profile order
+    for n, lam_n in enumerate(lam[:top + 1]):
+        if n:   # the longest profiles' slots go straight into `slots`
+            prefixes, level = level, slots if n == top else array("I")
+            for slot in prefixes:
+                level.extend(extensions[slot] or extension(slot))
         if lam_n == 0.0:
             continue
-        for profile in itertools.product(range(len(atoms)), repeat=n):
-            prob = lam_n
-            for a in profile:
-                prob *= probs[a]
-            key = tuple(sorted([atom_rank[a] for a in profile if atom_kept[a]]))
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(multisets)
-                multisets.append(key)
-            weights.append(prob)
-            slots.append(slot)
-    del slot_of
+        if n:
+            heads = array("d", [lam_n])   # lam_n * p_a1 * ... * p_a(n-1) per prefix, in order
+            for _ in range(n - 1):
+                heads = array("d", (q * p for q in heads for p in probs))
+            for head in heads:
+                weights.extend([head * p for p in probs])
+        else:
+            weights.append(lam_n)
+        if level is not slots:
+            slots.extend(level)
+    del slot_of, extensions, level
+    if 0.0 in lam[:top]:   # keep only keys some profile reaches, not just a prefix
+        reached = sorted(set(slots))
+        multisets = [multisets[s] for s in reached]
+        slots = array("I", map(dict(zip(reached, itertools.count())).__getitem__, slots))
     for y in states:
         values = evaluate(y, multisets)
         layer[y], errs[y] = estimate(map(values.__getitem__, slots), weights)
@@ -551,7 +607,7 @@ def build_value_tables(
 
     Both backends key report sets one way and call the stage once per state
     and distinct servable report set (`_expected_layer`; in the final period,
-    once per layer for a set variety 1 alone could serve); where layer t + 1
+    once per layer for a set the state serves whole); where layer t + 1
     is non-decreasing in every variety, bit for bit, the report sets of
     layer t also leave out every report with w <= 0. The exact backend
     enumerates all (arrival count, type profile) combinations once per
@@ -572,9 +628,9 @@ def build_value_tables(
     level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
     is non-decreasing in every variety, on any report with w <= 0; both
     backends leave both out of `w_sorted`. At the final period (`cont`
-    identically zero) the value may depend on y only through which reports
-    y can serve: both backends solve a report set that variety 1 alone
-    could serve once per layer, at the first state that reaches it.
+    identically zero) the value may depend on y only through which sets of
+    reports y can serve at once: both backends solve a report set once per
+    layer, at the first state that serves it whole.
     """
     check_backend(cfg, backend, samples, seed)
     stage_fn = stage_fn or _optimal_stage

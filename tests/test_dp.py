@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,24 @@ def test_terminal_value_against_direct_expectation(small_cfg, small_tables):
     assert small_tables.values[2][(1, 1)] == pytest.approx(expected, abs=1e-12)
 
 
+def test_replaced_tables_memoise_their_own_continuations(small_tables):
+    """`dataclasses.replace` gives the copy a fresh continuation memo: once
+    the original has memoised period 1's continuation, a copy whose
+    C_2((1, 0)) is raised by 0.5 still reads its own layer 2, and the
+    original keeps reading its own."""
+    before = small_tables.continuation_fn(1)((1, 0))
+    values = {t: dict(layer) for t, layer in small_tables.values.items()}
+    values[2][(1, 0)] += 0.5
+    copy = dataclasses.replace(small_tables, values=values)
+    outcomes = small_tables.config.supply.outcomes(2)
+    want = dp.estimate([values[2][tuple(map(sum, zip((1, 0), xs)))] for _p, xs in outcomes],
+                       [p for p, _xs in outcomes])[0]
+    assert copy.continuation_fn(1)((1, 0)) == want > before
+    assert small_tables.continuation_fn(1)((1, 0)) == before
+    with pytest.raises(ValueError):
+        dataclasses.replace(small_tables, _conts={})
+
+
 def test_continuation_gap_examples(small_tables):
     assert fm.continuation_gap(small_tables, 2, (1, 1), 1) == 0.0  # final period
     assert fm.continuation_gap(small_tables, 1, (1, 1), 2) == 0.0  # bitwise, not approx
@@ -237,32 +256,53 @@ def _exact_solve_market(horizon: int = 2):
     })
 
 
-@pytest.mark.parametrize("backend", ["exact", "mc"])
-def test_stage_called_once_per_servable_multiset(backend, small_cfg):
-    """One stage solve per state and distinct servable multiset of reports,
-    and in the final period one per layer for a multiset variety 1 alone can
-    serve, for both backends. Exact, on `_exact_solve_market`: 23,491 ordered
-    (profile, state) pairs need at most 1,995 solves, 1,410 of them in the
-    final period, since the tables are monotone and a report with w <= 0 is
-    never served, so it leaves the keys. Monte Carlo, on the inputs of
-    `test_mc_tables_pinned`: 1,600 drawn (report set, state) pairs need at
-    most 126, 52 of them in the final period. A state with no supply serves
-    nobody, so it needs one solve per period."""
-    if backend == "exact":
-        cfg, kwargs, bound, final = _exact_solve_market(), {}, 1995, 1410
-    else:
-        cfg, kwargs, bound, final = small_cfg, {"backend": "mc", "samples": 200, "seed": 3}, 126, 52
+def _counted_build(cfg, **kwargs) -> tuple:
+    """An optimal build of `cfg`, and the (t, y) of its every stage solve, in order."""
     calls = []
 
     def counted(t, summary, y, cont):
         calls.append((t, y))
         return dp._optimal_stage(t, summary, y, cont)
 
-    tables = fm.build_value_tables(cfg, stage_fn=counted, **kwargs)
+    return fm.build_value_tables(cfg, stage_fn=counted, **kwargs), calls
+
+
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_stage_called_once_per_servable_multiset(backend, small_cfg):
+    """One stage solve per state and distinct servable multiset of reports,
+    and in the final period one per layer for a multiset the state serves
+    whole, for both backends. Exact, on `_exact_solve_market`: 23,491 ordered
+    (profile, state) pairs need at most 1,215 solves, 630 of them in the
+    final period, since the tables are monotone and a report with w <= 0 is
+    never served, so it leaves the keys. Monte Carlo, on the inputs of
+    `test_mc_tables_pinned`: 1,600 drawn (report set, state) pairs need at
+    most 115, 41 of them in the final period. A state with no supply serves
+    nobody, so it needs one solve per period."""
+    if backend == "exact":
+        cfg, kwargs, bound, final = _exact_solve_market(), {}, 1215, 630
+    else:
+        cfg, kwargs, bound, final = small_cfg, {"backend": "mc", "samples": 200, "seed": 3}, 115, 41
+    tables, calls = _counted_build(cfg, **kwargs)
     assert len(calls) <= bound
     assert sum(t == cfg.horizon for t, _y in calls) <= final
     assert sorted(c for c in calls if c[1] == (0, 0)) == [(1, (0, 0)), (2, (0, 0))]
     assert tables.values == fm.build_value_tables(cfg, **kwargs).values
+
+
+def test_readme_quotes_the_stage_solve_counts():
+    """README's solver paragraph quotes how many stage solves, and over how
+    many (report set, state) pairs, exact-solve's market and mc-market's
+    market (20 samples, seed 1) take: recounted here, so a change that moves
+    them must restate them."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    exact_cfg, mc_cfg = _exact_solve_market(), _k3_market(3, 201)
+    exact = len(_counted_build(exact_cfg)[1])
+    pairs = sum(dp.exact_profile_count(exact_cfg, t) * len(dp.reachable_states(exact_cfg, t))
+                for t in (1, 2))
+    assert f"exact-solve's market needs {exact:,} stage solves for its {pairs:,}" in readme
+    mc = len(_counted_build(mc_cfg, backend="mc", samples=20, seed=1)[1])
+    drawn = 20 * sum(len(dp.reachable_states(mc_cfg, t)) for t in (1, 2, 3))
+    assert f"(20 samples, seed 1) needs {mc:,} stage solves for its {drawn:,} drawn sets" in readme
 
 
 def test_non_monotone_layer_keeps_never_served_reports():
@@ -271,7 +311,7 @@ def test_non_monotone_layer_keeps_never_served_reports():
     non-monotone, so a report with w <= 0 may matter there; the tables still
     equal the unmemoised reference expectation bit for bit. The final period
     is not charged: there the contract lets a value depend on y only through
-    which reports y can serve."""
+    which sets of reports y can serve at once."""
     cfg = _exact_solve_market(horizon=3)
 
     def charged(t, summary, y, cont):
@@ -285,6 +325,36 @@ def test_non_monotone_layer_keeps_never_served_reports():
         for y in tables.states[t]:
             ref = oracle.reference_expected_stage(cfg, t, y, cont, charged)
             assert tables.values[t][y].hex() == ref.hex(), (t, y)
+
+
+def test_keys_only_a_prefix_reaches_are_not_solved():
+    """With no chance of exactly one arrival, the exact walk still builds the
+    one-report keys, as prefixes of the two-report profiles, but solves only
+    keys some profile reaches. A stage charged before the final period makes
+    layer 2 non-monotone, so period 1 keeps every report in its keys, and two
+    goods of each variety clip nothing: every set it solves at y = (2, 2) has
+    zero or two reports, and the tables equal the reference expectation bit
+    for bit."""
+    cfg = config_io.parse_config({
+        "horizon": 3, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 11},
+        "arrivals": [[0.5, 0.0, 0.5]] * 3, "supply": [[[0.0, 0.0, 1.0]] * 2] * 3,
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    })
+    sizes = set()
+
+    def charged(t, summary, y, cont):
+        if (t, y) == (1, (2, 2)):
+            sizes.add(sum(map(len, summary)))
+        value = dp._optimal_stage(t, summary, y, cont)
+        return value - 0.25 * sum(y) if t < cfg.horizon else value
+
+    tables = fm.build_value_tables(cfg, stage_fn=charged)
+    assert not dp._non_decreasing(tables.values[2])
+    assert sizes == {0, 2}
+    cont = tables.continuation_fn(1)
+    for y in tables.states[1]:
+        ref = oracle.reference_expected_stage(cfg, 1, y, cont, charged)
+        assert tables.values[1][y].hex() == ref.hex(), y
 
 
 def test_non_decreasing_reads_every_variety():

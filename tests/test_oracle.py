@@ -199,10 +199,10 @@ def test_opportunity_costs_ordered_on_a_k3_market():
 
 
 def _perturbed(tables, y, by):
-    """`tables` with C_2(y) moved by `by`, and no continuation memoised yet."""
+    """`tables` with C_2(y) moved by `by`."""
     values = {t: dict(layer) for t, layer in tables.values.items()}
     values[2][y] += by
-    return dataclasses.replace(tables, values=values, _conts={})
+    return dataclasses.replace(tables, values=values)
 
 
 def test_opportunity_cost_check_catches_a_perturbed_entry(small_tables):
@@ -483,13 +483,43 @@ def test_exact_tables_match_reference_expectation(small_cfg):
     """The memoised exact backend equals the plain ordered enumeration bit for bit,
     for the optimal, brute-force and myopic stages alike, on the family; for the
     optimal stage also on the worked example over three periods and on a k=3
-    market of up to three arrivals, where most states clip the reports."""
+    market of up to three arrivals at G=3 and G=4 (the latter pinned in
+    `test_streams.TABLE_SHA256`), where most states clip the reports, the
+    three-report profiles share two-report prefixes, and many final-period
+    states serve a key whole."""
     cfgs = [small_cfg] + [random_instance(i, master_seed=0) for i in range(20)]
     for cfg in cfgs:
         for tables, stage_fn in _exact_builds(cfg):
             _assert_matches_reference(tables, stage_fn)
-    for cfg in (fm.build_example_config((2.0, 3.0), 0.5, 3, 41), _k3_market(horizon=2, points=3)):
+    for cfg in (fm.build_example_config((2.0, 3.0), 0.5, 3, 41), _k3_market(horizon=2, points=3),
+                _k3_market(horizon=2, points=4)):
         _assert_matches_reference(dp.build_value_tables(cfg), dp._optimal_stage)
+
+
+def test_whole_servable_rule_is_halls_condition():
+    """`dp._whole`, the rule by which the final period shares a key across
+    states, says y serves a set of reports at once exactly when serving all
+    of them is a feasible service vector: per level j, the reports of levels
+    1..j number at most y_1 + ... + y_j. Checked on family instances 0-39,
+    for every count vector of at most n_max reports and every reachable
+    state, and both verdicts occur where variety 1 alone falls short."""
+    verdicts = set()
+    for i in range(40):
+        cfg = random_instance(i, master_seed=0)
+        k = cfg.varieties
+        n_max = max(len(cfg.arrivals.pmf(t)) - 1 for t in range(1, cfg.horizon + 1))
+        level_of = [j for j in range(k) for _ in range(n_max)]   # n_max ranks per level
+        states = {y for t in range(1, cfg.horizon + 1) for y in dp.reachable_states(cfg, t)}
+        for counts in itertools.product(range(n_max + 1), repeat=k):
+            if sum(counts) > n_max:
+                continue
+            key = tuple(j * n_max + r for j, c in enumerate(counts) for r in range(c))
+            for y in states:
+                whole = dp._whole(key, level_of, list(itertools.accumulate(y)))
+                assert whole == (counts in oracle.feasible_service_set(counts, y)), (i, counts, y)
+                if len(key) > y[0]:
+                    verdicts.add(whole)
+    assert verdicts == {True, False}
 
 
 def _zero_atom_market():
@@ -577,15 +607,15 @@ def test_stage_matches_reference_on_family():
 def test_stage_matches_reference_beyond_family():
     """Inputs the family never reaches: non-monotone Monte Carlo tables, and an
     exact k=3 market with two goods per variety per draw and three arrivals.
-    The final period solves each set that variety 1 alone can serve once per
-    layer, so the inputs are sized to keep more than 5,000 solves each
-    (5,334 and 7,161)."""
+    The final period solves each set its state serves whole once per layer,
+    so the inputs are sized to keep more than 5,000 solves each (5,223 and
+    7,595)."""
     calls = []
-    dp.build_value_tables(_k3_market(horizon=3, points=201), backend="mc", samples=30, seed=1,
+    dp.build_value_tables(_k3_market(horizon=3, points=201), backend="mc", samples=32, seed=1,
                           stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
     calls.clear()
-    dp.build_value_tables(_k3_market(horizon=2, points=4), stage_fn=_checked_stage(calls))
+    dp.build_value_tables(_k3_market(horizon=2, points=6), stage_fn=_checked_stage(calls))
     assert len(calls) > 5_000
 
 

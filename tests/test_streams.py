@@ -74,6 +74,7 @@ TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha
     "exact-solve": "bcff3a683d43d6ee3d71c2856150008ba02597c20199b14aaa84131a7ab2e670",
     "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
     "family-20": "2483c73f84dcad1af9f2ccd284d242b9a65c283949e942abad9ecd4b58aa4565",
+    "k3-market": "1f86eceb47a0388aab91c1761be288ca13aecb567d539604575fdaebb40fc3b0",
 }
 
 MC_TABLE_SHA256 = {  # Monte Carlo tables of the k=3, T=3, G=201 market, 20 samples, seed 1
@@ -98,8 +99,9 @@ def _table_sha256(tables) -> str:
 
 def test_exact_tables_pinned(small_cfg):
     """k=2, T=2, G=21 market (arrivals uniform on {0, 1, 2}, Bernoulli(0.5)
-    supply), the worked example at G=41 and the first 20 master-seed-0
-    instances."""
+    supply), the worked example at G=41, the first 20 master-seed-0
+    instances, and `test_oracle._k3_market(2, 4)`, whose three-arrival
+    profiles share two-report prefixes."""
     bern = [0.5, 0.5]
     exact_solve = config_io.parse_config({
         "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
@@ -110,6 +112,7 @@ def test_exact_tables_pinned(small_cfg):
         "exact-solve": [exact_solve],
         "example-41": [small_cfg],
         "family-20": [oracle.random_instance(i, master_seed=0) for i in range(20)],
+        "k3-market": [_k3_market(2, 4)],
     }
     got = {name: _table_sha256([tab for cfg in cfgs for tab in (
         fm.build_value_tables(cfg), simulate.build_myopic_tables(cfg))])
