@@ -22,7 +22,6 @@ from .market import (  # noqa: F401
     TypeDistribution,
     ValuationGrid,
     build_example_config,
-    canonical_json,
     inverse_virtual,
     reserve_price,
     validate_config,

@@ -133,7 +133,8 @@ def load_config(path) -> MarketConfig:
 
 
 def fingerprint(cfg: MarketConfig) -> str:
-    """SHA-256 of the canonical config serialization (cached on the config)."""
+    """The config's `MarketConfig.fingerprint` (SHA-256 of its small part as
+    JSON and its type tables as float64 bytes, cached on the config)."""
     return cfg.fingerprint
 
 

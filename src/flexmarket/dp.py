@@ -65,7 +65,10 @@ from .market import MAX_FLOATS, MarketConfig, _index
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
 _MAGIC = b"FMTABLE1"
-_VERSION = 1
+# 2: the fingerprint field hashes the type tables as float64 bytes, not as
+# JSON text, so a version-1 file is refused by its version, not by a
+# fingerprint that no longer matches.
+_VERSION = 2
 # Ordered report profiles the exact backend may enumerate in one period. It
 # holds one period's profile columns at a time, 12 bytes per profile (a
 # float64 weight and a uint32 multiset index), so at most 120 MB at this

@@ -1,7 +1,8 @@
 """Market primitives: valuation grid, distributions, virtual valuations,
-canonical serialization (and the fingerprint hashed from it), regularity,
-the per-period samplers, the seeded replication streams they read, and the
-draw plans of the batch sites.
+canonical serialization, the fingerprint (hashed from the serialization's
+small part as JSON and its type tables as float64 bytes), regularity, the
+per-period samplers, the seeded replication streams they read, and the draw
+plans of the batch sites.
 
 A `DrawPlan` writes down once the order in which one replication of a batch
 (an episode, or the environment a period-t probe meets) draws. A batch reads
@@ -225,8 +226,18 @@ class MarketConfig:
 
     @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical serialization, computed once per config."""
-        return hashlib.sha256(canonical_json(self).encode("utf-8")).hexdigest()
+        """SHA-256, computed once per config, of the compact, key-sorted JSON
+        of `canonical_dict` less its type tables, then the little-endian
+        float64 bytes of `flex_pmf`, `pdf` and `cdf`. The JSON closes with
+        its own brace and fixes the tables' shapes, so the bytes decode one
+        way only; shortest-repr JSON round-trips every finite float, so two
+        configs share a fingerprint exactly when their canonical
+        serializations are equal."""
+        head = json.dumps(_head_dict(self), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(head.encode("utf-8"))
+        for table in (self.types.flex_pmf, self.types.pdf, self.types.cdf):
+            digest.update(table.astype("<f8", copy=False).tobytes())
+        return digest.hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarketConfig):
@@ -278,8 +289,22 @@ def canonical_dict(cfg: MarketConfig) -> dict[str, Any]:
     """Fully tabulated, order-stable dict representation of a config.
 
     Type distributions are always tabulated, so a family-built config and its
-    tabulated equivalent share one fingerprint.
+    tabulated equivalent share one fingerprint (which hashes the tables'
+    bytes, not this dict's lists of them).
     """
+    return {
+        **_head_dict(cfg),
+        "types": {
+            "flexibility": cfg.types.flex_pmf.tolist(),
+            "pdf": cfg.types.pdf.tolist(),
+            "cdf": cfg.types.cdf.tolist(),
+        },
+    }
+
+
+def _head_dict(cfg: MarketConfig) -> dict[str, Any]:
+    """`canonical_dict` less its type tables: horizon, varieties, grid, and
+    the arrival and supply PMFs."""
     return {
         "horizon": cfg.horizon,
         "varieties": cfg.varieties,
@@ -293,17 +318,7 @@ def canonical_dict(cfg: MarketConfig) -> dict[str, Any]:
             [list(map(float, cfg.supply.pmf(t, j))) for j in range(1, cfg.varieties + 1)]
             for t in range(1, cfg.horizon + 1)
         ],
-        "types": {
-            "flexibility": cfg.types.flex_pmf.tolist(),
-            "pdf": cfg.types.pdf.tolist(),
-            "cdf": cfg.types.cdf.tolist(),
-        },
     }
-
-
-def canonical_json(cfg: MarketConfig) -> str:
-    """Compact, key-sorted JSON of `canonical_dict`: what the fingerprint hashes."""
-    return json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
 
 
 class PeriodSampler:
@@ -318,21 +333,29 @@ class PeriodSampler:
     gives the same draws whichever way it is held. The CDFs are held as
     lists of the very floats `np.cumsum` gives, so a `bisect` over them
     picks the index `np.searchsorted` would, without a numpy call per draw.
-    `rank_keys` makes the same draws off whole blocks of rows, searching
-    `cuts`, the same CDFs as arrays.
+    `rank_keys` and `DrawPlan.read_block` make the same draws off whole
+    blocks of rows, searching `cuts`, arrays made from those lists: the
+    lists are the one source of each CDF.
     """
 
-    __slots__ = ("arrivals", "levels", "values", "supply", "cuts")
+    __slots__ = ("arrivals", "levels", "values", "supply", "_cuts")
 
     def __init__(self, cfg: MarketConfig, t: int):
-        arrivals = np.cumsum(cfg.arrivals.pmf(t))
-        levels = np.cumsum(cfg.types.flex_pmf[t - 1])
-        values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1)
-        supply = [np.cumsum(pmf) for pmf in cfg.supply.pmfs[t - 1]]
-        self.arrivals, self.levels, self.values = arrivals.tolist(), levels.tolist(), values.tolist()
-        self.supply = tuple(cum.tolist() for cum in supply)
-        # the same CDFs short of their last entry, for `_draw_column`
-        self.cuts = (arrivals[:-1], levels[:-1], values[:, :-1], [cum[:-1] for cum in supply])
+        self.arrivals = np.cumsum(cfg.arrivals.pmf(t)).tolist()
+        self.levels = np.cumsum(cfg.types.flex_pmf[t - 1]).tolist()
+        self.values = np.cumsum(cfg.types.binned_pmf[t - 1], axis=1).tolist()
+        self.supply = tuple(np.cumsum(pmf).tolist() for pmf in cfg.supply.pmfs[t - 1])
+        self._cuts = None
+
+    @property
+    def cuts(self) -> tuple:
+        """The arrival, level, (k, G) value and per-variety supply CDFs short
+        of their last entry, as arrays for `_draw_column`, made from the
+        lists at the first read (about 54 us at k=2, G=1001) and kept."""
+        if self._cuts is None:
+            self._cuts = (np.array(self.arrivals[:-1]), np.array(self.levels[:-1]),
+                          np.array(self.values)[:, :-1], [np.array(cum[:-1]) for cum in self.supply])
+        return self._cuts
 
     @property
     def n_max(self) -> int:

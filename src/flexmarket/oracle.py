@@ -94,21 +94,16 @@ def enumerate_feasible_matrices(
     if upper > budget * 16:
         raise BudgetExceeded(f"row-choice space {upper} far exceeds budget {budget}")
 
-    def walk(prefix: tuple, stock: tuple):
-        if len(prefix) == len(flexibilities):
-            yield prefix
-            return
-        yield from walk(prefix + (0,), stock)
-        for j in range(flexibilities[len(prefix)]):
-            if stock[j] > 0:
-                yield from walk(prefix + (j + 1,), stock[:j] + (stock[j] - 1,) + stock[j + 1:])
-
-    out: list[tuple] = []
-    for m in walk((), tuple(y)):
-        if len(out) == budget:
+    # (prefix, stock) per feasible prefix, row by row in lexicographic order;
+    # every prefix extends to a matrix (zeros after it), so checking the
+    # budget per row raises exactly when the matrices outnumber it
+    out = [((), tuple(y))]
+    for b in flexibilities:
+        out = [(prefix + (c,), stock[:c - 1] + (stock[c - 1] - 1,) + stock[c:] if c else stock)
+               for prefix, stock in out for c in range(b + 1) if not c or stock[c - 1]]
+        if len(out) > budget:
             raise BudgetExceeded(f"feasible matrix count exceeds budget {budget}")
-        out.append(m)
-    return out
+    return [prefix for prefix, _stock in out]
 
 
 def service_of(choices: Sequence[int], flexibilities: Sequence[int], k: int) -> tuple:

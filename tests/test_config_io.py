@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
 import flexmarket as fm
-from flexmarket import MalformedConfig, config_io, market
+from flexmarket import MalformedConfig, config_io, market, oracle
 
 EXAMPLE_DOC = {
     "horizon": 2,
@@ -99,6 +101,45 @@ def test_fingerprint_sensitivity(small_cfg):
     fp = config_io.fingerprint(small_cfg)
     assert len(fp) == 64 and fp == config_io.fingerprint(small_cfg)
     assert fp != config_io.fingerprint(other)
+
+
+def test_fingerprint_pinned(small_cfg):
+    """SHA-256 of the small part's compact JSON, then the type tables'
+    little-endian float64 bytes: pinned on the worked example at G=41 and
+    on the family's first instance."""
+    assert config_io.fingerprint(small_cfg) == (
+        "9791d1312a9ed80f6ae1dfd2ccd24822f8712acd21397d7ca3e961a1e9458bb8")
+    assert config_io.fingerprint(oracle.random_instance(0)) == (
+        "35cec9d3652d3c53d6d4e21c14a66249f66e4e46308293f94fe97a9b4f9a3764")
+
+
+@pytest.mark.parametrize("table, at", [("flex_pmf", (1, 0)), ("pdf", (0, 1, 20)), ("cdf", (1, 1, 7))])
+def test_fingerprint_sees_one_ulp_of_each_table(small_cfg, table, at):
+    """One entry of one type table moved by one ulp changes the fingerprint."""
+    arrays = {name: getattr(small_cfg.types, name).copy() for name in ("flex_pmf", "pdf", "cdf")}
+    arrays[table][at] = math.nextafter(arrays[table][at], math.inf)
+    moved = dataclasses.replace(small_cfg, types=market.TypeDistribution.from_tables(**arrays))
+    same = dataclasses.replace(small_cfg, types=market.TypeDistribution.from_tables(
+        **{name: getattr(small_cfg.types, name) for name in arrays}))
+    assert config_io.fingerprint(same) == config_io.fingerprint(small_cfg)
+    assert config_io.fingerprint(moved) != config_io.fingerprint(small_cfg)
+
+
+def test_fingerprint_sees_a_trailing_zero_arrival():
+    """Arrival PMFs that differ only by a trailing 0.0 are different configs."""
+    padded = dict(EXAMPLE_DOC, arrivals=[[0.5, 0.5], [0.5, 0.5, 0.0]])
+    a, b = config_io.parse_config(EXAMPLE_DOC), config_io.parse_config(padded)
+    assert config_io.fingerprint(a) != config_io.fingerprint(b)
+
+
+def test_family_fingerprints_survive_reparse():
+    """All 200 family instances keep their fingerprint through their
+    canonical serialization, and no two share one."""
+    configs = [oracle.random_instance(i) for i in range(200)]
+    fps = [config_io.fingerprint(cfg) for cfg in configs]
+    assert fps == [config_io.fingerprint(config_io.parse_config(market.canonical_dict(cfg)))
+                   for cfg in configs]
+    assert len(set(fps)) == len(fps)
 
 
 def test_family_on_shifted_grid():

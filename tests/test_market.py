@@ -416,12 +416,11 @@ def test_report_sets_clamp_a_cdf_below_1(small_cfg):
     """CDFs ending at 0.5: a uniform at or above 0.5 draws the last index
     only through the clamp (`_draw`'s bound, and the cut that stops short of
     the last entry), so every set of one report and every level-2 report
-    here is the clamp's."""
+    here is the clamp's. The per-call lists are patched alone: the block
+    decoder's cuts are made from them."""
     sampler = market.PeriodSampler(small_cfg, 1)
     sampler.arrivals = [0.5, 0.5]
     sampler.levels = [0.5, 0.5]
-    _arrivals, _levels, values, supply = sampler.cuts
-    sampler.cuts = (np.array([0.5]), np.array([0.5]), values, supply)
     ordered, dropped = _rank_tables(small_cfg)
     keys = _checked_report_sets(sampler, (9,), 200, ordered)
     assert {len(key) for key in keys} == {0, 1}

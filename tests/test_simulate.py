@@ -26,9 +26,12 @@ def test_episode_deterministic(small_cfg, small_tables, small_mech):
 
 
 def test_config_serialised_once(tmp_path, monkeypatch):
-    """Solve, episodes, an audit and a cache round trip hash a config once."""
-    real, calls = market.canonical_dict, []
-    monkeypatch.setattr(market, "canonical_dict", lambda cfg: calls.append(cfg) or real(cfg))
+    """Solve, episodes, an audit and a cache round trip hash a config once:
+    the fingerprint serializes the config's small part (`_head_dict`) once,
+    and nothing writes the whole config (`canonical_dict`)."""
+    real_head, real_dict, calls = market._head_dict, market.canonical_dict, []
+    monkeypatch.setattr(market, "_head_dict", lambda cfg: calls.append(cfg) or real_head(cfg))
+    monkeypatch.setattr(market, "canonical_dict", lambda cfg: calls.append(cfg) or real_dict(cfg))
     cfg = fm.build_example_config((2.0, 3.0), 0.5, 2, 41)
     tables = fm.build_value_tables(cfg)
     mech = Mechanism(tables)
@@ -160,8 +163,11 @@ def test_three_variety_instance_end_to_end():
 
 
 def test_revenue_deficit_bounded_by_one_grid_cell():
-    """Grid thresholds sit one cell under the discrete critical value, so
-    revenue may trail exact virtual surplus by at most step * E[sales]."""
+    """On this coarse market (G=9) revenue trails exact virtual surplus:
+    2,000 episodes at seed 1 give revenue 0.5784 (standard error 0.0106)
+    against 0.6618, a gap of 0.0834, about half of step * E[sales] = 0.159.
+    The assertion holds virtual surplus minus revenue between 0 and that
+    bound, each side widened by three standard errors."""
     from flexmarket.market import (
         ArrivalDistribution, SupplyDistribution, TypeDistribution, ValuationGrid,
     )
