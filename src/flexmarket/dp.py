@@ -47,6 +47,10 @@ values define; ``continuation_gap`` reads that cost from the same memoised
 ``ValueTables.continuation_fn``. On continuations this DP builds, the result
 equals the enumerating argmax over every feasible service vector bit for bit,
 tie rule included (``oracle.reference_stage_value`` is that reference).
+
+The config fixes each period's states (`ValueTables.states` derives them),
+the all-zero layer T + 1 and an exact table's zero standard errors, so a
+table cache holds only the entries of periods 1..T (`ValueTables._pack`).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleU, OffGridValue, StateSpaceTooLarge, TableMismatch
@@ -65,10 +70,9 @@ from .market import MAX_FLOATS, MarketConfig, _index
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
 _MAGIC = b"FMTABLE1"
-# 2: the fingerprint field hashes the type tables as float64 bytes, not as
-# JSON text, so a version-1 file is refused by its version, not by a
-# fingerprint that no longer matches.
-_VERSION = 2
+# 3 writes only what the config does not fix (no states, T, k, layer sizes,
+# layer T + 1 or exact standard errors): a version-2 file is refused by its version.
+_VERSION = 3
 # Ordered report profiles the exact backend may enumerate in one period. It
 # holds one period's profile columns at a time, 12 bytes per profile (a
 # float64 weight and a uint32 multiset index), so at most 120 MB at this
@@ -212,10 +216,12 @@ def estimate(values: Iterable[float], weights: Sequence[float] | None = None,
     ``sqrt(fsum(w * (v - mean) ** 2) / (draws - 1) / draws)``. Each fsum is
     correctly rounded, so no order of the values moves a bit. A sample of
     equal values has standard error 0.0 wherever its mean rounds back to
-    that value.
+    that value. Fewer than 2 draws have no standard error: ValueError.
     """
     if draws is None:
         return math.fsum(map(operator.mul, weights, values)), 0.0
+    if draws < 2:
+        raise ValueError(f"a sample needs at least 2 draws for a standard error, got {draws}")
     if weights is None:
         mean = math.fsum(values) / draws
         spread = math.fsum((v - mean) ** 2 for v in values)
@@ -227,13 +233,13 @@ def estimate(values: Iterable[float], weights: Sequence[float] | None = None,
 
 @dataclass
 class ValueTables:
-    """Report-expected value functions C_t(y), frozen after construction."""
+    """Report-expected value functions C_t(y) over the states the config
+    fixes (`states`, derived, never stored), frozen after construction."""
 
     config: MarketConfig
     backend: str                   # "exact" | "mc"
     samples: int | None
     seed: int | None
-    states: dict                   # t -> sorted list of supply vectors
     values: dict                   # t -> {y: C_t(y)}
     stderrs: dict                  # t -> {y: standard error} (zero for exact)
     _conts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -241,6 +247,11 @@ class ValueTables:
     @property
     def fingerprint(self) -> str:
         return self.config.fingerprint
+
+    @cached_property
+    def states(self) -> dict:
+        """t -> `reachable_states(config, t)`, for t = 1..T + 1."""
+        return {t: reachable_states(self.config, t) for t in range(1, self.config.horizon + 2)}
 
     def continuation_fn(self, t: int) -> Callable[[Vector], float]:
         """Memoised m -> expected next-period value of carrying supply m out of period t.
@@ -272,10 +283,14 @@ class ValueTables:
     # -- persistence --------------------------------------------------------
 
     def _pack(self) -> bytes:
-        """The cache file's bytes: the one description of its layout."""
-        T, k = self.config.horizon, self.config.varieties
+        """The cache file's bytes, the one description of its layout: a header
+        (magic, version, fingerprint, backend, samples, seed), then C_t(y) of
+        every state of periods 1..T in `states` order and, for "mc" only, their
+        standard errors, as little-endian doubles. The config fixes the rest."""
         backend = self.backend.encode("utf-8")
-        parts = [
+        cells = self._cells()
+        columns = (self.values, self.stderrs) if self.backend == "mc" else (self.values,)
+        return b"".join([
             _MAGIC,
             struct.pack("<I", _VERSION),
             self.fingerprint.encode("ascii"),
@@ -283,14 +298,13 @@ class ValueTables:
             backend,
             struct.pack("<Q", self.samples or 0),
             struct.pack("<BQ", int(self.seed is not None), self.seed or 0),
-            struct.pack("<II", T, k),
-        ]
-        for t in range(1, T + 2):
-            states = self.states[t]
-            parts.append(struct.pack("<I", len(states)))
-            for y in states:
-                parts.append(struct.pack(f"<{k}Idd", *y, self.values[t][y], self.stderrs[t][y]))
-        return b"".join(parts)
+            *(struct.pack(f"<{len(cells)}d", *(column[t][y] for t, y in cells))
+              for column in columns),
+        ])
+
+    def _cells(self) -> list:
+        """(t, y) for every state y of periods 1..T, in `states` order."""
+        return [(t, y) for t in range(1, self.config.horizon + 1) for y in self.states[t]]
 
     def save(self, path) -> None:
         """Write `_pack()` to `path`. The bytes are packed before `path` is
@@ -302,13 +316,13 @@ class ValueTables:
     @classmethod
     def load(cls, path, cfg: MarketConfig) -> "ValueTables":
         """Tables saved for `cfg`. Raises TableMismatch unless the file is
-        byte for byte what `save` writes for `cfg`: parsed into tables over
-        `reachable_states`, with layer T + 1 and an exact cache's standard
-        errors 0.0 by construction, it must pack back into the same bytes.
-        What a round trip cannot see is refused first: a foreign, truncated or
-        other-version file, another config's fingerprint, a backend
-        `check_backend` refuses, and a value or standard error that is not
-        finite or is below 0."""
+        byte for byte what `save` writes for `cfg`: its values (and an mc
+        cache's standard errors) are read over `cfg`'s states, layer T + 1
+        and an exact cache's standard errors are 0.0, and the tables must
+        pack back into the same bytes. What a round trip cannot see is
+        refused first: a foreign, truncated or other-version file, another
+        config's fingerprint, a backend `check_backend` refuses, and a value
+        or standard error that is not finite or is below 0."""
         fp = cfg.fingerprint
         with open(path, "rb") as fh:
             data = fh.read()
@@ -338,31 +352,20 @@ class ValueTables:
         samples, has_seed, seed = read("<QBQ")
         samples, seed = samples or None, seed if has_seed else None
         check_backend(cfg, backend, samples, seed, TableMismatch)
-        T, k = read("<II")
-        record = struct.Struct(f"<{k}Idd")
-        values, stderrs = {}, {}
-        for t in range(1, T + 2):
-            (n,) = read("<I")
-            values[t], stderrs[t] = {}, {}
-            for *y, c, se in record.iter_unpack(read(f"<{n * record.size}s")[0]):
-                if not (math.isfinite(c) and c >= 0.0 and math.isfinite(se) and se >= 0.0):
-                    raise TableMismatch(
-                        f"cache entry t={t}, y={tuple(y)} holds value {c!r} and standard "
-                        f"error {se!r}; both must be finite and non-negative")
-                values[t][tuple(y)] = c
-                stderrs[t][tuple(y)] = se
-
-        states = {t: reachable_states(cfg, t) for t in values}
-        values[T + 1] = dict.fromkeys(states[T + 1], 0.0)
-        for t in states if backend == "exact" else [T + 1]:
-            stderrs[t] = dict.fromkeys(states[t], 0.0)
-        tables = cls(config=cfg, backend=backend, samples=samples, seed=seed,
-                     states=states, values=values, stderrs=stderrs)
-        try:
-            same = tables._pack() == data
-        except KeyError:  # the file lacks a state the config reaches
-            same = False
-        if not same:
+        tables = cls(cfg, backend, samples, seed, values={}, stderrs={})
+        cells = tables._cells()
+        values = read(f"<{len(cells)}d")
+        stderrs = read(f"<{len(cells)}d") if backend == "mc" else (0.0,) * len(cells)
+        for (t, y), c, se in zip(cells, values, stderrs):
+            if not (math.isfinite(c) and c >= 0.0 and math.isfinite(se) and se >= 0.0):
+                raise TableMismatch(f"cache entry t={t}, y={y} holds value {c!r} and standard "
+                                    f"error {se!r}; both must be finite and non-negative")
+            tables.values.setdefault(t, {})[y] = c
+            tables.stderrs.setdefault(t, {})[y] = se
+        last = cfg.horizon + 1
+        tables.values[last] = dict.fromkeys(tables.states[last], 0.0)
+        tables.stderrs[last] = dict.fromkeys(tables.states[last], 0.0)
+        if tables._pack() != data:
             raise TableMismatch("cache is not byte for byte what `save` writes for this config")
         return tables
 
@@ -648,13 +651,10 @@ def build_value_tables(
                     f"(budget {profile_budget})"
                 )
 
-    states = {t: reachable_states(cfg, t) for t in range(1, T + 2)}
-    tables = ValueTables(
-        config=cfg, backend=backend,
-        samples=samples, seed=seed, states=states,
-        values={T + 1: {y: 0.0 for y in states[T + 1]}},
-        stderrs={T + 1: {y: 0.0 for y in states[T + 1]}},
-    )
+    tables = ValueTables(cfg, backend, samples, seed, values={}, stderrs={})
+    states = tables.states
+    tables.values[T + 1] = dict.fromkeys(states[T + 1], 0.0)
+    tables.stderrs[T + 1] = dict.fromkeys(states[T + 1], 0.0)
     for t in range(T, 0, -1):
         tables.values[t], tables.stderrs[t] = _expected_layer(
             cfg, t, states[t], tables.continuation_fn(t), stage_fn,

@@ -1,8 +1,9 @@
-"""Market primitives: valuation grid, distributions, virtual valuations,
-canonical serialization, the fingerprint (hashed from the serialization's
-small part as JSON and its type tables as float64 bytes), regularity, the
-per-period samplers, the seeded replication streams they read, and the draw
-plans of the batch sites.
+"""Market primitives: valuation grid (its bounds and size, which the
+fingerprint hashes, and points derived from them), distributions, virtual
+valuations, canonical serialization, the fingerprint (hashed from the
+serialization's small part as JSON and its type tables as float64 bytes),
+regularity, the per-period samplers, the seeded replication streams they
+read, and the draw plans of the batch sites.
 
 A `DrawPlan` writes down once the order in which one replication of a batch
 (an episode, or the environment a period-t probe meets) draws. A batch reads
@@ -65,11 +66,12 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValuationGrid:
-    """Uniform grid of G valuation points with both endpoints included."""
+    """Uniform grid of `size` valuation points from `theta_min` to `theta_max`,
+    both included: the three numbers the fingerprint hashes; `points` is derived."""
 
     theta_min: float
     theta_max: float
-    points: np.ndarray
+    size: int
 
     @classmethod
     def uniform(cls, theta_min: float, theta_max: float, size: int) -> "ValuationGrid":
@@ -77,12 +79,12 @@ class ValuationGrid:
             raise MalformedConfig(f"grid needs at least 2 points, got {size}")
         if not theta_min < theta_max:
             raise MalformedConfig(f"grid bounds out of order: [{theta_min}, {theta_max}]")
-        pts = np.linspace(theta_min, theta_max, size)
-        return cls(theta_min=float(theta_min), theta_max=float(theta_max), points=_readonly(pts))
+        return cls(float(theta_min), float(theta_max), size)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The grid points, ``np.linspace(theta_min, theta_max, size)``, read-only."""
+        return _readonly(np.linspace(self.theta_min, self.theta_max, self.size))
 
     @property
     def step(self) -> float:
@@ -90,8 +92,7 @@ class ValuationGrid:
 
     @cached_property
     def point_list(self) -> list:
-        """The grid points as Python floats (the same floats `float` reads off
-        `points`), for scalar code that would otherwise index numpy per call."""
+        """`points` as Python floats, for scalar code that would otherwise index numpy."""
         return self.points.tolist()
 
     def _nearest(self, x: float) -> int:
@@ -856,10 +857,8 @@ def check_structure(cfg: MarketConfig) -> None:
         raise MalformedConfig("valuation grid has fewer than 2 points")
     if not g.theta_min < g.theta_max:
         raise MalformedConfig("grid bounds out of order")
-    if not np.all(np.diff(g.points) > 0):
+    if not np.all(np.diff(g.points) > 0):   # a span of a few ulps rounds points together
         raise MalformedConfig("grid points not strictly increasing")
-    if g.points[0] != g.theta_min or g.points[-1] != g.theta_max:
-        raise MalformedConfig("grid endpoints do not match declared bounds")
     if cfg.horizon < 1 or cfg.varieties < 1:
         raise MalformedConfig("horizon and variety count must be positive")
     # checked before anything below reads a PMF's length

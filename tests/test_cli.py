@@ -623,14 +623,6 @@ def _edited_cache(cache_file, tmp_path, edit):
     return path
 
 
-def _first_state_as_7_0(blob):
-    """Overwrite the t=1 layer's first state, (0, 0), with (7, 0)."""
-    # magic, version, fingerprint, backend "exact", samples, seed, (T, k), layer size
-    at = struct.calcsize("<8sI64sH5sQBQIII")
-    assert struct.unpack_from("<2I", blob, at) == (0, 0)
-    return blob[:at] + struct.pack("<I", 7) + blob[at + 4:]
-
-
 def _seed_header(blob, backend, flag, seed):
     """Rewrite the seed flag and seed of a cache saved with `backend`."""
     # magic, version, fingerprint, backend, samples
@@ -660,13 +652,6 @@ UNSERVABLE_CACHES = {
         _one_entry_set(tab, 1, "stderrs", float("inf"), backend="mc", samples=50, seed=1), d),
     "negative-stderr": lambda cfg, tab, k, d: _saved(
         _one_entry_set(tab, 1, "stderrs", -0.5, backend="mc", samples=50, seed=1), d),
-    "exact-with-stderr": lambda cfg, tab, k, d: _saved(_one_entry_set(tab, 1, "stderrs", 0.01), d),
-    "exact-negative-zero-stderr": lambda cfg, tab, k, d: _saved(
-        _one_entry_set(tab, 1, "stderrs", -0.0), d),
-    "nonzero-past-horizon": lambda cfg, tab, k, d: _saved(
-        _one_entry_set(tab, cfg.horizon + 1, "values", 0.5), d),
-    "negative-zero-past-horizon": lambda cfg, tab, k, d: _saved(
-        _one_entry_set(tab, cfg.horizon + 1, "values", -0.0), d),
     "myopic-backend": lambda cfg, tab, k, d: _saved(simulate.build_myopic_tables(cfg), d),
     "brute-backend": lambda cfg, tab, k, d: _saved(oracle.build_brute_tables(cfg), d),
     "mc-one-sample": lambda cfg, tab, k, d: _saved(
@@ -683,15 +668,10 @@ UNSERVABLE_CACHES = {
         lambda blob: _seed_header(blob, "mc", 2, 1)),
     "seed-without-flag": lambda cfg, tab, k, d: _edited_cache(
         k, d, lambda blob: _seed_header(blob, "exact", 0, 99)),
-    "edited-state": lambda cfg, tab, k, d: _edited_cache(k, d, _first_state_as_7_0),
     "trailing-bytes": lambda cfg, tab, k, d: _edited_cache(k, d, lambda blob: blob + b"\0"),
-    # magic | version | fingerprint, backend "exact", samples, seed | (T, k) | t=1 layer size
+    # magic | version
     "unsupported-version": lambda cfg, tab, k, d: _edited_cache(
         k, d, _overwrite("<8s", "<I", dp._VERSION + 1)),
-    "other-dimensions": lambda cfg, tab, k, d: _edited_cache(
-        k, d, _overwrite("<8sI64sH5sQBQ", "<II", cfg.horizon + 1, cfg.varieties)),
-    "layer-size": lambda cfg, tab, k, d: _edited_cache(
-        k, d, _overwrite("<8sI64sH5sQBQII", "<I", len(tab.states[1]) + 1)),
 }
 
 
@@ -707,6 +687,29 @@ def test_simulate_rejects_unservable_cache(case, config_file, cache_file, small_
     captured = capsys.readouterr()
     assert captured.out.strip() and "Traceback" not in captured.err
     assert not out.exists()
+
+
+# case -> (table, period, number): an entry the config fixes at 0.0 (layer
+# T + 1, period 0 here, and an exact table's standard errors), set otherwise
+FIXED_BY_CONFIG = {
+    "nonzero-past-horizon": ("values", 0, 0.5),
+    "negative-zero-past-horizon": ("values", 0, -0.0),
+    "exact-with-stderr": ("stderrs", 1, 0.01),
+    "exact-negative-zero-stderr": ("stderrs", 1, -0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_BY_CONFIG))
+def test_save_load_gives_the_zero_the_config_fixes(case, cache_file, small_cfg, small_tables,
+                                                   tmp_path):
+    """A cache holds nothing the config fixes: tables whose entry there is
+    set otherwise save the solved cache's bytes and load back +0.0."""
+    field, t, number = FIXED_BY_CONFIG[case]
+    t = t or small_cfg.horizon + 1
+    path = _saved(_one_entry_set(small_tables, t, field, number), tmp_path)
+    assert path.read_bytes() == Path(cache_file).read_bytes()
+    loaded = getattr(dp.ValueTables.load(path, small_cfg), field)[t]
+    assert loaded[small_tables.states[t][-1]].hex() == "0x0.0p+0"
 
 
 def test_simulate_out_into_existing_directory(config_file, cache_file, tmp_path, capsys):
@@ -824,7 +827,7 @@ def test_cache_charging_above_the_report_exits_5(tmp_path, capsys):
     states = {t: [(0,), (1,)] for t in (1, 2, 3)}
     values = {1: {(0,): 0.0, (1,): 0.5}, 2: {(0,): 0.5, (1,): 0.0}, 3: {(0,): 0.0, (1,): 0.0}}
     cache = tmp_path / "k1.bin"
-    dp.ValueTables(config=cfg, backend="mc", samples=2, seed=0, states=states, values=values,
+    dp.ValueTables(config=cfg, backend="mc", samples=2, seed=0, values=values,
                    stderrs={t: dict.fromkeys(states[t], 0.0) for t in states}).save(cache)
 
     mech = Mechanism(dp.ValueTables.load(cache, cfg))

@@ -395,7 +395,7 @@ def _per_call_mc_tables(cfg, samples, seed, stage_fn):
     does not depend on the order of its samples."""
     T, k = cfg.horizon, cfg.varieties
     states = {t: dp.reachable_states(cfg, t) for t in range(1, T + 2)}
-    tables = ValueTables(config=cfg, backend="mc", samples=samples, seed=seed, states=states,
+    tables = ValueTables(config=cfg, backend="mc", samples=samples, seed=seed,
                          values={T + 1: dict.fromkeys(states[T + 1], 0.0)},
                          stderrs={T + 1: dict.fromkeys(states[T + 1], 0.0)})
     for t in range(T, 0, -1):
@@ -461,6 +461,15 @@ def test_mc_constant_sample_has_zero_stderr():
             assert (built.values[t][y], built.stderrs[t][y]) == (value, 0.0), (seed, t, y)
 
 
+def test_estimate_refuses_a_sample_of_fewer_than_2_draws():
+    with pytest.raises(ValueError, match="at least 2 draws .*, got 1$"):
+        dp.estimate([0.5], draws=1)
+    with pytest.raises(ValueError, match="at least 2 draws .*, got 0$"):
+        dp.estimate([], draws=0)
+    with pytest.raises(ValueError, match="at least 2 draws .*, got 1$"):
+        simulate.RevenueEstimate([1.0], [1.0], 0)
+
+
 def test_mc_requires_sampling_params(small_cfg):
     with pytest.raises(ValueError):
         fm.build_value_tables(small_cfg, backend="mc", samples=500)
@@ -515,6 +524,47 @@ def test_every_solved_cache_loads_back(tmp_path):
                        fm.build_value_tables(cfg, backend="mc", samples=3, seed=seed)):
             tables.save(path)
             assert ValueTables.load(path, reparsed) == tables, (seed, tables.backend)
+
+
+def _header_size(backend):
+    """Bytes before a cache's values: magic, version, fingerprint, backend, samples, seed."""
+    return struct.calcsize(f"<8sI64sH{len(backend)}sQBQ")
+
+
+def test_cache_holds_only_what_the_config_does_not_fix(tmp_path):
+    """On the first 40 family instances, a saved cache is its header and one
+    double per state of periods 1..T, two for mc (value, standard error)."""
+    path = tmp_path / "tables.bin"
+    for seed in range(40):
+        cfg = oracle.random_instance(seed)
+        states = sum(len(dp.reachable_states(cfg, t)) for t in range(1, cfg.horizon + 1))
+        for tables, per_state in ((fm.build_value_tables(cfg), 8),
+                                  (fm.build_value_tables(cfg, backend="mc", samples=3, seed=seed),
+                                   16)):
+            tables.save(path)
+            assert path.stat().st_size == _header_size(tables.backend) + per_state * states, \
+                (seed, tables.backend)
+
+
+def _edited_save(path, tables, fmt, at, value):
+    tables.save(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, at, value)
+    path.write_bytes(blob)
+
+
+def test_cache_rejects_version_2(tmp_path, small_cfg, small_tables):
+    path = tmp_path / "tables.bin"
+    _edited_save(path, small_tables, "<I", 8, 2)
+    with pytest.raises(TableMismatch, match="^unsupported cache version 2$"):
+        ValueTables.load(path, small_cfg)
+
+
+def test_cache_rejects_a_nan_first_value(tmp_path, small_cfg, small_tables):
+    path = tmp_path / "tables.bin"
+    _edited_save(path, small_tables, "<d", _header_size("exact"), math.nan)
+    with pytest.raises(TableMismatch, match=r"t=1, y=\(0, 0\) holds value nan"):
+        ValueTables.load(path, small_cfg)
 
 
 def test_cache_rejects_other_config(tmp_path, small_tables):

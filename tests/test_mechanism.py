@@ -457,8 +457,8 @@ def _inconsistent_tables():
     })
     states = {t: [(0,), (1,)] for t in (1, 2, 3)}
     values = {1: {(0,): 0.0, (1,): 0.5}, 2: {(0,): 0.5, (1,): 0.0}, 3: {(0,): 0.0, (1,): 0.0}}
-    return fm.ValueTables(config=cfg, backend="mc", samples=2, seed=0, states=states,
-                          values=values, stderrs={t: dict.fromkeys(states[t], 0.0) for t in states})
+    return fm.ValueTables(config=cfg, backend="mc", samples=2, seed=0, values=values,
+                          stderrs={t: dict.fromkeys(states[t], 0.0) for t in states})
 
 
 def test_inconsistent_allocation_raises_on_every_repeat():
