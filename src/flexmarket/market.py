@@ -1,9 +1,8 @@
-"""Market primitives: valuation grid (its bounds and size, which the
-fingerprint hashes, and points derived from them), distributions, virtual
-valuations, canonical serialization, the fingerprint (hashed from the
-serialization's small part as JSON and its type tables as float64 bytes),
-regularity, the per-period samplers, the seeded replication streams they
-read, and the draw plans of the batch sites.
+"""Market primitives: valuation grid (bounds and size; points derived),
+distributions, virtual valuations, canonical serialization, the fingerprint
+(hashed from the serialization's small part as JSON and its type tables as
+float64 bytes), regularity, the per-period samplers, the seeded replication
+streams they read, and the draw plans of the batch sites.
 
 A `DrawPlan` writes down once the order in which one replication of a batch
 (an episode, or the environment a period-t probe meets) draws. A batch reads
@@ -29,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -79,7 +79,7 @@ class ValuationGrid:
             raise MalformedConfig(f"grid needs at least 2 points, got {size}")
         if not theta_min < theta_max:
             raise MalformedConfig(f"grid bounds out of order: [{theta_min}, {theta_max}]")
-        return cls(float(theta_min), float(theta_max), size)
+        return cls(float(theta_min), float(theta_max), operator.index(size))
 
     @cached_property
     def points(self) -> np.ndarray:

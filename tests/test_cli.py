@@ -689,11 +689,11 @@ def test_simulate_rejects_unservable_cache(case, config_file, cache_file, small_
     assert not out.exists()
 
 
-# case -> (table, period, number): an entry the config fixes at 0.0 (layer
-# T + 1, period 0 here, and an exact table's standard errors), set otherwise
+# case -> (table, period, None for layer T + 1, number): an entry the config
+# fixes at 0.0 (layer T + 1, and an exact table's standard errors), set otherwise
 FIXED_BY_CONFIG = {
-    "nonzero-past-horizon": ("values", 0, 0.5),
-    "negative-zero-past-horizon": ("values", 0, -0.0),
+    "nonzero-past-horizon": ("values", None, 0.5),
+    "negative-zero-past-horizon": ("values", None, -0.0),
     "exact-with-stderr": ("stderrs", 1, 0.01),
     "exact-negative-zero-stderr": ("stderrs", 1, -0.0),
 }

@@ -91,6 +91,7 @@ def test_equal_grids_compare_and_hash_alike():
     a, b = ValuationGrid.uniform(0, 1, 11), ValuationGrid.uniform(0, 1, 11)
     assert a == b and hash(a) == hash(b)
     assert a != ValuationGrid.uniform(0, 1, 12)
+    assert type(ValuationGrid.uniform(0, 1, np.int64(11)).size) is int   # JSON of the fingerprint
 
 
 def test_grid_size_alone_moves_the_fingerprint(small_cfg):
