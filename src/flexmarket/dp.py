@@ -22,10 +22,15 @@ clipped key that y can serve whole (for every level j, its reports of levels
 1..j number at most ``y_1 + ... + y_j``: Hall's condition on cumulative
 supply) is solved once per layer instead: every subset of it is servable,
 so the stage only picks which reports to serve, whatever else y holds.
-Exact expectations enumerate ordered consumer profiles in lexicographic
-(level, grid index) order, once per period for the whole layer (the report
-law does not depend on the supply state), each profile's weight from its
-prefix's product and each distinct prefix's keys once.
+Exact expectations are solved once per class of states: what y can still do
+depends only on its cumulative supply ``y_1 + ... + y_j`` per level j (a
+level-j consumer accepts varieties 1..j), and goods beyond the most
+consumers periods t..T can bring, D_t, are worth nothing, so C_t(y) depends
+on y only through ``min(y_1 + ... + y_j, D_t)``. They enumerate ordered
+consumer profiles in lexicographic (level, grid index) order for the whole
+layer (the report law does not depend on the supply state), once per run of
+consecutive periods with one law, each profile's weight from its prefix's
+product and each distinct prefix's keys once.
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream; `PeriodSampler.rank_keys` decodes a
 layer's rows a block at a time with numpy and hands back each set's key, so
@@ -74,7 +79,8 @@ _MAGIC = b"FMTABLE1"
 # layer T + 1 or exact standard errors): a version-2 file is refused by its version.
 _VERSION = 3
 # Ordered report profiles the exact backend may enumerate in one period. It
-# holds one period's profile columns at a time, 12 bytes per profile (a
+# holds one period's report law at a time (a run of periods with one law is
+# walked once and shares it), as profile columns of 12 bytes per profile (a
 # float64 weight and a uint32 multiset index), so at most 120 MB at this
 # default. Beside them: one rank tuple and one shared summary per distinct
 # multiset; the prefix list, the uint32 slots and float64 weight prefixes of
@@ -414,6 +420,19 @@ def _whole(key: tuple, level_of: list, reach: list) -> bool:
     return True
 
 
+def _demand_bound(cfg: MarketConfig, t: int) -> int:
+    """D_t: the most consumers periods t..T can bring, the sum over those
+    periods of the largest arrival count of positive probability."""
+    return sum(max(n for n, p in enumerate(cfg.arrivals.pmf(s)) if p > 0.0)
+               for s in range(t, cfg.horizon + 1))
+
+
+def _supply_class(y: Vector, bound: int) -> tuple:
+    """The class of supply y against demand bound D: its capped cumulative
+    supply, ``min(y_1 + ... + y_j, D)`` per level j."""
+    return tuple(min(r, bound) for r in itertools.accumulate(y))
+
+
 def _non_decreasing(layer: dict) -> bool:
     """Whether every entry is at least the entry one good lower in each
     variety, bit for bit: values[y - e_i] <= values[y] wherever y_i > 0."""
@@ -425,7 +444,7 @@ def _non_decreasing(layer: dict) -> bool:
 
 
 def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
-                    samples: int | None, seed: int | None) -> tuple[dict, dict]:
+                    samples: int | None, seed: int | None, walks: dict) -> tuple[dict, dict]:
     """C_t(y) and its standard error for every state y of period t.
 
     A report set is keyed by its sorted tuple of ranks, so a key lists each
@@ -447,16 +466,26 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     so every candidate stays feasible in every round, and with no
     continuation its rounds and value are the same at every such state.
 
-    Exact (`samples` None): one walk records each ordered profile's weight
-    ``lam_n * p_1 * ... * p_n`` and its key's slot, 12 bytes per profile.
-    The weight is ``(lam_n * p_1 * ... * p_(n-1)) * p_n``: the same products
-    in the same order as multiplying along the profile, with each prefix's
-    product computed once. A key's slots with one more report, per atom,
-    are computed once per distinct key (`extension`), so the slots of the
-    profiles of length n are the extensions of the slots of length n - 1, in
-    profile order. Every state's entry is the `estimate` of that exact law,
-    ``math.fsum`` of weight times value over the profiles, bit for bit
-    `oracle.reference_expected_stage`.
+    Exact (`samples` None): `_exact_walk` records each ordered profile's
+    weight and its key's slot, 12 bytes per profile. `walks` holds the walk
+    of the last law walked, keyed by the walk's inputs (the arrival PMF, the
+    atoms' ranks and probabilities): a period whose law equals it reuses it,
+    and any other drops it before walking its own, so one law is held at a
+    time. States are solved one per supply class (`_supply_class` against
+    D_t, `_demand_bound`): the first state of a class in `states` order is
+    solved and every state of the class takes its entry. That is exact, by
+    `build_value_tables`' contract: a key holds at most n_t <= D_t reports
+    (n_t: period t's largest arrival count of positive probability), so the
+    clipping and `_whole` read the reach only up to D_t. The optimal stage
+    keeps the contract: a report spends the highest in-stock variety at most
+    its level, so two states of one class spend into two states of one
+    class against D_t minus the reports served (they agree below the first
+    level whose cumulative supply reaches the cap, and both spend at or
+    above it), and arriving supply keeps the class against
+    D_(t+1) = D_t - n_t; by backward induction the continuation, every
+    candidate and the stage value are functions of the class. Every entry
+    is the `estimate` of the exact law, ``math.fsum`` of weight times value
+    over the profiles, bit for bit `oracle.reference_expected_stage`.
     Monte Carlo: state number idx draws its `samples` report sets (arrival
     count, then each consumer) from row idx of `market.uniform_blocks`: the
     stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
@@ -464,7 +493,8 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     arrival count n_max in every sample. `PeriodSampler.rank_keys` reads the
     layer's rows a block at a time and yields each row's keys, ranked by
     `rank` (-1 for a report the key leaves out). The entry and its standard
-    error are the `estimate` of its per-sample values, each one draw.
+    error are the `estimate` of its per-sample values, each one draw. Every
+    state is solved, since each reads its own row: a class shares no draws.
 
     A key's ranks are sorted, so each level's reports come best first: a
     key's summary is each level's virtual values in key order, read in one
@@ -525,9 +555,40 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         return layer, errs
 
     atoms = cfg.consumer_atoms(t)
-    lam = [float(p) for p in cfg.arrivals.pmf(t)]
-    atom_rank = [rank[b - 1][i] for b, i, _p, _w in atoms]
-    probs = [p for _b, _i, p, _w in atoms]
+    law = (tuple(float(p) for p in cfg.arrivals.pmf(t)),
+           tuple(rank[b - 1][i] for b, i, _p, _w in atoms),
+           tuple(p for _b, _i, p, _w in atoms))
+    walk = walks.get(law)
+    if walk is None:
+        walks.clear()   # one period's law at a time
+        walk = walks[law] = _exact_walk(*law)
+    multisets, slots, weights = walk
+    bound = _demand_bound(cfg, t)
+    entries: dict[tuple, tuple] = {}   # per supply class: the entry and its standard error
+    for y in states:
+        cls = _supply_class(y, bound)
+        got = entries.get(cls)
+        if got is None:
+            values = evaluate(y, multisets)
+            got = entries[cls] = estimate(map(values.__getitem__, slots), weights)
+        layer[y], errs[y] = got
+    return layer, errs
+
+
+def _exact_walk(lam: tuple, atom_rank: tuple, probs: tuple) -> tuple[list, array, array]:
+    """One period's exact report law as columns: the distinct keys some
+    profile reaches, and per ordered profile, in lexicographic order, its
+    key's slot in that list and its weight ``lam_n * p_1 * ... * p_n``.
+
+    `lam` is the arrival-count PMF, and atom a of the period's consumer
+    atoms has rank ``atom_rank[a]`` (-1 if the key leaves it out) and
+    probability ``probs[a]``. The weight is ``(lam_n * p_1 * ... * p_(n-1))
+    * p_n``: the same products in the same order as multiplying along the
+    profile, with each prefix's product computed once. A key's slots with
+    one more report, per atom, are computed once per distinct key
+    (`extension`), so the slots of the profiles of length n are the
+    extensions of the slots of length n - 1, in profile order.
+    """
     multisets: list[tuple] = [()]   # distinct keys, by slot
     slot_of: dict[tuple, int] = {(): 0}
     extensions: list = [None]       # per slot: the slot of its key plus each atom
@@ -573,10 +634,7 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
         reached = sorted(set(slots))
         multisets = [multisets[s] for s in reached]
         slots = array("I", map(dict(zip(reached, itertools.count())).__getitem__, slots))
-    for y in states:
-        values = evaluate(y, multisets)
-        layer[y], errs[y] = estimate(map(values.__getitem__, slots), weights)
-    return layer, errs
+    return multisets, slots, weights
 
 
 def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: int | None,
@@ -611,19 +669,22 @@ def build_value_tables(
 ) -> ValueTables:
     """Backward induction over every reachable supply vector.
 
-    Both backends key report sets one way and call the stage once per state
-    and distinct servable report set (`_expected_layer`; in the final period,
-    once per layer for a set the state serves whole); where layer t + 1
-    is non-decreasing in every variety, bit for bit, the report sets of
-    layer t also leave out every report with w <= 0. The exact backend
-    enumerates all (arrival count, type profile) combinations once per
-    period, in order, and refuses instances whose per-period enumeration
-    exceeds `profile_budget`. The Monte Carlo backend averages `samples`
-    seeded draws per entry, with an independent stream per (period, state)
-    so results do not depend on evaluation order, and records each entry's
-    standard error. A layer's report sets are drawn a block of states'
-    rows at a time, and each state's from its own row of uniforms. Both
-    backends' entries are `estimate`s, exact or sampled.
+    Both backends key report sets one way and call the stage once per
+    solved state and distinct servable report set (`_expected_layer`; in the
+    final period, once per layer for a set the state serves whole); where
+    layer t + 1 is non-decreasing in every variety, bit for bit, the report
+    sets of layer t also leave out every report with w <= 0. The exact
+    backend solves one state per class of capped cumulative supply and gives
+    its entry to the whole class. It enumerates all (arrival count, type
+    profile) combinations once per period, in order, and once for a run of
+    periods with one report law, and refuses instances whose per-period
+    enumeration exceeds `profile_budget`. The Monte Carlo backend solves
+    every state and averages `samples` seeded draws per entry, with an
+    independent stream per (period, state) so results do not depend on
+    evaluation order, and records each entry's standard error. A layer's
+    report sets are drawn a block of states' rows at a time, and each
+    state's from its own row of uniforms. Both backends' entries are
+    `estimate`s, exact or sampled.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing
@@ -633,10 +694,15 @@ def build_value_tables(
     summation-order effects. Contract: the value must not depend on any
     level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
     is non-decreasing in every variety, on any report with w <= 0; both
-    backends leave both out of `w_sorted`. At the final period (`cont`
-    identically zero) the value may depend on y only through which sets of
-    reports y can serve at once: both backends solve a report set once per
-    layer, at the first state that serves it whole.
+    backends leave both out of `w_sorted`. The value may depend on y only
+    through its capped cumulative supply, ``min(y_1 + ... + y_j, D_t)`` for
+    every level j, where D_t is the most consumers periods t..T can bring:
+    the sum over s = t..T of period s's largest arrival count of positive
+    probability. The exact backend solves the first state of each such
+    class in `states` order, and the class shares its entry. At the final
+    period (`cont` identically zero) the value may depend on y only through
+    which sets of reports y can serve at once: both backends solve a report
+    set once per layer, at the first state that serves it whole.
     """
     check_backend(cfg, backend, samples, seed)
     stage_fn = stage_fn or _optimal_stage
@@ -655,10 +721,11 @@ def build_value_tables(
     states = tables.states
     tables.values[T + 1] = dict.fromkeys(states[T + 1], 0.0)
     tables.stderrs[T + 1] = dict.fromkeys(states[T + 1], 0.0)
+    walks: dict = {}   # the exact walk of the last law walked, keyed by that law
     for t in range(T, 0, -1):
         tables.values[t], tables.stderrs[t] = _expected_layer(
             cfg, t, states[t], tables.continuation_fn(t), stage_fn,
-            _non_decreasing(tables.values[t + 1]), tables.samples, tables.seed)
+            _non_decreasing(tables.values[t + 1]), tables.samples, tables.seed, walks)
     return tables
 
 

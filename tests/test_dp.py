@@ -14,7 +14,7 @@ from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
 from conftest import tabulated_config
-from test_oracle import _k3_market
+from test_oracle import _class_counts, _k3_market
 
 
 # -- feasible sets ---------------------------------------------------------------
@@ -289,6 +289,53 @@ def test_stage_called_once_per_servable_multiset(backend, small_cfg):
     assert tables.values == fm.build_value_tables(cfg, **kwargs).values
 
 
+def test_exact_build_solves_one_state_per_supply_class():
+    """The exact backend solves the first state of each class of capped
+    cumulative supply and no other: on `_k3_market(3, 2)` the stage solves
+    of an exact build see exactly its 27 + 72 + 20 = 119 classes of 495
+    states. A Monte Carlo build reads a stream per state, so it groups
+    nothing: it solves every state before the final period (whose report
+    sets a state serves whole are solved once per layer, as before), and two
+    states of one class hold different entries."""
+    cfg = _k3_market(horizon=3, points=2)
+    assert len(set(_counted_build(cfg)[1])) == 119
+    tables, calls = _counted_build(cfg, backend="mc", samples=20, seed=1)
+    assert {(t, y) for t, y in calls if t < 3} == {(t, y) for t in (1, 2) for y in tables.states[t]}
+    bound = dp._demand_bound(cfg, 2)
+    assert dp._supply_class((3, 3, 0), bound) == dp._supply_class((3, 4, 0), bound) == (3, 6, 6)
+    assert tables.values[2][(3, 3, 0)] != tables.values[2][(3, 4, 0)]
+
+
+def test_exact_walk_runs_once_per_run_of_one_law(monkeypatch):
+    """A period whose report law equals the one walked just before it reuses
+    that walk: `_exact_solve_market`'s two periods share one law and walk it
+    once, family instance 3's three periods each have their own arrival PMF
+    and walk three times, and a Monte Carlo build never walks. The w <= 0
+    rule is part of the law: charging a good held before the final period
+    of the three-period market makes layer 2 non-monotone, so period 1 keeps
+    the reports periods 2 and 3 leave out and walks its own law."""
+    walked = []
+    walk = dp._exact_walk
+
+    def counted(*law):
+        walked.append(law)
+        return walk(*law)
+
+    def charged(t, summary, y, cont):
+        value = dp._optimal_stage(t, summary, y, cont)
+        return value - 0.25 * sum(y) if t < 3 else value
+
+    monkeypatch.setattr(dp, "_exact_walk", counted)
+    family = oracle.random_instance(3, master_seed=0)
+    for cfg, kwargs, runs in ((_exact_solve_market(), {}, 1), (family, {}, 3),
+                              (family, {"backend": "mc", "samples": 20, "seed": 1}, 0),
+                              (_exact_solve_market(horizon=3), {}, 1),
+                              (_exact_solve_market(horizon=3), {"stage_fn": charged}, 2)):
+        walked.clear()
+        fm.build_value_tables(cfg, **kwargs)
+        assert len(walked) == runs, (cfg.horizon, kwargs)
+
+
 def test_readme_quotes_the_stage_solve_counts():
     """README's solver paragraph quotes how many stage solves, and over how
     many (report set, state) pairs, exact-solve's market and mc-market's
@@ -306,13 +353,18 @@ def test_readme_quotes_the_stage_solve_counts():
 
 
 def test_non_monotone_layer_keeps_never_served_reports():
-    """A stage that keeps the contract but charges 0.25 per good held before
-    the final period makes layers 1 and 2 of a three-period market
-    non-monotone, so a report with w <= 0 may matter there; the tables still
-    equal the unmemoised reference expectation bit for bit. The final period
-    is not charged: there the contract lets a value depend on y only through
-    which sets of reports y can serve at once."""
+    """A stage that charges 0.25 per good held before the final period
+    makes layers 1 and 2 of a three-period market non-monotone, so a report
+    with w <= 0 may matter there; the tables still equal the unmemoised
+    reference expectation bit for bit. The final period is not charged:
+    there the contract lets a value depend on y only through which sets of
+    reports y can serve at once. Charging 0.25 per good reads y beyond its
+    capped cumulative supply, which the contract forbids in general: it
+    stays valid here only because no two states of periods 1 and 2 share a
+    class (their cumulative supply never passes D_t = 6 and 4), which is
+    asserted too."""
     cfg = _exact_solve_market(horizon=3)
+    assert _class_counts(cfg)[:2] == [len(dp.reachable_states(cfg, t)) for t in (1, 2)]
 
     def charged(t, summary, y, cont):
         value = dp._optimal_stage(t, summary, y, cont)
@@ -334,12 +386,17 @@ def test_keys_only_a_prefix_reaches_are_not_solved():
     layer 2 non-monotone, so period 1 keeps every report in its keys, and two
     goods of each variety clip nothing: every set it solves at y = (2, 2) has
     zero or two reports, and the tables equal the reference expectation bit
-    for bit."""
+    for bit. The charge reads y beyond its capped cumulative supply, which
+    the contract forbids: layer 2's states share classes (D_2 = 4), so each
+    class's entry is its first state's. Layer 1 is compared with the
+    reference through that same layer 2, and no two of its states share a
+    class (D_1 = 6), which is asserted."""
     cfg = config_io.parse_config({
         "horizon": 3, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 11},
         "arrivals": [[0.5, 0.0, 0.5]] * 3, "supply": [[[0.0, 0.0, 1.0]] * 2] * 3,
         "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
     })
+    assert _class_counts(cfg)[0] == len(dp.reachable_states(cfg, 1))
     sizes = set()
 
     def charged(t, summary, y, cont):

@@ -496,6 +496,32 @@ def test_exact_tables_match_reference_expectation(small_cfg):
         _assert_matches_reference(dp.build_value_tables(cfg), dp._optimal_stage)
 
 
+def _class_counts(cfg) -> list:
+    """Per period, how many classes of capped cumulative supply its states form."""
+    return [len({dp._supply_class(y, dp._demand_bound(cfg, t)) for y in dp.reachable_states(cfg, t)})
+            for t in range(1, cfg.horizon + 1)]
+
+
+def test_states_of_one_supply_class_match_reference_expectation():
+    """The exact backend solves one state per class of capped cumulative
+    supply, min(y_1 + ... + y_j, D_t), and gives its entry to the class;
+    every state, the unsolved ones included, still equals the unmemoised
+    reference expectation bit for bit, for the optimal and myopic stages.
+    On `_k3_market(3, 2)` (D_t = 9, 6, 3) the 27/125/343 states of periods
+    1-3 form 27/72/20 classes. With no chance of three arrivals, D_t falls
+    to 6, 4, 2, and the classes to 27/35/10: D_t counts the largest arrival
+    count of positive probability, not the PMF's length."""
+    cfg = _k3_market(horizon=3, points=2)
+    assert [len(dp.reachable_states(cfg, t)) for t in (1, 2, 3)] == [27, 125, 343]
+    short = dataclasses.replace(
+        cfg, arrivals=fm.ArrivalDistribution.from_lists([[0.5, 0.25, 0.25, 0.0]] * 3))
+    assert (_class_counts(cfg), _class_counts(short)) == ([27, 72, 20], [27, 35, 10])
+    for stage_fn, build in ((dp._optimal_stage, dp.build_value_tables),
+                            (simulate._myopic_stage, simulate.build_myopic_tables)):
+        _assert_matches_reference(build(cfg), stage_fn)
+    _assert_matches_reference(dp.build_value_tables(short), dp._optimal_stage)
+
+
 def test_whole_servable_rule_is_halls_condition():
     """`dp._whole`, the rule by which the final period shares a key across
     states, says y serves a set of reports at once exactly when serving all
