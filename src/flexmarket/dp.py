@@ -22,15 +22,12 @@ clipped key that y can serve whole (for every level j, its reports of levels
 1..j number at most ``y_1 + ... + y_j``: Hall's condition on cumulative
 supply) is solved once per layer instead: every subset of it is servable,
 so the stage only picks which reports to serve, whatever else y holds.
-Exact expectations are solved once per class of states: what y can still do
-depends only on its cumulative supply ``y_1 + ... + y_j`` per level j (a
-level-j consumer accepts varieties 1..j), and goods beyond the most
-consumers periods t..T can bring, D_t, are worth nothing, so C_t(y) depends
-on y only through ``min(y_1 + ... + y_j, D_t)``. They enumerate ordered
-consumer profiles in lexicographic (level, grid index) order for the whole
-layer (the report law does not depend on the supply state), once per run of
-consecutive periods with one law, each profile's weight from its prefix's
-product and each distinct prefix's keys once.
+Exact expectations are solved once per class of states: a level-j consumer
+accepts varieties 1..j, and goods beyond D_t, the most consumers periods
+t..T can bring, are worth nothing, so C_t(y) depends on y only through
+``min(y_1 + ... + y_j, D_t)``. Each is a sum over the exact law of keys
+(`_key_law`, one per run of periods with one law): a key weighs its ordered
+profiles' probability, summed exactly and rounded once.
 Monte Carlo expectations draw each state's report sets from one row of
 uniforms, the state's own stream; `PeriodSampler.rank_keys` decodes a
 layer's rows a block at a time with numpy and hands back each set's key, so
@@ -38,10 +35,10 @@ this module imports no numpy. Every expectation in the package, these two
 and the continuation here and the episode revenue, interim quantities and
 audits in `simulate`, is computed by `estimate`, whose ``math.fsum`` sums
 are correctly rounded and so do not depend on the order of their terms.
-None of these shortcuts moves a bit of any table
-(``oracle.reference_expected_stage``, one unmemoised enumeration per state,
-is the exact reference). Stage values are ``math.fsum`` sums too, so two
-pipelines that agree on the terms produce identical floats.
+None of these shortcuts moves a bit of any table (the exact reference is
+``oracle.reference_expected_stage``, the same law enumerated afresh per
+state). Stage values are ``math.fsum`` sums too, so two pipelines that agree
+on the terms produce identical floats.
 
 The stage is solved in the paper's threshold form: starting from serving
 nobody, serve one more report at a time, always the level whose next report
@@ -64,7 +61,6 @@ import itertools
 import math
 import operator
 import struct
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -75,18 +71,13 @@ from .market import MAX_FLOATS, MarketConfig, _index
 Vector = tuple  # length-k tuples of non-negative ints (supply / service / variety)
 
 _MAGIC = b"FMTABLE1"
-# 3 writes only what the config does not fix (no states, T, k, layer sizes,
-# layer T + 1 or exact standard errors): a version-2 file is refused by its version.
-_VERSION = 3
-# Ordered report profiles the exact backend may enumerate in one period. It
-# holds one period's report law at a time (a run of periods with one law is
-# walked once and shares it), as profile columns of 12 bytes per profile (a
-# float64 weight and a uint32 multiset index), so at most 120 MB at this
-# default. Beside them: one rank tuple and one shared summary per distinct
-# multiset; the prefix list, the uint32 slots and float64 weight prefixes of
-# the profiles one report shorter (profiles / atoms entries each); and one
-# uint32 slot list over the atoms per distinct sorted prefix, at most 4 bytes
-# per profile.
+# 4 keeps 3's layout (only what the config does not fix, see `_pack`), but its exact
+# entries sum over the law of keys, a few ulps off 3's: older files are refused.
+_VERSION = 4
+# Ordered report profiles (`exact_profile_count`) the exact backend may sum
+# over in one period. It holds one period's law over keys at a time (a run of
+# periods with one law shares it): per distinct key, its rank tuple, summary
+# and weight. A key is a multiset of reports, so keys never outnumber profiles.
 DEFAULT_PROFILE_BUDGET = 10_000_000
 
 
@@ -388,7 +379,7 @@ def _no_continuation(m: Vector) -> float:
 
 
 def exact_profile_count(cfg: MarketConfig, t: int) -> int:
-    """Number of consumer profiles the exact backend enumerates at period t."""
+    """Number of ordered consumer profiles the exact backend's law at period t sums over."""
     m = len(cfg.consumer_atoms(t))
     lam = cfg.arrivals.pmf(t)
     return sum(m ** n for n in range(len(lam)) if lam[n] > 0.0)
@@ -466,26 +457,22 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     so every candidate stays feasible in every round, and with no
     continuation its rounds and value are the same at every such state.
 
-    Exact (`samples` None): `_exact_walk` records each ordered profile's
-    weight and its key's slot, 12 bytes per profile. `walks` holds the walk
-    of the last law walked, keyed by the walk's inputs (the arrival PMF, the
-    atoms' ranks and probabilities): a period whose law equals it reuses it,
-    and any other drops it before walking its own, so one law is held at a
-    time. States are solved one per supply class (`_supply_class` against
-    D_t, `_demand_bound`): the first state of a class in `states` order is
-    solved and every state of the class takes its entry. That is exact, by
-    `build_value_tables`' contract: a key holds at most n_t <= D_t reports
-    (n_t: period t's largest arrival count of positive probability), so the
-    clipping and `_whole` read the reach only up to D_t. The optimal stage
-    keeps the contract: a report spends the highest in-stock variety at most
-    its level, so two states of one class spend into two states of one
-    class against D_t minus the reports served (they agree below the first
-    level whose cumulative supply reaches the cap, and both spend at or
-    above it), and arriving supply keeps the class against
+    Exact (`samples` None): the first state in `states` order of each
+    supply class (`_supply_class` against D_t, `_demand_bound`) is solved,
+    and every state of the class takes its entry, the `estimate` over the
+    keys of `_key_law`, ``math.fsum`` of weight times value, bit for bit
+    `oracle.reference_expected_stage`. `walks` holds the last law built,
+    keyed by its inputs (the arrival PMF, the atoms' ranks and
+    probabilities), so a period whose law equals it reuses it and one law is
+    held at a time. The classes are exact by `build_value_tables`' contract:
+    a key holds at most n_t <= D_t reports (n_t: period t's largest arrival
+    count of positive probability), so the clipping and `_whole` read the
+    reach only up to D_t. The optimal stage keeps the contract: a report
+    spends the highest in-stock variety at most its level, so two states of
+    one class spend into two states of one class against D_t minus the
+    reports served, and arriving supply keeps the class against
     D_(t+1) = D_t - n_t; by backward induction the continuation, every
-    candidate and the stage value are functions of the class. Every entry
-    is the `estimate` of the exact law, ``math.fsum`` of weight times value
-    over the profiles, bit for bit `oracle.reference_expected_stage`.
+    candidate and the stage value are functions of the class.
     Monte Carlo: state number idx draws its `samples` report sets (arrival
     count, then each consumer) from row idx of `market.uniform_blocks`: the
     stream of ``default_rng(SeedSequence([seed, t, idx]))``, bit for bit,
@@ -495,12 +482,6 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     `rank` (-1 for a report the key leaves out). The entry and its standard
     error are the `estimate` of its per-sample values, each one draw. Every
     state is solved, since each reads its own row: a class shares no draws.
-
-    A key's ranks are sorted, so each level's reports come best first: a
-    key's summary is each level's virtual values in key order, read in one
-    pass over the key, the very tuples `summarize` would sort them into (its
-    sort is stable, so equal values, signed zeros included, keep rank
-    order).
     """
     w_rows = cfg.virtual_values[t - 1]
     cells = sorted((b, -w, i) for b, row in enumerate(w_rows) for i, w in enumerate(row))
@@ -519,7 +500,8 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     def summarize_key(key: tuple) -> tuple:
         """`summarize` of a key's reports without a sort, in one pass: the
         key lists each level's reports best first, so appending each rank's
-        w to its level's list keeps that order."""
+        w to its level's list keeps that order (`summarize` sorts stably, so
+        equal values, signed zeros included, keep rank order there too)."""
         per_level: list[list[float]] = [[] for _ in range(k)]
         for r in key:
             per_level[level_of[r]].append(w_of[r])
@@ -558,83 +540,72 @@ def _expected_layer(cfg, t, states, cont, stage_fn, drop_unserved: bool,
     law = (tuple(float(p) for p in cfg.arrivals.pmf(t)),
            tuple(rank[b - 1][i] for b, i, _p, _w in atoms),
            tuple(p for _b, _i, p, _w in atoms))
-    walk = walks.get(law)
-    if walk is None:
+    built = walks.get(law)
+    if built is None:
         walks.clear()   # one period's law at a time
-        walk = walks[law] = _exact_walk(*law)
-    multisets, slots, weights = walk
+        built = walks[law] = _key_law(*law)
+    keys, weights = built
     bound = _demand_bound(cfg, t)
     entries: dict[tuple, tuple] = {}   # per supply class: the entry and its standard error
     for y in states:
         cls = _supply_class(y, bound)
         got = entries.get(cls)
         if got is None:
-            values = evaluate(y, multisets)
-            got = entries[cls] = estimate(map(values.__getitem__, slots), weights)
+            got = entries[cls] = estimate(evaluate(y, keys), weights)
         layer[y], errs[y] = got
     return layer, errs
 
 
-def _exact_walk(lam: tuple, atom_rank: tuple, probs: tuple) -> tuple[list, array, array]:
-    """One period's exact report law as columns: the distinct keys some
-    profile reaches, and per ordered profile, in lexicographic order, its
-    key's slot in that list and its weight ``lam_n * p_1 * ... * p_n``.
+def _integers(xs: Sequence[float]) -> tuple[list, int]:
+    """Floats exactly, as integer numerators over their common denominator,
+    the largest of their power-of-two denominators."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max((d for _n, d in ratios), default=1)
+    return [n * (den // d) for n, d in ratios], den
 
-    `lam` is the arrival-count PMF, and atom a of the period's consumer
-    atoms has rank ``atom_rank[a]`` (-1 if the key leaves it out) and
-    probability ``probs[a]``. The weight is ``(lam_n * p_1 * ... * p_(n-1))
-    * p_n``: the same products in the same order as multiplying along the
-    profile, with each prefix's product computed once. A key's slots with
-    one more report, per atom, are computed once per distinct key
-    (`extension`), so the slots of the profiles of length n are the
-    extensions of the slots of length n - 1, in profile order.
+
+def _key_law(lam: tuple, atom_rank: tuple, probs: tuple) -> tuple[list, list]:
+    """One period's exact report law over keys: the distinct keys some
+    profile reaches, each a sorted tuple of ranks, and each key's
+    probability, computed exactly and rounded once.
+
+    `lam` is the arrival-count PMF; atom a has rank ``atom_rank[a]`` (-1 if
+    keys leave it out) and probability ``probs[a]``. A key of m reports, c_a
+    of kept atom a, weighs ``sum_n lam_n * n! / (prod c_a! * d!) *
+    prod p_a ** c_a * q ** d`` over n >= m arrivals, d = n - m of them left
+    out, q the left-out atoms' exact total probability: its own
+    ``m! / prod c_a! * prod p_a ** c_a`` times one factor per key size,
+    ``B_m = sum_n lam_n * C(n, m) * q ** (n - m)``. The sums run in integers
+    (`_integers`), and one int/int true division, which CPython rounds
+    correctly, gives each weight. With at most one arrival, a one-report key
+    weighs ``lam_1 * p_a``, one float product and so correctly rounded.
     """
-    multisets: list[tuple] = [()]   # distinct keys, by slot
-    slot_of: dict[tuple, int] = {(): 0}
-    extensions: list = [None]       # per slot: the slot of its key plus each atom
-
-    def extension(slot: int) -> array:
-        """The slots of `multisets[slot]` with one more report, per atom."""
-        key = multisets[slot]
-        ext = array("I")
-        for r in atom_rank:
-            longer = key if r < 0 else tuple(sorted((*key, r)))
-            got = slot_of.get(longer)
-            if got is None:
-                got = slot_of[longer] = len(multisets)
-                multisets.append(longer)
-                extensions.append(None)
-            ext.append(got)
-        extensions[slot] = ext
-        return ext
-
-    top = max(n for n, lam_n in enumerate(lam) if lam_n > 0.0)
-    weights = array("d")
-    slots = array("I")
-    level = array("I", [0])   # the slot of every profile of length n, in profile order
-    for n, lam_n in enumerate(lam[:top + 1]):
-        if n:   # the longest profiles' slots go straight into `slots`
-            prefixes, level = level, slots if n == top else array("I")
-            for slot in prefixes:
-                level.extend(extensions[slot] or extension(slot))
-        if lam_n == 0.0:
-            continue
-        if n:
-            heads = array("d", [lam_n])   # lam_n * p_a1 * ... * p_a(n-1) per prefix, in order
-            for _ in range(n - 1):
-                heads = array("d", (q * p for q in heads for p in probs))
-            for head in heads:
-                weights.extend([head * p for p in probs])
-        else:
-            weights.append(lam_n)
-        if level is not slots:
-            slots.extend(level)
-    del slot_of, extensions, level
-    if 0.0 in lam[:top]:   # keep only keys some profile reaches, not just a prefix
-        reached = sorted(set(slots))
-        multisets = [multisets[s] for s in reached]
-        slots = array("I", map(dict(zip(reached, itertools.count())).__getitem__, slots))
-    return multisets, slots, weights
+    kept = sorted((r, p) for r, p in zip(atom_rank, probs) if r >= 0)
+    (l_nums, l_den), (q_nums, q_den) = _integers(lam), _integers(
+        [p for r, p in zip(atom_rank, probs) if r < 0])
+    q = sum(q_nums)
+    top = max(n for n, x in enumerate(lam) if x > 0.0)
+    if top == 1:   # B_0 = lam_0 + lam_1 * q = b / (l_den * q_den), and B_1 = lam_1
+        b = l_nums[0] * q_den + l_nums[1] * q
+        keys, weights = ([()], [b / (l_den * q_den)]) if b else ([], [])
+        return keys + [(r,) for r, _p in kept], weights + [lam[1] * p for _r, p in kept]
+    p_nums, p_den = _integers([p for _r, p in kept])
+    keys, weights = [], []
+    # per key of m reports: the key, its last kept atom, that atom's count and
+    # m! / prod c_a! * prod p_a * p_den ** m
+    level = [((), 0, 0, 1)]
+    for m in range(top + 1):
+        b = sum(l_nums[n] * math.comb(n, m) * q ** (n - m) * q_den ** (top - n)
+                for n in range(m, top + 1))
+        if b:   # B_m is b / (l_den * q_den ** (top - m))
+            den = l_den * q_den ** (top - m) * p_den ** m
+            keys += [key for key, *_ in level]
+            weights += [v * b / den for *_, v in level]
+        if m < top:
+            level = [(key + (kept[a][0],), a, c, v * (m + 1) // c * p_nums[a])
+                     for key, last, count, v in level for a in range(last, len(kept))
+                     for c in [count + 1 if a == last else 1]]
+    return keys, weights
 
 
 def check_backend(cfg: MarketConfig, backend: str, samples: int | None, seed: int | None,
@@ -675,22 +646,20 @@ def build_value_tables(
     layer t + 1 is non-decreasing in every variety, bit for bit, the report
     sets of layer t also leave out every report with w <= 0. The exact
     backend solves one state per class of capped cumulative supply and gives
-    its entry to the whole class. It enumerates all (arrival count, type
-    profile) combinations once per period, in order, and once for a run of
-    periods with one report law, and refuses instances whose per-period
-    enumeration exceeds `profile_budget`. The Monte Carlo backend solves
-    every state and averages `samples` seeded draws per entry, with an
-    independent stream per (period, state) so results do not depend on
-    evaluation order, and records each entry's standard error. A layer's
-    report sets are drawn a block of states' rows at a time, and each
-    state's from its own row of uniforms. Both backends' entries are
-    `estimate`s, exact or sampled.
+    its entry to the whole class, the expectation over the exact law of keys
+    (`_key_law`, one per run of periods with one report law), and refuses a
+    period of more than `profile_budget` ordered profiles
+    (`exact_profile_count`). The Monte Carlo backend solves every state and
+    averages `samples` seeded draws per entry, each state's from its own
+    stream, a row of uniforms (a layer's rows drawn a block at a time), so
+    results do not depend on evaluation order, and records each entry's
+    standard error. Both backends' entries are `estimate`s.
 
     `stage_fn(t, w_sorted, y, cont)` computes one period value from the
     reports' per-level virtual values, best first (a tuple of k non-increasing
     float tuples, as `summarize` builds it); the default is the optimal
-    service-vector stage. Alternative stage rules (brute-force oracle, myopic baseline)
-    share all expectation machinery, which keeps comparisons free of
+    service-vector stage. Other stage rules (brute-force oracle, myopic
+    baseline) share all expectation machinery, so comparisons are free of
     summation-order effects. Contract: the value must not depend on any
     level-j report beyond the top ``y_1 + ... + y_j`` by w, nor, when `cont`
     is non-decreasing in every variety, on any report with w <= 0; both
@@ -721,7 +690,7 @@ def build_value_tables(
     states = tables.states
     tables.values[T + 1] = dict.fromkeys(states[T + 1], 0.0)
     tables.stderrs[T + 1] = dict.fromkeys(states[T + 1], 0.0)
-    walks: dict = {}   # the exact walk of the last law walked, keyed by that law
+    walks: dict = {}   # the last law over keys built, keyed by its inputs
     for t in range(T, 0, -1):
         tables.values[t], tables.stderrs[t] = _expected_layer(
             cfg, t, states[t], tables.continuation_fn(t), stage_fn,

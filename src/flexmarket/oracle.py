@@ -3,9 +3,9 @@
 Everything here enumerates: the feasible service and variety sets,
 feasible allocation matrices row by row, the full-matrix per-period
 maximization, the service-vector stage as an argmax over every feasible u,
-the report-set expectation over every ordered profile, the greedy
-constructive allocation, and the variety-shift transformation with its
-convergence loop. These routines are test fixtures at desk scale,
+report-set expectations over every ordered profile, float and exact, the
+greedy constructive allocation, and the variety-shift transformation with
+its convergence loop. These routines are test fixtures at desk scale,
 deliberately independent of the threshold-form stage and the service/
 variety-vector shortcuts they certify, and they refuse (rather than
 truncate) when an enumeration budget is hit.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -245,30 +246,60 @@ def reference_stage_value(
     return best
 
 
-def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn) -> float:
-    """Report-set expectation of one stage, calling `stage_fn` on every ordered profile.
+def _profiles(cfg: MarketConfig, t: int) -> tuple[int, list]:
+    """Every ordered consumer profile of period t whose arrival count has
+    positive probability, in order, as (numerator, atoms), and a common
+    denominator over which each numerator is the profile's exact probability
+    ``lam_n * p_1 * ... * p_n``: every float is an integer over a power of 2."""
+    lam = [float(x).as_integer_ratio() for x in cfg.arrivals.pmf(t)]
+    ratios = {atom: atom[2].as_integer_ratio() for atom in cfg.consumer_atoms(t)}
+    unit, lam_unit = max((d for _p, d in ratios.values()), default=1), max(d for _x, d in lam)
+    nums = {atom: p * (unit // d) for atom, (p, d) in ratios.items()}
+    top = len(lam) - 1
+    return lam_unit * unit ** top, [
+        (x * (lam_unit // d) * unit ** (top - n) * math.prod(map(nums.__getitem__, combo)), combo)
+        for n, (x, d) in enumerate(lam) if x for combo in itertools.product(nums, repeat=n)]
 
-    The slow path behind the exact backend: the same profiles, products and
-    correctly rounded sum (``math.fsum``) as `build_value_tables`, but
-    enumerated afresh for this one state rather than once per period for the
-    whole layer, and without its per-multiset memo. Each stage gets the whole profile's summary, not
-    clipped to the servable reports, so this also checks the clipping and the
-    shared enumeration: an exact table entry must equal this value bit for bit.
+
+def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn) -> float:
+    """Report-set expectation of one stage over the exact law of keys,
+    enumerated afresh for this one state: the slow path behind the exact
+    backend, without its memo, classes or clipping.
+
+    A profile's key is the multiset of its reports' (level, grid index)
+    cells, less those of w <= 0 when `cont` is non-decreasing in every
+    variety over period t's states. Each key's exact probability, summed
+    over its ordered profiles, is rounded once; the expectation is
+    ``math.fsum`` of weight times stage value. `stage_fn` gets every
+    profile's whole summary at y and must give a key one value, bit for bit
+    (AssertionError otherwise). An exact table entry must equal this value
+    bit for bit, so a stage that reads y beyond its class shows too.
     """
-    atoms = cfg.consumer_atoms(t)
-    lam = cfg.arrivals.pmf(t)
-    terms = []
-    for n in range(len(lam)):
-        lam_n = float(lam[n])
-        if lam_n == 0.0:
-            continue
-        for combo in itertools.product(atoms, repeat=n):
-            prob = lam_n
-            for _b, _i, p, _w in combo:
-                prob *= p
-            w_sorted = dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties)
-            terms.append(prob * stage_fn(t, w_sorted, y, cont))
-    return math.fsum(terms)
+    drop = all(cont(_shift(m, i, -1)) <= cont(m) for m in dp.reachable_states(cfg, t)
+               for i in range(1, cfg.varieties + 1) if m[i - 1])
+    den, profiles = _profiles(cfg, t)
+    groups: dict[tuple, list] = {}   # key -> [probability numerator, stage value]
+    for num, combo in profiles:
+        value = stage_fn(t, dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties), y, cont)
+        key = tuple(sorted((b, i) for b, i, _p, w in combo if w > 0.0 or not drop))
+        group = groups.setdefault(key, [0, value])
+        if value.hex() != group[1].hex():
+            raise AssertionError(f"key {key} at t={t}, y={y} has values {group[1]!r} and {value!r}")
+        group[0] += num
+    return math.fsum(num / den * value for num, value in groups.values())
+
+
+def rational_expected_layer(tables: ValueTables, t: int, stage_fn=dp._optimal_stage) -> dict:
+    """Per state y of period t, the exact expectation, a `Fraction`, over
+    ordered profiles of the float stage values at y, with the float
+    continuation `tables.continuation_fn(t)` held fixed: every probability,
+    product and sum is exact, so only the stage values are rounded."""
+    cfg, cont = tables.config, tables.continuation_fn(t)
+    den, profiles = _profiles(cfg, t)
+    summaries = [(num, dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties))
+                 for num, combo in profiles]
+    return {y: sum(num * Fraction(stage_fn(t, summary, y, cont))
+                   for num, summary in summaries) / den for y in tables.states[t]}
 
 
 # ---------------------------------------------------------------------------

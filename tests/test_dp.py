@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from flexmarket.dp import ValueTables, stage_value, summarize, vstar
 from flexmarket.oracle import feasible_service_set, feasible_variety_set
 
 from conftest import tabulated_config
+import test_oracle
 from test_oracle import _class_counts, _k3_market
 
 
@@ -306,47 +308,111 @@ def test_exact_build_solves_one_state_per_supply_class():
     assert tables.values[2][(3, 3, 0)] != tables.values[2][(3, 4, 0)]
 
 
+def _two_or_none_market():
+    """k=2, T=3, G=11 market: zero or two arrivals, two goods of each variety
+    per period."""
+    return config_io.parse_config({
+        "horizon": 3, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 11},
+        "arrivals": [[0.5, 0.0, 0.5]] * 3, "supply": [[[0.0, 0.0, 1.0]] * 2] * 3,
+        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
+    })
+
+
+def _charged(t, summary, y, cont):
+    """The optimal stage less 0.25 per good held, before the final period of three."""
+    value = dp._optimal_stage(t, summary, y, cont)
+    return value - 0.25 * sum(y) if t < 3 else value
+
+
+def _built_laws(monkeypatch, *builds) -> list:
+    """The inputs (lam, atom_rank, probs) of every law over keys that the
+    builds (cfg, kwargs) build, in order."""
+    laws, build = [], dp._key_law
+
+    def recorded(*law):
+        laws.append(law)
+        return build(*law)
+
+    monkeypatch.setattr(dp, "_key_law", recorded)
+    for cfg, kwargs in builds:
+        fm.build_value_tables(cfg, **kwargs)
+    monkeypatch.setattr(dp, "_key_law", build)
+    return laws
+
+
 def test_exact_walk_runs_once_per_run_of_one_law(monkeypatch):
-    """A period whose report law equals the one walked just before it reuses
-    that walk: `_exact_solve_market`'s two periods share one law and walk it
-    once, family instance 3's three periods each have their own arrival PMF
-    and walk three times, and a Monte Carlo build never walks. The w <= 0
-    rule is part of the law: charging a good held before the final period
-    of the three-period market makes layer 2 non-monotone, so period 1 keeps
-    the reports periods 2 and 3 leave out and walks its own law."""
-    walked = []
-    walk = dp._exact_walk
-
-    def counted(*law):
-        walked.append(law)
-        return walk(*law)
-
-    def charged(t, summary, y, cont):
-        value = dp._optimal_stage(t, summary, y, cont)
-        return value - 0.25 * sum(y) if t < 3 else value
-
-    monkeypatch.setattr(dp, "_exact_walk", counted)
+    """A period whose report law equals the one built just before it reuses
+    that law over keys: `_exact_solve_market`'s two periods share one law and
+    build it once, family instance 3's three periods each have their own
+    arrival PMF and build three times, and a Monte Carlo build builds none.
+    The w <= 0 rule is part of the law: charging a good held before the
+    final period of the three-period market makes layer 2 non-monotone, so
+    period 1 keeps the reports periods 2 and 3 leave out and builds its own."""
     family = oracle.random_instance(3, master_seed=0)
     for cfg, kwargs, runs in ((_exact_solve_market(), {}, 1), (family, {}, 3),
                               (family, {"backend": "mc", "samples": 20, "seed": 1}, 0),
                               (_exact_solve_market(horizon=3), {}, 1),
-                              (_exact_solve_market(horizon=3), {"stage_fn": charged}, 2)):
-        walked.clear()
-        fm.build_value_tables(cfg, **kwargs)
-        assert len(walked) == runs, (cfg.horizon, kwargs)
+                              (_exact_solve_market(horizon=3), {"stage_fn": _charged}, 2)):
+        assert len(_built_laws(monkeypatch, (cfg, kwargs))) == runs, (cfg.horizon, kwargs)
 
 
-def test_readme_quotes_the_stage_solve_counts():
+def _ordered_law(lam, atom_rank, probs) -> dict:
+    """Each key's exact probability, summed over the ordered profiles that reach it."""
+    law = {}
+    for n, lam_n in enumerate(lam):
+        if lam_n > 0.0:
+            for combo in itertools.product(range(len(probs)), repeat=n):
+                key = tuple(sorted(atom_rank[a] for a in combo if atom_rank[a] >= 0))
+                prob = math.prod([Fraction(lam_n), *(Fraction(probs[a]) for a in combo)])
+                law[key] = law.get(key, 0) + prob
+    return law
+
+
+def test_key_law_weights_are_correctly_rounded_exact_sums(monkeypatch, example_cfg):
+    """Each weight of `dp._key_law` is the correctly rounded exact sum of
+    its key's ordered profiles' products, and its keys are exactly the keys
+    some profile reaches, on the laws the exact builds of these markets
+    build: family instances 0-39, `_k3_market(2, 4)` (up to three
+    arrivals), the worked example at G=1001 (at most one arrival, whose
+    one-report keys weigh one float product), and markets with a
+    zero-probability arrival count, charged (no atom left out) or not. Also
+    on one of those laws with every atom left out, and on a dyadic law. The
+    exact weights sum to sum_n lam_n * S ** n, S the atoms' total
+    probability: on the dyadic law S = 1 and the sum is exactly
+    sum_n lam_n."""
+    laws = _built_laws(monkeypatch, *[(cfg, {}) for cfg in [
+        *(oracle.random_instance(i, master_seed=0) for i in range(40)),
+        _k3_market(2, 4), example_cfg, _two_or_none_market(), test_oracle._zero_atom_market()]],
+        (_two_or_none_market(), {"stage_fn": _charged}))
+    assert any(min(ranks) >= 0 for _lam, ranks, _p in laws)
+    assert any(0.0 in lam for lam, _r, _p in laws)
+    lam, ranks, probs = laws[-1]
+    dyadic = ((0.25, 0.5, 0.25), (0, -1, 1, -1), (0.5, 0.25, 0.125, 0.125))
+    for lam, ranks, probs in laws + [(lam, (-1,) * len(ranks), probs), dyadic]:
+        keys, weights = dp._key_law(lam, ranks, probs)
+        exact = _ordered_law(lam, ranks, probs)
+        assert len(set(keys)) == len(keys) and set(keys) == set(exact)
+        assert [w.hex() for w in weights] == [float(exact[key]).hex() for key in keys]
+        total = sum(map(Fraction, probs))
+        assert sum(exact.values()) == sum(Fraction(x) * total ** n for n, x in enumerate(lam))
+    assert sum(exact.values()) == 1
+
+
+def test_readme_quotes_the_stage_solve_counts(monkeypatch):
     """README's solver paragraph quotes how many stage solves, and over how
     many (report set, state) pairs, exact-solve's market and mc-market's
-    market (20 samples, seed 1) take: recounted here, so a change that moves
-    them must restate them."""
+    market (20 samples, seed 1) take, and how many keys exact-solve's law
+    over keys holds for how many ordered profiles: recounted here, so a
+    change that moves them must restate them."""
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     exact_cfg, mc_cfg = _exact_solve_market(), _k3_market(3, 201)
     exact = len(_counted_build(exact_cfg)[1])
     pairs = sum(dp.exact_profile_count(exact_cfg, t) * len(dp.reachable_states(exact_cfg, t))
                 for t in (1, 2))
     assert f"exact-solve's market needs {exact:,} stage solves for its {pairs:,}" in readme
+    (law,) = _built_laws(monkeypatch, (exact_cfg, {}))
+    sets, profiles = len(dp._key_law(*law)[0]), dp.exact_profile_count(exact_cfg, 1)
+    assert f"(exact-solve's market: {sets:,} sets for {profiles:,} profiles per period)" in readme
     mc = len(_counted_build(mc_cfg, backend="mc", samples=20, seed=1)[1])
     drawn = 20 * sum(len(dp.reachable_states(mc_cfg, t)) for t in (1, 2, 3))
     assert f"(20 samples, seed 1) needs {mc:,} stage solves for its {drawn:,} drawn sets" in readme
@@ -366,44 +432,36 @@ def test_non_monotone_layer_keeps_never_served_reports():
     cfg = _exact_solve_market(horizon=3)
     assert _class_counts(cfg)[:2] == [len(dp.reachable_states(cfg, t)) for t in (1, 2)]
 
-    def charged(t, summary, y, cont):
-        value = dp._optimal_stage(t, summary, y, cont)
-        return value - 0.25 * sum(y) if t < cfg.horizon else value
-
-    tables = fm.build_value_tables(cfg, stage_fn=charged)
+    tables = fm.build_value_tables(cfg, stage_fn=_charged)
     assert not dp._non_decreasing(tables.values[1]) and not dp._non_decreasing(tables.values[2])
     for t in (1, 2, 3):
         cont = tables.continuation_fn(t)
         for y in tables.states[t]:
-            ref = oracle.reference_expected_stage(cfg, t, y, cont, charged)
+            ref = oracle.reference_expected_stage(cfg, t, y, cont, _charged)
             assert tables.values[t][y].hex() == ref.hex(), (t, y)
 
 
 def test_keys_only_a_prefix_reaches_are_not_solved():
-    """With no chance of exactly one arrival, the exact walk still builds the
-    one-report keys, as prefixes of the two-report profiles, but solves only
-    keys some profile reaches. A stage charged before the final period makes
-    layer 2 non-monotone, so period 1 keeps every report in its keys, and two
-    goods of each variety clip nothing: every set it solves at y = (2, 2) has
-    zero or two reports, and the tables equal the reference expectation bit
-    for bit. The charge reads y beyond its capped cumulative supply, which
-    the contract forbids: layer 2's states share classes (D_2 = 4), so each
+    """With no chance of exactly one arrival, the law over keys gives a
+    one-report key weight only through a left-out report, so where no
+    report is left out it holds none: only keys some profile reaches are
+    solved. A stage charged before the final period makes layer 2
+    non-monotone, so period 1 keeps every report in its keys, and two goods
+    of each variety clip nothing: every set it solves at y = (2, 2) has zero
+    or two reports, and the tables equal the reference expectation bit for
+    bit. The charge reads y beyond its capped cumulative supply, which the
+    contract forbids: layer 2's states share classes (D_2 = 4), so each
     class's entry is its first state's. Layer 1 is compared with the
     reference through that same layer 2, and no two of its states share a
     class (D_1 = 6), which is asserted."""
-    cfg = config_io.parse_config({
-        "horizon": 3, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 11},
-        "arrivals": [[0.5, 0.0, 0.5]] * 3, "supply": [[[0.0, 0.0, 1.0]] * 2] * 3,
-        "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
-    })
+    cfg = _two_or_none_market()
     assert _class_counts(cfg)[0] == len(dp.reachable_states(cfg, 1))
     sizes = set()
 
     def charged(t, summary, y, cont):
         if (t, y) == (1, (2, 2)):
             sizes.add(sum(map(len, summary)))
-        value = dp._optimal_stage(t, summary, y, cont)
-        return value - 0.25 * sum(y) if t < cfg.horizon else value
+        return _charged(t, summary, y, cont)
 
     tables = fm.build_value_tables(cfg, stage_fn=charged)
     assert not dp._non_decreasing(tables.values[2])
@@ -412,6 +470,33 @@ def test_keys_only_a_prefix_reaches_are_not_solved():
     for y in tables.states[1]:
         ref = oracle.reference_expected_stage(cfg, 1, y, cont, charged)
         assert tables.values[1][y].hex() == ref.hex(), y
+
+
+def test_reference_flags_a_stage_that_breaks_the_class_contract():
+    """`_charged` reads y beyond its capped cumulative supply, which
+    `build_value_tables`' contract forbids, and the exact build gives each
+    class of layer 2 (D_2 = 4) its first state's entry. The reference calls
+    the stage at each state's own y, so it differs from the table exactly at
+    the states holding another number of goods than their class's first
+    state: 10 of layer 2's 25. A stage that reads a report its key leaves out
+    (w <= 0, against the final period's zero continuation) gives one key two
+    values, and the reference raises."""
+    cfg = _two_or_none_market()
+    tables = fm.build_value_tables(cfg, stage_fn=_charged)
+    bound, cont = dp._demand_bound(cfg, 2), tables.continuation_fn(2)
+    first = {}
+    for y in tables.states[2]:
+        first.setdefault(dp._supply_class(y, bound), y)
+    flagged = {y for y in tables.states[2]
+               if oracle.reference_expected_stage(cfg, 2, y, cont, _charged) != tables.values[2][y]}
+    moved = {y for y in tables.states[2] if sum(first[dp._supply_class(y, bound)]) != sum(y)}
+    assert flagged == moved and len(moved) == 10 and len(tables.states[2]) == 25
+
+    def per_report(t, summary, y, cont):
+        return dp._optimal_stage(t, summary, y, cont) - 1e-3 * sum(map(len, summary))
+
+    with pytest.raises(AssertionError, match="has values"):
+        oracle.reference_expected_stage(cfg, 3, (1, 1), tables.continuation_fn(3), per_report)
 
 
 def test_non_decreasing_reads_every_variety():
@@ -614,6 +699,15 @@ def test_cache_rejects_version_2(tmp_path, small_cfg, small_tables):
     path = tmp_path / "tables.bin"
     _edited_save(path, small_tables, "<I", 8, 2)
     with pytest.raises(TableMismatch, match="^unsupported cache version 2$"):
+        ValueTables.load(path, small_cfg)
+
+
+def test_cache_rejects_version_3(tmp_path, small_cfg, small_tables):
+    """Version 3 had this layout, but its exact entries summed over ordered
+    profiles, a few ulps off today's sums over the law of keys."""
+    path = tmp_path / "tables.bin"
+    _edited_save(path, small_tables, "<I", 8, 3)
+    with pytest.raises(TableMismatch, match="^unsupported cache version 3$"):
         ValueTables.load(path, small_cfg)
 
 

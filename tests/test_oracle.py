@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -576,28 +577,66 @@ def test_zero_probability_atoms_match_reference_expectation():
 
 
 def test_exact_entries_do_not_depend_on_term_order():
-    """Every exact entry is the correctly rounded sum of its profile terms, so
-    the order in which profiles are enumerated cannot move a bit: on the first
-    40 instances, each state's terms, built as `oracle.reference_expected_stage`
-    builds them and then shuffled, sum to the table entry."""
+    """Every exact entry is the correctly rounded sum of its key terms, so
+    the order of the keys cannot move a bit: on the first 40 instances, each
+    state's terms, one per key as `oracle.reference_expected_stage` builds
+    them (the key's exact probability, summed over its ordered profiles and
+    rounded once, times its stage value), shuffled, sum to the table entry."""
     rng = random.Random(0)
     for i in range(40):
         cfg = random_instance(i, master_seed=0)
         tables = dp.build_value_tables(cfg)
         for t in range(1, cfg.horizon + 1):
             cont = tables.continuation_fn(t)
+            drop = dp._non_decreasing(tables.values[t + 1])
             lam = cfg.arrivals.pmf(t)
-            profiles = []  # (lam_n * p_1 * ... * p_n, summary) per ordered profile
+            keys = {}  # (level, grid index) multiset -> [exact probability, summary]
             for n in range(len(lam)):
                 if lam[n] > 0.0:
                     for combo in itertools.product(cfg.consumer_atoms(t), repeat=n):
-                        prob = math.prod([float(lam[n]), *(p for _b, _i, p, _w in combo)])
-                        summary = dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties)
-                        profiles.append((prob, summary))
+                        kept = sorted((b, i, w) for b, i, _p, w in combo if w > 0.0 or not drop)
+                        prob = math.prod([Fraction(float(lam[n])),
+                                          *(Fraction(p) for _b, _i, p, _w in combo)])
+                        summary = dp.summarize([(b, w) for b, _i, w in kept], cfg.varieties)
+                        keys.setdefault(tuple(kept), [0, summary])[0] += prob
             for y in tables.states[t]:
-                terms = [prob * dp._optimal_stage(t, summary, y, cont) for prob, summary in profiles]
+                terms = [float(prob) * dp._optimal_stage(t, summary, y, cont)
+                         for prob, summary in keys.values()]
                 rng.shuffle(terms)
                 assert math.fsum(terms).hex() == tables.values[t][y].hex(), (i, t, y)
+
+
+def test_exact_entries_within_derived_bound_of_rational_expectation():
+    """Every exact entry of family instances 0-39 and of the worked example
+    at G=11 is within a bound derived from the law's error analysis of
+    `oracle.rational_expected_layer`, V, the exact expectation of the float
+    stage values with the float continuation held fixed. With u = 2**-53,
+    the entry is the fsum over keys of fl(fl(W) * v), W a key's exact
+    probability and v its stage value: the weight, the product and the
+    fsum each round once, each by a factor within 1 +- u in the normal
+    range, so |entry - V| <= u * |V| + (2u + u**2)(1 + u) * sum W |v|. The
+    optimal stage's values are non-negative (it starts from cont(y) >= 0
+    and serves only at a gain), so sum W |v| = V. Normal range: every W is
+    at least the least profile probability, and every positive v at least
+    the least positive virtual value or continuation, and their product is
+    at least 2**-1022 (asserted)."""
+    u = Fraction(1, 2 ** 53)
+    cfgs = [random_instance(i, master_seed=0) for i in range(40)]
+    for cfg in cfgs + [fm.build_example_config((2.0, 3.0), 0.5, 2, 11)]:
+        tables = dp.build_value_tables(cfg)
+        for t in range(1, cfg.horizon + 1):
+            cont = tables.continuation_fn(t)
+            lam = cfg.arrivals.pmf(t)
+            atoms = cfg.consumer_atoms(t)
+            least = Fraction(float(min(x for x in lam if x > 0.0))) * min(
+                Fraction(p) for _b, _i, p, _w in atoms) ** (len(lam) - 1)
+            positive = [w for _b, _i, _p, w in atoms if w > 0.0]
+            positive += [c for c in map(cont, tables.states[t]) if c > 0.0]
+            assert least * Fraction(min(positive)) >= Fraction(2) ** -1022
+            exact = oracle.rational_expected_layer(tables, t)
+            for y, entry in tables.values[t].items():
+                bound = (u + (2 * u + u * u) * (1 + u)) * exact[y]
+                assert abs(Fraction(entry) - exact[y]) <= bound, (t, y)
 
 
 # -- threshold-form stage against the enumerating reference ------------------------

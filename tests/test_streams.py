@@ -71,10 +71,10 @@ INTERIM_T1 = {  # report: exact (Q, P) at t=1, n_t=2, probe in slot 1, worked ex
 }
 
 TABLE_SHA256 = {  # optimal then myopic exact tables, per market (see _table_sha256)
-    "exact-solve": "bcff3a683d43d6ee3d71c2856150008ba02597c20199b14aaa84131a7ab2e670",
-    "example-41": "0bf8fd790cfa95573e4777b76d0d11987e7f8ccc6184c4eaf7691be644a0b655",
-    "family-20": "2483c73f84dcad1af9f2ccd284d242b9a65c283949e942abad9ecd4b58aa4565",
-    "k3-market": "1f86eceb47a0388aab91c1761be288ca13aecb567d539604575fdaebb40fc3b0",
+    "exact-solve": "4e0c24d5d43ed68f37549332d69e6dbd945a72447185a78cfdaa7649608324cc",
+    "example-41": "08fe4b0bcc47030587f1b16f7370111e472697976bd5e3c5e938cf00f34769a5",
+    "family-20": "8f67016e446343fa36f7bb8ebde66d64e81947b6c9e1b0edbe8b314d3b2c8e71",
+    "k3-market": "6617607b13bfdc829cb239cb78b7575f2319bc4c19840d6de3a32e330071f193",
 }
 
 MC_TABLE_SHA256 = {  # Monte Carlo tables of the k=3, T=3, G=201 market, 20 samples, seed 1
