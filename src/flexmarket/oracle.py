@@ -247,40 +247,39 @@ def reference_stage_value(
 
 
 def _profiles(cfg: MarketConfig, t: int) -> tuple[int, list]:
-    """Every ordered consumer profile of period t whose arrival count has
-    positive probability, in order, as (numerator, atoms), and a common
-    denominator over which each numerator is the profile's exact probability
-    ``lam_n * p_1 * ... * p_n``: every float is an integer over a power of 2."""
+    """Every ordered consumer profile of period t of positive probability, in
+    order, as (numerator, atoms, summary), and a common denominator over which
+    each numerator is the exact ``lam_n * p_1 * ... * p_n``."""
     lam = [float(x).as_integer_ratio() for x in cfg.arrivals.pmf(t)]
     ratios = {atom: atom[2].as_integer_ratio() for atom in cfg.consumer_atoms(t)}
     unit, lam_unit = max((d for _p, d in ratios.values()), default=1), max(d for _x, d in lam)
     nums = {atom: p * (unit // d) for atom, (p, d) in ratios.items()}
     top = len(lam) - 1
     return lam_unit * unit ** top, [
-        (x * (lam_unit // d) * unit ** (top - n) * math.prod(map(nums.__getitem__, combo)), combo)
+        (x * (lam_unit // d) * unit ** (top - n) * math.prod(map(nums.__getitem__, combo)), combo,
+         dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties))
         for n, (x, d) in enumerate(lam) if x for combo in itertools.product(nums, repeat=n)]
 
 
-def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn) -> float:
-    """Report-set expectation of one stage over the exact law of keys,
-    enumerated afresh for this one state: the slow path behind the exact
-    backend, without its memo, classes or clipping.
-
-    A profile's key is the multiset of its reports' (level, grid index)
-    cells, less those of w <= 0 when `cont` is non-decreasing in every
-    variety over period t's states. Each key's exact probability, summed
-    over its ordered profiles, is rounded once; the expectation is
-    ``math.fsum`` of weight times stage value. `stage_fn` gets every
-    profile's whole summary at y and must give a key one value, bit for bit
-    (AssertionError otherwise). An exact table entry must equal this value
-    bit for bit, so a stage that reads y beyond its class shows too.
+def reference_expected_stage(tables: ValueTables, t: int, y: tuple, stage_fn) -> float:
+    """Report-set expectation of one stage at state y of period t against
+    ``tables.continuation_fn(t)``, over the exact law of keys enumerated
+    afresh: the slow path behind the exact backend, without its memo, classes
+    or clipping. A profile's key is its reports' (level, grid index)
+    multiset, less those of w <= 0 when layer t + 1 is non-decreasing in
+    every variety, bit for bit, as `dp.build_value_tables` decides. Each
+    key's exact probability is rounded once; the expectation is ``math.fsum``
+    of weight times stage value. `stage_fn` gets each profile's whole summary
+    and must give a key one value (AssertionError otherwise), so a table
+    entry off this one bit for bit also shows a stage reading y beyond its class.
     """
-    drop = all(cont(_shift(m, i, -1)) <= cont(m) for m in dp.reachable_states(cfg, t)
+    cfg, cont, after = tables.config, tables.continuation_fn(t), tables.values[t + 1]
+    drop = all(after[_shift(m, i, -1)] <= value for m, value in after.items()
                for i in range(1, cfg.varieties + 1) if m[i - 1])
     den, profiles = _profiles(cfg, t)
     groups: dict[tuple, list] = {}   # key -> [probability numerator, stage value]
-    for num, combo in profiles:
-        value = stage_fn(t, dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties), y, cont)
+    for num, combo, summary in profiles:
+        value = stage_fn(t, summary, y, cont)
         key = tuple(sorted((b, i) for b, i, _p, w in combo if w > 0.0 or not drop))
         group = groups.setdefault(key, [0, value])
         if value.hex() != group[1].hex():
@@ -289,17 +288,14 @@ def reference_expected_stage(cfg: MarketConfig, t: int, y: tuple, cont, stage_fn
     return math.fsum(num / den * value for num, value in groups.values())
 
 
-def rational_expected_layer(tables: ValueTables, t: int, stage_fn=dp._optimal_stage) -> dict:
-    """Per state y of period t, the exact expectation, a `Fraction`, over
-    ordered profiles of the float stage values at y, with the float
-    continuation `tables.continuation_fn(t)` held fixed: every probability,
-    product and sum is exact, so only the stage values are rounded."""
+def rational_expected_layer(tables: ValueTables, t: int) -> dict:
+    """Per state y of period t, the exact expectation (a `Fraction`) over
+    ordered profiles of the optimal stage's float values at y against the
+    float ``tables.continuation_fn(t)``: only the stage values are rounded."""
     cfg, cont = tables.config, tables.continuation_fn(t)
     den, profiles = _profiles(cfg, t)
-    summaries = [(num, dp.summarize([(b, w) for b, _i, _p, w in combo], cfg.varieties))
-                 for num, combo in profiles]
-    return {y: sum(num * Fraction(stage_fn(t, summary, y, cont))
-                   for num, summary in summaries) / den for y in tables.states[t]}
+    return {y: sum(num * Fraction(dp._optimal_stage(t, summary, y, cont))
+                   for num, _combo, summary in profiles) / den for y in tables.states[t]}
 
 
 # ---------------------------------------------------------------------------

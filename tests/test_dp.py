@@ -435,9 +435,8 @@ def test_non_monotone_layer_keeps_never_served_reports():
     tables = fm.build_value_tables(cfg, stage_fn=_charged)
     assert not dp._non_decreasing(tables.values[1]) and not dp._non_decreasing(tables.values[2])
     for t in (1, 2, 3):
-        cont = tables.continuation_fn(t)
         for y in tables.states[t]:
-            ref = oracle.reference_expected_stage(cfg, t, y, cont, _charged)
+            ref = oracle.reference_expected_stage(tables, t, y, _charged)
             assert tables.values[t][y].hex() == ref.hex(), (t, y)
 
 
@@ -466,9 +465,8 @@ def test_keys_only_a_prefix_reaches_are_not_solved():
     tables = fm.build_value_tables(cfg, stage_fn=charged)
     assert not dp._non_decreasing(tables.values[2])
     assert sizes == {0, 2}
-    cont = tables.continuation_fn(1)
     for y in tables.states[1]:
-        ref = oracle.reference_expected_stage(cfg, 1, y, cont, charged)
+        ref = oracle.reference_expected_stage(tables, 1, y, charged)
         assert tables.values[1][y].hex() == ref.hex(), y
 
 
@@ -483,12 +481,12 @@ def test_reference_flags_a_stage_that_breaks_the_class_contract():
     values, and the reference raises."""
     cfg = _two_or_none_market()
     tables = fm.build_value_tables(cfg, stage_fn=_charged)
-    bound, cont = dp._demand_bound(cfg, 2), tables.continuation_fn(2)
+    bound = dp._demand_bound(cfg, 2)
     first = {}
     for y in tables.states[2]:
         first.setdefault(dp._supply_class(y, bound), y)
     flagged = {y for y in tables.states[2]
-               if oracle.reference_expected_stage(cfg, 2, y, cont, _charged) != tables.values[2][y]}
+               if oracle.reference_expected_stage(tables, 2, y, _charged) != tables.values[2][y]}
     moved = {y for y in tables.states[2] if sum(first[dp._supply_class(y, bound)]) != sum(y)}
     assert flagged == moved and len(moved) == 10 and len(tables.states[2]) == 25
 
@@ -496,7 +494,7 @@ def test_reference_flags_a_stage_that_breaks_the_class_contract():
         return dp._optimal_stage(t, summary, y, cont) - 1e-3 * sum(map(len, summary))
 
     with pytest.raises(AssertionError, match="has values"):
-        oracle.reference_expected_stage(cfg, 3, (1, 1), tables.continuation_fn(3), per_report)
+        oracle.reference_expected_stage(tables, 3, (1, 1), per_report)
 
 
 def test_non_decreasing_reads_every_variety():
