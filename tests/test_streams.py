@@ -82,6 +82,14 @@ MC_TABLE_SHA256 = {  # Monte Carlo tables of the k=3, T=3, G=201 market, 20 samp
     "myopic": "3e860f463279194513e6aa57b98edcbbef2faeea51e59c3d65c5f8031578567f",
 }
 
+K3_TRACE_SHA256 = (  # run_episodes(300, seed 11) on test_oracle._k3_market(2, 5), see _trace_sha256
+    "6f562cde51c1b6e307ee3c5bf81fa9a7db100cca15edc94a3845963f87d0081d"
+)
+K3_TRACE_ROWS = 909
+K3_BIC_ENTRIES = 150                                 # t=2 default probe, 200 reps, seed 0
+K3_BIC_GAIN_SUM = "-0x1.611999999999ap+4"
+K3_BIC_STDERR_SUM = "0x1.4c91cd2223a82p-2"
+
 VERIFY_REPORT_SHA256 = (  # sort_keys JSON of oracle.run_verification(instances=20)
     "01de2882e4e2b1eea02140b542c5ba99d8f5937fb97888dff0b8c571259f7663"
 )
@@ -196,6 +204,32 @@ def test_exact_interim_pinned(small_cfg, small_tables):
         est = fm.interim_quantities(small_cfg, small_tables, 1, 2, 1, report)
         assert (est.allocation, est.payment) == (float.fromhex(q), float.fromhex(p))
         assert (est.allocation_se, est.payment_se) == (0.0, 0.0)
+
+
+def _trace_sha256(traces) -> tuple[int, str]:
+    """(row count, sha256) over `simulate.trace_rows` of each episode, one
+    comma-joined line per row."""
+    h, rows = hashlib.sha256(), 0
+    for ep, trace in enumerate(traces):
+        for row in simulate.trace_rows(ep, trace):
+            rows += 1
+            h.update((",".join(map(str, row)) + "\n").encode())
+    return rows, h.hexdigest()
+
+
+def test_k3_episodes_and_audit_pinned():
+    """Periods of up to three competing reports on exact tables: the order
+    `allocate` ranks them in, the arrival-index tie rule and several goods
+    handed out within one level (71 of the 300 episodes' periods serve more
+    than one consumer)."""
+    cfg = _k3_market(2, 5)
+    tables = fm.build_value_tables(cfg)
+    mech = fm.Mechanism(tables)
+    assert _trace_sha256(simulate.run_episodes(mech, 300, 11)) == (K3_TRACE_ROWS, K3_TRACE_SHA256)
+    report = fm.bic_audit(cfg, tables, simulate.AuditProbe.default(cfg, 2), 200, 0, mech=mech)
+    assert len(report.entries) == K3_BIC_ENTRIES
+    assert math.fsum(e.value for e in report.entries) == float.fromhex(K3_BIC_GAIN_SUM)
+    assert math.fsum(e.stderr for e in report.entries) == float.fromhex(K3_BIC_STDERR_SUM)
 
 
 def test_verify_report_pinned():
