@@ -4,15 +4,9 @@ distributions, virtual valuations, canonical serialization, the fingerprint
 float64 bytes), regularity, the per-period samplers, the seeded replication
 streams they read, and the draw plans of the batch sites.
 
-A `DrawPlan` writes down once the order in which one replication of a batch
-(an episode, or the environment a period-t probe meets) draws. A batch reads
-each block of rows of `uniform_blocks` by columns, one `np.searchsorted` per
-draw over every row, into histories: flat tuples of decoded ints. A Monte
-Carlo layer reads its states' rows a block at a time too
-(`PeriodSampler.rank_keys`). One stream reads per call instead, one uniform
-per draw through `PeriodSampler`: a standalone episode and
-`Mechanism.sample_supply_state`. Either way the same uniforms give the same
-draws.
+A `DrawPlan` fixes the order in which one replication of a batch (an
+episode, or what a period-t probe meets) draws; a batch reads it by columns
+off blocks of `uniform_blocks` rows, a single stream per call (`DrawPlan.read`).
 
 The market sells k varieties of durable goods over a finite horizon T.
 A consumer of flexibility level b accepts any variety in 1..b and reports a
@@ -95,6 +89,10 @@ class ValuationGrid:
         """`points` as Python floats, for scalar code that would otherwise index numpy."""
         return self.points.tolist()
 
+    @cached_property
+    def _point_index(self) -> dict:  # points strictly increase (check_structure)
+        return {p: i for i, p in enumerate(self.point_list)}
+
     def _nearest(self, x: float) -> int:
         """Index of the grid point nearest x, clamped to the grid; ties round
         half to even, as `np.rint` does."""
@@ -104,11 +102,12 @@ class ValuationGrid:
         return round(min(max(pos, 0.0), self.size - 1.0))
 
     def index_of(self, x: float) -> int:
-        """Index of grid point x; raises OffGridValue for values not on the grid."""
-        i = self._nearest(x)
-        p = self.point_list[i]
-        if abs(p - x) > 1e-9 * max(1.0, abs(self.step)):
-            raise OffGridValue(f"{x} is not a grid point (nearest: {p})")
+        """Index of grid point x (O(1) if exact); OffGridValue beyond 1e-9 * max(1, step) of one."""
+        i = self._point_index.get(x)
+        if i is None:
+            i = self._nearest(x)
+            if abs(self.point_list[i] - x) > 1e-9 * max(1.0, abs(self.step)):
+                raise OffGridValue(f"{x} is not a grid point (nearest: {self.point_list[i]})")
         return i
 
     def snap(self, x: float) -> float:
@@ -783,6 +782,7 @@ def build_example_config(
     )
 
 
+@np.errstate(over="ignore", divide="ignore")  # check_structure refuses a span of a few ulps
 def truncated_exponential(
     alpha: Sequence[float],
     grid: ValuationGrid,

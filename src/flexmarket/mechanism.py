@@ -15,7 +15,8 @@ the stage takes a good only from a variety in stock.
 A report is a (valuation, flexibility level) pair, and its 1-based position
 in the period's report sequence is its arrival index. Ties between equal
 virtual valuations go to the lowest arrival index, so every decision is a
-pure function of its inputs. Besides allocation, payment and the period
+pure function of its inputs. A valuation is read at its grid point, in O(1)
+if exact (`ValuationGrid.index_of`). Besides allocation, payment and the period
 step, a `Mechanism` samples the market under truthful play: supply arrivals,
 consumer types, and the supply state and rival reports a period-t consumer
 faces. Each sampler takes `u`, a zero-argument callable returning the next
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
@@ -88,10 +89,12 @@ class Mechanism:
     first three each cleared once it holds MEMO_BOUND entries: `_read_memo`,
     each report's (w, grid point) per (t, report), stored only once the
     report has been read off the grid, so a bad report raises every time;
-    `_alloc_memo` per (t, y, reports); `_threshold_memo` per (t, y, level,
-    slot, others); and `_law_memo`, the tallied environment law per (t, n_t,
+    `_alloc_memo` per (t, y, reports), read before (t, y) is checked and
+    holding only checked keys; `_threshold_memo` per (t, y, level, slot,
+    others); and `_law_memo`, the tallied environment law per (t, n_t,
     replications, seed), so every audit and interim estimate on one session
-    that asks for the same law shares one draw of it.
+    that asks for the same law shares one draw of it. Episode and
+    environment loops decode a period's `Report`s once per history.
     """
 
     def __init__(self, tables: ValueTables):
@@ -137,15 +140,14 @@ class Mechanism:
 
     def allocate(self, t: int, reports: Sequence[Report], y: Sequence[int]) -> AllocationResult:
         """Optimal allocation for one period: the variety each report receives."""
-        _index(t, self.cfg.horizon, "period")
         y = tuple(y)
-        if y not in self.tables.values[t]:
-            raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
         key = (t, y, tuple(reports))
         got = self._alloc_memo.get(key)
-        if got is not None:
+        if got is not None:  # only checked keys go in
             return got
-
+        _index(t, self.cfg.horizon, "period")
+        if y not in self.tables.values[t]:
+            raise TableMismatch(f"supply vector {y} is not a reachable state at t={t}")
         if len(self._alloc_memo) >= MEMO_BOUND:
             self._alloc_memo.clear()
         w_sorted, ranked = self._ranked_rows(t, reports)
@@ -249,12 +251,12 @@ class Mechanism:
         y = tuple(y)
         alloc = self.allocate(t, reports, y)
         pays = self.payments(t, reports, y, alloc)
-        left = tuple(a - b for a, b in zip(y, alloc.v_star))
+        left = tuple(map(sub, y, alloc.v_star))
         outcome = MechanismOutcome(
             varieties=alloc.varieties, payments=pays,
             u_star=alloc.u_star, v_star=alloc.v_star, next_supply=left,
         )
-        return outcome, tuple(a + b for a, b in zip(left, x_next))
+        return outcome, tuple(map(add, left, x_next))
 
     # -- sampling helpers ------------------------------------------------------
 
@@ -277,11 +279,11 @@ class Mechanism:
         return self._environment(t, environment_plan(self.cfg, t, 1).read(u))[0]
 
     def _read_types(self, draws, n: int | None = None) -> tuple:
-        """The (valuation, level) of the next n consumers of the history
-        iterator `draws`, each held there as (level, grid index); every
-        consumer left when n is None."""
+        """The `Report`s of the next n consumers of the history iterator
+        `draws`, each held there as (level, grid index); every consumer left
+        when n is None."""
         points = self.cfg.grid.point_list
-        return tuple((points[i], b) for b, i in islice(zip(draws, draws), n))
+        return tuple([Report(points[i], b) for b, i in islice(zip(draws, draws), n)])
 
     def _environment(self, t: int, history: tuple) -> tuple:
         """(supply state, other consumers' types) of a period-t probe, from
@@ -290,9 +292,8 @@ class Mechanism:
         draws = iter(history)
         y = tuple(islice(draws, k))
         for s in range(1, t):
-            reports = make_reports(self._read_types(draws, next(draws)))
-            spent = self.allocate(s, reports, y).v_star
-            y = tuple(a - b + c for a, b, c in zip(y, spent, islice(draws, k)))
+            spent = self.allocate(s, self._read_types(draws, next(draws)), y).v_star
+            y = tuple(map(add, map(sub, y, spent), islice(draws, k)))
         return y, self._read_types(draws)
 
     def sample_environments(self, t: int, n_t: int, replications: int, seed: int):

@@ -41,7 +41,7 @@ from . import dp
 from .dp import ValueTables
 from .errors import TableMismatch
 from .market import MarketConfig, episode_plan
-from .mechanism import Mechanism, MechanismOutcome, make_reports
+from .mechanism import Mechanism, MechanismOutcome
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ class PeriodRecord(NamedTuple):
     t: int
     supply_arrived: tuple
     supply_before: tuple
-    true_types: tuple          # (valuation, level) per consumer, arrival order
+    true_types: tuple          # a Report (valuation, level) per consumer, arrival order
     outcome: MechanismOutcome
 
 
@@ -85,15 +85,14 @@ def _run_episode(mech: Mechanism, history: tuple) -> EpisodeTrace:
     x = tuple(itertools.islice(draws, k))
     y = x
     for t in range(1, cfg.horizon + 1):
-        types = mech._read_types(draws, next(draws))
+        reports = mech._read_types(draws, next(draws))
         x_next = tuple(itertools.islice(draws, k)) if t < cfg.horizon else (0,) * k
-        reports = make_reports(types)
         outcome, y_next = mech.step(t, y, reports, x_next)
         payments.extend(outcome.payments)
         for report, variety in zip(reports, outcome.varieties):
             if variety:
                 surplus.append(mech._read(t, report)[0])
-        periods.append(PeriodRecord(t, x, y, types, outcome))
+        periods.append(PeriodRecord(t, x, y, reports, outcome))
         y, x = y_next, x_next
     return EpisodeTrace(
         periods=tuple(periods),

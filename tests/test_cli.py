@@ -58,6 +58,23 @@ def test_validate_hazard_infinite_where_cdf_reaches_1(rate, config_file, tmp_pat
     assert capsys.readouterr().out.strip()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_grid_of_one_ulp_refused_in_one_line(tmp_path, capsys):
+    """A 3-point family grid on [0, 5e-324]: dividing the pdf by the span
+    overflows while the family is tabulated, yet no warning escapes, and
+    the structural check refuses the grid (exit 3) in one line."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "horizon": 1, "varieties": 1, "grid": {"min": 0.0, "max": 5e-324, "points": 3},
+        "arrivals": [[0.5, 0.5]], "supply": [[[0.0, 1.0]]],
+        "types": {"family": "truncated_exponential", "alpha": [2.0]},
+    }))
+    assert main(["validate", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["malformed config: grid points not strictly increasing"]
+    assert err == ""
+
+
 def test_validate_truncated_file(tmp_path, config_file):
     broken = tmp_path / "broken.json"
     broken.write_text(Path(config_file).read_text()[:50])

@@ -68,10 +68,15 @@ def _numpy_lookup(g, x):
 
 @pytest.mark.parametrize("size", [2, 3, 11, 41, 1001])
 def test_grid_lookup_matches_numpy_formula(size):
-    g = ValuationGrid.uniform(0.0, 1.0, size)
-    offsets = (0.0, 0.4 * g.step, -0.4 * g.step, 0.5 * g.step, -0.5 * g.step, 1e-12, -1e-12)
-    for p in g.points.tolist():
-        for x in (p + d for d in offsets):
+    """Exact points, which `index_of` reads off a map, as well as -0.0,
+    Python ints equal to a point and values within 1e-9 * step of one."""
+    for bounds in ((0.0, 1.0), (-2.0, 2.0)):
+        g = ValuationGrid.uniform(*bounds, size)
+        offsets = (0.0, 0.4 * g.step, -0.4 * g.step, 0.5 * g.step, -0.5 * g.step, 1e-12, -1e-12,
+                   *(d * 1e-9 * g.step for d in (0.25, -0.25, 0.9, -0.9)))
+        ints = [n for n in range(-2, 3) if n in g.point_list]
+        assert ints
+        for x in [-0.0, *ints, *(p + d for p in g.points.tolist() for d in offsets)]:
             try:
                 got_index = g.index_of(x)
             except OffGridValue:

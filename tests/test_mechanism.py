@@ -474,7 +474,9 @@ def test_inconsistent_allocation_raises_on_every_repeat():
 def test_bad_reports_raise_after_valid_reads(small_tables):
     """A session that has read valid reports still refuses, every time, a
     valuation off the grid and a level outside 1..k, alone or beside a
-    report it has read."""
+    report it has read. `allocate` looks its memo up before it checks
+    (t, y), yet the very reports it has allocated still raise at a period
+    outside 1..T and at a supply vector that is no state of period t."""
     mech = Mechanism(small_tables)
     good = make_reports([(0.5, 1), (0.75, 2), (0.5, 2)])
     want = mech.allocate(1, good, (1, 1))
@@ -484,7 +486,14 @@ def test_bad_reports_raise_after_valid_reads(small_tables):
         for _ in range(2):
             with pytest.raises(OffGridValue):
                 mech.allocate(1, make_reports(bad), (1, 1))
-    assert mech.allocate(1, good, (1, 1)) == want
+    for t, y, error in [(0, (1, 1), ValueError), (3, (1, 1), ValueError), (-1, (1, 1), ValueError),
+                        (1, (2, 0), TableMismatch), (1, (1, 1, 0), TableMismatch),
+                        (1, (-1, 0), TableMismatch), (1, (), TableMismatch)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                mech.allocate(t, good, y)
+    assert mech.allocate(1, good, (1, 1)) is want
+    assert list(mech._alloc_memo) == [(1, (1, 1), good)]
 
 
 def test_read_memo_stays_bounded(small_cfg, small_tables, monkeypatch):
