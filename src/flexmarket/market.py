@@ -102,11 +102,12 @@ class ValuationGrid:
         return round(min(max(pos, 0.0), self.size - 1.0))
 
     def index_of(self, x: float) -> int:
-        """Index of grid point x (O(1) if exact); OffGridValue beyond 1e-9 * max(1, step) of one."""
+        """Index of grid point x (O(1) if exact); OffGridValue if x is farther
+        than min(1e-9 * max(1, step), 1e-3 * step) from its nearest point."""
         i = self._point_index.get(x)
         if i is None:
-            i = self._nearest(x)
-            if abs(self.point_list[i] - x) > 1e-9 * max(1.0, abs(self.step)):
+            i, step = self._nearest(x), abs(self.step)
+            if abs(self.point_list[i] - x) > min(1e-9 * max(1.0, step), 1e-3 * step):
                 raise OffGridValue(f"{x} is not a grid point (nearest: {self.point_list[i]})")
         return i
 

@@ -13,13 +13,16 @@ truncate) when an enumeration budget is hit.
 The full-matrix stage and the verification walk read each matrix only
 through its (served rows, remaining supply) projection, so `verify_instance`
 enumerates the matrices of each (flexibilities, y) once and shares the
-de-duplicated projections between the brute-force build and the walk.
+de-duplicated projections between the brute-force build and the walk. The
+walk groups them by service vector once per (counts, y), and builds each
+variety set and its continuation values once per (u, y).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -51,10 +54,10 @@ def feasible_service_set(counts: Sequence[int], y: Sequence[int]) -> list[tuple]
     Level by level, u^j runs over 0 .. min(counts^j, cum y^j - cum u), so the
     list is in lexicographic order; with no consumers it is the zero vector.
     """
-    out = [()]
+    out = [((), 0)]   # (prefix, its sum)
     for cj, cum_yj in zip(counts, itertools.accumulate(y)):
-        out = [u + (uj,) for u in out for uj in range(min(cj, cum_yj - sum(u)) + 1)]
-    return out
+        out = [(u + (uj,), s + uj) for u, s in out for uj in range(min(cj, cum_yj - s) + 1)]
+    return [u for u, _s in out]
 
 
 def feasible_variety_set(u: Sequence[int], y: Sequence[int]) -> list[tuple]:
@@ -64,11 +67,11 @@ def feasible_variety_set(u: Sequence[int], y: Sequence[int]) -> list[tuple]:
     min(y^j, total u - cum v), so the list is in lexicographic order.
     """
     total_u = sum(u)
-    out = [()]
+    out = [((), 0)]   # (prefix, its sum)
     for cum_uj, yj in zip(itertools.accumulate(u), y):
-        out = [v + (vj,) for v in out
-               for vj in range(max(0, cum_uj - sum(v)), min(yj, total_u - sum(v)) + 1)]
-    return out
+        out = [(v + (vj,), s + vj) for v, s in out
+               for vj in range(max(0, cum_uj - s), min(yj, total_u - s) + 1)]
+    return [v for v, _s in out]
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +139,14 @@ def _matrix_projections(memo: dict, flexibilities: tuple, y: tuple, budget: int)
     key = (flexibilities, y)
     found = memo.get(key)
     if found is None:
-        k = len(y)
         seen: dict[tuple, None] = {}
         for m in enumerate_feasible_matrices(flexibilities, y, budget=budget):
-            served = tuple(row for row, c in enumerate(m) if c > 0)
-            seen[served, tuple(a - b for a, b in zip(y, varieties_of(m, k)))] = None
+            stock, served = list(y), []
+            for row, c in enumerate(m):
+                if c > 0:
+                    stock[c - 1] -= 1
+                    served.append(row)
+            seen[tuple(served), tuple(stock)] = None
         found = memo[key] = list(seen)
     return found
 
@@ -320,18 +326,17 @@ def constructive_allocation(u: Sequence[int], counts: Sequence[int], y: Sequence
         if cum_u > cum_y:
             raise InfeasibleU(f"service vector {tuple(u)} exceeds cumulative supply {tuple(y)}")
 
-    stock = list(y)
+    # the lowest variety left is one the next served consumer accepts: fewer
+    # goods are spent than cumulative u, so than cumulative y, up to its
+    # level. So the n-th served consumer gets goods[n], lowest variety first
+    goods = [j for j, yj in enumerate(y, 1) for _ in range(yj)]
     choices: list[int] = []
-    for level in range(1, k + 1):
-        served = 0
-        for _row in range(counts[level - 1]):
-            if served < u[level - 1]:
-                variety = next(j for j in range(1, level + 1) if stock[j - 1] > 0)
-                stock[variety - 1] -= 1
-                choices.append(variety)
-                served += 1
-            else:
-                choices.append(0)
+    spent = 0
+    for level in range(k):
+        uj = u[level]
+        choices += goods[spent:spent + uj]
+        choices += [0] * (counts[level] - uj)
+        spent += uj
     return tuple(choices)
 
 
@@ -387,16 +392,6 @@ class MonotonicityViolation:
     deficit: float  # C(worse) - C(better) beyond tolerance
 
 
-def _dominates(y: tuple, z: tuple) -> bool:
-    cy = cz = 0
-    for a, b in zip(y, z):
-        cy += a
-        cz += b
-        if cy < cz:
-            return False
-    return True
-
-
 def check_monotonicity(tables: ValueTables, tol: float = 1e-12) -> list[MonotonicityViolation]:
     """Scan every table layer for supply-order monotonicity violations.
 
@@ -404,17 +399,18 @@ def check_monotonicity(tables: ValueTables, tol: float = 1e-12) -> list[Monotoni
     wherever every prefix sum of y reaches z's. That order holds every
     single shift too (one good moved from a higher to a lower variety index),
     so each violating pair is reported once. The slack is `tol` for every
-    table, exact or sampled; standard errors give no allowance.
+    table, exact or sampled; standard errors give no allowance. Each state's
+    prefix sums and value are read once per layer, and dominance is tested
+    only for a pair whose deficit exceeds `tol`.
     """
     out: list[MonotonicityViolation] = []
     for t, layer_states in tables.states.items():
         vals = tables.values[t]
-        for yvec in layer_states:
-            for z in layer_states:
-                if yvec == z or not _dominates(yvec, z):
-                    continue
-                deficit = vals[z] - vals[yvec]
-                if deficit > tol:
+        entries = [(y, tuple(itertools.accumulate(y)), vals[y]) for y in layer_states]
+        for yvec, cum_y, value in entries:
+            for z, cum_z, other in entries:
+                deficit = other - value
+                if deficit > tol and yvec != z and all(map(operator.ge, cum_y, cum_z)):
                     out.append(MonotonicityViolation(t, yvec, z, deficit))
     return out
 
@@ -548,47 +544,47 @@ def _count_vectors(k: int, n_max: int) -> list[tuple]:
     return [c for c in itertools.product(range(n_max + 1), repeat=k) if sum(c) <= n_max]
 
 
-def _check_variety_set(u: tuple, y: tuple, conts: list) -> tuple[dict, bool, bool, float]:
-    """The walk's checks that read only (u, y), and the continuations of the
-    periods whose states contain y.
-
-    v* must lie in the variety set and maximize every continuation over it;
-    each variety-shift chain must reach v* within sum(y) steps inside the set
-    without lowering any continuation. Returns the variety set as
-    {v: remaining supply}, the v* and chain verdicts, and the worst v*
-    optimality gap.
-    """
+def _check_variety_set(u: tuple, y: tuple, conts: list) -> tuple[set, bool, bool, float]:
+    """The walk's checks that read only (u, y), under the continuations of
+    the periods whose states contain y: v* must lie in the variety set and
+    maximize every continuation over it, and each variety-shift chain must
+    reach v* within sum(y) steps inside the set without lowering any
+    continuation. Each continuation is read once per variety vector, and
+    the final period's `dp._no_continuation` not at all: it is 0.0 at every
+    supply, so both comparisons hold under it whatever v* and the chains
+    are. Returns the set of remaining supplies, the v* and chain verdicts,
+    and the worst v* optimality gap."""
     left = {v: tuple(a - b for a, b in zip(y, v)) for v in feasible_variety_set(u, y)}
+    remaining = set(left.values())
     # dp.vstar looked up dynamically: it is the unit under audit
     try:
         v_opt = dp.vstar(u, y)
     except InfeasibleU:
-        return left, False, True, 0.0
+        return remaining, False, True, 0.0
     if v_opt not in left:
-        return left, False, True, 0.0
-    vs_ok = chain_ok = True
-    worst = 0.0
-    chains = []
+        return remaining, False, True, 0.0
+    vs_ok, chain_ok, worst, chains = True, True, 0.0, []
     for v in left:
         try:
             chain = transform_chain(v, u, y)
         except (InfeasibleU, NotApplicable, AssertionError):
             chain_ok = False
             continue
-        if chain[-1] != v_opt or len(chain) - 1 > sum(y) or not set(chain) <= left.keys():
+        if chain[-1] != v_opt or len(chain) - 1 > sum(y) or not all(step in left for step in chain):
             chain_ok = False
         else:
             chains.append(chain)
     for cont in conts:
-        best, got = max(cont(m) for m in left.values()), cont(left[v_opt])
+        if cont is dp._no_continuation:
+            continue
+        value = {v: cont(m) for v, m in left.items()}
+        best, got = max(value.values()), value[v_opt]
         if got != best:
             vs_ok = False
             worst = max(worst, abs(best - got))
-        for chain in chains:
-            seen = [cont(left[step]) for step in chain]
-            if any(b < a for a, b in zip(seen, seen[1:])):
-                chain_ok = False
-    return left, vs_ok, chain_ok, worst
+        if any(value[b] < value[a] for chain in chains for a, b in zip(chain, chain[1:])):
+            chain_ok = False
+    return remaining, vs_ok, chain_ok, worst
 
 
 def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> list[CheckResult]:
@@ -597,18 +593,18 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
     One private memo of matrix projections serves the whole call: the
     brute-force build and the walk read it, so each (flexibilities, y) pair
     is enumerated once (see `brute_stage_value` for why its de-duplicated
-    max is exact). The walk visits each (counts, y) pair once, y over every
-    table state, and checks there the service-set projection and, per
-    service vector u, the variety-set projection and the constructive
-    allocation. The checks that read only (u, y) run once per (u, y) pair:
-    the variety set, v* and the transform chains, with v* optimality and
-    chain monotonicity under each period whose states contain y.
-    """
+    max is exact). Per (counts, y), y over every table state, the walk
+    groups the projections by service vector once and checks the groups
+    against the service set, each against its variety set, and each u's
+    constructive allocation (a matrix's u and goods are counted once per
+    counts). Per (u, y) it builds the variety set's remaining supplies and
+    runs `_check_variety_set` once. Nothing built here outlives the call."""
     results: list[CheckResult] = []
     memo: dict = {}
     tables = dp.build_value_tables(cfg)
     brute = build_brute_tables(cfg, matrix_budget=matrix_budget, memo=memo)
     k = cfg.varieties
+    levels = range(1, k + 1)
 
     # master equivalence of the two recursions, bit for bit
     worst = 0.0
@@ -624,21 +620,23 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
     all_states = sorted({y for states in tables.states.values() for y in states})
     conts = {t: tables.continuation_fn(t) for t in range(1, cfg.horizon + 1)}
     conts_at = {y: [cont for t, cont in conts.items() if y in tables.values[t]] for y in all_states}
-    variety_sets: dict[tuple, dict] = {}  # (u, y) -> {v: remaining supply}
+    variety_sets: dict[tuple, set] = {}  # (u, y) -> set of remaining supplies
     svc_ok = var_ok = vs_ok = chain_ok = constructive_ok = True
     worst = 0.0
     for counts in _count_vectors(k, cfg.arrivals.n_max):
         flexibilities = tuple(lvl + 1 for lvl, c in enumerate(counts) for _ in range(c))
+        service_of_rows: dict[tuple, tuple] = {}  # served rows -> u
+        checked: dict[tuple, tuple] = {}  # constructive matrix -> (u, goods spent)
         for y in all_states:
             # service/variety set projections against full matrix enumeration
             by_service: dict[tuple, set] = {}
             for served, remaining in _matrix_projections(memo, flexibilities, y, matrix_budget):
-                u = [0] * k
-                for row in served:
-                    u[flexibilities[row] - 1] += 1
-                by_service.setdefault(tuple(u), set()).add(remaining)
+                u = service_of_rows.get(served)
+                if u is None:
+                    u = service_of_rows[served] = tuple(map([flexibilities[row] for row in served].count, levels))
+                by_service.setdefault(u, set()).add(remaining)
             services = feasible_service_set(counts, y)
-            if set(by_service) != set(services):
+            if by_service.keys() != set(services):
                 svc_ok = False
             for u in services:
                 left = variety_sets.get((u, y))
@@ -648,12 +646,13 @@ def verify_instance(cfg: MarketConfig, seed: int, matrix_budget: int = DEFAULT_M
                     vs_ok &= u_vs_ok
                     chain_ok &= u_chain_ok
                     worst = max(worst, gap)
-                if by_service.get(u, set()) != set(left.values()):
+                if by_service.get(u, set()) != left:
                     var_ok = False
                 mat = constructive_allocation(u, counts, y)
-                if service_of(mat, flexibilities, k) != u:
-                    constructive_ok = False
-                if any(a > b for a, b in zip(varieties_of(mat, k), y)):
+                spent = checked.get(mat)
+                if spent is None:
+                    spent = checked[mat] = service_of(mat, flexibilities, k), varieties_of(mat, k)
+                if spent[0] != u or any(map(operator.gt, spent[1], y)):
                     constructive_ok = False
     results.append(CheckResult("service_set_projection", seed, svc_ok))
     results.append(CheckResult("variety_set_projection", seed, var_ok))

@@ -84,6 +84,20 @@ def test_grid_lookup_matches_numpy_formula(size):
             assert (got_index, g.snap(x)) == _numpy_lookup(g, x), x
 
 
+def test_grid_tolerance_is_capped_at_a_thousandth_of_a_step():
+    """Off a grid point, `index_of` accepts at most min(1e-9 * max(1, step),
+    1e-3 * step): on a grid of step 5e-13 a value 1,000 steps beyond either
+    end is no grid point, and on one of step 1e-9 neither is a value 0.45 of
+    a step off, as on [0, 1]. A thousandth of a step still reads as a point."""
+    tiny, fine = ValuationGrid.uniform(0.0, 1e-12, 3), ValuationGrid.uniform(0.0, 1e-6, 1001)
+    for g, x in ((tiny, 5e-10), (tiny, -9e-10), (fine, 0.5e-6 + 0.45e-9),
+                 (ValuationGrid.uniform(0.0, 1.0, 11), 0.3 + 0.45 * 0.1)):
+        with pytest.raises(OffGridValue):
+            g.index_of(x)
+    assert tiny.index_of(1e-12 + 1e-16) == 2
+    assert fine.index_of(0.5e-6 + 0.5e-12) == 500
+
+
 def test_grid_points_are_linspace_of_its_three_numbers():
     points = ValuationGrid(0.0, 1.0, 11).points
     assert points.tobytes() == np.linspace(0.0, 1.0, 11).tobytes()

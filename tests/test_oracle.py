@@ -100,6 +100,25 @@ def test_brute_stage_terminal_single_consumer(small_cfg):
         assert got == max(w, 0.0)
 
 
+def test_matrix_projections_match_their_definition():
+    """Each matrix's (served rows, y minus the goods it spends), de-duplicated
+    in first-seen order, for every level-sorted flexibility tuple of up to
+    three consumers, k <= 3 and up to 2 goods per variety: first-seen order
+    decides whether 0.0 or -0.0 wins a tie in `brute_stage_value`."""
+    for k in (1, 2, 3):
+        for y in itertools.product(range(3), repeat=k):
+            for n in range(4):
+                for flex in itertools.combinations_with_replacement(range(1, k + 1), n):
+                    want: dict = {}
+                    for m in enumerate_feasible_matrices(flex, y):
+                        served = tuple(row for row, c in enumerate(m) if c > 0)
+                        want[served, tuple(a - b for a, b in zip(y, varieties_of(m, k)))] = None
+                    memo: dict = {}
+                    got = oracle._matrix_projections(memo, flex, y, oracle.DEFAULT_MATRIX_BUDGET)
+                    assert got == list(want), (flex, y)
+                    assert memo == {(flex, y): got}
+
+
 # -- constructive allocation -----------------------------------------------------------
 
 def test_constructive_examples():
@@ -111,6 +130,24 @@ def test_constructive_examples():
 def test_constructive_greedy_prefers_low_varieties():
     """Level-2 consumers drain variety 1 before touching variety 2."""
     assert constructive_allocation((0, 2), (0, 3), (2, 2)) == (1, 1, 0)
+
+
+def test_constructive_matches_row_by_row_greedy():
+    """Row by row over the level blocks, the first u^j rows of block j each
+    take the lowest variety in stock among 1..j: every feasible (u, counts,
+    y) with k <= 3 and up to 2 consumers and goods per level."""
+    for k in (1, 2, 3):
+        for y, counts in itertools.product(itertools.product(range(3), repeat=k), repeat=2):
+            for u in oracle.feasible_service_set(counts, y):
+                stock, want = list(y), []
+                for level, (uj, cj) in enumerate(zip(u, counts), 1):
+                    for row in range(cj):
+                        variety = 0
+                        if row < uj:
+                            variety = next(j for j in range(1, level + 1) if stock[j - 1])
+                            stock[variety - 1] -= 1
+                        want.append(variety)
+                assert constructive_allocation(u, counts, y) == tuple(want), (u, counts, y)
 
 
 def test_constructive_rejects_infeasible():
@@ -222,18 +259,23 @@ def test_opportunity_cost_check_catches_a_perturbed_entry(small_tables):
     assert all(v.t == 1 and v.excess > 1e-12 for v in lowered)
 
 
-def test_check_monotonicity_slack_is_tol_alone():
-    """The slack is `tol` alone: it reads neither the backend's label nor the
-    standard errors. Sampled myopic tables get what the same tables labelled
-    "mc" get, and a 1e-6 deficit is a violation at the default `tol` even
-    where every standard error is 1.0."""
+def _sampled_myopic_tables():
+    """Myopic k=2 tables from 20 mc draws at seed 1, which break monotonicity."""
     bern = [0.5, 0.5]
     cfg = config_io.parse_config({
         "horizon": 2, "varieties": 2, "grid": {"min": 0.0, "max": 1.0, "points": 21},
         "arrivals": [[1 / 3] * 3] * 2, "supply": [[bern, bern]] * 2,
         "types": {"family": "truncated_exponential", "alpha": [2.0, 3.0]},
     })
-    myopic = simulate.build_myopic_tables(cfg, backend="mc", samples=20, seed=1)
+    return simulate.build_myopic_tables(cfg, backend="mc", samples=20, seed=1)
+
+
+def test_check_monotonicity_slack_is_tol_alone():
+    """The slack is `tol` alone: it reads neither the backend's label nor the
+    standard errors. Sampled myopic tables get what the same tables labelled
+    "mc" get, and a 1e-6 deficit is a violation at the default `tol` even
+    where every standard error is 1.0."""
+    myopic = _sampled_myopic_tables()
     assert myopic.backend == "mc-myopic"
     relabelled = dataclasses.replace(myopic, backend="mc")
     assert check_monotonicity(myopic) == check_monotonicity(relabelled)
@@ -244,6 +286,27 @@ def test_check_monotonicity_slack_is_tol_alone():
         t: dict.fromkeys(layer, 1.0) for t, layer in myopic.stderrs.items()})
     found = {(v.t, v.better, v.worse): v.deficit for v in check_monotonicity(noisy)}
     assert found[2, (1, 0), (0, 1)] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_check_monotonicity_matches_all_pairs_reference():
+    """On tables that break monotonicity (20-draw mc tables at seed 1: the
+    sampled myopic k=2 tables and a k=3 build), the scan returns what a plain
+    all-pairs loop does: the same violations, in the same order, with the
+    same deficits, at tol 0.0 and 1e-12."""
+    k3 = fm.build_value_tables(_k3_market(2, 5), backend="mc", samples=20, seed=1)
+    for tables in (_sampled_myopic_tables(), k3):
+        for tol in (0.0, 1e-12):
+            want = []
+            for t, states in tables.states.items():
+                vals = tables.values[t]
+                for y in states:
+                    for z in states:
+                        dominates = all(a >= b for a, b in zip(itertools.accumulate(y),
+                                                                itertools.accumulate(z)))
+                        if y != z and dominates and vals[z] - vals[y] > tol:
+                            want.append(oracle.MonotonicityViolation(t, y, z, vals[z] - vals[y]))
+            assert want, (tables.config.varieties, tol)
+            assert check_monotonicity(tables, tol=tol) == want
 
 
 def test_check_monotonicity_trivial_on_terminal_layer(small_tables):
@@ -350,6 +413,14 @@ def _drop_first(real):
     return broken
 
 
+def _lowest_varieties_first(real):
+    """The last vector of the variety set: feasible for (u, y), but it spends
+    the lowest varieties first, the opposite of the recursion."""
+    def broken(u, y):
+        return oracle.feasible_variety_set(u, y)[-1]
+    return broken
+
+
 def _pad(real):
     """The chain, then v* repeated sum(y) + 1 times: one step too many."""
     def broken(v, u, y):
@@ -391,6 +462,8 @@ def _spend_variety_1(real):
     ("dp.vstar", _refuse, "vstar_optimality"),
     # v* is the lexicographically smallest variety vector, so the first one
     ("feasible_variety_set", _drop_first, "vstar_optimality"),
+    # feasible but not optimal: spends the lowest varieties first
+    ("dp.vstar", _lowest_varieties_first, "vstar_optimality"),
     ("transform_chain", _drop_last, "transform_chain"),
     ("transform_chain", _pad, "transform_chain"),
     ("transform_chain", _detour, "transform_chain"),
