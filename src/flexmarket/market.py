@@ -248,11 +248,29 @@ class MarketConfig:
     def __hash__(self) -> int:
         return hash(self.fingerprint)
 
-    def virtual_value_row(self, t: int, b: int) -> tuple:
-        """Level b's virtual valuations at period t, both indices 1-based and checked."""
+    @cached_property
+    def _reserve_indices(self) -> tuple:
+        """r[t-1][b-1]: the grid index of the first virtual value of level b
+        at period t that is non-negative, or None where none is."""
+        return tuple(tuple(_first_reaching(row, 0.0) for row in rows)
+                     for rows in self.virtual_values)
+
+    def _level_entry(self, table: tuple, t: int, b: int):
+        """Entry (t, b) of a per-period, per-level table, both indices 1-based
+        and checked; a level outside 1..k raises OffGridValue."""
         if not 1 <= b <= self.varieties:
             raise OffGridValue(f"flexibility level {b} outside 1..{self.varieties}")
-        return self.virtual_values[_index(t, self.horizon, "period")][b - 1]
+        return table[_index(t, self.horizon, "period")][b - 1]
+
+    def virtual_value_row(self, t: int, b: int) -> tuple:
+        """Level b's virtual valuations at period t, both indices 1-based and checked."""
+        return self._level_entry(self.virtual_values, t, b)
+
+    def reserve_index(self, t: int, b: int) -> int | None:
+        """Grid index of level b's reserve price at period t, derived once per
+        config: the first point whose virtual valuation is non-negative, or
+        None where the level has no reserve. Indices as `virtual_value_row`."""
+        return self._level_entry(self._reserve_indices, t, b)
 
     def consumer_atoms(self, t: int) -> tuple:
         """Positive-probability consumer types (level, grid_index, prob, w) of
@@ -732,7 +750,7 @@ def _first_reaching(row: tuple, target: float) -> int | None:
 
 def reserve_price(cfg: MarketConfig, t: int, j: int) -> float:
     """Smallest grid point whose virtual valuation is non-negative for level j at t."""
-    i = _first_reaching(cfg.virtual_value_row(t, j), 0.0)
+    i = cfg.reserve_index(t, j)
     if i is None:
         raise NoNonnegativePoint(f"virtual valuation negative on the whole grid (t={t}, j={j})")
     return cfg.grid.point_list[i]

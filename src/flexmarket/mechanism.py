@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .dp import ValueTables, stage_value
 from .errors import InconsistentAllocation, TableMismatch
-from .market import MarketConfig, _first_reaching, _index, environment_plan
+from .market import MarketConfig, _index, environment_plan
 
 # Entries the read, allocation and threshold memos may each hold; a memo
 # that is full is cleared before its next entry goes in.
@@ -187,7 +187,7 @@ class Mechanism:
             return self._threshold_memo[key]
 
         points = self.cfg.grid.point_list
-        reserve_idx = _first_reaching(self.cfg.virtual_value_row(t, j), 0.0)
+        reserve_idx = self.cfg.reserve_index(t, j)
         if reserve_idx is None:  # no reserve: the scan is empty
             reserve_idx = len(points)
         before, after = others[:probe_index - 1], others[probe_index - 1:]

@@ -12,6 +12,13 @@ block once: an episode that repeats an earlier one's draws is that
 episode's trace object, which is what the replay would give. A standalone
 `sample_episode` reads its history per call from its own
 ``SeedSequence([seed])`` Generator.
+Only `run_episodes` holds whole traces, a block's distinct histories at a
+time, because the CLI's trace CSV needs them. `estimate_revenue` holds only
+each distinct history's (revenue, virtual surplus) totals, and the audits
+only their laws and entries: whatever a batch keeps alive until it ends
+survives into the collector's oldest generation, where every full
+collection walks it again, so a trace that only feeds totals is let go as
+soon as they are read.
 Interim quantities and audits are expectations over an environment law: the
 supply state a period-t consumer meets plus the other consumers' types. The
 law is either sampled (`Mechanism.environment_law`: the environments of
@@ -148,14 +155,24 @@ class RevenueEstimate:
 def estimate_revenue(cfg: MarketConfig, tables: ValueTables, replications: int,
                      seed: int, mech: Mechanism | None = None) -> RevenueEstimate:
     """Mean and standard error of episode revenue (and virtual surplus) over
-    the episodes of `run_episodes`."""
+    the episodes of `run_episodes`.
+
+    Each distinct history of a block is played once through `_run_episode`,
+    as `run_episodes` plays it, but only its two totals are kept: the trace
+    is dropped as soon as they are read, so it dies young instead of
+    surviving the batch into the collector's oldest generation."""
     if replications < 2:
         raise ValueError("need at least 2 replications")
     mech = _session(cfg, tables, mech)
+
+    def totals(history: tuple) -> tuple[float, float]:
+        trace = _run_episode(mech, history)
+        return trace.total_revenue, trace.total_virtual_surplus
+
     revenues, surpluses = [], []
-    for trace in run_episodes(mech, replications, seed):
-        revenues.append(trace.total_revenue)
-        surpluses.append(trace.total_virtual_surplus)
+    for revenue, surplus in episode_plan(mech.cfg).replicate((seed,), replications, totals):
+        revenues.append(revenue)
+        surpluses.append(surplus)
     return RevenueEstimate(revenues, surpluses, seed)
 
 
@@ -212,7 +229,7 @@ class AuditProbe:
         return cls(t=t, true_types=true_types, deviation_values=vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     t: int
     true_type: tuple

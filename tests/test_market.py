@@ -233,6 +233,25 @@ def test_threshold_scans_match_numpy_on_family():
                             fm.inverse_virtual(cfg, t, target, b)
 
 
+def test_reserve_index_is_the_first_nonnegative_point(example_cfg):
+    """The reserve index a config derives once is `_first_reaching(row, 0.0)`
+    of its virtual-value row, at every (t, level) of the first 40 family
+    instances, the worked example and a config with no reserve, and it
+    checks its indices as `virtual_value_row` does."""
+    no_reserve = tabulated_config([1.0] * 5, grid=(-1.0, -0.5, 5))
+    configs = [oracle.random_instance(seed) for seed in range(40)] + [example_cfg, no_reserve]
+    for cfg in configs:
+        for t in range(1, cfg.horizon + 1):
+            for b in range(1, cfg.varieties + 1):
+                want = market._first_reaching(cfg.virtual_value_row(t, b), 0.0)
+                assert cfg.reserve_index(t, b) == want
+    assert no_reserve.reserve_index(1, 1) is None
+    for t, b, error in [(1, 0, OffGridValue), (1, 2, OffGridValue), (0, 1, ValueError),
+                        (2, 1, ValueError)]:
+        with pytest.raises(error):
+            no_reserve.reserve_index(t, b)
+
+
 # -- example builder ------------------------------------------------------------
 
 def test_build_example_config_shape(example_cfg):

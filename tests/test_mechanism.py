@@ -514,12 +514,15 @@ def test_read_memo_stays_bounded(small_cfg, small_tables, monkeypatch):
 # -- memos -------------------------------------------------------------------------
 
 def test_memo_bound_keeps_results(small_cfg, small_tables, monkeypatch):
-    """A tiny bound clears the allocation and threshold memos over and over, yet
-    episodes and audits come out identical and neither memo outgrows it."""
+    """A tiny bound clears the read, allocation and threshold memos over and
+    over, yet standalone and batched episodes and the audits come out
+    identical and no memo outgrows it after any call."""
     def run():
         mech = Mechanism(small_tables)
         rows = [list(simulate.trace_rows(s, fm.sample_episode(small_cfg, small_tables, s, mech=mech)))
                 for s in range(40)]
+        rows += [list(simulate.trace_rows(ep, trace))
+                 for ep, trace in enumerate(simulate.run_episodes(mech, 200, 7))]
         probe = simulate.AuditProbe.default(small_cfg, 2, points=5)
         bic = simulate.bic_audit(small_cfg, small_tables, probe, 200, 3, mech=mech)
         ir = simulate.ir_audit(small_cfg, small_tables, 200, 3, mech=mech)
@@ -531,14 +534,16 @@ def test_memo_bound_keeps_results(small_cfg, small_tables, monkeypatch):
     def checked(method):
         def wrapper(self, *args, **kwargs):
             out = method(self, *args, **kwargs)
-            sizes = (len(self._alloc_memo), len(self._threshold_memo))
+            sizes = (len(self._read_memo), len(self._alloc_memo), len(self._threshold_memo))
             assert max(sizes) <= bound
             sizes_seen.append(sizes)
             return out
         return wrapper
 
     monkeypatch.setattr(mechanism, "MEMO_BOUND", bound)
-    monkeypatch.setattr(Mechanism, "allocate", checked(Mechanism.allocate))
-    monkeypatch.setattr(Mechanism, "payment_threshold", checked(Mechanism.payment_threshold))
+    for name in ("_read", "allocate", "payment_threshold"):
+        monkeypatch.setattr(Mechanism, name, checked(getattr(Mechanism, name)))
     assert run() == unbounded
-    assert tuple(map(max, zip(*sizes_seen))) == (bound, bound)  # both memos filled up
+    assert tuple(map(max, zip(*sizes_seen))) == (bound,) * 3  # every memo filled up
+    # and every memo was cleared: its size fell from one call to the next
+    assert all(any(b < a for a, b in zip(sizes, sizes[1:])) for sizes in zip(*sizes_seen))

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -131,6 +132,35 @@ def test_revenue_matches_exact_virtual_surplus(small_cfg, small_tables, small_me
     assert abs(est.mean - exact) <= 3 * est.stderr
     assert abs(est.virtual_mean - exact) <= 3 * est.virtual_stderr
     assert abs(est.diff_mean) <= 3 * est.diff_stderr + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("replications", [2, 4096, 4097])  # one and two blocks of streams
+def test_revenue_totals_match_the_trace_tally(small_cfg, small_tables, seed, replications):
+    """`estimate_revenue`, which keeps only each episode's totals, gives the
+    estimate that tallying `run_episodes` traces gives, as `simulate` in the
+    CLI tallies them."""
+    traces = list(simulate.run_episodes(Mechanism(small_tables), replications, seed))
+    tallied = simulate.RevenueEstimate([trace.total_revenue for trace in traces],
+                                       [trace.total_virtual_surplus for trace in traces], seed)
+    got = fm.estimate_revenue(small_cfg, small_tables, replications, seed)
+    assert got.to_json() == tallied.to_json()
+
+
+def test_revenue_batch_keeps_no_trace_alive(small_cfg, small_tables, monkeypatch):
+    """A revenue batch lets each episode's trace go as soon as its totals are
+    read: the live `EpisodeTrace` count, taken as each episode starts, does
+    not grow over a batch whose 30 replications share one block."""
+    live = []
+    play = simulate._run_episode
+
+    def counted(mech, history):
+        live.append(sum(type(o) is simulate.EpisodeTrace for o in gc.get_objects()))
+        return play(mech, history)
+
+    monkeypatch.setattr(simulate, "_run_episode", counted)
+    fm.estimate_revenue(small_cfg, small_tables, 30, 0)
+    assert len(live) > 1 and len(set(live)) == 1, live
 
 
 def test_revenue_zero_arrival_edge():
